@@ -50,6 +50,9 @@ from .verify import DEFAULT_SEED, coverage_manifest, run_checks
 
 _EVAL_ERRORS = (TailTooLarge, TruncationFailure, QuadratureDivergence)
 
+#: Most b values one phase scan accepts; each costs a minimization per alpha.
+_MAX_B_CELLS = 10_000
+
 
 def _fmt(value: Any, precision: int) -> str:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -229,14 +232,13 @@ def _cmd_phase_scan(args) -> int:
     alphas = _parse_alpha_list(args.alphas)
     if args.b_step <= 0 or args.b_max < args.b_min:
         raise InvalidParameter("need b-min <= b-max and b-step > 0")
-    bs = []
-    b = args.b_min
-    while b <= args.b_max + 1e-15:
-        bs.append(round(b, 12))
-        b += args.b_step
-    problem = WProblem() if args.problem == "w" else ThetaDiffProblem(a=args.a)
     if args.problem == "thetadiff" and args.a is None:
         raise InvalidParameter("thetadiff needs --a")
+    span = (args.b_max + 1e-15 - args.b_min) / args.b_step
+    if not span < _MAX_B_CELLS:  # also rejects nan and inf
+        raise InvalidParameter(f"the b grid must have at most {_MAX_B_CELLS} cells")
+    bs = [round(args.b_min + k * args.b_step, 12) for k in range(math.floor(span) + 1)]
+    problem = WProblem() if args.problem == "w" else ThetaDiffProblem(a=args.a)
     result = phase_scan(alphas, bs, problem, _series_config(args))
     rows: list[dict] = [
         {"alpha": c.alpha, "b": c.b, "classification": c.classification,

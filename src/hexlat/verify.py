@@ -7,14 +7,14 @@ at region corners (they fail by small but real margins); those reports carry
 ``passed=False`` together with a note stating what was computed.  See the
 README section "Known discrepancies".
 
-All checks are pure functions of (config, seed); the suite may evaluate them
-concurrently and aggregates deterministically by report id.
+All checks are pure functions of (config, seed).  Each is registered with
+``@check`` under the report ids it emits; the suite calls them one after
+another, only those a request needs, and sorts the reports by id.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -94,6 +94,23 @@ def _mk(lemma_id, claimed, computed, comparison, tolerance, grid, note="") -> Le
     else:
         ok = abs(computed - claimed) <= tolerance
     return LemmaReport(lemma_id, claimed, computed, comparison, tolerance, grid, ok, note)
+
+
+#: Report id -> the check function that emits it, filled by ``@check``.
+_EMITTERS: dict[str, Callable[[_Ctx], list[LemmaReport]]] = {}
+
+
+def check(*ids: str):
+    """Register the decorated check function as the one emitter of `ids`."""
+
+    def register(fn):
+        twice = sorted({i for i in ids if i in _EMITTERS or ids.count(i) > 1})
+        if twice:
+            raise ValueError(f"report id(s) registered twice: {twice}")
+        _EMITTERS.update(dict.fromkeys(ids, fn))
+        return fn
+
+    return register
 
 
 def _half_last_digit(printed: float, digits: int) -> float:
@@ -311,6 +328,7 @@ def _random_domain_points(rng: np.random.Generator, count: int, y_max: float = 1
 # ---------------------------------------------------------------------------
 
 
+@check("PXY")
 def _check_poisson_consistency(ctx) -> list[LemmaReport]:
     cfg_f = SeriesConfig(poisson_switch=1e-9)   # forces Fourier branch
     cfg_p = SeriesConfig(poisson_switch=1e9)    # forces Poisson branch
@@ -329,6 +347,7 @@ def _check_poisson_consistency(ctx) -> list[LemmaReport]:
                 "purely relative 1e-12 is beyond double precision")]
 
 
+@check("TXY-period", "TXY-parity")
 def _check_symmetry(ctx) -> list[LemmaReport]:
     rng = np.random.default_rng(ctx.seed)
     worst_period = 0.0
@@ -346,6 +365,7 @@ def _check_symmetry(ctx) -> list[LemmaReport]:
     ]
 
 
+@check("TXY-partials")
 def _check_partials_fd(ctx) -> list[LemmaReport]:
     rng = np.random.default_rng(ctx.seed + 1)
     worst = 0.0
@@ -369,6 +389,7 @@ def _check_partials_fd(ctx) -> list[LemmaReport]:
                 "quotient, which dominates wherever the derivative is ~1e-7")]
 
 
+@check("mmmx")
 def _check_mu_nu(ctx) -> list[LemmaReport]:
     worst = 0.0
     for X in (0.2, 0.3, 0.5, 1.0, 2.0):
@@ -383,6 +404,7 @@ def _quotient_grid():
     return ys
 
 
+@check("L23-1", "L23-2")
 def _check_quotients_y(ctx) -> list[LemmaReport]:
     out = []
     worst = 0.0
@@ -413,6 +435,7 @@ def _check_quotients_y(ctx) -> list[LemmaReport]:
     return out
 
 
+@check("L24-1", "L24-2", "L24-3")
 def _check_quotients_xy(ctx) -> list[LemmaReport]:
     out = []
     worst = 0.0
@@ -451,6 +474,7 @@ def _check_quotients_xy(ctx) -> list[LemmaReport]:
     return out
 
 
+@check("L25-1", "L25-2")
 def _check_small_x(ctx) -> list[LemmaReport]:
     out = []
     worst = 0.0
@@ -475,6 +499,7 @@ def _check_small_x(ctx) -> list[LemmaReport]:
     return out
 
 
+@check("L26")
 def _check_comb_ratio(ctx) -> list[LemmaReport]:
     worst = 0.0
     for a in (2.0, 2.5, 3.0, 5.0, 10.0, 40.0):
@@ -484,6 +509,7 @@ def _check_comb_ratio(ctx) -> list[LemmaReport]:
                 "a in {2,...,40}, Y in (0, 0.5); bound approached as a -> inf")]
 
 
+@check("L27")
 def _check_dirichlet_kernel(ctx) -> list[LemmaReport]:
     worst_excess = 0.0
     for n in range(1, 7):
@@ -505,6 +531,7 @@ def _check_dirichlet_kernel(ctx) -> list[LemmaReport]:
                 "n in 1..6, 2000-point Y grid avoiding sin zeros")]
 
 
+@check("X2")
 def _check_sin_quotient(ctx) -> list[LemmaReport]:
     worst = 0.0
     for k in range(1, 9):
@@ -517,6 +544,7 @@ def _check_sin_quotient(ctx) -> list[LemmaReport]:
     return [_mk("X2", 1.0, worst, "<=", 1e-9, "k in 1..8, 4000-point x grid")]
 
 
+@check("T1", "T2", "Envelope")
 def _check_envelopes(ctx) -> list[LemmaReport]:
     out = []
     worst_t1 = 0.0  # max violation of lower <= -theta_Y/sin <= upper
@@ -550,6 +578,7 @@ def _check_envelopes(ctx) -> list[LemmaReport]:
     return out
 
 
+@check("H100")
 def _check_h100(ctx) -> list[LemmaReport]:
     xs = np.linspace(0.5, 3.0, 60)
     vals = [(1.0 + nu(float(X))) / (1.0 + mu(float(X))) for X in xs]
@@ -558,6 +587,7 @@ def _check_h100(ctx) -> list[LemmaReport]:
                 "(1+nu)/(1+mu) decreasing on X in [0.5, 3], 60 points")]
 
 
+@check("LLL7")
 def _check_lll7(ctx) -> list[LemmaReport]:
     worst = math.inf
     for X in np.linspace(0.211, 2.0, 80):
@@ -573,6 +603,7 @@ def _check_lll7(ctx) -> list[LemmaReport]:
                 "positivity of the normalized derivative-quotient majorant")]
 
 
+@check("L24-root")
 def _check_nu_root(ctx) -> list[LemmaReport]:
     lo, hi = 0.25, 0.35
     for _ in range(60):
@@ -585,6 +616,7 @@ def _check_nu_root(ctx) -> list[LemmaReport]:
     return [_mk("L24-root", 0.2989938127, root, "~", 1e-9, "bisection of 1 - nu on [0.25, 0.35]")]
 
 
+@check("P1a", "P1b", "P2")
 def _check_ratio_constants(ctx) -> list[LemmaReport]:
     m, n = mu(0.5), nu(0.5)
     return [
@@ -594,6 +626,7 @@ def _check_ratio_constants(ctx) -> list[LemmaReport]:
     ]
 
 
+@check("fa1")
 def _check_fa1(ctx) -> list[LemmaReport]:
     worst = 0.0
     for a in np.linspace(2.0, 50.0, 49):
@@ -627,6 +660,7 @@ def _sample_points() -> list[UpperHalfPoint]:
     ]
 
 
+@check("L34")
 def _check_theta_expansion(ctx) -> list[LemmaReport]:
     worst = 0.0
     for alpha in (1.0, 1.3, 2.0):
@@ -637,6 +671,7 @@ def _check_theta_expansion(ctx) -> list[LemmaReport]:
                 "alpha in {1,1.3,2} x 5 sample z vs radius-8 direct sums")]
 
 
+@check("L32")
 def _check_w_expansion(ctx) -> list[LemmaReport]:
     worst = 0.0
     for alpha, b in ((1.0, 0.0), (1.5, 0.1), (2.0, B_CRITICAL)):
@@ -647,6 +682,7 @@ def _check_w_expansion(ctx) -> list[LemmaReport]:
                 "3 (alpha, b) x 5 z vs radius-8 direct sums (absolute gap)")]
 
 
+@check("L33")
 def _check_w_structure(ctx) -> list[LemmaReport]:
     worst = 0.0
     for alpha, b in ((1.7, 0.1), (1.2, 0.0), (2.5, B_CRITICAL)):
@@ -658,6 +694,7 @@ def _check_w_structure(ctx) -> list[LemmaReport]:
                 "W_b vs -(1/pi) d(theta)/d(alpha) - (b/alpha) theta (FD route)")]
 
 
+@check("L35")
 def _check_vanishing(ctx) -> list[LemmaReport]:
     rng = np.random.default_rng(ctx.seed + 2)
     worst = max(abs(w_b(1.0, B_CRITICAL, z, ctx.cfg)) for z in _random_domain_points(rng, 100))
@@ -665,6 +702,7 @@ def _check_vanishing(ctx) -> list[LemmaReport]:
                 "100 seeded z in the fundamental domain, y <= 10")]
 
 
+@check("Wdeform")
 def _check_wdeform(ctx) -> list[LemmaReport]:
     alpha, b, b0 = 1.5, 0.05, B_CRITICAL
     worst = 0.0
@@ -675,6 +713,7 @@ def _check_wdeform(ctx) -> list[LemmaReport]:
     return [_mk("Wdeform", 1e-12, worst, "<=", 0.0, "(alpha,b,b0)=(1.5,0.05,1/2pi) x 5 z")]
 
 
+@check("Thaaa")
 def _check_duality(ctx) -> list[LemmaReport]:
     worst = 0.0
     for alpha in np.geomspace(0.1, 10.0, 9):
@@ -689,6 +728,7 @@ def _random_word(rng: np.random.Generator) -> list[Generator]:
     return [gens[int(rng.integers(0, 4))] for _ in range(int(rng.integers(1, 7)))]
 
 
+@check("G111", "Geee")
 def _check_invariance(ctx) -> list[LemmaReport]:
     rng = np.random.default_rng(ctx.seed + 3)
     worst_t = 0.0
@@ -707,6 +747,7 @@ def _check_invariance(ctx) -> list[LemmaReport]:
     ]
 
 
+@check("Fd3", "Fd3-idem", "G111-norms")
 def _check_reduction(ctx) -> list[LemmaReport]:
     rng = np.random.default_rng(ctx.seed + 4)
     worst_idem = 0.0
@@ -740,6 +781,7 @@ def _check_reduction(ctx) -> list[LemmaReport]:
     ]
 
 
+@check("Eq319")
 def _check_eq319(ctx) -> list[LemmaReport]:
     worst = max(abs(dx_w(1.0, z, ctx.cfg)) for z in _sample_points())
     return [_mk("Eq319", 1e-10, worst, "<=", 0.0, "alpha = 1, 5 sample z")]
@@ -755,6 +797,7 @@ def _domain_grid(nx: int, ny: int, y_max: float) -> list[UpperHalfPoint]:
     return pts
 
 
+@check("Th32")
 def _check_dx_negative(ctx) -> list[LemmaReport]:
     worst = -math.inf
     for alpha in (1.05, 1.2, 2.0, 5.0):
@@ -765,6 +808,7 @@ def _check_dx_negative(ctx) -> list[LemmaReport]:
                 "max of d/dx W over the grid; the claim is strict negativity")]
 
 
+@check("L36-L38")
 def _check_dx_paths(ctx) -> list[LemmaReport]:
     worst = 0.0
     for alpha in (1.05, 1.5, 3.0):
@@ -778,6 +822,7 @@ def _check_dx_paths(ctx) -> list[LemmaReport]:
                 "theta-series path vs A_{n,m} double-sum path")]
 
 
+@check("L39")
 def _check_lemma39(ctx) -> list[LemmaReport]:
     worst = math.inf
     for alpha in (1.01, 1.05, 1.1):
@@ -802,6 +847,7 @@ def _check_lemma39(ctx) -> list[LemmaReport]:
                 "leading-coefficient scale restored")]
 
 
+@check("L310", "L311")
 def _check_lemma310_311(ctx) -> list[LemmaReport]:
     out = []
     for lemma_id, swap in (("L310", False), ("L311", True)):
@@ -835,6 +881,7 @@ def _check_lemma310_311(ctx) -> list[LemmaReport]:
     return out
 
 
+@check("B100", "B100-tail")
 def _check_b100(ctx) -> list[LemmaReport]:
     y, alpha0 = RT3_2, 1.0
     b1 = 64.0 * alpha0 * _PI * y * math.exp(-3.0 * _PI * y * alpha0)
@@ -853,11 +900,13 @@ def _check_b100(ctx) -> list[LemmaReport]:
     return [rep1, rep2]
 
 
+@check("Gaa4")
 def _check_gaa4(ctx) -> list[LemmaReport]:
     s = sum(n**6 * math.exp(-math.sqrt(3.0) * _PI * n) for n in range(2, 60))
     return [_mk("Gaa4", 1.27e-3, s, "<=", 0.0, "direct sum, n >= 2")]
 
 
+@check("P3-sigma1", "P3-sigma2", "P5-sigma3", "P5-sigma4")
 def _check_sigmas(ctx) -> list[LemmaReport]:
     m_half, n_half = mu(0.5), nu(0.5)
     tail4 = sum(k**4 * math.exp(-1.1 * _PI * RT3_2 * (k * k - 1)) for k in range(2, 40))
@@ -890,6 +939,7 @@ def _check_sigmas(ctx) -> list[LemmaReport]:
     ]
 
 
+@check("Case3-W", "Case3-T")
 def _check_asymptotics(ctx) -> list[LemmaReport]:
     out = []
     y = 400.0
@@ -910,6 +960,7 @@ def _check_asymptotics(ctx) -> list[LemmaReport]:
     return out
 
 
+@check("W1")
 def _check_w1(ctx) -> list[LemmaReport]:
     worst = 0.0
     for alpha, a in ((1.0, 2.0), (1.3, 3.0)):
@@ -929,6 +980,7 @@ def _check_w1(ctx) -> list[LemmaReport]:
 # ---------------------------------------------------------------------------
 
 
+@check("HHH", "HHH-dsum")
 def _check_hhh(ctx) -> list[LemmaReport]:
     h = 5e-4
     k = 5e-4
@@ -951,11 +1003,13 @@ def _check_hhh(ctx) -> list[LemmaReport]:
     ]
 
 
+@check("aaF4")
 def _check_aaf4(ctx) -> list[LemmaReport]:
     worst = max(abs(dy_w(alpha, hexagonal_point(), ctx.cfg)) for alpha in (0.5, 1.0, 1.7, 3.0))
     return [_mk("aaF4", 1e-9, worst, "<=", 0.0, "alpha in {0.5, 1, 1.7, 3} at y = rt3/2, x = 1/2")]
 
 
+@check("Prop41")
 def _check_prop41(ctx) -> list[LemmaReport]:
     worst = math.inf
     for alpha in (1.1, 1.5, 3.0):
@@ -965,6 +1019,7 @@ def _check_prop41(ctx) -> list[LemmaReport]:
                 "alpha in {1.1, 1.5, 3}, y in [rt3/2, 6] (40 points) on x = 1/2")]
 
 
+@check("L44-limit")
 def _check_l44_limit(ctx) -> list[LemmaReport]:
     return [_mk("L44-limit", 0.374030114, _PI * _PI - 3.5 * _PI + 1.5, "~", 1e-9, "closed form")]
 
@@ -975,6 +1030,7 @@ def _l47_ratio(alpha: float) -> float:
     return val / (alpha * alpha - 1.0)
 
 
+@check("L47-limit", "L47-floor", "L47-Bn")
 def _check_l47(ctx) -> list[LemmaReport]:
     limit = 0.5 * (_l47_ratio(1.0 + 1e-6) + _l47_ratio(1.0 - 1e-6))
     reports = [_mk("L47-limit", 81.84546604, limit, "~", 1e-3,
@@ -1005,6 +1061,7 @@ def _check_l47(ctx) -> list[LemmaReport]:
     return reports
 
 
+@check("L48-n4", "L48-n2")
 def _check_l48(ctx) -> list[LemmaReport]:
     worst4 = math.inf
     worst2 = math.inf
@@ -1034,6 +1091,7 @@ def _rb_grid(n: int = 60):
     return np.meshgrid(np.linspace(1.0, 1.2, n), np.linspace(1.0, 6.0, n), indexing="ij")
 
 
+@check("L44-floor")
 def _check_lb_floor(ctx) -> list[LemmaReport]:
     al, yy = _rb_grid(60)
     bmax = np.maximum(
@@ -1058,6 +1116,7 @@ def _check_lb_floor(ctx) -> list[LemmaReport]:
                 "60x60 grid + 1000 seeded points on [1, 1.2] x [1, 6]", note)]
 
 
+@check("L43-bound")
 def _check_lb_validity(ctx) -> list[LemmaReport]:
     worst = math.inf
     for alpha in np.linspace(1.01, 1.2, 6):
@@ -1074,6 +1133,7 @@ def _check_lb_validity(ctx) -> list[LemmaReport]:
                 "pi alpha^{5/2} d_y W dominates the assembled lower bound")]
 
 
+@check("L412-floor")
 def _check_rc_floor(ctx) -> list[LemmaReport]:
     n = 60
     al = np.linspace(1.2, 6.0, n)
@@ -1098,6 +1158,7 @@ def _check_rc_floor(ctx) -> list[LemmaReport]:
                 "60x60 grid on alpha in [1.2, 6], y in [5 alpha/6, 8]", note)]
 
 
+@check("L413-eps1", "L414-eps2", "L413-eps3", "L414-eps4")
 def _check_rc_epsilons(ctx) -> list[LemmaReport]:
     e1, e2, e3, e4 = (float(v) for v in eps_c_terms(1.2, 1.0))
     grid_note = "R_c corner (alpha, y) = (1.2, 1.0), where all four terms peak"
@@ -1128,6 +1189,7 @@ def _theta_weighted_sums(alpha: float, y: float, cfg: SeriesConfig, power: int, 
     return total
 
 
+@check("L413-ineq", "L414-ineq")
 def _check_l413_l414_ineq(ctx) -> list[LemmaReport]:
     out = []
     worst = math.inf
@@ -1176,6 +1238,7 @@ def _check_l413_l414_ineq(ctx) -> list[LemmaReport]:
     return out
 
 
+@check("L415", "L416")
 def _check_l415_l416(ctx) -> list[LemmaReport]:
     worst = math.inf
     for X0 in (0.55, 0.85, 1.3, 2.0):
@@ -1195,6 +1258,7 @@ def _check_l415_l416(ctx) -> list[LemmaReport]:
     return [rep1, rep2]
 
 
+@check("L45", "L46")
 def _check_l45_l46(ctx) -> list[LemmaReport]:
     out = []
     worst = 0.0
@@ -1248,6 +1312,7 @@ def _check_l45_l46(ctx) -> list[LemmaReport]:
     return out
 
 
+@check("L419", "L420", "L429")
 def _check_operator_identities(ctx) -> list[LemmaReport]:
     out = []
     worst = 0.0
@@ -1284,6 +1349,7 @@ def _check_operator_identities(ctx) -> list[LemmaReport]:
     return out
 
 
+@check("L422-Ld", "L422-caseb", "L421-bound")
 def _check_rd_region(ctx) -> list[LemmaReport]:
     out = []
     # L_d > 0 on a 60x60 grid (the load-bearing positivity).
@@ -1318,6 +1384,7 @@ def _check_rd_region(ctx) -> list[LemmaReport]:
     return out
 
 
+@check("L423", "L424", "L425", "L426", "L432", "L433", "L425-epsd1", "L426-epsd2")
 def _check_dsum_bounds(ctx) -> list[LemmaReport]:
     out = []
     worst23 = math.inf
@@ -1396,6 +1463,7 @@ def _check_dsum_bounds(ctx) -> list[LemmaReport]:
     return out
 
 
+@check("L431-La", "L430-bound")
 def _check_ra_region(ctx) -> list[LemmaReport]:
     out = []
     al, yy = np.meshgrid(np.linspace(1.0, 1.2, 60), np.linspace(RT3_2, 1.0, 60), indexing="ij")
@@ -1420,6 +1488,7 @@ def _check_ra_region(ctx) -> list[LemmaReport]:
     return out
 
 
+@check("GH1-spot")
 def _check_montgomery_spot(ctx) -> list[LemmaReport]:
     worst = math.inf
     hex_pt = hexagonal_point()
@@ -1443,80 +1512,6 @@ class _Ctx:
     seed: int
 
 
-_CHECK_FUNCTIONS: list[Callable[[_Ctx], list[LemmaReport]]] = [
-    _check_poisson_consistency,
-    _check_symmetry,
-    _check_partials_fd,
-    _check_mu_nu,
-    _check_quotients_y,
-    _check_quotients_xy,
-    _check_small_x,
-    _check_comb_ratio,
-    _check_dirichlet_kernel,
-    _check_sin_quotient,
-    _check_envelopes,
-    _check_h100,
-    _check_lll7,
-    _check_nu_root,
-    _check_ratio_constants,
-    _check_fa1,
-    _check_theta_expansion,
-    _check_w_expansion,
-    _check_w_structure,
-    _check_vanishing,
-    _check_wdeform,
-    _check_duality,
-    _check_invariance,
-    _check_reduction,
-    _check_eq319,
-    _check_dx_negative,
-    _check_dx_paths,
-    _check_lemma39,
-    _check_lemma310_311,
-    _check_b100,
-    _check_gaa4,
-    _check_sigmas,
-    _check_asymptotics,
-    _check_w1,
-    _check_hhh,
-    _check_aaf4,
-    _check_prop41,
-    _check_l44_limit,
-    _check_l47,
-    _check_l48,
-    _check_lb_floor,
-    _check_lb_validity,
-    _check_rc_floor,
-    _check_rc_epsilons,
-    _check_l413_l414_ineq,
-    _check_l415_l416,
-    _check_l45_l46,
-    _check_operator_identities,
-    _check_rd_region,
-    _check_dsum_bounds,
-    _check_ra_region,
-    _check_montgomery_spot,
-]
-
-#: Report ids emitted by each check function (populated on first run; the
-#: static manifest below is the authoritative list).
-COVERAGE_MANIFEST: tuple[str, ...] = (
-    "B100", "B100-tail", "Case3-T", "Case3-W", "Envelope", "Eq319", "Fd3",
-    "Fd3-idem", "G111", "G111-norms", "GH1-spot", "Gaa4", "Geee", "H100",
-    "HHH", "HHH-dsum", "L23-1", "L23-2", "L24-1", "L24-2", "L24-3",
-    "L24-root", "L25-1", "L25-2", "L26", "L27", "L310", "L311", "L32",
-    "L33", "L34", "L35", "L36-L38", "L39", "L412-floor", "L413-eps1",
-    "L413-eps3", "L413-ineq", "L414-eps2", "L414-eps4", "L414-ineq",
-    "L415", "L416", "L419", "L420", "L421-bound", "L422-Ld", "L422-caseb",
-    "L423", "L424", "L425", "L425-epsd1", "L426", "L426-epsd2", "L429",
-    "L430-bound", "L431-La", "L432", "L433", "L43-bound",
-    "L44-floor", "L44-limit", "L45", "L46", "L47-Bn", "L47-floor",
-    "L47-limit", "L48-n2", "L48-n4", "LLL7", "P1a", "P1b", "P2",
-    "P3-sigma1", "P3-sigma2", "P5-sigma3", "P5-sigma4", "PXY", "Prop41",
-    "aaF4", "T1", "T2", "TXY-parity", "TXY-partials", "TXY-period",
-    "Th32", "Thaaa", "W1", "Wdeform", "X2", "fa1", "mmmx",
-)
-
 #: Printed claims that recomputation contradicts (documented failures).
 EXPECTED_FAILURES: tuple[str, ...] = (
     "L412-floor",
@@ -1533,32 +1528,27 @@ def run_checks(
     only: Iterable[str] | None = None,
     seed: int = DEFAULT_SEED,
     cfg: SeriesConfig = DEFAULT_CONFIG,
-    workers: int | None = None,
 ) -> list[LemmaReport]:
     """Run the verification suite; returns reports sorted by lemma id.
 
-    `only` filters to the given report ids (UnknownLemma when an id does not
-    exist).  Checks are independent pure functions and run concurrently.
+    `only` restricts the run to the given report ids (UnknownLemma when an id
+    does not exist), and only the check functions that emit one of them are
+    called.  Each check seeds its own generator from `seed` and shares no
+    state, so a subset reports exactly what the full run reports for it.
     """
+    wanted = set(_EMITTERS if only is None else only)
+    unknown = wanted.difference(_EMITTERS)
+    if unknown:
+        raise UnknownLemma(f"unknown lemma id(s): {sorted(unknown)}")
     ctx = _Ctx(cfg=cfg, seed=seed)
-    wanted = None
-    if only is not None:
-        wanted = set(only)
-        known = set(coverage_manifest())
-        unknown = wanted - known
-        if unknown:
-            raise UnknownLemma(f"unknown lemma id(s): {sorted(unknown)}")
-    with ThreadPoolExecutor(max_workers=workers or 4) as pool:
-        chunks = list(pool.map(lambda fn: fn(ctx), _CHECK_FUNCTIONS))
-    reports = [rep for chunk in chunks for rep in chunk]
-    if wanted is not None:
-        reports = [r for r in reports if r.lemma_id in wanted]
+    emitters = dict.fromkeys(fn for lemma_id, fn in _EMITTERS.items() if lemma_id in wanted)
+    reports = [r for fn in emitters for r in fn(ctx) if only is None or r.lemma_id in wanted]
     return sorted(reports, key=lambda r: r.lemma_id)
 
 
 def coverage_manifest() -> list[str]:
-    """Sorted list of every report id the default suite emits."""
-    return sorted(COVERAGE_MANIFEST)
+    """Sorted list of every report id the registered checks emit."""
+    return sorted(_EMITTERS)
 
 
 # Thematic groupings ----------------------------------------------------------

@@ -181,6 +181,22 @@ def test_phase_scan_bad_range_exit_2(capsys):
                    "--b-min", "0.1", "--b-max", "0.2", "--b-step", "0.05")[0] == 2
 
 
+def test_phase_scan_thetadiff_without_a_exit_2(capsys):
+    code, _, err = run_cli(capsys, "phase-scan", "--problem", "thetadiff", "--alphas", "1",
+                           "--b-min", "0", "--b-max", "0.1", "--b-step", "0.05")
+    assert code == 2
+    assert "needs --a" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("b_max,b_step", [("0.1", "1e-300"), ("0.1", "nan"), ("1", "1e-4")])
+def test_phase_scan_oversized_grid_exit_2(capsys, b_max, b_step):
+    # [0, 1] in steps of 1e-4 is one cell over the cap; the others never end
+    code, _, err = run_cli(capsys, "phase-scan", "--problem", "w", "--alphas", "1",
+                           "--b-min", "0", "--b-max", b_max, "--b-step", b_step)
+    assert code == 2
+    assert "at most" in err and "Traceback" not in err
+
+
 def test_verify_single_report(capsys):
     code, out, _ = run_cli(capsys, "verify", "--only", "HHH", "--format", "json")
     assert code == 0

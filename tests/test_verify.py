@@ -10,9 +10,14 @@ import math
 import numpy as np
 import pytest
 
+from hexlat import verify
+from hexlat.config import DEFAULT_CONFIG
 from hexlat.errors import UnknownLemma
 from hexlat.verify import (
+    DEFAULT_SEED,
     EXPECTED_FAILURES,
+    _Ctx,
+    check,
     coverage_manifest,
     dw_mixed_operator,
     dw_radial_operator,
@@ -111,6 +116,48 @@ def test_spec_groupings_cover_their_ids():
     assert {r.lemma_id for r in verify_region_inequalities()} >= {"L44-floor", "L412-floor"}
     assert {r.lemma_id for r in verify_double_sum_bounds()} >= {"L423", "L310"}
     assert {r.lemma_id for r in verify_identities()} >= {"Thaaa", "W1", "L35"}
+
+
+def test_each_check_emits_exactly_its_declared_ids():
+    ctx = _Ctx(cfg=DEFAULT_CONFIG, seed=DEFAULT_SEED)
+    for fn in set(verify._EMITTERS.values()):
+        declared = {i for i, owner in verify._EMITTERS.items() if owner is fn}
+        emitted = [r.lemma_id for r in fn(ctx)]
+        assert sorted(emitted) == sorted(declared), fn.__name__
+
+
+def test_registering_an_id_twice_fails():
+    manifest = coverage_manifest()
+    with pytest.raises(ValueError, match="HHH"):
+        check("NEW", "HHH")(lambda ctx: [])
+    with pytest.raises(ValueError, match="NEW"):
+        check("NEW", "NEW")(lambda ctx: [])
+    assert coverage_manifest() == manifest
+
+
+@pytest.mark.parametrize(
+    "group",
+    [verify._CONSTANT_IDS, verify._ERROR_TERM_IDS, verify._REGION_IDS,
+     verify._DSUM_IDS, verify._IDENTITY_IDS],
+    ids=["constants", "error-terms", "regions", "double-sums", "identities"],
+)
+def test_group_run_calls_only_its_checks(group, reports, monkeypatch):
+    owners = {fn for lemma_id, fn in verify._EMITTERS.items() if lemma_id in group}
+    called = []
+
+    def spy(fn):
+        def wrapped(ctx):
+            called.append(fn)
+            return fn(ctx)
+        return wrapped
+
+    spies = {fn: spy(fn) for fn in set(verify._EMITTERS.values())}
+    monkeypatch.setattr(
+        verify, "_EMITTERS", {i: spies[fn] for i, fn in verify._EMITTERS.items()}
+    )
+    subset = run_checks(only=group)
+    assert subset == [r for r in reports if r.lemma_id in group]
+    assert len(called) == len(owners) and set(called) == owners
 
 
 def test_report_serialization(reports):

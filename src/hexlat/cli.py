@@ -3,7 +3,8 @@ and the verification suite, with CSV/JSON output.
 
 Exit codes: 0 success; 1 verification ran and at least one report failed;
 2 invalid arguments (including unknown lemma ids); 3 energy-evaluation
-failure (tail/truncation/quadrature errors).
+failure (tail/truncation/quadrature errors, or a minimization that did
+not converge).
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .energy import (
 from .errors import (
     HexlatError,
     InvalidParameter,
+    OptimizerDivergence,
     QuadratureDivergence,
     TailTooLarge,
     TruncationFailure,
@@ -48,7 +50,7 @@ from .minimize import (
 from .moduli import UpperHalfPoint, reduce_to_fundamental
 from .verify import DEFAULT_SEED, coverage_manifest, run_checks
 
-_EVAL_ERRORS = (TailTooLarge, TruncationFailure, QuadratureDivergence)
+_EVAL_ERRORS = (TailTooLarge, TruncationFailure, QuadratureDivergence, OptimizerDivergence)
 
 #: Most b values one phase scan accepts; each costs a minimization per alpha.
 _MAX_B_CELLS = 10_000

@@ -2,21 +2,27 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-from .errors import InvalidParameter
+from .errors import InvalidParameter, TruncationFailure
 
 
 @dataclass(frozen=True)
 class SeriesConfig:
     """Controls how exponential series are truncated.
 
-    rel_tol: a series is cut once the bound on the next term drops below
-        rel_tol times the running scale (max of |partial sum| and the
-        leading term bound, so alternating sums that cancel to ~0 still
-        terminate); two further guard terms are always added.
-    max_terms: hard cap on the number of terms; exceeding it raises
-        TruncationFailure.
+    Every series in the package has Gaussian terms: up to a constant, the
+    n-th term is bounded by n^p e^{-pi d n^2} for a decay d > 0 and a power
+    p in 0..4.  How many terms to add is fixed before summing, by
+    :meth:`last_index`, the only place the rule lives: the sum over
+    n = start..N stops at N = (first n whose bound is <= rel_tol times the
+    largest bound at an earlier index) + 2 guard terms.
+
+    rel_tol: the relative cut-off of that rule, in (0, 1e-6).
+    max_terms: the most indices one series may use, N - start + 1; a series
+        whose rule asks for more raises TruncationFailure before any term
+        is summed.  A Poisson pair (1 + j, -j) counts as one index.
     poisson_switch: theta(X; Y) and its partials use the defining Fourier
         series for X >= poisson_switch and the Poisson-resummed Gaussian
         comb below it.  Both representations are valid on all of X > 0;
@@ -34,6 +40,23 @@ class SeriesConfig:
             raise InvalidParameter(f"max_terms must be >= 8, got {self.max_terms}")
         if not self.poisson_switch > 0:
             raise InvalidParameter(f"poisson_switch must be > 0, got {self.poisson_switch}")
+
+    def last_index(self, d: float, p: int, start: int, name: str) -> int:
+        """Last index N of sum_{n >= start} n^p e^{-pi d n^2} under the rule above.
+
+        Raises TruncationFailure, naming the series `name`, when N - start + 1
+        would exceed max_terms.
+        """
+        peak = start**p * math.exp(-math.pi * d * start * start)
+        for n in range(start + 1, start + self.max_terms - 2):
+            bound = n**p * math.exp(-math.pi * d * n * n)
+            if bound <= self.rel_tol * peak:
+                return n + 2
+            if bound > peak:
+                peak = bound
+        raise TruncationFailure(
+            f"{name} not converged within {self.max_terms} terms (decay d={d})"
+        )
 
 
 DEFAULT_CONFIG = SeriesConfig()

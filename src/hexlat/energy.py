@@ -23,7 +23,6 @@ from .errors import (
     NonPositiveAlpha,
     QuadratureDivergence,
     TailTooLarge,
-    TruncationFailure,
 )
 from .moduli import UpperHalfPoint, lattice_norms
 from .quadrature import gauss_panel, integrate
@@ -40,17 +39,6 @@ def _check_alpha(alpha: float) -> None:
         raise NonPositiveAlpha(f"alpha must be finite and > 0, got {alpha}")
 
 
-def _abs_bound(X: float, power: int, prefactor: float, cfg: SeriesConfig) -> float:
-    """prefactor * sum_k k^power e^{-pi k^2 X}: a majorant for |theta partials|."""
-    acc = 0.0
-    for k in range(1, cfg.max_terms + 1):
-        t = float(k) ** power * math.exp(-_PI * k * k * X)
-        acc += t
-        if t <= cfg.rel_tol * max(acc, 5e-324):
-            break
-    return prefactor * acc
-
-
 # ---------------------------------------------------------------------------
 # theta(alpha; z) and W_b(alpha; z)
 # ---------------------------------------------------------------------------
@@ -61,21 +49,11 @@ def theta_lattice(alpha: float, z: UpperHalfPoint, cfg: SeriesConfig = DEFAULT_C
     _check_alpha(alpha)
     x, y = z.x, z.y
     X0 = y / alpha
-    th_max = jacobi_theta(X0, 0.0, cfg)  # theta(X;Y) <= theta(X;0)
-    acc = th_max
-    guard = 0
-    for n in range(1, cfg.max_terms + 1):
+    last = cfg.last_index(alpha * y, 0, 1, "theta_lattice")
+    acc = jacobi_theta(X0, 0.0, cfg)
+    for n in range(1, last + 1):
         w = 2.0 * math.exp(-alpha * _PI * y * n * n)
-        bound = w * th_max
-        if bound <= cfg.rel_tol * acc:
-            guard += 1
-            if guard > 2:
-                break
-        else:
-            guard = 0
         acc += w * jacobi_theta(X0, n * x, cfg)
-    else:
-        raise TruncationFailure(f"theta_lattice not converged (alpha={alpha}, z={z})")
     return math.sqrt(X0) * acc
 
 
@@ -95,26 +73,13 @@ def w_b(alpha: float, b: float, z: UpperHalfPoint, cfg: SeriesConfig = DEFAULT_C
     X0 = y / alpha
     c0 = 0.5 * (1.0 - 2.0 * _PI * b) * (alpha / y)
     c2 = _PI * alpha * alpha
-    th_max = jacobi_theta(X0, 0.0, cfg)
-    thx_max = abs(jacobi_theta_partial(X0, 0.0, 1, 0, cfg))  # |theta_X(X;Y)| <= |theta_X(X;0)|
-    acc = c0 * th_max + jacobi_theta_partial(X0, 0.0, 1, 0, cfg)
-    scale = abs(c0) * th_max + thx_max
-    guard = 0
-    for n in range(1, cfg.max_terms + 1):
+    last = cfg.last_index(alpha * y, 2, 1, "w_b")
+    acc = c0 * jacobi_theta(X0, 0.0, cfg) + jacobi_theta_partial(X0, 0.0, 1, 0, cfg)
+    for n in range(1, last + 1):
         w = 2.0 * math.exp(-alpha * _PI * y * n * n)
-        bound = w * ((abs(c0) + c2 * n * n) * th_max + thx_max)
-        if bound <= cfg.rel_tol * max(scale, 5e-324):
-            guard += 1
-            if guard > 2:
-                break
-        else:
-            guard = 0
         th = jacobi_theta(X0, n * x, cfg)
         thx = jacobi_theta_partial(X0, n * x, 1, 0, cfg)
         acc += w * ((c0 + c2 * n * n) * th + thx)
-        scale = max(scale, abs(acc))
-    else:
-        raise TruncationFailure(f"w_b not converged (alpha={alpha}, z={z})")
     return y**1.5 / (_PI * alpha**2.5) * acc
 
 
@@ -143,26 +108,13 @@ def dx_w(alpha: float, z: UpperHalfPoint, cfg: SeriesConfig = DEFAULT_CONFIG) ->
     x, y = z.x, z.y
     X0 = y / alpha
     c3 = _PI * alpha * alpha
-    thy_max = _abs_bound(X0, 1, 4.0 * _PI, cfg)
-    thxy_max = _abs_bound(X0, 3, 4.0 * _PI * _PI, cfg)
+    last = cfg.last_index(alpha * y, 3, 1, "dx_w")
     acc = 0.0
-    scale = math.exp(-alpha * _PI * y) * (c3 * thy_max + thxy_max)
-    guard = 0
-    for n in range(1, cfg.max_terms + 1):
+    for n in range(1, last + 1):
         w = 2.0 * math.exp(-alpha * _PI * y * n * n)
-        bound = w * (c3 * n**3 * thy_max + n * thxy_max)
-        if bound <= cfg.rel_tol * max(scale, 5e-324):
-            guard += 1
-            if guard > 2:
-                break
-        else:
-            guard = 0
         thy = jacobi_theta_partial(X0, n * x, 0, 1, cfg)
         thxy = jacobi_theta_partial(X0, n * x, 1, 1, cfg)
         acc += w * (c3 * n**3 * thy + n * thxy)
-        scale = max(scale, abs(acc))
-    else:
-        raise TruncationFailure(f"dx_w not converged (alpha={alpha}, z={z})")
     return y**1.5 / (_PI * alpha**2.5) * acc
 
 
@@ -201,32 +153,16 @@ def dy_w(alpha: float, z: UpperHalfPoint, cfg: SeriesConfig = DEFAULT_CONFIG) ->
     X0 = y / alpha
     c2 = _PI * alpha * alpha
     c4 = _PI * _PI * alpha**3
-    th_max = jacobi_theta(X0, 0.0, cfg)
-    thx_max = _abs_bound(X0, 2, 2.0 * _PI, cfg)
-    thxx_max = _abs_bound(X0, 4, 2.0 * _PI * _PI, cfg)
+    last = cfg.last_index(alpha * y, 4, 1, "dy_w")
     s_low = jacobi_theta_partial(X0, 0.0, 1, 0, cfg)       # pi a^2 S2 + SX, n = 0 part
     s_high = jacobi_theta_partial(X0, 0.0, 2, 0, cfg) / alpha  # -pi^2 a^3 S4 + SXX/alpha
-    scale = thx_max + thxx_max / alpha
-    guard = 0
-    for n in range(1, cfg.max_terms + 1):
+    for n in range(1, last + 1):
         w = 2.0 * math.exp(-alpha * _PI * y * n * n)
-        bound = w * (
-            (c2 * n * n + c4 * n**4) * th_max + thx_max + thxx_max / alpha
-        )
-        if bound <= cfg.rel_tol * max(scale, 5e-324):
-            guard += 1
-            if guard > 2:
-                break
-        else:
-            guard = 0
         th = jacobi_theta(X0, n * x, cfg)
         thx = jacobi_theta_partial(X0, n * x, 1, 0, cfg)
         thxx = jacobi_theta_partial(X0, n * x, 2, 0, cfg)
         s_low += w * (c2 * n * n * th + thx)
         s_high += w * (-c4 * n**4 * th + thxx / alpha)
-        scale = max(scale, abs(s_low), abs(s_high))
-    else:
-        raise TruncationFailure(f"dy_w not converged (alpha={alpha}, z={z})")
     return (1.5 * math.sqrt(y) * s_low + y**1.5 * s_high) / (_PI * alpha**2.5)
 
 
@@ -356,10 +292,12 @@ def potential_value(p: PotentialSpec, q: float) -> float:
 
 
 def _tail_majorant(p: PotentialSpec, t0: float) -> float:
-    """Upper bound on the absolute lattice-sum tail over norms^2 > t0.
+    """Estimate of the absolute lattice-sum tail over norms^2 > t0.
 
-    A unit-density lattice has ~pi dt points with norm^2 in [t, t+dt]; the
-    factor 2 in front is margin for shell-count fluctuations.
+    A heuristic, not a proven bound: a unit-density lattice has ~pi dt
+    points with norm^2 in [t, t+dt], and the factor 2 in front is an
+    unproven margin for shell-count fluctuations.  For LaplaceWeighted the
+    decay is read off the potential sampled at t0, not bounded.
     """
     if isinstance(p, Gaussian):
         return 2.0 * math.exp(-_PI * p.alpha * t0) / p.alpha
@@ -380,8 +318,10 @@ def _tail_majorant(p: PotentialSpec, t0: float) -> float:
 def lattice_energy(p: PotentialSpec, z: UpperHalfPoint, cutoff_radius: float) -> float:
     """E_f(L) = sum over nonzero lattice points of f(|P|^2), by direct summation.
 
-    Raises TailTooLarge when the tail majorant beyond the cutoff is not
-    below 1e-12 of the accumulated absolute sum.
+    Raises TailTooLarge when the tail estimate beyond the cutoff is not
+    below 1e-12 of the accumulated absolute sum.  That estimate
+    (:func:`_tail_majorant`) is heuristic: a shell-count margin of 2 and,
+    for LaplaceWeighted, a sampled potential stand in for a proof.
     """
     if not cutoff_radius > 0.0:
         raise InvalidParameter(f"cutoff_radius must be > 0, got {cutoff_radius}")

@@ -43,3 +43,7 @@ class TailTooLarge(HexlatError, ArithmeticError):
 
 class QuadratureDivergence(HexlatError, ArithmeticError):
     """Adaptive quadrature failed to reach its tail target."""
+
+
+class OptimizerDivergence(HexlatError, ArithmeticError):
+    """The simplex refinement of a minimizer did not converge."""

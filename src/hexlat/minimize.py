@@ -6,7 +6,9 @@ W_b behaves like alpha^{-3/2} sqrt(y) (1/(2 pi) - b) and the theta
 difference like sqrt(y/(a alpha)) (sqrt(a) - b).  When the coefficient is
 negative the energy is unbounded below and a numeric divergence witness is
 attached; otherwise the minimizer is located by a bounded line search along
-x = 1/2 followed by Nelder-Mead refinement in the plane.
+x = 1/2 followed by Nelder-Mead refinement in the plane.  A refinement
+that does not converge raises OptimizerDivergence, unless the hexagonal
+point ties or beats its candidate.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .energy import (
     theta_difference,
     w_b,
 )
-from .errors import InvalidParameter, NonPositiveAlpha
+from .errors import InvalidParameter, NonPositiveAlpha, OptimizerDivergence
 from .moduli import RT3_2, UpperHalfPoint, hexagonal_point, reduce_to_fundamental
 
 #: Margin for the boundary classification: |b - b_critical| below this is
@@ -118,6 +120,10 @@ def _refine_2d(
     hex_val = energy(hex_pt)
     if hex_val <= val + 1e-12:
         cand, val = hex_pt, hex_val
+    elif not res.success:
+        raise OptimizerDivergence(
+            f"Nelder-Mead did not converge from {seed} after {res.nfev} evaluations: {res.message}"
+        )
     reduced, _ = reduce_to_fundamental(cand)
     dist = math.hypot(reduced.x - 0.5, reduced.y - RT3_2)
     return Minimizer(z_star=reduced, value=val, distance_to_hex=dist, advisory=advisory)

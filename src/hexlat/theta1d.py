@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 
 from .config import DEFAULT_CONFIG, SeriesConfig
-from .errors import NonPositiveX, TruncationFailure, UnsupportedOrder
+from .errors import NonPositiveX, UnsupportedOrder
 
 _TWO_PI = 2.0 * math.pi
 _PI = math.pi
@@ -38,86 +38,54 @@ def _reduce_y(Y: float) -> float:
     return Y - math.floor(Y)
 
 
-def _fourier_term(X: float, Y: float, xo: int, yo: int, n: int) -> tuple[float, float]:
-    """n-th term of the differentiated Fourier series and its magnitude bound."""
+def _fourier_term(X: float, Y: float, xo: int, yo: int, n: int) -> float:
+    """n-th term of the differentiated Fourier series."""
     e = math.exp(-_PI * n * n * X)
     if (xo, yo) == (0, 0):
-        return 2.0 * e * math.cos(_TWO_PI * n * Y), 2.0 * e
+        return 2.0 * e * math.cos(_TWO_PI * n * Y)
     if (xo, yo) == (1, 0):
-        b = _TWO_PI * n * n * e
-        return -b * math.cos(_TWO_PI * n * Y), b
+        return -_TWO_PI * n * n * e * math.cos(_TWO_PI * n * Y)
     if (xo, yo) == (0, 1):
-        b = 4.0 * _PI * n * e
-        return -b * math.sin(_TWO_PI * n * Y), b
+        return -4.0 * _PI * n * e * math.sin(_TWO_PI * n * Y)
     if (xo, yo) == (1, 1):
-        b = 4.0 * _PI * _PI * n**3 * e
-        return b * math.sin(_TWO_PI * n * Y), b
+        return 4.0 * _PI * _PI * n**3 * e * math.sin(_TWO_PI * n * Y)
     # (2, 0)
-    b = 2.0 * _PI * _PI * n**4 * e
-    return b * math.cos(_TWO_PI * n * Y), b
+    return 2.0 * _PI * _PI * n**4 * e * math.cos(_TWO_PI * n * Y)
 
 
-def _poisson_term(X: float, Y: float, xo: int, yo: int, n: int) -> tuple[float, float]:
-    """Term of the differentiated Poisson comb at integer n, plus a bound."""
+def _poisson_term(X: float, Y: float, xo: int, yo: int, n: int) -> float:
+    """Term of the differentiated Poisson comb at integer n."""
     d = n - Y
     e = math.exp(-_PI * d * d / X)
     if (xo, yo) == (0, 0):
-        v = X**-0.5 * e
-        return v, v
+        return X**-0.5 * e
     if (xo, yo) == (0, 1):
-        v = _TWO_PI * X**-1.5 * d * e
-        return v, abs(v)
+        return _TWO_PI * X**-1.5 * d * e
     if (xo, yo) == (1, 0):
-        v = X**-2.5 * (_PI * d * d - 0.5 * X) * e
-        return v, X**-2.5 * (_PI * d * d + 0.5 * X) * e
+        return X**-2.5 * (_PI * d * d - 0.5 * X) * e
     if (xo, yo) == (1, 1):
-        v = _PI * X**-3.5 * (2.0 * _PI * d**3 - 3.0 * X * d) * e
-        return v, _PI * X**-3.5 * (2.0 * _PI * abs(d) ** 3 + 3.0 * X * abs(d)) * e
+        return _PI * X**-3.5 * (2.0 * _PI * d**3 - 3.0 * X * d) * e
     # (2, 0)
-    v = X**-4.5 * (_PI * _PI * d**4 - 3.0 * _PI * X * d * d + 0.75 * X * X) * e
-    return v, X**-4.5 * (_PI * _PI * d**4 + 3.0 * _PI * X * d * d + 0.75 * X * X) * e
+    return X**-4.5 * (_PI * _PI * d**4 - 3.0 * _PI * X * d * d + 0.75 * X * X) * e
 
 
 def _sum_fourier(X: float, Y: float, xo: int, yo: int, cfg: SeriesConfig) -> float:
+    # The n-th term is bounded by n^(2 xo + yo) e^{-pi X n^2}.
+    last = cfg.last_index(X, 2 * xo + yo, 1, "Fourier theta series")
     acc = 1.0 if (xo, yo) == (0, 0) else 0.0
-    scale = abs(acc)
-    guard = 0
-    for n in range(1, cfg.max_terms + 1):
-        term, bound = _fourier_term(X, Y, xo, yo, n)
-        acc += term
-        scale = max(scale, bound, abs(acc), 5e-324)
-        if bound <= cfg.rel_tol * scale:
-            guard += 1
-            if guard > 2:
-                return acc
-        else:
-            guard = 0
-    raise TruncationFailure(
-        f"Fourier theta series not converged within {cfg.max_terms} terms (X={X}, Y={Y})"
-    )
+    for n in range(1, last + 1):
+        acc += _fourier_term(X, Y, xo, yo, n)
+    return acc
 
 
 def _sum_poisson(X: float, Y: float, xo: int, yo: int, cfg: SeriesConfig) -> float:
     # Y is in [0, 1); the dominant comb points are n = 0 and n = 1, so sum
-    # outward in pairs (1 + j, -j).
+    # outward in pairs (1 + j, -j), both at distance >= j from Y.
+    last = cfg.last_index(1.0 / X, 2 * xo + yo, 0, "Poisson theta series")
     acc = 0.0
-    scale = 0.0
-    guard = 0
-    for j in range(cfg.max_terms + 1):
-        t_hi, b_hi = _poisson_term(X, Y, xo, yo, 1 + j)
-        t_lo, b_lo = _poisson_term(X, Y, xo, yo, -j)
-        acc += t_hi + t_lo
-        bound = max(b_hi, b_lo)
-        scale = max(scale, bound, abs(acc), 5e-324)
-        if bound <= cfg.rel_tol * scale:
-            guard += 1
-            if guard > 2:
-                return acc
-        else:
-            guard = 0
-    raise TruncationFailure(
-        f"Poisson theta series not converged within {cfg.max_terms} terms (X={X}, Y={Y})"
-    )
+    for j in range(last + 1):
+        acc += _poisson_term(X, Y, xo, yo, 1 + j) + _poisson_term(X, Y, xo, yo, -j)
+    return acc
 
 
 def jacobi_theta(X: float, Y: float, cfg: SeriesConfig = DEFAULT_CONFIG) -> float:
@@ -148,33 +116,23 @@ def jacobi_theta_partial(
     return _sum_fourier(X, Yr, x_order, y_order, cfg)
 
 
-def _power_tail(X: float, power: int, cfg: SeriesConfig) -> float:
+def _power_tail(X: float, power: int, cfg: SeriesConfig, name: str) -> float:
     """sum_{n>=2} n^power exp(-pi (n^2 - 1) X)."""
     _check_x(X)
     acc = 0.0
-    scale = 0.0
-    guard = 0
-    for n in range(2, cfg.max_terms + 2):
-        term = float(n) ** power * math.exp(-_PI * (n * n - 1) * X)
-        acc += term
-        scale = max(scale, term, acc)
-        if term <= cfg.rel_tol * max(scale, 5e-324):
-            guard += 1
-            if guard > 2:
-                return acc
-        else:
-            guard = 0
-    raise TruncationFailure(f"tail majorant series not converged (X={X})")
+    for n in range(2, cfg.last_index(X, power, 2, name) + 1):
+        acc += float(n) ** power * math.exp(-_PI * (n * n - 1) * X)
+    return acc
 
 
 def mu(X: float, cfg: SeriesConfig = DEFAULT_CONFIG) -> float:
     """mu(X) = sum_{n>=2} n^2 exp(-pi (n^2 - 1) X); decreasing in X."""
-    return _power_tail(X, 2, cfg)
+    return _power_tail(X, 2, cfg, "mu")
 
 
 def nu(X: float, cfg: SeriesConfig = DEFAULT_CONFIG) -> float:
     """nu(X) = sum_{n>=2} n^4 exp(-pi (n^2 - 1) X); decreasing in X."""
-    return _power_tail(X, 4, cfg)
+    return _power_tail(X, 4, cfg, "nu")
 
 
 #: Validity thresholds of the two envelope estimates for -theta_Y / sin(2 pi Y).

@@ -1,4 +1,4 @@
-"""Shared fixtures and brute-force oracles.
+"""Shared fixtures, brute-force oracles and an unconverged stand-in optimizer.
 
 The oracles build on nothing but direct lattice enumeration, so they stay
 independent of the series expansions they are used to check.
@@ -8,7 +8,9 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
+from scipy.optimize import OptimizeResult
 
 from hexlat import UpperHalfPoint, lattice_norms
 
@@ -39,3 +41,13 @@ def sample_points() -> list[UpperHalfPoint]:
         UpperHalfPoint(0.13, 2.6),
         UpperHalfPoint(0.47, 0.95),
     ]
+
+
+def unconverged_nelder_mead(fun):
+    """Stand-in for scipy's minimize that stops unconverged at (0.2, 1.5)."""
+    def fake(objective, x0, **kwargs):
+        return OptimizeResult(
+            x=np.array([0.2, 1.5]), fun=fun, success=False, nfev=4000,
+            message="Maximum number of function evaluations has been exceeded.",
+        )
+    return fake

@@ -7,6 +7,7 @@ import math
 
 import pytest
 
+from conftest import unconverged_nelder_mead
 from hexlat.cli import main
 
 
@@ -152,6 +153,20 @@ def test_energy_eval_failure_exit_3(capsys):
     )
     assert code == 3
     assert "energy evaluation failed" in err
+
+
+def test_theta_truncation_failure_exit_3(capsys):
+    # alpha y = 1e-4 needs ~320 outer terms, above the default cap of 256
+    code, _, err = run_cli(capsys, "theta", "0.0001", "0", "1")
+    assert code == 3
+    assert "energy evaluation failed" in err and "Traceback" not in err
+
+
+def test_minimize_unconverged_exit_3(capsys, monkeypatch):
+    monkeypatch.setattr("hexlat.minimize.nelder_mead", unconverged_nelder_mead(-1e9))
+    code, _, err = run_cli(capsys, "minimize", "w", "--alpha", "1", "--b", "0")
+    assert code == 3
+    assert "energy evaluation failed" in err and "Traceback" not in err
 
 
 def test_phase_scan_contract(capsys):

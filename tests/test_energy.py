@@ -8,6 +8,7 @@ import pytest
 from conftest import brute_energy, brute_theta, brute_w
 from hexlat import (
     B_CRITICAL,
+    SeriesConfig,
     Gaussian,
     GaussianDiff,
     LaplaceWeighted,
@@ -32,6 +33,7 @@ from hexlat.errors import (
     NonPositiveAlpha,
     QuadratureDivergence,
     TailTooLarge,
+    TruncationFailure,
 )
 from hexlat.moduli import Generator
 
@@ -303,3 +305,22 @@ def test_potential_value_laplace_flat_closed_form():
     q = 1.3
     ref = math.exp(-PI * q) / (PI * q)
     assert abs(potential_value(p, q) - ref) <= 1e-10 * ref
+
+
+_CAPPED = SeriesConfig(max_terms=8)
+
+
+@pytest.mark.parametrize(
+    "name, call",
+    [
+        ("theta_lattice", lambda z: theta_lattice(0.01, z, _CAPPED)),
+        ("w_b", lambda z: w_b(0.01, 0.0, z, _CAPPED)),
+        ("dx_w", lambda z: dx_w(0.01, z, _CAPPED)),
+        ("dy_w", lambda z: dy_w(0.01, z, _CAPPED)),
+    ],
+    ids=["theta_lattice", "w_b", "dx_w", "dy_w"],
+)
+def test_energy_truncation_failure_when_capped(name, call):
+    # alpha y = 0.01 needs ~30 outer terms against a cap of 8
+    with pytest.raises(TruncationFailure, match=rf"^{name} "):
+        call(UpperHalfPoint(0.3, 1.0))

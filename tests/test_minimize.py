@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+from conftest import unconverged_nelder_mead
 from hexlat import (
     B_CRITICAL,
     Gaussian,
@@ -24,7 +25,7 @@ from hexlat import (
     theta_lattice,
     w_b,
 )
-from hexlat.errors import InvalidParameter, NonPositiveAlpha
+from hexlat.errors import InvalidParameter, NonPositiveAlpha, OptimizerDivergence
 from hexlat.moduli import in_fundamental_domain
 
 RT3_2 = math.sqrt(3.0) / 2.0
@@ -189,3 +190,17 @@ def test_phase_scan_validation():
         phase_scan([], [0.1], WProblem())
     with pytest.raises(InvalidParameter):
         ThetaDiffProblem(a=1.0)
+
+
+def test_unconverged_refinement_raises(monkeypatch):
+    monkeypatch.setattr("hexlat.minimize.nelder_mead", unconverged_nelder_mead(-1e9))
+    with pytest.raises(OptimizerDivergence):
+        minimize_w(1.0, 0.0)
+
+
+def test_unconverged_refinement_beaten_by_hexagonal_point(monkeypatch):
+    monkeypatch.setattr("hexlat.minimize.nelder_mead", unconverged_nelder_mead(1e9))
+    out = minimize_w(1.0, 0.0)
+    assert isinstance(out, Minimizer)
+    assert out.z_star == HEX and out.distance_to_hex == 0.0
+    assert out.value == w_b(1.0, 0.0, HEX)

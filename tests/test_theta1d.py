@@ -94,6 +94,11 @@ def test_truncation_failure_when_capped():
         jacobi_theta(0.001, 0.2, cfg)
 
 
+def test_mu_truncation_failure_when_capped():
+    with pytest.raises(TruncationFailure, match=r"^mu "):
+        mu(0.01, SeriesConfig(max_terms=8))
+
+
 def test_config_validation():
     with pytest.raises(InvalidParameter):
         SeriesConfig(rel_tol=0.5)

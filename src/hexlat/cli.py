@@ -2,9 +2,10 @@
 and the verification suite, with CSV/JSON output.
 
 Exit codes: 0 success; 1 verification ran and at least one report failed;
-2 invalid arguments (including unknown lemma ids); 3 energy-evaluation
-failure (tail/truncation/quadrature errors, or a minimization that did
-not converge).
+2 invalid arguments (including unknown lemma ids, a spec file that is not
+a JSON object of finite numbers, and a file that cannot be read or
+written); 3 energy-evaluation failure (tail/truncation/quadrature errors,
+a reduction that cannot proceed, or a minimization that did not converge).
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from .errors import (
     QuadratureDivergence,
     TailTooLarge,
     TruncationFailure,
-    UnknownLemma,
 )
 from .minimize import (
     Minimizer,
@@ -50,7 +50,18 @@ from .minimize import (
 from .moduli import UpperHalfPoint, reduce_to_fundamental
 from .verify import DEFAULT_SEED, coverage_manifest, run_checks
 
-_EVAL_ERRORS = (TailTooLarge, TruncationFailure, QuadratureDivergence, OptimizerDivergence)
+#: OverflowError: a spec-file weight e^{rate x} that outgrows double range.
+_EVAL_ERRORS = (TailTooLarge, TruncationFailure, QuadratureDivergence, OptimizerDivergence,
+                OverflowError)
+
+#: Potential family -> (spec class, its numeric parameters).  Spec files name
+#: the families with "_", the energy command with "-".
+_FAMILIES = {
+    "gaussian": (Gaussian, ("alpha",)),
+    "gaussian_diff": (GaussianDiff, ("alpha", "a", "b")),
+    "poly_gaussian": (PolyGaussian, ("alpha", "b")),
+    "yukawa_diff": (YukawaDiff, ("alpha", "a", "b")),
+}
 
 #: Most b values one phase scan accepts; each costs a minimization per alpha.
 _MAX_B_CELLS = 10_000
@@ -105,33 +116,45 @@ def _series_config(args) -> SeriesConfig:
     return SeriesConfig(rel_tol=args.tol)
 
 
+def _number(doc: dict, key: str, default: float | None = None) -> float:
+    """The finite number doc[key]; spec files are parsed with every number a float."""
+    value = doc.get(key, default)
+    if not (isinstance(value, float) and math.isfinite(value)):
+        raise InvalidParameter(f"{key!r} must be a finite number, got {value!r}")
+    return value
+
+
+def _family_spec(family: Any, params: dict) -> PotentialSpec:
+    if not isinstance(family, str) or family not in _FAMILIES:
+        raise InvalidParameter(f"unknown potential family {family!r}")
+    cls, names = _FAMILIES[family]
+    return cls(**{name: _number(params, name) for name in names})
+
+
 def _potential_from_file(path: str) -> PotentialSpec:
     with open(path) as fh:
-        doc = json.load(fh)
-    family = doc.get("family")
-    if family == "gaussian":
-        return Gaussian(alpha=doc["alpha"])
-    if family == "gaussian_diff":
-        return GaussianDiff(alpha=doc["alpha"], a=doc["a"], b=doc["b"])
-    if family == "poly_gaussian":
-        return PolyGaussian(alpha=doc["alpha"], b=doc["b"])
-    if family == "yukawa_diff":
-        return YukawaDiff(alpha=doc["alpha"], a=doc["a"], b=doc["b"])
-    if family == "laplace_weighted":
-        wdoc = doc.get("weight", {"kind": "constant", "value": 1.0})
-        if wdoc["kind"] == "constant":
-            c = float(wdoc.get("value", 1.0))
-            weight = lambda x, c=c: c
-        elif wdoc["kind"] == "exponential":
-            k = float(wdoc["rate"])
-            weight = lambda x, k=k: math.exp(k * x)
-        else:
-            raise InvalidParameter(f"unknown weight kind {wdoc['kind']!r}")
-        return LaplaceWeighted(
-            alpha=doc["alpha"], a=doc["a"], b=doc["b"], weight=weight,
-            family=doc.get("weight_family", "f"),
-        )
-    raise InvalidParameter(f"unknown potential family {family!r}")
+        try:
+            doc = json.load(fh, parse_int=float)
+        except ValueError as exc:  # malformed JSON, or bytes that are not text
+            raise InvalidParameter(f"spec file {path} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise InvalidParameter(f"spec file {path} must hold a JSON object")
+    if doc.get("family") != "laplace_weighted":
+        return _family_spec(doc.get("family"), doc)
+    wdoc = doc.get("weight", {"kind": "constant", "value": 1.0})
+    kind = wdoc.get("kind") if isinstance(wdoc, dict) else None
+    if kind == "constant":
+        c = _number(wdoc, "value", 1.0)
+        weight = lambda x, c=c: c
+    elif kind == "exponential":
+        k = _number(wdoc, "rate")
+        weight = lambda x, k=k: math.exp(k * x)
+    else:
+        raise InvalidParameter(f"unknown weight {wdoc!r}")
+    return LaplaceWeighted(
+        alpha=_number(doc, "alpha"), a=_number(doc, "a"), b=_number(doc, "b"), weight=weight,
+        family=doc.get("weight_family", "f"),
+    )
 
 
 def _outcome_rows(outcome) -> tuple[dict, list[dict], str]:
@@ -179,14 +202,8 @@ def _cmd_energy(args) -> int:
         raise InvalidParameter("energy requires y > 0")
     if args.spec_file:
         spec = _potential_from_file(args.spec_file)
-    elif args.family == "gaussian":
-        spec = Gaussian(alpha=args.alpha)
-    elif args.family == "gaussian-diff":
-        spec = GaussianDiff(alpha=args.alpha, a=args.a, b=args.b)
-    elif args.family == "poly-gaussian":
-        spec = PolyGaussian(alpha=args.alpha, b=args.b)
-    elif args.family == "yukawa-diff":
-        spec = YukawaDiff(alpha=args.alpha, a=args.a, b=args.b)
+    elif args.family:
+        spec = _family_spec(args.family.replace("-", "_"), vars(args))
     else:
         raise InvalidParameter("give a potential family or --spec-file")
     z = UpperHalfPoint(args.x, args.y)
@@ -376,7 +393,7 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--precision must lie in [6, 17]")  # exits 2
     try:
         return args.func(args)
-    except (InvalidParameter, UnknownLemma, FileNotFoundError, KeyError) as exc:
+    except (InvalidParameter, OSError) as exc:
         print(f"hexlat: error: {exc}", file=sys.stderr)
         return 2
     except _EVAL_ERRORS as exc:

@@ -134,10 +134,7 @@ def dx_w_double_sum(
     """d/dx of W_{1/(2 pi)} by the A_{n,m} sin(2 m n pi x) double sum."""
     _check_alpha(alpha)
     x, y = z.x, z.y
-    decay = _PI * y * min(alpha, 1.0 / alpha)
-    nmax = 3
-    while nmax < 64 and (nmax**4) * math.exp(-decay * (nmax * nmax + 1)) > 1e-22:
-        nmax += 1
+    nmax = cfg.last_index(y * min(alpha, 1.0 / alpha), 4, 1, "dx_w_double_sum")
     s = 0.0
     for n in range(1, nmax + 1):
         for m in range(1, nmax + 1):

@@ -141,6 +141,13 @@ def _locate_minimizer(
     return _refine_2d(energy, UpperHalfPoint(0.5, float(line.x)), advisory)
 
 
+def _check_alpha_b(alpha: float, b: float) -> None:
+    if not (alpha > 0.0 and math.isfinite(alpha)):
+        raise NonPositiveAlpha(f"alpha must be > 0, got {alpha}")
+    if not math.isfinite(b):
+        raise InvalidParameter(f"b must be finite, got {b}")
+
+
 def minimize_w(
     alpha: float, b: float, cfg: SeriesConfig = DEFAULT_CONFIG
 ) -> MinimizeOutcome:
@@ -150,8 +157,7 @@ def minimize_w(
     NoMinimizer witness is returned; otherwise the located minimizer.
     Results for alpha < 1 are advisory (outside the theorem hypotheses).
     """
-    if not (alpha > 0.0 and math.isfinite(alpha)):
-        raise NonPositiveAlpha(f"alpha must be > 0, got {alpha}")
+    _check_alpha_b(alpha, b)
     if b > B_CRITICAL + BOUNDARY_MARGIN:
         def on_gamma(y: float) -> float:
             return w_b(alpha, b, UpperHalfPoint(0.5, y), cfg)
@@ -171,8 +177,7 @@ def minimize_theta_difference(
     Nonexistence for b > sqrt(a): the large-y behaviour is
     sqrt(y/(a alpha)) (sqrt(a) - b + o(1)).
     """
-    if not (alpha > 0.0 and math.isfinite(alpha)):
-        raise NonPositiveAlpha(f"alpha must be > 0, got {alpha}")
+    _check_alpha_b(alpha, b)
     if not a > 1.0:
         raise InvalidParameter(f"theta-difference problem requires a > 1, got {a}")
     if b > math.sqrt(a) + BOUNDARY_MARGIN:

@@ -60,6 +60,8 @@ GroupWord = tuple[Generator, ...]
 def apply_generator(gen: Generator, z: UpperHalfPoint) -> UpperHalfPoint:
     if gen is Generator.INVERT:
         r2 = z.abs2()
+        if r2 == 0.0:
+            raise ReductionDivergence(f"|z|^2 underflows to 0 at {z}; cannot invert")
         return UpperHalfPoint(-z.x / r2, z.y / r2)
     if gen is Generator.SHIFT_PLUS:
         return UpperHalfPoint(z.x + 1.0, z.y)

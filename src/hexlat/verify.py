@@ -15,7 +15,7 @@ another, only those a request needs, and sorts the reports by id.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Iterable
 
 import numpy as np
@@ -63,25 +63,7 @@ class LemmaReport:
     note: str = ""
 
     def as_dict(self) -> dict:
-        return {
-            "lemma_id": self.lemma_id,
-            "claimed": self.claimed,
-            "computed": self.computed,
-            "comparison": self.comparison,
-            "tolerance": self.tolerance,
-            "grid": self.grid,
-            "passed": self.passed,
-            "note": self.note,
-        }
-
-
-@dataclass(frozen=True)
-class BoundTerm:
-    """A named error term with the anchor of its defining formula."""
-
-    name: str
-    formula_id: str
-    value: float
+        return asdict(self)
 
 
 def _mk(lemma_id, claimed, computed, comparison, tolerance, grid, note="") -> LemmaReport:
@@ -133,9 +115,9 @@ def geometric_tail_constant(y, alpha0):
     )
 
 
-def _b_endpoints(alpha: float, y: float) -> tuple[float, float]:
-    """B at the two admissible endpoints of the mean-value interval (1/alpha, alpha)."""
-    return geometric_tail_constant(y, 1.0 / alpha), geometric_tail_constant(y, alpha)
+def _b_max(alpha, y):
+    """The larger B of the two endpoints 1/alpha and alpha of the mean-value interval."""
+    return np.maximum(geometric_tail_constant(y, 1.0 / alpha), geometric_tail_constant(y, alpha))
 
 
 def lb_lower_bound(alpha, y, bconst):
@@ -149,25 +131,25 @@ def lb_lower_bound(alpha, y, bconst):
     follow from the expansion it cites; the consistent assembly is
     2*pi*(y/alpha)*(1-B)*(alpha^2+1) - 3*(1+B), used here.
     """
-    g = (
-        _PI * y / alpha
-        - 1.5
-        - (_PI * y * alpha - 1.5) * alpha**2 * np.exp(-_PI * y * (alpha - 1.0 / alpha))
-    )
     doubles = (
         2.0 * _PI * (y / alpha) * (1.0 - bconst) * (alpha**2 + 1.0) - 3.0 * (1.0 + bconst)
     )
-    return g + (alpha**2 - 1.0) * np.exp(-_PI * y * alpha) * doubles
+    return _lb_assemble(alpha, y, doubles)
 
 
 def lb_printed(alpha, y, bconst):
     """The lower-bound function exactly as printed (for the record)."""
+    doubles = 3.0 * _PI * (1.0 - bconst) - 2.0 * (1.0 + bconst) * (alpha**2 + 1.0) / alpha * y
+    return _lb_assemble(alpha, y, doubles)
+
+
+def _lb_assemble(alpha, y, doubles):
+    """The n = 1 single-sum terms plus the double-sum contribution `doubles`."""
     g = (
         _PI * y / alpha
         - 1.5
         - (_PI * y * alpha - 1.5) * alpha**2 * np.exp(-_PI * y * (alpha - 1.0 / alpha))
     )
-    doubles = 3.0 * _PI * (1.0 - bconst) - 2.0 * (1.0 + bconst) * (alpha**2 + 1.0) / alpha * y
     return g + (alpha**2 - 1.0) * np.exp(-_PI * y * alpha) * doubles
 
 
@@ -244,20 +226,24 @@ def la_function(alpha, y):
     )
 
 
-def _half_lattice_sums(alpha: float, y: float, nmax: int = 16):
-    """The five double sums of the x = 1/2 derivative identities.
+def _lattice_grid(alpha: float, x: float, y: float):
+    """(N, Q, R, E) over (n, m) in Z^2 with |n|, |m| <= 16, where
+    Q = y n^2 + (m + n x)^2 / y, R = n^2 - (m + n x)^2 / y^2, E = e^{-pi alpha Q}."""
+    ns = np.arange(-16, 17, dtype=float)
+    N, M = np.meshgrid(ns, ns, indexing="ij")
+    shift = (M + N * x) ** 2
+    Q = y * N**2 + shift / y
+    R = N**2 - shift / y**2
+    return N, Q, R, np.exp(-_PI * alpha * Q)
 
-    Returns (S_R2Q, S_n2, S_R2, S_n2Q, S_n2Q2, S_R2Q2) where each sum runs
-    over (n, m) in Z^2 with Q = y n^2 + (m + n/2)^2 / y, R = n^2 - (m+n/2)^2/y^2,
-    weighted by e^{-pi alpha Q}.
+
+def _half_lattice_sums(alpha: float, y: float):
+    """The six double sums of the x = 1/2 derivative identities.
+
+    Returns (S_R2Q, S_n2, S_R2, S_n2Q, S_n2Q2, S_R2Q2), each sum weighted
+    by E over the grid of :func:`_lattice_grid` at x = 1/2.
     """
-    ns = np.arange(-nmax, nmax + 1, dtype=float)
-    ms = np.arange(-nmax, nmax + 1, dtype=float)
-    N, M = np.meshgrid(ns, ms, indexing="ij")
-    half = (M + N / 2.0) ** 2
-    Q = y * N**2 + half / y
-    R = N**2 - half / y**2
-    E = np.exp(-_PI * alpha * Q)
+    N, Q, R, E = _lattice_grid(alpha, 0.5, y)
     return (
         float((R**2 * Q * E).sum()),
         float((N**2 * E).sum()),
@@ -291,17 +277,10 @@ def dw_mixed_operator(alpha: float, y: float) -> float:
     )
 
 
-def theta_radial_operator(alpha: float, z: UpperHalfPoint, nmax: int = 16) -> float:
+def theta_radial_operator(alpha: float, z: UpperHalfPoint) -> float:
     """(d_yy + (2/y) d_y) theta(alpha; z) via its double-sum identity."""
-    x, y = z.x, z.y
-    ns = np.arange(-nmax, nmax + 1, dtype=float)
-    ms = np.arange(-nmax, nmax + 1, dtype=float)
-    N, M = np.meshgrid(ns, ms, indexing="ij")
-    shift = (M + N * x) ** 2
-    Q = y * N**2 + shift / y
-    R = N**2 - shift / y**2
-    E = np.exp(-_PI * alpha * Q)
-    return float(((_PI * alpha) ** 2 * (R**2 * E)).sum() - (2.0 * _PI * alpha / y) * (N**2 * E).sum())
+    N, Q, R, E = _lattice_grid(alpha, z.x, z.y)
+    return float(((_PI * alpha) ** 2 * (R**2 * E)).sum() - (2.0 * _PI * alpha / z.y) * (N**2 * E).sum())
 
 
 def _comb_moment_ratio(a: float, Y: float, nmax: int = 30) -> float:
@@ -399,104 +378,73 @@ def _check_mu_nu(ctx) -> list[LemmaReport]:
     return [_mk("mmmx", 1e-13, worst, "<=", 0.0, "X in {0.2,0.3,0.5,1,2} vs direct sums to n=100")]
 
 
-def _quotient_grid():
-    ys = [y / 200.0 for y in range(1, 100) if abs(math.sin(2.0 * _PI * (y / 200.0))) > 1e-3]
-    return ys
+#: Y grid of the quotient lemmas, avoiding the zeros of sin(2 pi Y).
+_QUOTIENT_YS = [y / 200.0 for y in range(1, 100) if abs(math.sin(2.0 * _PI * (y / 200.0))) > 1e-3]
+
+
+def _worst_quotient(xs, ks, num, den, cap) -> float:
+    """max |theta_num(X; kY) / theta_den(X; Y)| / cap(X, k) over X in xs,
+    k in ks and Y in the quotient grid; num and den are (x, y) derivative
+    orders, and Y where |theta_den| < 1e-12 is skipped."""
+    worst = 0.0
+    for X in xs:
+        for k in ks:
+            c = cap(X, k)
+            for Y in _QUOTIENT_YS:
+                d = jacobi_theta_partial(X, Y, *den)
+                if abs(d) < 1e-12:
+                    continue
+                worst = max(worst, abs(jacobi_theta_partial(X, k * Y, *num) / d) / c)
+    return worst
 
 
 @check("L23-1", "L23-2")
 def _check_quotients_y(ctx) -> list[LemmaReport]:
-    out = []
-    worst = 0.0
-    for X in (0.25, 0.3, 0.5, 1.0, 2.0):
-        cap_base = (1.0 + mu(X)) / (1.0 - mu(X))
-        for k in (2, 3, 4, 5):
-            for Y in _quotient_grid():
-                den = jacobi_theta_partial(X, Y, 0, 1)
-                num = jacobi_theta_partial(X, k * Y, 0, 1)
-                if abs(den) < 1e-12:
-                    continue
-                worst = max(worst, abs(num / den) / (k * cap_base))
-    out.append(_mk("L23-1", 1.0, worst, "<=", 1e-12,
-                   "X in {0.25,0.3,0.5,1,2}, k in {2..5}, Y grid avoiding sin zeros",
-                   "ratio of |theta_Y(X;kY)/theta_Y(X;Y)| to its bound k(1+mu)/(1-mu)"))
-    worst = 0.0
-    for X in (0.25, 0.4, 0.55):
-        cap_base = math.exp(_PI / (4.0 * X)) / _PI
-        for k in (2, 3, 4, 5):
-            for Y in _quotient_grid():
-                den = jacobi_theta_partial(X, Y, 0, 1)
-                num = jacobi_theta_partial(X, k * Y, 0, 1)
-                if abs(den) < 1e-12:
-                    continue
-                worst = max(worst, abs(num / den) / (k * cap_base))
-    out.append(_mk("L23-2", 1.0, worst, "<=", 1e-12,
-                   "X in {0.25,0.4,0.55} < pi/(pi+2), k in {2..5}, same Y grid"))
-    return out
+    ks = (2, 3, 4, 5)
+    worst1 = _worst_quotient((0.25, 0.3, 0.5, 1.0, 2.0), ks, (0, 1), (0, 1),
+                             lambda X, k: k * ((1.0 + mu(X)) / (1.0 - mu(X))))
+    worst2 = _worst_quotient((0.25, 0.4, 0.55), ks, (0, 1), (0, 1),
+                             lambda X, k: k * (math.exp(_PI / (4.0 * X)) / _PI))
+    return [
+        _mk("L23-1", 1.0, worst1, "<=", 1e-12,
+            "X in {0.25,0.3,0.5,1,2}, k in {2..5}, Y grid avoiding sin zeros",
+            "ratio of |theta_Y(X;kY)/theta_Y(X;Y)| to its bound k(1+mu)/(1-mu)"),
+        _mk("L23-2", 1.0, worst2, "<=", 1e-12,
+            "X in {0.25,0.4,0.55} < pi/(pi+2), k in {2..5}, same Y grid"),
+    ]
 
 
 @check("L24-1", "L24-2", "L24-3")
 def _check_quotients_xy(ctx) -> list[LemmaReport]:
-    out = []
-    worst = 0.0
-    for X in (0.3, 0.35, 0.5, 1.0, 2.0):
-        cap_base = (1.0 + nu(X)) / (1.0 - nu(X))
-        for k in (2, 3, 4, 5):
-            for Y in _quotient_grid():
-                den = jacobi_theta_partial(X, Y, 1, 1)
-                num = jacobi_theta_partial(X, k * Y, 1, 1)
-                if abs(den) < 1e-12:
-                    continue
-                worst = max(worst, abs(num / den) / (k * cap_base))
-    out.append(_mk("L24-1", 1.0, worst, "<=", 1e-12,
-                   "X in {0.3,...,2} >= 3/10, k in {2..5}, Y grid avoiding sin zeros"))
-    worst = 0.0
-    for X in (0.25, 0.5, 1.0, 2.0):
-        cap_base = _PI * (1.0 + nu(X)) / (1.0 - mu(X))
-        for k in (2, 3, 4, 5):
-            for Y in _quotient_grid():
-                den = jacobi_theta_partial(X, Y, 0, 1)
-                num = jacobi_theta_partial(X, k * Y, 1, 1)
-                if abs(den) < 1e-12:
-                    continue
-                worst = max(worst, abs(num / den) / (k * cap_base))
-    out.append(_mk("L24-2", 1.0, worst, "<=", 1e-12,
-                   "X in {0.25,0.5,1,2} > 1/5, k in {2..5}"))
-    worst = 0.0
-    for X in (0.25, 0.5, 1.0, 2.0):
-        cap = _PI * (1.0 + nu(X)) / (1.0 + mu(X))
-        for Y in _quotient_grid():
-            den = jacobi_theta_partial(X, Y, 0, 1)
-            if abs(den) < 1e-12:
-                continue
-            worst = max(worst, abs(jacobi_theta_partial(X, Y, 1, 1) / den) / cap)
-    out.append(_mk("L24-3", 1.0, worst, "<=", 1e-12, "k = 1 sharper bound, same grids"))
-    return out
+    ks = (2, 3, 4, 5)
+    xs = (0.25, 0.5, 1.0, 2.0)
+    worst1 = _worst_quotient((0.3, 0.35, 0.5, 1.0, 2.0), ks, (1, 1), (1, 1),
+                             lambda X, k: k * ((1.0 + nu(X)) / (1.0 - nu(X))))
+    worst2 = _worst_quotient(xs, ks, (1, 1), (0, 1),
+                             lambda X, k: k * (_PI * (1.0 + nu(X)) / (1.0 - mu(X))))
+    worst3 = _worst_quotient(xs, (1,), (1, 1), (0, 1),
+                             lambda X, k: _PI * (1.0 + nu(X)) / (1.0 + mu(X)))
+    return [
+        _mk("L24-1", 1.0, worst1, "<=", 1e-12,
+            "X in {0.3,...,2} >= 3/10, k in {2..5}, Y grid avoiding sin zeros"),
+        _mk("L24-2", 1.0, worst2, "<=", 1e-12, "X in {0.25,0.5,1,2} > 1/5, k in {2..5}"),
+        _mk("L24-3", 1.0, worst3, "<=", 1e-12, "k = 1 sharper bound, same grids"),
+    ]
 
 
 @check("L25-1", "L25-2")
 def _check_small_x(ctx) -> list[LemmaReport]:
-    out = []
-    worst = 0.0
-    for X in (0.1, 0.2, 0.35, 0.5):
-        cap = 1.5 / X * (1.0 + _PI / (6.0 * X))
-        for Y in _quotient_grid():
-            den = jacobi_theta_partial(X, Y, 0, 1)
-            if abs(den) < 1e-12:
-                continue
-            worst = max(worst, abs(jacobi_theta_partial(X, Y, 1, 1) / den) / cap)
-    out.append(_mk("L25-1", 1.0, worst, "<=", 1e-12, "X in {0.1,0.2,0.35,0.5} <= 1/2"))
-    worst = 0.0
-    for X in (0.1, 0.2, 0.35, 0.5):
-        for k in (2, 3, 4):
-            cap = 1.5 * k / (_PI * X) * (1.0 + _PI / (6.0 * X)) * math.exp(_PI / (4.0 * X))
-            for Y in _quotient_grid():
-                den = jacobi_theta_partial(X, Y, 0, 1)
-                if abs(den) < 1e-12:
-                    continue
-                worst = max(worst, abs(jacobi_theta_partial(X, k * Y, 1, 1) / den) / cap)
-    out.append(_mk("L25-2", 1.0, worst, "<=", 1e-12, "same X, k in {2,3,4}"))
-    return out
+    xs = (0.1, 0.2, 0.35, 0.5)
+    worst1 = _worst_quotient(xs, (1,), (1, 1), (0, 1),
+                             lambda X, k: 1.5 / X * (1.0 + _PI / (6.0 * X)))
+    worst2 = _worst_quotient(
+        xs, (2, 3, 4), (1, 1), (0, 1),
+        lambda X, k: 1.5 * k / (_PI * X) * (1.0 + _PI / (6.0 * X)) * math.exp(_PI / (4.0 * X)),
+    )
+    return [
+        _mk("L25-1", 1.0, worst1, "<=", 1e-12, "X in {0.1,0.2,0.35,0.5} <= 1/2"),
+        _mk("L25-2", 1.0, worst2, "<=", 1e-12, "same X, k in {2,3,4}"),
+    ]
 
 
 @check("L26")
@@ -544,38 +492,39 @@ def _check_sin_quotient(ctx) -> list[LemmaReport]:
     return [_mk("X2", 1.0, worst, "<=", 1e-9, "k in 1..8, 4000-point x grid")]
 
 
-@check("T1", "T2", "Envelope")
-def _check_envelopes(ctx) -> list[LemmaReport]:
-    out = []
-    worst_t1 = 0.0  # max violation of lower <= -theta_Y/sin <= upper
-    for X in (0.25, 0.5, 1.0, 2.0):
-        m = mu(X)
-        lo = 4.0 * _PI * math.exp(-_PI * X) * (1.0 - m)
-        hi = 4.0 * _PI * math.exp(-_PI * X) * (1.0 + m)
-        for Y in [y / 100.0 for y in range(1, 50)]:
-            r = -jacobi_theta_partial(X, Y, 0, 1) / math.sin(2.0 * _PI * Y)
-            worst_t1 = max(worst_t1, lo - r, r - hi)
-    out.append(_mk("T1", 0.0, worst_t1, "<=", 1e-12,
-                   "X in {0.25,0.5,1,2} > 1/5, Y in (0, 0.5)",
-                   "max violation of the 4 pi e^{-pi X}(1 -+ mu) envelope"))
-    worst_t2 = 0.0
-    for X in (0.1, 0.3, 0.5):
-        lo = _PI * math.exp(-_PI / (4.0 * X)) * X**-1.5
-        hi = X**-1.5
-        for Y in [y / 100.0 for y in range(1, 50)]:
-            r = -jacobi_theta_partial(X, Y, 0, 1) / math.sin(2.0 * _PI * Y)
-            worst_t2 = max(worst_t2, lo - r, r - hi)
-    out.append(_mk("T2", 0.0, worst_t2, "<=", 1e-12,
-                   "X in {0.1,0.3,0.5} < pi/(pi+2), Y in (0, 0.5)"))
+def _worst_envelope_violation(xs, envelope) -> float:
+    """max violation of lo <= -theta_Y(X;Y)/sin(2 pi Y) <= hi, with
+    (lo, hi) = envelope(X), over X in xs and Y in (0, 1/2)."""
     worst = 0.0
-    for X in (0.25, 0.3, 0.5, 1.0, 2.0):
-        lo, hi = theta_envelope(X)
+    for X in xs:
+        lo, hi = envelope(X)
         for Y in [y / 100.0 for y in range(1, 50)]:
             r = -jacobi_theta_partial(X, Y, 0, 1) / math.sin(2.0 * _PI * Y)
             worst = max(worst, lo - r, r - hi)
-    out.append(_mk("Envelope", 0.0, worst, "<=", 1e-12,
-                   "combined envelope (tighter of the two on the overlap)"))
-    return out
+    return worst
+
+
+def _large_x_envelope(X: float) -> tuple[float, float]:
+    """The X > 1/5 envelope alone; theta_envelope merges it with the small-X one."""
+    m = mu(X)
+    c = 4.0 * _PI * math.exp(-_PI * X)
+    return c * (1.0 - m), c * (1.0 + m)
+
+
+@check("T1", "T2", "Envelope")
+def _check_envelopes(ctx) -> list[LemmaReport]:
+    worst_t1 = _worst_envelope_violation((0.25, 0.5, 1.0, 2.0), _large_x_envelope)
+    worst_t2 = _worst_envelope_violation(
+        (0.1, 0.3, 0.5), lambda X: (_PI * math.exp(-_PI / (4.0 * X)) * X**-1.5, X**-1.5)
+    )
+    worst = _worst_envelope_violation((0.25, 0.3, 0.5, 1.0, 2.0), theta_envelope)
+    return [
+        _mk("T1", 0.0, worst_t1, "<=", 1e-12, "X in {0.25,0.5,1,2} > 1/5, Y in (0, 0.5)",
+            "max violation of the 4 pi e^{-pi X}(1 -+ mu) envelope"),
+        _mk("T2", 0.0, worst_t2, "<=", 1e-12, "X in {0.1,0.3,0.5} < pi/(pi+2), Y in (0, 0.5)"),
+        _mk("Envelope", 0.0, worst, "<=", 1e-12,
+            "combined envelope (tighter of the two on the overlap)"),
+    ]
 
 
 @check("H100")
@@ -650,21 +599,20 @@ def _brute_w(alpha: float, b: float, z: UpperHalfPoint, radius: float = 8.0) -> 
     return sum((q - b / alpha) * math.exp(-_PI * alpha * q) for q, _ in lattice_norms(z, radius))
 
 
-def _sample_points() -> list[UpperHalfPoint]:
-    return [
-        UpperHalfPoint(0.5, RT3_2),
-        UpperHalfPoint(0.0, 1.0),
-        UpperHalfPoint(0.3, 1.2),
-        UpperHalfPoint(0.13, 2.6),
-        UpperHalfPoint(0.47, 0.95),
-    ]
+_SAMPLE_POINTS = (
+    UpperHalfPoint(0.5, RT3_2),
+    UpperHalfPoint(0.0, 1.0),
+    UpperHalfPoint(0.3, 1.2),
+    UpperHalfPoint(0.13, 2.6),
+    UpperHalfPoint(0.47, 0.95),
+)
 
 
 @check("L34")
 def _check_theta_expansion(ctx) -> list[LemmaReport]:
     worst = 0.0
     for alpha in (1.0, 1.3, 2.0):
-        for z in _sample_points():
+        for z in _SAMPLE_POINTS:
             ref = _brute_theta(alpha, z)
             worst = max(worst, abs(theta_lattice(alpha, z, ctx.cfg) - ref) / ref)
     return [_mk("L34", 1e-12, worst, "<=", 0.0,
@@ -675,7 +623,7 @@ def _check_theta_expansion(ctx) -> list[LemmaReport]:
 def _check_w_expansion(ctx) -> list[LemmaReport]:
     worst = 0.0
     for alpha, b in ((1.0, 0.0), (1.5, 0.1), (2.0, B_CRITICAL)):
-        for z in _sample_points():
+        for z in _SAMPLE_POINTS:
             ref = _brute_w(alpha, b, z)
             worst = max(worst, abs(w_b(alpha, b, z, ctx.cfg) - ref))
     return [_mk("L32", 1e-12, worst, "<=", 0.0,
@@ -686,7 +634,7 @@ def _check_w_expansion(ctx) -> list[LemmaReport]:
 def _check_w_structure(ctx) -> list[LemmaReport]:
     worst = 0.0
     for alpha, b in ((1.7, 0.1), (1.2, 0.0), (2.5, B_CRITICAL)):
-        for z in _sample_points()[:3]:
+        for z in _SAMPLE_POINTS[:3]:
             a_val = w_b(alpha, b, z, ctx.cfg)
             b_val = w_b_via_theta_derivative(alpha, b, z, ctx.cfg)
             worst = max(worst, abs(a_val - b_val) / max(abs(a_val), 1e-12))
@@ -706,7 +654,7 @@ def _check_vanishing(ctx) -> list[LemmaReport]:
 def _check_wdeform(ctx) -> list[LemmaReport]:
     alpha, b, b0 = 1.5, 0.05, B_CRITICAL
     worst = 0.0
-    for z in _sample_points():
+    for z in _SAMPLE_POINTS:
         lhs = w_b(alpha, b, z, ctx.cfg)
         rhs = w_b(alpha, b0, z, ctx.cfg) + (b0 - b) / alpha * theta_lattice(alpha, z, ctx.cfg)
         worst = max(worst, abs(lhs - rhs))
@@ -717,7 +665,7 @@ def _check_wdeform(ctx) -> list[LemmaReport]:
 def _check_duality(ctx) -> list[LemmaReport]:
     worst = 0.0
     for alpha in np.geomspace(0.1, 10.0, 9):
-        for z in _sample_points():
+        for z in _SAMPLE_POINTS:
             t = theta_lattice(float(alpha), z, ctx.cfg)
             worst = max(worst, abs(theta_lattice(1.0 / float(alpha), z, ctx.cfg) - float(alpha) * t) / (float(alpha) * t))
     return [_mk("Thaaa", 1e-12, worst, "<=", 0.0, "alpha log-grid [0.1,10] x 5 z")]
@@ -783,7 +731,7 @@ def _check_reduction(ctx) -> list[LemmaReport]:
 
 @check("Eq319")
 def _check_eq319(ctx) -> list[LemmaReport]:
-    worst = max(abs(dx_w(1.0, z, ctx.cfg)) for z in _sample_points())
+    worst = max(abs(dx_w(1.0, z, ctx.cfg)) for z in _SAMPLE_POINTS)
     return [_mk("Eq319", 1e-10, worst, "<=", 0.0, "alpha = 1, 5 sample z")]
 
 
@@ -812,7 +760,7 @@ def _check_dx_negative(ctx) -> list[LemmaReport]:
 def _check_dx_paths(ctx) -> list[LemmaReport]:
     worst = 0.0
     for alpha in (1.05, 1.5, 3.0):
-        for z in _sample_points():
+        for z in _SAMPLE_POINTS:
             a_val = dx_w(alpha, z, ctx.cfg)
             b_val = dx_w_double_sum(alpha, z, ctx.cfg)
             scale = max(abs(a_val), abs(b_val))
@@ -861,16 +809,11 @@ def _check_lemma310_311(ctx) -> list[LemmaReport]:
                         s_ref = math.sin(2 * m * m * _PI * x)
                         if abs(s_ref) < 1e-3:
                             continue
-                        if swap:
-                            s = sum(
-                                coupling_coefficient(m, n, alpha, y) * math.sin(2 * m * n * _PI * x)
-                                for n in range(m + 1, m + 18)
-                            )
-                        else:
-                            s = sum(
-                                coupling_coefficient(n, m, alpha, y) * math.sin(2 * m * n * _PI * x)
-                                for n in range(m + 1, m + 18)
-                            )
+                        s = sum(
+                            coupling_coefficient(*((m, n) if swap else (n, m)), alpha, y)
+                            * math.sin(2 * m * n * _PI * x)
+                            for n in range(m + 1, m + 18)
+                        )
                         worst = max(worst, abs(s) / (bconst * amm * abs(s_ref)))
         note = ("mean-value endpoint alpha0 = 1/alpha (maximizing B); the bound "
                 "genuinely needs the mean-value slack: at the opposite endpoint "
@@ -911,10 +854,6 @@ def _check_sigmas(ctx) -> list[LemmaReport]:
     m_half, n_half = mu(0.5), nu(0.5)
     tail4 = sum(k**4 * math.exp(-1.1 * _PI * RT3_2 * (k * k - 1)) for k in range(2, 40))
     tail2 = sum(k * k * math.exp(-1.1 * _PI * RT3_2 * (k * k - 1)) for k in range(2, 40))
-    terms = [
-        BoundTerm("sigma1", "P3", (1.0 + m_half) / (1.0 - m_half) * tail4),
-        BoundTerm("sigma2", "P3", (1.0 + n_half) / (1.0 - m_half) * tail2),
-    ]
     rt3 = math.sqrt(3.0)
     e_small = [
         k**4 * math.exp(-rt3 * _PI * ((k * k - 1) * RT3_2 - 1.0 / (2.0 * rt3))) for k in range(2, 40)
@@ -922,19 +861,17 @@ def _check_sigmas(ctx) -> list[LemmaReport]:
     e_small2 = [
         k * k * math.exp(-rt3 * _PI * ((k * k - 1) * RT3_2 - 1.0 / (2.0 * rt3))) for k in range(2, 40)
     ]
-    terms.append(BoundTerm("sigma3", "P5", sum(e_small) / _PI))
-    terms.append(BoundTerm("sigma4", "P5", (3.0 / _PI) * (1.0 + _PI / 3.0) * sum(e_small2)))
-    vals = {t.name: t.value for t in terms}
     return [
-        _mk("P3-sigma1", 2.169e-3, vals["sigma1"], "<=", _half_last_digit(2.169e-3, 4),
-            "extremal parameters alpha = 1.1, y = rt3/2, y/alpha = 1/2"),
-        _mk("P3-sigma2", 6.75e-4, vals["sigma2"], "<=", _half_last_digit(6.75e-4, 3),
-            "same extremal parameters"),
-        _mk("P5-sigma3", 1.777e-5, vals["sigma3"], "<=", _half_last_digit(1.777e-5, 4),
+        _mk("P3-sigma1", 2.169e-3, (1.0 + m_half) / (1.0 - m_half) * tail4, "<=",
+            _half_last_digit(2.169e-3, 4), "extremal parameters alpha = 1.1, y = rt3/2, y/alpha = 1/2"),
+        _mk("P3-sigma2", 6.75e-4, (1.0 + n_half) / (1.0 - m_half) * tail2, "<=",
+            _half_last_digit(6.75e-4, 3), "same extremal parameters"),
+        _mk("P5-sigma3", 1.777e-5, sum(e_small) / _PI, "<=", _half_last_digit(1.777e-5, 4),
             "printed ceiling reads 1.777e-6; its own defining series at the stated "
             "extremal point evaluates to 1.776e-5, so the printed exponent is off by "
             "one (mantissa matches); the corrected ceiling 1.777e-5 is asserted"),
-        _mk("P5-sigma4", 2.727e-5, vals["sigma4"], "<=", _half_last_digit(2.727e-5, 4),
+        _mk("P5-sigma4", 2.727e-5, (3.0 / _PI) * (1.0 + _PI / 3.0) * sum(e_small2), "<=",
+            _half_last_digit(2.727e-5, 4),
             "extremal parameters alpha = rt3, y = rt3/2, alpha/y = 2"),
     ]
 
@@ -964,7 +901,7 @@ def _check_asymptotics(ctx) -> list[LemmaReport]:
 def _check_w1(ctx) -> list[LemmaReport]:
     worst = 0.0
     for alpha, a in ((1.0, 2.0), (1.3, 3.0)):
-        for z in _sample_points()[:3]:
+        for z in _SAMPLE_POINTS[:3]:
             lhs = theta_difference(alpha, a, math.sqrt(a), z, ctx.cfg)
             rhs = theta_difference_via_w_integral(alpha, a, z, ctx.cfg)
             worst = max(worst, abs(lhs - rhs) / abs(lhs))
@@ -1024,23 +961,20 @@ def _check_l44_limit(ctx) -> list[LemmaReport]:
     return [_mk("L44-limit", 0.374030114, _PI * _PI - 3.5 * _PI + 1.5, "~", 1e-9, "closed form")]
 
 
-def _l47_ratio(alpha: float) -> float:
+def _l47_bracket(alpha: float) -> float:
+    """The L47 bracket at y n^2 = 2 rt3; it vanishes like alpha^2 - 1 at alpha = 1."""
     c = 2.0 * math.sqrt(3.0) * _PI
-    val = c / alpha - 1.5 - alpha**2 * (c * alpha - 1.5) * math.exp(-c * (alpha - 1.0 / alpha))
-    return val / (alpha * alpha - 1.0)
+    return c / alpha - 1.5 - alpha**2 * (c * alpha - 1.5) * math.exp(-c * (alpha - 1.0 / alpha))
 
 
 @check("L47-limit", "L47-floor", "L47-Bn")
 def _check_l47(ctx) -> list[LemmaReport]:
-    limit = 0.5 * (_l47_ratio(1.0 + 1e-6) + _l47_ratio(1.0 - 1e-6))
+    limit = 0.5 * sum(_l47_bracket(a) / (a * a - 1.0) for a in (1.0 + 1e-6, 1.0 - 1e-6))
     reports = [_mk("L47-limit", 81.84546604, limit, "~", 1e-3,
                    "removable singularity sampled at alpha = 1 +- 1e-6")]
     worst = math.inf
     for alpha in np.linspace(1.0 + 1e-9, 7.0, 61):
-        floor = 0.00113927433 * (alpha * alpha - 1.0)
-        c = 2.0 * math.sqrt(3.0) * _PI
-        val = c / alpha - 1.5 - alpha**2 * (c * alpha - 1.5) * math.exp(-c * (alpha - 1.0 / alpha))
-        worst = min(worst, val - floor)
+        worst = min(worst, _l47_bracket(alpha) - 0.00113927433 * (alpha * alpha - 1.0))
     reports.append(_mk("L47-floor", 0.0, worst, ">=", 1e-9,
                        "bracket at x = y n^2 = 2 rt3, alpha in [1, 7]",
                        "floor 0.00113927433 (alpha^2 - 1) is tight at alpha = 7"))
@@ -1061,21 +995,30 @@ def _check_l47(ctx) -> list[LemmaReport]:
     return reports
 
 
+def _alternating_sums(alpha: float, y: float, nmax: int) -> tuple[float, float]:
+    """The alternating double sums over 1 <= n, m <= nmax, sign (-1)^{nm}:
+    sum n^2 (alpha^2 e_nm - e_mn) and sum n^4 (e_mn - alpha^4 e_nm), where
+    e_nm = e^{-pi y (n^2 alpha + m^2 / alpha)}."""
+    ns = np.arange(1.0, nmax + 1.0)
+    N, M = np.meshgrid(ns, ns, indexing="ij")
+    sign = np.where((N * M) % 2 == 0, 1.0, -1.0)
+    e_nm = np.exp(-_PI * y * (N**2 * alpha + M**2 / alpha))
+    e_mn = np.exp(-_PI * y * (M**2 * alpha + N**2 / alpha))
+    return (
+        float((sign * N**2 * (alpha**2 * e_nm - e_mn)).sum()),
+        float((sign * N**4 * (e_mn - alpha**4 * e_nm)).sum()),
+    )
+
+
 @check("L48-n4", "L48-n2")
 def _check_l48(ctx) -> list[LemmaReport]:
     worst4 = math.inf
     worst2 = math.inf
-    ns = np.arange(1.0, 19.0)
-    N, M = np.meshgrid(ns, ns, indexing="ij")
-    sign = np.where((N * M) % 2 == 0, 1.0, -1.0)
     for alpha in (1.02, 1.1, 1.2):
         for y in (RT3_2, 1.0, 1.5, 3.0, 6.0):
             bconst = geometric_tail_constant(y, 1.0 / alpha)  # endpoint maximizing B
-            e_nm = np.exp(-_PI * y * (N**2 * alpha + M**2 / alpha))
-            e_mn = np.exp(-_PI * y * (M**2 * alpha + N**2 / alpha))
             base = math.exp(-_PI * y * (alpha + 1.0 / alpha))
-            s4 = float((sign * N**4 * (e_mn - alpha**4 * e_nm)).sum())
-            s2 = float((sign * N**2 * (alpha**2 * e_nm - e_mn)).sum())
+            s2, s4 = _alternating_sums(alpha, y, 18)
             worst4 = min(worst4, s4 - (1.0 - bconst) * (alpha**4 - 1.0) * base)
             worst2 = min(worst2, s2 + (1.0 + bconst) * (alpha**2 - 1.0) * base)
     return [
@@ -1087,22 +1030,15 @@ def _check_l48(ctx) -> list[LemmaReport]:
     ]
 
 
-def _rb_grid(n: int = 60):
-    return np.meshgrid(np.linspace(1.0, 1.2, n), np.linspace(1.0, 6.0, n), indexing="ij")
-
-
 @check("L44-floor")
 def _check_lb_floor(ctx) -> list[LemmaReport]:
-    al, yy = _rb_grid(60)
-    bmax = np.maximum(
-        geometric_tail_constant(yy, 1.0 / al), geometric_tail_constant(yy, al)
-    )
+    al, yy = np.meshgrid(np.linspace(1.0, 1.2, 60), np.linspace(1.0, 6.0, 60), indexing="ij")
+    bmax = _b_max(al, yy)
     gap = lb_lower_bound(al, yy, bmax) - 0.316 * (al**2 - 1.0)
     rng = np.random.default_rng(ctx.seed + 5)
     ar = rng.uniform(1.0, 1.2, 1000)
     yr = rng.uniform(1.0, 6.0, 1000)
-    br = np.maximum(geometric_tail_constant(yr, 1.0 / ar), geometric_tail_constant(yr, ar))
-    gap_r = lb_lower_bound(ar, yr, br) - 0.316 * (ar**2 - 1.0)
+    gap_r = lb_lower_bound(ar, yr, _b_max(ar, yr)) - 0.316 * (ar**2 - 1.0)
     worst = float(min(gap.min(), gap_r.min()))
     printed_ratio = float(
         (lb_printed(al, yy, bmax) / np.maximum(al**2 - 1.0, 1e-12))[al > 1.0001].min()
@@ -1121,7 +1057,7 @@ def _check_lb_validity(ctx) -> list[LemmaReport]:
     worst = math.inf
     for alpha in np.linspace(1.01, 1.2, 6):
         for y in np.linspace(1.0, 4.0, 6):
-            bmax = max(_b_endpoints(float(alpha), float(y)))
+            bmax = _b_max(float(alpha), float(y))
             bound = (
                 2.0 * _PI * (alpha**2 - 1.0) * math.sqrt(y) * math.exp(-_PI * y / alpha)
                 * float(lb_lower_bound(float(alpha), float(y), bmax))
@@ -1181,10 +1117,8 @@ def _theta_weighted_sums(alpha: float, y: float, cfg: SeriesConfig, power: int, 
             return jacobi_theta(X0, Y, cfg)
         return jacobi_theta_partial(X0, Y, order, 0, cfg)
     total = 0.0 if power else f(0.0)
-    for n in range(1, 30):
+    for n in range(1, cfg.last_index(alpha * y, power, 1, "theta_weighted_sums") + 1):
         w = math.exp(-alpha * _PI * y * n * n)
-        if w < 1e-22:
-            break
         total += 2.0 * float(n) ** power * w * f(0.5 * n)
     return total
 
@@ -1202,11 +1136,10 @@ def _check_l413_l414_ineq(ctx) -> list[LemmaReport]:
             # sum without its factor 2, which leaves the n^4 inequality short by
             # a few 1e-5 relative at the region corner.
             X0 = y / alpha
-            t = sum(math.exp(-_PI * k * k * X0) for k in range(1, 30))
+            last = ctx.cfg.last_index(X0, 0, 1, "comb sum")
+            t = sum(math.exp(-_PI * k * k * X0) for k in range(1, last + 1))
             pref = (1.0 + 2.0 * t) / (1.0 - 2.0 * t)
-            tail2 = sum(n * n * math.exp(-_PI * alpha * y * (n * n - 1)) for n in range(2, 30))
-            tail4 = sum(n**4 * math.exp(-_PI * alpha * y * (n * n - 1)) for n in range(2, 30))
-            e1, e3 = pref * tail2, pref * tail4
+            e1, e3 = pref * mu(alpha * y, ctx.cfg), pref * nu(alpha * y, ctx.cfg)
             th_half = jacobi_theta(X0, 0.5, ctx.cfg)
             lhs2 = _theta_weighted_sums(alpha, y, ctx.cfg, 2, 0)
             lhs4 = _theta_weighted_sums(alpha, y, ctx.cfg, 4, 0)
@@ -1262,17 +1195,11 @@ def _check_l415_l416(ctx) -> list[LemmaReport]:
 def _check_l45_l46(ctx) -> list[LemmaReport]:
     out = []
     worst = 0.0
-    ns = np.arange(1.0, 25.0)
-    N, M = np.meshgrid(ns, ns, indexing="ij")
-    sign = np.where((N * M) % 2 == 0, 1.0, -1.0)
     for alpha in (1.05, 1.15, 1.5):
         for y in (1.0, 1.3, 2.0):
-            e_na = np.exp(-_PI * y * (N**2 * alpha + M**2 / alpha))
-            e_ma = np.exp(-_PI * y * (M**2 * alpha + N**2 / alpha))
             single2 = float(sum(k * k * (math.exp(-_PI * k * k * y / alpha) - alpha**2 * math.exp(-_PI * k * k * y * alpha)) for k in range(1, 30)))
             single4 = float(sum(k**4 * (math.exp(-_PI * k * k * y / alpha) - alpha**4 * math.exp(-_PI * k * k * y * alpha)) for k in range(1, 30)))
-            dbl2 = float((sign * N**2 * (alpha**2 * e_na - e_ma)).sum())
-            dbl4 = float((sign * N**4 * (e_ma - alpha**4 * e_na)).sum())
+            dbl2, dbl4 = _alternating_sums(alpha, y, 24)
             printed = (
                 1.5 * math.sqrt(y) * (-2.0 * _PI * single2 + 4.0 * _PI * dbl2)
                 + y**1.5 * (2.0 * _PI**2 / alpha * single4 + 4.0 * _PI**2 / alpha * dbl4)
@@ -1286,20 +1213,10 @@ def _check_l45_l46(ctx) -> list[LemmaReport]:
     worst = 0.0
     for alpha in (1.05, 1.5):
         for y in (1.0, 2.0):
-            X0 = y / alpha
-            s_low = jacobi_theta_partial(X0, 0.0, 1, 0, ctx.cfg)
-            s_high = -0.0
-            s2 = 0.0
-            s4 = 0.0
-            sxx = jacobi_theta_partial(X0, 0.0, 2, 0, ctx.cfg)
-            for n in range(1, 30):
-                w = 2.0 * math.exp(-alpha * _PI * y * n * n)
-                if w < 1e-25:
-                    break
-                s2 += w * n * n * jacobi_theta(X0, 0.5 * n, ctx.cfg)
-                s4 += w * n**4 * jacobi_theta(X0, 0.5 * n, ctx.cfg)
-                s_low += w * jacobi_theta_partial(X0, 0.5 * n, 1, 0, ctx.cfg)
-                sxx += w * jacobi_theta_partial(X0, 0.5 * n, 2, 0, ctx.cfg)
+            s2, s4, s_low, sxx = (
+                _theta_weighted_sums(alpha, y, ctx.cfg, power, order)
+                for power, order in ((2, 0), (4, 0), (0, 1), (0, 2))
+            )
             printed = (
                 1.5 * math.sqrt(y) * (_PI * alpha**2 * s2 + s_low)
                 + y**1.5 * (-_PI**2 * alpha**3 * s4 + sxx / alpha)
@@ -1312,41 +1229,50 @@ def _check_l45_l46(ctx) -> list[LemmaReport]:
     return out
 
 
+def _radial_fd(f: Callable[[float], float], y: float, h: float) -> float:
+    """(d_yy + (2/y) d_y) f at y by central differences with step h."""
+    dyy = (f(y + h) - 2.0 * f(y) + f(y - h)) / (h * h)
+    dy1 = (f(y + h) - f(y - h)) / (2.0 * h)
+    return dyy + 2.0 / y * dy1
+
+
 @check("L419", "L420", "L429")
 def _check_operator_identities(ctx) -> list[LemmaReport]:
-    out = []
+    h = k = 5e-4
+
+    def w_on_half(alpha: float) -> Callable[[float], float]:
+        return lambda yy: w_b(alpha, B_CRITICAL, UpperHalfPoint(0.5, yy), ctx.cfg)
+
     worst = 0.0
-    h = 5e-4
     for alpha, y in ((1.5, 1.2), (1.1, RT3_2), (2.0, 2.0)):
-        z = UpperHalfPoint(0.5, y)
-        f = lambda yy: theta_lattice(alpha, UpperHalfPoint(0.5, yy), ctx.cfg)
-        dyy = (f(y + h) - 2.0 * f(y) + f(y - h)) / (h * h)
-        dy1 = (f(y + h) - f(y - h)) / (2.0 * h)
-        fd = dyy + 2.0 / y * dy1
-        ds = theta_radial_operator(alpha, z)
+        fd = _radial_fd(lambda yy: theta_lattice(alpha, UpperHalfPoint(0.5, yy), ctx.cfg), y, h)
+        ds = theta_radial_operator(alpha, UpperHalfPoint(0.5, y))
         worst = max(worst, abs(fd - ds) / max(abs(ds), 1e-12))
-    out.append(_mk("L419", 1e-5, worst, "<=", 0.0,
-                   "3 points on x = 1/2, finite differences with step 5e-4"))
+    out = [_mk("L419", 1e-5, worst, "<=", 0.0,
+               "3 points on x = 1/2, finite differences with step 5e-4")]
     worst = 0.0
     for alpha, y in ((1.5, 1.2), (1.3, 1.0), (2.0, 2.0)):
-        g = lambda yy: w_b(alpha, B_CRITICAL, UpperHalfPoint(0.5, yy), ctx.cfg)
-        dyy = (g(y + h) - 2.0 * g(y) + g(y - h)) / (h * h)
-        dy1 = (g(y + h) - g(y - h)) / (2.0 * h)
-        fd = dyy + 2.0 / y * dy1
+        fd = _radial_fd(w_on_half(alpha), y, h)
         ds = dw_radial_operator(alpha, y)
         worst = max(worst, abs(fd - ds) / max(abs(ds), 1e-12))
     out.append(_mk("L420", 1e-5, worst, "<=", 0.0, "same scheme for W_{1/(2 pi)}"))
     worst = 0.0
-    k = 5e-4
     for alpha, y in ((1.1, 1.0), (1.0, RT3_2), (1.3, 1.5)):
-        def radial(aa: float) -> float:
-            g = lambda yy: w_b(aa, B_CRITICAL, UpperHalfPoint(0.5, yy), ctx.cfg)
-            return (g(y + h) - 2.0 * g(y) + g(y - h)) / (h * h) + 2.0 / y * (g(y + h) - g(y - h)) / (2.0 * h)
-        fd = (radial(alpha + k) - radial(alpha - k)) / (2.0 * k)
+        fd = (_radial_fd(w_on_half(alpha + k), y, h) - _radial_fd(w_on_half(alpha - k), y, h)) / (2.0 * k)
         ds = dw_mixed_operator(alpha, y)
         worst = max(worst, abs(fd - ds) / max(abs(ds), 1e-12))
     out.append(_mk("L429", 1e-5, worst, "<=", 0.0, "3 points, nested differences, steps 5e-4"))
     return out
+
+
+def _min_with_arg(cells, gap) -> tuple[float, tuple[float, float]]:
+    """The smallest gap(a, y) over the (a, y) cells, and the first cell attaining it."""
+    worst, arg = math.inf, (0.0, 0.0)
+    for a, y in cells:
+        value = gap(a, y)
+        if value < worst:
+            worst, arg = value, (float(a), float(y))
+    return worst, arg
 
 
 @check("L422-Ld", "L422-caseb", "L421-bound")
@@ -1369,15 +1295,11 @@ def _check_rd_region(ctx) -> list[LemmaReport]:
                    "recomputation gives ~2.05 (minimum at y = rt3/2), which still "
                    "proves the positivity the lemma needs"))
     # Validity of the printed derivative bound on R_d.
-    worst = math.inf
-    arg = (0.0, 0.0)
-    for a in np.linspace(1.2, 3.0, 10):
-        for y in np.linspace(RT3_2, 5.0 * a / 6.0, 8):
-            lhs = dw_radial_operator(float(a), float(y))
-            rhs = _PI * a * y**-4.0 * math.exp(-_PI * a / y) * float(ld_function(float(a), float(y)))
-            if lhs - rhs < worst:
-                worst = lhs - rhs
-                arg = (float(a), float(y))
+    worst, arg = _min_with_arg(
+        ((a, y) for a in np.linspace(1.2, 3.0, 10) for y in np.linspace(RT3_2, 5.0 * a / 6.0, 8)),
+        lambda a, y: dw_radial_operator(float(a), float(y))
+        - _PI * a * y**-4.0 * math.exp(-_PI * a / y) * float(ld_function(float(a), float(y))),
+    )
     out.append(_mk("L421-bound", 0.0, worst, ">=", 0.0,
                    "10x8 grid on R_d (alpha <= 3)",
                    f"radial-operator value minus the printed bound; worst at {arg}"))
@@ -1470,15 +1392,11 @@ def _check_ra_region(ctx) -> list[LemmaReport]:
     la = la_function(al, yy)
     out.append(_mk("L431-La", 0.5, float(la.min()), ">=", 1e-9,
                    "60x60 grid on [1, 1.2] x [rt3/2, 1]"))
-    worst = math.inf
-    arg = (0.0, 0.0)
-    for a in np.linspace(1.0, 1.2, 8):
-        for y in np.linspace(RT3_2, 1.0, 8):
-            lhs = dw_mixed_operator(float(a), float(y))
-            rhs = _PI / y**4 * math.exp(-_PI * a / y) * float(la_function(float(a), float(y)))
-            if lhs - rhs < worst:
-                worst = lhs - rhs
-                arg = (float(a), float(y))
+    worst, arg = _min_with_arg(
+        ((a, y) for a in np.linspace(1.0, 1.2, 8) for y in np.linspace(RT3_2, 1.0, 8)),
+        lambda a, y: dw_mixed_operator(float(a), float(y))
+        - _PI / y**4 * math.exp(-_PI * a / y) * float(la_function(float(a), float(y))),
+    )
     out.append(_mk("L430-bound", 0.0, worst, ">=", 0.0, "8x8 grid on R_a",
                    f"mixed-operator value minus the printed bound; worst at {arg}; "
                    "the printed lower-bound function omits the remainder corrections "

@@ -1,11 +1,14 @@
 """Tests for the command-line interface: outputs, formats, exit codes."""
 
+import contextlib
 import csv
 import io
 import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import unconverged_nelder_mead
 from hexlat.cli import main
@@ -251,3 +254,122 @@ def test_out_file(capsys, tmp_path):
     assert code == 0 and out == ""
     doc = json.loads(target.read_text())
     assert doc["meta"]["command"] == "theta"
+
+
+_LAPLACE = {"family": "laplace_weighted", "alpha": 1.0, "a": 2.0, "b": 0.0}
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"family": "gaussian", "alpha": ',
+        "[1.0, 2.0]",
+        json.dumps({"family": "gaussian", "alpha": "abc"}),
+        json.dumps({"family": "gaussian_diff", "alpha": 1.0, "a": 2.0}),
+        json.dumps({**_LAPLACE, "weight": {"kind": "exponential", "rate": "fast"}}),
+        json.dumps({**_LAPLACE, "weight": {"kind": "constant", "value": math.nan}}),
+    ],
+    ids=["malformed", "not-an-object", "alpha-abc", "missing-b", "rate-abc", "value-nan"],
+)
+def test_bad_spec_file_exit_2(capsys, tmp_path, text):
+    spec = tmp_path / "pot.json"
+    spec.write_text(text)
+    code, _, err = run_cli(capsys, "energy", "--spec-file", str(spec), "--x", "0.5", "--y", "1")
+    assert code == 2
+    assert err.startswith("hexlat: error:")
+
+
+def test_overflowing_spec_weight_exit_3(capsys, tmp_path):
+    spec = tmp_path / "pot.json"
+    spec.write_text(json.dumps({**_LAPLACE, "weight": {"kind": "exponential", "rate": 800}}))
+    code, _, err = run_cli(capsys, "energy", "--spec-file", str(spec), "--x", "0.5", "--y", "1")
+    assert code == 3
+    assert "energy evaluation failed" in err
+
+
+def test_out_directory_exit_2(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "theta", "1", "0", "1", "--out", str(tmp_path))
+    assert code == 2
+    assert out == "" and err.startswith("hexlat: error:")
+
+
+def test_reduce_underflowing_modulus_exit_3(capsys):
+    code, _, err = run_cli(capsys, "reduce", "0", "1e-300")
+    assert code == 3
+    assert "underflows" in err
+
+
+@pytest.mark.parametrize("argv", [("w", "--b", "nan"), ("thetadiff", "--a", "2", "--b", "inf")])
+def test_minimize_non_finite_b_exit_2(capsys, argv):
+    code, _, err = run_cli(capsys, "minimize", *argv)
+    assert code == 2
+    assert "b must be finite" in err
+
+
+# ------------------------- the exit-code contract ---------------------------
+
+_SPECIAL = (math.nan, math.inf, -math.inf, 0.0, -0.0, 1e300, -1e300, 1e-300, -1e-300)
+# Ordinary values stay in [1/4, 4] and well-formed laplace_weighted specs
+# are left out: yukawa-diff sums ~2e7 lattice points at alpha = 1e-5 (about
+# three minutes) and a Laplace quadrature can take seconds, while the
+# contract is about exit codes.
+_ordinary = st.floats(0.25, 4.0)
+_numbers = st.one_of(st.sampled_from(_SPECIAL), _ordinary)
+_text = st.one_of(st.sampled_from([*map(repr, _SPECIAL), "abc", "1e400"]), _ordinary.map(repr))
+_bad_number = st.sampled_from(["abc", None, True, [1.0], math.nan, math.inf])
+_spec_value = st.one_of(_numbers, _bad_number)
+_spec_doc = st.one_of(
+    st.fixed_dictionaries(
+        {"family": st.sampled_from(["gaussian", "gaussian_diff", "poly_gaussian",
+                                    "yukawa_diff", "coulomb", 3.0])},
+        optional={"alpha": _spec_value, "a": _spec_value, "b": _spec_value},
+    ),
+    st.fixed_dictionaries({  # every weight here is malformed
+        "family": st.just("laplace_weighted"), "alpha": _spec_value, "a": _spec_value,
+        "b": _spec_value,
+        "weight": st.one_of(
+            _bad_number, st.just({}),
+            st.builds(lambda k, v: {"kind": k, "rate": v, "value": v},
+                      st.sampled_from(["constant", "exponential", "linear"]), _bad_number),
+        ),
+    }),
+    st.lists(_numbers, max_size=2),
+    _numbers,
+)
+_spec_text = st.one_of(
+    _spec_doc.map(json.dumps),
+    _spec_doc.map(lambda d: json.dumps(d)[:-1]),  # truncated
+    st.sampled_from(["", "not json", "\x00\xff"]),
+)
+_options = st.lists(
+    st.tuples(st.sampled_from(["alpha", "a", "b", "cutoff", "tol"]), _text), max_size=3
+).map(lambda pairs: [f"--{name}={value}" for name, value in pairs])
+# Options are spelled --name=value and positionals follow "--", so that
+# values such as -inf reach the program instead of argparse's flag parser.
+_argv = st.one_of(
+    st.builds(lambda t, o: ["theta", *o, "--", *t], st.tuples(_text, _text, _text),
+              _options.map(lambda o: [v for v in o if v.startswith("--tol")])),
+    st.builds(lambda t: ["reduce", "--", *t], st.tuples(_text, _text)),
+    st.builds(lambda f, x, y, o: ["energy", f"--x={x}", f"--y={y}", *o, "--", f],
+              st.sampled_from(["gaussian", "gaussian-diff", "poly-gaussian", "yukawa-diff"]),
+              _text, _text, _options),
+    st.builds(lambda x, y: ["energy", "--spec-file", "{spec}", f"--x={x}", f"--y={y}"],
+              _text, _text),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=_argv, spec=_spec_text)
+def test_exit_code_contract(tmp_path_factory, argv, spec):
+    """Any argv for theta, reduce or energy ends in exit code 0-3 or an
+    argparse SystemExit(2); no other exception escapes main()."""
+    path = tmp_path_factory.getbasetemp() / "contract-spec.json"
+    path.write_text(spec)
+    argv = [str(path) if a == "{spec}" else a for a in argv]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            assert exc.code == 2
+            return
+    assert code in (0, 1, 2, 3)

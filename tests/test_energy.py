@@ -317,8 +317,9 @@ _CAPPED = SeriesConfig(max_terms=8)
         ("w_b", lambda z: w_b(0.01, 0.0, z, _CAPPED)),
         ("dx_w", lambda z: dx_w(0.01, z, _CAPPED)),
         ("dy_w", lambda z: dy_w(0.01, z, _CAPPED)),
+        ("dx_w_double_sum", lambda z: dx_w_double_sum(0.01, z, _CAPPED)),
     ],
-    ids=["theta_lattice", "w_b", "dx_w", "dy_w"],
+    ids=["theta_lattice", "w_b", "dx_w", "dy_w", "dx_w_double_sum"],
 )
 def test_energy_truncation_failure_when_capped(name, call):
     # alpha y = 0.01 needs ~30 outer terms against a cap of 8

@@ -14,7 +14,7 @@ from hexlat import (
     lattice_norms,
     reduce_to_fundamental,
 )
-from hexlat.errors import InvalidParameter, RadiusTooLarge
+from hexlat.errors import InvalidParameter, RadiusTooLarge, ReductionDivergence
 
 RT3_2 = math.sqrt(3.0) / 2.0
 
@@ -108,6 +108,14 @@ def test_reduce_random_points_idempotent():
         again, word2 = reduce_to_fundamental(red)
         assert word2 == ()
         assert abs(again.x - red.x) < 1e-14 and abs(again.y - red.y) < 1e-14
+
+
+def test_reduce_underflowing_modulus_raises():
+    # |z|^2 = 1e-600 underflows to 0, so z -> -1/z cannot be formed
+    with pytest.raises(ReductionDivergence, match="underflows"):
+        reduce_to_fundamental(UpperHalfPoint(0.0, 1e-300))
+    with pytest.raises(ReductionDivergence, match="underflows"):
+        apply_word([Generator.INVERT], UpperHalfPoint(1e-200, 1e-200))
 
 
 def test_hexagonal_point_values():

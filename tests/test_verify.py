@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from hexlat import verify
-from hexlat.config import DEFAULT_CONFIG
+from hexlat.config import DEFAULT_CONFIG, SeriesConfig
 from hexlat.errors import UnknownLemma
 from hexlat.verify import (
     DEFAULT_SEED,
@@ -158,6 +158,21 @@ def test_group_run_calls_only_its_checks(group, reports, monkeypatch):
     subset = run_checks(only=group)
     assert subset == [r for r in reports if r.lemma_id in group]
     assert len(called) == len(owners) and set(called) == owners
+
+
+def test_weighted_theta_sums_follow_the_truncation_rule(monkeypatch):
+    # the L413/L414/L46 series take their term counts from SeriesConfig, so
+    # --tol and max_terms reach them like every other series
+    requested = []
+    last_index = SeriesConfig.last_index
+
+    def spy(self, d, p, start, name):
+        requested.append(name)
+        return last_index(self, d, p, start, name)
+
+    monkeypatch.setattr(SeriesConfig, "last_index", spy)
+    run_checks(only=["L413-ineq", "L414-ineq", "L46"])
+    assert {"mu", "nu", "theta_weighted_sums", "comb sum"} <= set(requested)
 
 
 def test_report_serialization(reports):

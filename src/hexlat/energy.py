@@ -201,7 +201,7 @@ class Gaussian:
     alpha: float
 
     def __post_init__(self) -> None:
-        _check_alpha(self.alpha)
+        _check_spec(self)
 
 
 @dataclass(frozen=True)
@@ -213,9 +213,7 @@ class GaussianDiff:
     b: float
 
     def __post_init__(self) -> None:
-        _check_alpha(self.alpha)
-        if not self.a > 1.0:
-            raise InvalidParameter(f"GaussianDiff requires a > 1, got {self.a}")
+        _check_spec(self)
 
 
 @dataclass(frozen=True)
@@ -226,7 +224,7 @@ class PolyGaussian:
     b: float
 
     def __post_init__(self) -> None:
-        _check_alpha(self.alpha)
+        _check_spec(self)
 
 
 @dataclass(frozen=True)
@@ -238,9 +236,7 @@ class YukawaDiff:
     b: float
 
     def __post_init__(self) -> None:
-        _check_alpha(self.alpha)
-        if not self.a > 1.0:
-            raise InvalidParameter(f"YukawaDiff requires a > 1, got {self.a}")
+        _check_spec(self)
 
 
 @dataclass(frozen=True)
@@ -258,11 +254,18 @@ class LaplaceWeighted:
     family: str = "f"
 
     def __post_init__(self) -> None:
-        _check_alpha(self.alpha)
-        if not self.a > 1.0:
-            raise InvalidParameter(f"LaplaceWeighted requires a > 1, got {self.a}")
+        _check_spec(self)
         if self.family not in ("f", "g"):
             raise InvalidParameter(f"family must be 'f' or 'g', got {self.family!r}")
+
+
+def _check_spec(p: PotentialSpec) -> None:
+    """Parameter check shared by the families: alpha > 0, finite a > 1, finite b."""
+    _check_alpha(p.alpha)
+    if hasattr(p, "a") and not 1.0 < p.a < math.inf:
+        raise InvalidParameter(f"{type(p).__name__} requires a finite a > 1, got {p.a}")
+    if not math.isfinite(getattr(p, "b", 0.0)):
+        raise InvalidParameter(f"b must be finite, got {p.b}")
 
 
 PotentialSpec = Union[Gaussian, GaussianDiff, PolyGaussian, YukawaDiff, LaplaceWeighted]

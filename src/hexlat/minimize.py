@@ -1,14 +1,13 @@
 """Minimizer location and hexagonal-vs-nonexistent phase classification.
 
-Existence is decided analytically from the leading large-y coefficient of
-the energy along the vertical line x = 1/2 (sign test with 1e-12 margin):
-W_b behaves like alpha^{-3/2} sqrt(y) (1/(2 pi) - b) and the theta
-difference like sqrt(y/(a alpha)) (sqrt(a) - b).  When the coefficient is
-negative the energy is unbounded below and a numeric divergence witness is
-attached; otherwise the minimizer is located by a bounded line search along
-x = 1/2 followed by Nelder-Mead refinement in the plane.  A refinement
-that does not converge raises OptimizerDivergence, unless the hexagonal
-point ties or beats its candidate.
+Every entry point takes one path.  Existence is decided analytically: the
+leading large-y coefficient of the energy along x = 1/2 changes sign at a
+critical coupling b_crit of the potential family (:func:`_b_crit`), and for
+b > b_crit + BOUNDARY_MARGIN the energy is unbounded below and a numeric
+divergence witness is returned.  Otherwise the minimizer is located by a
+bounded line search along x = 1/2 and Nelder-Mead refinement in the plane.
+A refinement that does not converge raises OptimizerDivergence, unless the
+hexagonal point ties or beats its candidate.
 """
 
 from __future__ import annotations
@@ -23,12 +22,17 @@ from scipy.optimize import minimize_scalar
 from .config import DEFAULT_CONFIG, SeriesConfig
 from .energy import (
     B_CRITICAL,
+    Gaussian,
+    GaussianDiff,
+    LaplaceWeighted,
+    PolyGaussian,
     PotentialSpec,
+    YukawaDiff,
     closed_form_energy,
     theta_difference,
     w_b,
 )
-from .errors import InvalidParameter, NonPositiveAlpha, OptimizerDivergence
+from .errors import InvalidParameter, OptimizerDivergence
 from .moduli import RT3_2, UpperHalfPoint, hexagonal_point, reduce_to_fundamental
 
 #: Margin for the boundary classification: |b - b_critical| below this is
@@ -37,6 +41,9 @@ BOUNDARY_MARGIN = 1e-12
 
 #: Line-search cap in y; beyond this double-precision energies are tail-dominated.
 GAMMA_Y_MAX = 50.0
+
+#: Largest distance_to_hex at which phase_scan labels a minimizer "hexagonal".
+HEX_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -141,11 +148,35 @@ def _locate_minimizer(
     return _refine_2d(energy, UpperHalfPoint(0.5, float(line.x)), advisory)
 
 
-def _check_alpha_b(alpha: float, b: float) -> None:
-    if not (alpha > 0.0 and math.isfinite(alpha)):
-        raise NonPositiveAlpha(f"alpha must be > 0, got {alpha}")
-    if not math.isfinite(b):
-        raise InvalidParameter(f"b must be finite, got {b}")
+def _b_crit(p: PotentialSpec) -> float:
+    """Largest coupling b at which the energy of p is bounded below.
+
+    Along x = 1/2 the lattice row through the origin has spacing y^{-1/2}, so
+    E ~ c sqrt(y) as y -> infinity with c = int f(t^2) dt: alpha^{-1/2}
+    (1 - b/sqrt(a)) for GaussianDiff and alpha^{-3/2} (1/(2 pi) - b) for
+    PolyGaussian, times int P(x) x^{-1/2} dx for Laplace families f and g.
+    YukawaDiff has f(t^2) ~ (1 - b)/t^2 near 0, so E ~ (1 - b) pi^2 y / 3.
+    """
+    if isinstance(p, Gaussian):
+        return math.inf
+    if isinstance(p, YukawaDiff):
+        return 1.0
+    if isinstance(p, PolyGaussian) or (isinstance(p, LaplaceWeighted) and p.family == "g"):
+        return B_CRITICAL
+    return math.sqrt(p.a)
+
+
+def _classify(
+    p: PotentialSpec, energy: Callable[[UpperHalfPoint], float], min_points: int = 13
+) -> MinimizeOutcome:
+    """The one existence rule and locate path behind every minimize_* function."""
+    if getattr(p, "b", 0.0) > _b_crit(p) + BOUNDARY_MARGIN:
+        def on_gamma(y: float) -> float:
+            return energy(UpperHalfPoint(0.5, y))
+
+        wy, wv = _divergence_witness(on_gamma, on_gamma(RT3_2), min_points)
+        return NoMinimizer(wy, wv, asymptotic_slope_sign=-1)
+    return _locate_minimizer(energy, advisory=p.alpha < 1.0 - 1e-12)
 
 
 def minimize_w(
@@ -157,16 +188,7 @@ def minimize_w(
     NoMinimizer witness is returned; otherwise the located minimizer.
     Results for alpha < 1 are advisory (outside the theorem hypotheses).
     """
-    _check_alpha_b(alpha, b)
-    if b > B_CRITICAL + BOUNDARY_MARGIN:
-        def on_gamma(y: float) -> float:
-            return w_b(alpha, b, UpperHalfPoint(0.5, y), cfg)
-
-        wy, wv = _divergence_witness(on_gamma, on_gamma(RT3_2))
-        return NoMinimizer(wy, wv, asymptotic_slope_sign=-1)
-    return _locate_minimizer(
-        lambda z: w_b(alpha, b, z, cfg), advisory=alpha < 1.0 - 1e-12
-    )
+    return _classify(PolyGaussian(alpha, b), lambda z: w_b(alpha, b, z, cfg))
 
 
 def minimize_theta_difference(
@@ -177,52 +199,20 @@ def minimize_theta_difference(
     Nonexistence for b > sqrt(a): the large-y behaviour is
     sqrt(y/(a alpha)) (sqrt(a) - b + o(1)).
     """
-    _check_alpha_b(alpha, b)
-    if not a > 1.0:
-        raise InvalidParameter(f"theta-difference problem requires a > 1, got {a}")
-    if b > math.sqrt(a) + BOUNDARY_MARGIN:
-        def on_gamma(y: float) -> float:
-            return theta_difference(alpha, a, b, UpperHalfPoint(0.5, y), cfg)
-
-        wy, wv = _divergence_witness(on_gamma, on_gamma(RT3_2))
-        return NoMinimizer(wy, wv, asymptotic_slope_sign=-1)
-    return _locate_minimizer(
-        lambda z: theta_difference(alpha, a, b, z, cfg), advisory=alpha < 1.0 - 1e-12
-    )
+    energy = lambda z: theta_difference(alpha, a, b, z, cfg)
+    return _classify(GaussianDiff(alpha, a, b), energy)
 
 
 def minimize_generic(
     p: PotentialSpec, cfg: SeriesConfig = DEFAULT_CONFIG
 ) -> MinimizeOutcome:
-    """Locate the minimizer of a generic potential energy.
+    """Classify and minimize the origin-free energy of any potential family.
 
-    Coarse 40x40 grid over [0, 1/2] x [sqrt(3)/2, 8] (ties resolved toward
-    smaller y then smaller x), then simplex refinement.  Divergence is
-    declared when the energy at y = 64 on x = 1/2 undercuts the best grid
-    value by more than 1e-8.
+    The rule of minimize_w with the family's b_crit: 1/(2 pi) for PolyGaussian
+    and Laplace family g, sqrt(a) for GaussianDiff and Laplace family f, 1 for
+    YukawaDiff, none for a Gaussian.  A witness has at least 6 points.
     """
-    def energy(z: UpperHalfPoint) -> float:
-        return closed_form_energy(p, z, cfg)
-
-    best_val = math.inf
-    best_z = hexagonal_point()
-    for j in range(40):
-        y = RT3_2 + (8.0 - RT3_2) * j / 39.0
-        for i in range(40):
-            x = 0.5 * i / 39.0
-            v = energy(UpperHalfPoint(x, y))
-            if v < best_val:
-                best_val = v
-                best_z = UpperHalfPoint(x, y)
-    probe = energy(UpperHalfPoint(0.5, 64.0))
-    if probe < best_val - 1e-8:
-        def on_gamma(y: float) -> float:
-            return energy(UpperHalfPoint(0.5, y))
-
-        wy, wv = _divergence_witness(on_gamma, on_gamma(RT3_2), min_points=6)
-        return NoMinimizer(wy, wv, asymptotic_slope_sign=-1)
-    alpha = getattr(p, "alpha", 1.0)
-    return _refine_2d(energy, best_z, advisory=alpha < 1.0 - 1e-12)
+    return _classify(p, lambda z: closed_form_energy(p, z, cfg), min_points=6)
 
 
 @dataclass(frozen=True)
@@ -245,7 +235,7 @@ class ThetaDiffProblem:
 class PhaseCell:
     alpha: float
     b: float
-    classification: str  # "hexagonal" | "no-minimizer"
+    classification: str  # "hexagonal" | "minimizer" | "no-minimizer"
     distance_to_hex: float | None
 
 
@@ -261,7 +251,8 @@ def phase_scan(
     problem: Union[WProblem, ThetaDiffProblem],
     cfg: SeriesConfig = DEFAULT_CONFIG,
 ) -> PhaseScanResult:
-    """Classify every (alpha, b) cell; cells are independent of one another."""
+    """Classify every (alpha, b) cell; cells are independent of one another.
+    A minimizer farther than HEX_TOL from the hexagonal point is a "minimizer"."""
     if not alpha_grid or not b_grid:
         raise InvalidParameter("phase_scan needs nonempty alpha and b grids")
     rows: list[PhaseCell] = []
@@ -273,11 +264,13 @@ def phase_scan(
                 outcome = minimize_w(alpha, b, cfg)
             else:
                 outcome = minimize_theta_difference(alpha, problem.a, b, cfg)
-            if isinstance(outcome, Minimizer):
-                rows.append(PhaseCell(alpha, b, "hexagonal", outcome.distance_to_hex))
-                if best_b is None or b > best_b:
-                    best_b = b
-            else:
+            if isinstance(outcome, NoMinimizer):
                 rows.append(PhaseCell(alpha, b, "no-minimizer", None))
+                continue
+            hexagonal = outcome.distance_to_hex <= HEX_TOL
+            rows.append(PhaseCell(alpha, b, "hexagonal" if hexagonal else "minimizer",
+                                  outcome.distance_to_hex))
+            if hexagonal and (best_b is None or b > best_b):
+                best_b = b
         boundaries[alpha] = best_b
     return PhaseScanResult(tuple(rows), boundaries)

@@ -32,6 +32,17 @@ def brute_energy(f, z: UpperHalfPoint, radius: float = 8.0) -> float:
     return sum(f(q) for q, _ in lattice_norms(z, radius) if q > 0.0)
 
 
+def domain_grid(nx: int, ny: int, y_max: float) -> list[UpperHalfPoint]:
+    """nx * ny points spread over the fundamental domain up to y_max."""
+    pts = []
+    for i in range(nx):
+        x = 0.02 + (0.48 - 0.02) * i / (nx - 1)
+        ymin = math.sqrt(max(1.0 - x * x, 0.75)) + 1e-3
+        for j in range(ny):
+            pts.append(UpperHalfPoint(x, ymin + (y_max - ymin) * j / (ny - 1)))
+    return pts
+
+
 @pytest.fixture
 def sample_points() -> list[UpperHalfPoint]:
     return [

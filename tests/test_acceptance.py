@@ -15,7 +15,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import brute_energy, brute_theta, brute_w
+from conftest import brute_energy, brute_theta, brute_w, domain_grid
 from hexlat import (
     B_CRITICAL,
     GaussianDiff,
@@ -98,7 +98,7 @@ def test_criterion_3_montgomery_baseline(alpha):
         # located one must be the true minimizer by the brute-force oracle.
         at_star = brute_w(alpha, 0.0, out.z_star)
         at_hex = brute_w(alpha, 0.0, HEX)
-        grid_min = min(brute_w(alpha, 0.0, z) for z in _domain_grid(20, 20, 8.0))
+        grid_min = min(brute_w(alpha, 0.0, z) for z in domain_grid(20, 20, 8.0))
         ok = (
             abs(out.value - at_star) <= 1e-12 * abs(at_star)
             and at_hex > out.value
@@ -262,18 +262,8 @@ def test_criterion_9_rc_inner_floor():
     report("9d", ok, detail)
 
 
-def _domain_grid(nx, ny, y_max):
-    pts = []
-    for i in range(nx):
-        x = 0.02 + (0.48 - 0.02) * i / (nx - 1)
-        ymin = math.sqrt(max(1.0 - x * x, 0.75)) + 1e-3
-        for j in range(ny):
-            pts.append(UpperHalfPoint(x, ymin + (y_max - ymin) * j / (ny - 1)))
-    return pts
-
-
 def test_criterion_10_monotonicity():
-    grid = _domain_grid(20, 20, 5.0)
+    grid = domain_grid(20, 20, 5.0)
     worst_dx = max(dx_w(alpha, z) for alpha in (1.05, 1.2, 2.0, 5.0) for z in grid)
     worst_dy = min(
         dy_w(alpha, UpperHalfPoint(0.5, float(y)))

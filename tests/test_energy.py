@@ -205,6 +205,16 @@ def test_potential_validation():
         Gaussian(alpha=0.0)
     with pytest.raises(InvalidParameter):
         LaplaceWeighted(alpha=1.0, a=2.0, b=0.0, weight=lambda x: 1.0, family="h")
+    for bad in (math.nan, math.inf, -math.inf):
+        for make in (
+            lambda v: GaussianDiff(alpha=1.0, a=2.0, b=v),
+            lambda v: GaussianDiff(alpha=1.0, a=v, b=1.0),
+            lambda v: PolyGaussian(alpha=1.0, b=v),
+            lambda v: YukawaDiff(alpha=1.0, a=2.0, b=v),
+            lambda v: LaplaceWeighted(alpha=1.0, a=2.0, b=v, weight=lambda x: 1.0),
+        ):
+            with pytest.raises(InvalidParameter):
+                make(bad)
 
 
 def test_gaussian_energy_is_theta_minus_one():

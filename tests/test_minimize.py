@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from conftest import unconverged_nelder_mead
+from conftest import brute_energy, domain_grid, unconverged_nelder_mead
 from hexlat import (
     B_CRITICAL,
     Gaussian,
@@ -17,6 +17,7 @@ from hexlat import (
     UpperHalfPoint,
     WProblem,
     YukawaDiff,
+    closed_form_energy,
     hexagonal_point,
     minimize_generic,
     minimize_theta_difference,
@@ -156,10 +157,55 @@ def test_generic_gaussian_matches_theta():
     assert abs(out.value - (theta_lattice(1.0, HEX) - 1.0)) < 1e-10
 
 
-def test_generic_poly_gaussian_supercritical_diverges():
-    out = minimize_generic(PolyGaussian(alpha=1.0, b=0.3))
+@pytest.mark.parametrize(
+    "spec",
+    [
+        PolyGaussian(alpha=1.0, b=0.3),
+        # b = 1.2 sqrt(a) and b = 1.05 lie just above their critical
+        # couplings: the energy along x = 1/2 first rises and falls below
+        # its value at the hexagonal point only beyond y = 50.
+        GaussianDiff(alpha=1.5, a=4.0, b=2.4),
+        YukawaDiff(alpha=1.0, a=2.0, b=1.05),
+    ],
+    ids=["poly-gaussian", "gaussian-diff", "yukawa-diff"],
+)
+def test_generic_poly_gaussian_supercritical_diverges(spec):
+    out = minimize_generic(spec)
     assert isinstance(out, NoMinimizer)
     assert all(b < a for a, b in zip(out.witness_values, out.witness_values[1:]))
+    assert out.witness_values[-1] < closed_form_energy(spec, HEX)
+
+
+def test_generic_advisory_matches_brute_force_oracle():
+    # Below alpha = 1 the minimizer leaves the hexagonal point; the located
+    # one must be the true minimizer by direct lattice summation.
+    out = minimize_generic(GaussianDiff(alpha=0.5, a=2.0, b=1.0))
+    assert isinstance(out, Minimizer) and out.advisory
+
+    def f(q):
+        return math.exp(-0.5 * math.pi * q) - math.exp(-math.pi * q)
+
+    at_star = brute_energy(f, out.z_star)
+    grid_min = min(brute_energy(f, z) for z in domain_grid(20, 20, 8.0))
+    assert abs(out.value - at_star) <= 1e-12 * abs(at_star)
+    assert out.value <= grid_min + 1e-12 * abs(grid_min)
+
+
+@pytest.mark.parametrize(
+    "spec, budget",
+    [(GaussianDiff(alpha=1.0, a=2.0, b=1.0), 400), (PolyGaussian(alpha=1.0, b=0.3), 40)],
+    ids=["minimizer", "no-minimizer"],
+)
+def test_generic_energy_evaluation_budget(monkeypatch, spec, budget):
+    calls = []
+
+    def counting(p, z, cfg):
+        calls.append(z)
+        return closed_form_energy(p, z, cfg)
+
+    monkeypatch.setattr("hexlat.minimize.closed_form_energy", counting)
+    minimize_generic(spec)
+    assert 0 < len(calls) < budget
 
 
 def test_generic_laplace_weighted():
@@ -183,6 +229,14 @@ def test_phase_scan_thetadiff_boundary():
     assert res.boundaries[1.0] == 1.4142  # sqrt(2) = 1.41421...
     res = phase_scan([1.0, 2.0], [0.05, 0.10], WProblem())
     assert all(c.classification == "hexagonal" for c in res.rows)
+
+
+def test_phase_scan_labels_off_hexagonal_minimizer():
+    # alpha = 0.5 lies outside the theorems and its minimizer is rectangular
+    res = phase_scan([0.5], [0.0], WProblem())
+    (cell,) = res.rows
+    assert cell.classification == "minimizer" and cell.distance_to_hex > 0.1
+    assert res.boundaries[0.5] is None
 
 
 def test_phase_scan_validation():

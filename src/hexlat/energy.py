@@ -271,6 +271,43 @@ def _check_spec(p: PotentialSpec) -> None:
 PotentialSpec = Union[Gaussian, GaussianDiff, PolyGaussian, YukawaDiff, LaplaceWeighted]
 
 
+def b_crit(p: PotentialSpec) -> float:
+    """Largest coupling b at which the energy of p is bounded below.
+
+    Along x = 1/2 the row through the origin has spacing y^{-1/2}, so E ~
+    sqrt(y) int f(t^2) dt as y -> infinity: alpha^{-1/2} (1 - b/sqrt(a)) for
+    GaussianDiff, alpha^{-3/2} (1/(2 pi) - b) for PolyGaussian.  Where f(q) ~
+    q^{-g} near 0 with g > 1/2, the row sum ~ y^g leads instead: f ~ (1 - b)/q
+    for YukawaDiff, and a Laplace weight P(x) ~ x^{g-1} (g read off at x = 2^13
+    and 2^14, 1/2 at least) gives f ~ q^{-g} (1 - b a^{-g}), resp. (g/pi - b).
+    """
+    if isinstance(p, Gaussian):
+        return math.inf
+    if isinstance(p, YukawaDiff):
+        return 1.0
+    if isinstance(p, PolyGaussian):
+        return B_CRITICAL
+    if isinstance(p, LaplaceWeighted):
+        w1, w2 = p.weight(2.0**13), p.weight(2.0**14)
+        g = max(0.5, math.log2(w2 / w1) + 1.0) if w1 > 0.0 and w2 > 0.0 else 0.5
+        return g / _PI if p.family == "g" else p.a**g
+    return math.sqrt(p.a)
+
+
+def witness_y_max(p: PotentialSpec) -> float:
+    """Largest y at which a divergence witness evaluates E_f along x = 1/2.
+
+    The theta and W_b closed forms cost about the same at every y.  The direct
+    sum behind YukawaDiff, cutoff radius r = 8/sqrt(min(alpha, 1)), visits
+    ~2 r sqrt(y) points on the row through the origin, so its witness stops
+    where that row would pass 2.5e5 points (~0.5 s per energy).  The Laplace
+    panels take seconds per energy from y ~ 5e10 on and stop converging later.
+    """
+    if isinstance(p, YukawaDiff):
+        return (2.5e5 / 16.0) ** 2 * min(p.alpha, 1.0)
+    return 2.0**32 if isinstance(p, LaplaceWeighted) else math.inf
+
+
 def potential_value(p: PotentialSpec, q: float) -> float:
     """Pointwise potential at squared distance q > 0."""
     if isinstance(p, Gaussian):
@@ -307,7 +344,7 @@ def _tail_majorant(p: PotentialSpec, t0: float) -> float:
     if isinstance(p, PolyGaussian):
         c = abs(p.b) / p.alpha
         return (
-            2.0 * math.exp(-_PI * p.alpha * t0) * ((t0 + c) / p.alpha + 1.0 / (_PI * p.alpha * p.alpha))
+            2.0 * math.exp(-_PI * p.alpha * t0) * ((t0 + c) / p.alpha + 1.0 / (_PI * p.alpha) / p.alpha)
         )
     # LaplaceWeighted decays at least like the x = 1 endpoint of its integral;
     # use the sampled potential at t0 and integrate the matching exponential.

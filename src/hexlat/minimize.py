@@ -2,7 +2,7 @@
 
 Every entry point takes one path.  Existence is decided analytically: the
 leading large-y coefficient of the energy along x = 1/2 changes sign at a
-critical coupling b_crit of the potential family (:func:`_b_crit`), and for
+critical coupling of the potential family (:func:`hexlat.energy.b_crit`), and for
 b > b_crit + BOUNDARY_MARGIN the energy is unbounded below and a numeric
 divergence witness is returned.  Otherwise the minimizer is located by a
 bounded line search along x = 1/2 and Nelder-Mead refinement in the plane.
@@ -21,16 +21,14 @@ from scipy.optimize import minimize_scalar
 
 from .config import DEFAULT_CONFIG, SeriesConfig
 from .energy import (
-    B_CRITICAL,
-    Gaussian,
     GaussianDiff,
-    LaplaceWeighted,
     PolyGaussian,
     PotentialSpec,
-    YukawaDiff,
+    b_crit,
     closed_form_energy,
     theta_difference,
     w_b,
+    witness_y_max,
 )
 from .errors import InvalidParameter, OptimizerDivergence
 from .moduli import RT3_2, UpperHalfPoint, hexagonal_point, reduce_to_fundamental
@@ -75,38 +73,44 @@ MinimizeOutcome = Union[Minimizer, NoMinimizer]
 
 
 def _divergence_witness(
-    gamma_energy: Callable[[float], float], hex_value: float, min_points: int = 13
-) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Doubling sequence y = sqrt(3)/2 * 2^k restricted to its strictly
-    decreasing stretch, extended until the last value sits below the value at
-    the hexagonal point.
+    energy: Callable[[UpperHalfPoint], float], y_max: float, min_points: int
+) -> NoMinimizer:
+    """Energies at y = sqrt(3)/2 * 2^k <= y_max on x = 1/2, k < 64, restricted
+    to their strictly decreasing stretch and extended until the last value
+    sits below the value at the hexagonal point.
 
-    The full sequence from k = 0 first rises for moderate alpha (the critical
-    part of the energy still grows toward its supremum before the negative
-    sqrt(y) term takes over), so the witness starts at the running maximum.
+    The sequence from k = 0 first rises for moderate alpha (the critical part
+    of the energy still grows toward its supremum before the negative sqrt(y)
+    term takes over), so the witness starts at the maximum of its first 25
+    points.
     """
-    ys = [RT3_2 * 2.0**k for k in range(25)]
-    vals = [gamma_energy(y) for y in ys]
+    hex_value = energy(hexagonal_point())
+    ys = [y for y in (RT3_2 * 2.0**k for k in range(64)) if y <= y_max]
+    vals = [energy(UpperHalfPoint(0.5, y)) for y in ys[:25]]
     start = max(range(len(vals)), key=lambda i: vals[i])
-    wy = [ys[start]]
-    wv = [vals[start]]
-    y = ys[start]
-    k = start + 1
-    while (len(wy) < min_points or wv[-1] >= hex_value) and k < 64:
-        y = RT3_2 * 2.0**k
-        v = gamma_energy(y) if k >= len(vals) else vals[k]
+    wy, wv = [ys[start]], [vals[start]]
+    for k in range(start + 1, len(ys)):
+        v = vals[k] if k < len(vals) else energy(UpperHalfPoint(0.5, ys[k]))
         if v < wv[-1]:
-            wy.append(y)
+            wy.append(ys[k])
             wv.append(v)
-        k += 1
-    return tuple(wy), tuple(wv)
+        if len(wy) >= min_points and wv[-1] < hex_value:
+            break
+    return NoMinimizer(tuple(wy), tuple(wv), asymptotic_slope_sign=-1)
 
 
-def _refine_2d(
-    energy: Callable[[UpperHalfPoint], float],
-    seed: UpperHalfPoint,
-    advisory: bool,
+def _locate_minimizer(
+    energy: Callable[[UpperHalfPoint], float], advisory: bool
 ) -> Minimizer:
+    """Bounded line search along x = 1/2, then Nelder-Mead in the plane."""
+    line = minimize_scalar(
+        lambda y: energy(UpperHalfPoint(0.5, y)),
+        bounds=(RT3_2, GAMMA_Y_MAX),
+        method="bounded",
+        options={"xatol": 1e-10},
+    )
+    seed = UpperHalfPoint(0.5, float(line.x))
+
     def objective(v) -> float:
         if v[1] <= 1e-6:
             return math.inf
@@ -136,46 +140,12 @@ def _refine_2d(
     return Minimizer(z_star=reduced, value=val, distance_to_hex=dist, advisory=advisory)
 
 
-def _locate_minimizer(
-    energy: Callable[[UpperHalfPoint], float], advisory: bool
-) -> Minimizer:
-    line = minimize_scalar(
-        lambda y: energy(UpperHalfPoint(0.5, y)),
-        bounds=(RT3_2, GAMMA_Y_MAX),
-        method="bounded",
-        options={"xatol": 1e-10},
-    )
-    return _refine_2d(energy, UpperHalfPoint(0.5, float(line.x)), advisory)
-
-
-def _b_crit(p: PotentialSpec) -> float:
-    """Largest coupling b at which the energy of p is bounded below.
-
-    Along x = 1/2 the lattice row through the origin has spacing y^{-1/2}, so
-    E ~ c sqrt(y) as y -> infinity with c = int f(t^2) dt: alpha^{-1/2}
-    (1 - b/sqrt(a)) for GaussianDiff and alpha^{-3/2} (1/(2 pi) - b) for
-    PolyGaussian, times int P(x) x^{-1/2} dx for Laplace families f and g.
-    YukawaDiff has f(t^2) ~ (1 - b)/t^2 near 0, so E ~ (1 - b) pi^2 y / 3.
-    """
-    if isinstance(p, Gaussian):
-        return math.inf
-    if isinstance(p, YukawaDiff):
-        return 1.0
-    if isinstance(p, PolyGaussian) or (isinstance(p, LaplaceWeighted) and p.family == "g"):
-        return B_CRITICAL
-    return math.sqrt(p.a)
-
-
 def _classify(
     p: PotentialSpec, energy: Callable[[UpperHalfPoint], float], min_points: int = 13
 ) -> MinimizeOutcome:
     """The one existence rule and locate path behind every minimize_* function."""
-    if getattr(p, "b", 0.0) > _b_crit(p) + BOUNDARY_MARGIN:
-        def on_gamma(y: float) -> float:
-            return energy(UpperHalfPoint(0.5, y))
-
-        wy, wv = _divergence_witness(on_gamma, on_gamma(RT3_2), min_points)
-        return NoMinimizer(wy, wv, asymptotic_slope_sign=-1)
+    if getattr(p, "b", 0.0) > b_crit(p) + BOUNDARY_MARGIN:
+        return _divergence_witness(energy, witness_y_max(p), min_points)
     return _locate_minimizer(energy, advisory=p.alpha < 1.0 - 1e-12)
 
 
@@ -206,12 +176,8 @@ def minimize_theta_difference(
 def minimize_generic(
     p: PotentialSpec, cfg: SeriesConfig = DEFAULT_CONFIG
 ) -> MinimizeOutcome:
-    """Classify and minimize the origin-free energy of any potential family.
-
-    The rule of minimize_w with the family's b_crit: 1/(2 pi) for PolyGaussian
-    and Laplace family g, sqrt(a) for GaussianDiff and Laplace family f, 1 for
-    YukawaDiff, none for a Gaussian.  A witness has at least 6 points.
-    """
+    """Classify and minimize the origin-free energy of any potential family
+    by the rule of minimize_w with the family's :func:`hexlat.energy.b_crit`."""
     return _classify(p, lambda z: closed_form_energy(p, z, cfg), min_points=6)
 
 

@@ -287,6 +287,14 @@ def test_overflowing_spec_weight_exit_3(capsys, tmp_path):
     assert "energy evaluation failed" in err
 
 
+def test_underflowing_alpha_tail_exit_3(capsys):
+    # alpha^2 underflows to 0 in the direct-sum tail estimate
+    code, _, err = run_cli(capsys, "energy", "poly-gaussian", "--alpha", "1e-300",
+                           "--x", "1", "--y", "1", "--cutoff", "1e-300")
+    assert code == 3
+    assert "energy evaluation failed" in err
+
+
 def test_out_directory_exit_2(capsys, tmp_path):
     code, out, err = run_cli(capsys, "theta", "1", "0", "1", "--out", str(tmp_path))
     assert code == 2

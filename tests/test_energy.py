@@ -27,7 +27,7 @@ from hexlat import (
     w_b,
     w_b_via_theta_derivative,
 )
-from hexlat.energy import potential_value, theta_difference_via_w_integral, _laplace_panels
+from hexlat.energy import b_crit, potential_value, theta_difference_via_w_integral, _laplace_panels
 from hexlat.errors import (
     InvalidParameter,
     NonPositiveAlpha,
@@ -215,6 +215,28 @@ def test_potential_validation():
         ):
             with pytest.raises(InvalidParameter):
                 make(bad)
+
+
+@pytest.mark.parametrize(
+    "spec, expected",
+    [
+        (Gaussian(alpha=1.0), math.inf),
+        (GaussianDiff(alpha=1.0, a=4.0, b=0.0), 2.0),
+        (PolyGaussian(alpha=1.0, b=0.0), B_CRITICAL),
+        (YukawaDiff(alpha=1.0, a=4.0, b=0.0), 1.0),
+        # a decaying weight keeps int P(x) x^{-1/2} dx finite
+        (LaplaceWeighted(1.0, 4.0, 0.0, weight=lambda x: math.exp(-x)), 2.0),
+        (LaplaceWeighted(1.0, 4.0, 0.0, weight=lambda x: math.exp(-x), family="g"), B_CRITICAL),
+        # a flat weight makes family f the YukawaDiff with coupling b/a
+        (LaplaceWeighted(1.0, 4.0, 0.0, weight=lambda x: 1.0), 4.0),
+        (LaplaceWeighted(1.0, 4.0, 0.0, weight=lambda x: 1.0, family="g"), 1.0 / PI),
+        (LaplaceWeighted(1.0, 4.0, 0.0, weight=lambda x: x**-0.3), 4.0**0.7),
+    ],
+    ids=["gaussian", "gaussian-diff", "poly-gaussian", "yukawa-diff", "laplace-f-exp",
+         "laplace-g-exp", "laplace-f-flat", "laplace-g-flat", "laplace-f-power"],
+)
+def test_critical_coupling(spec, expected):
+    assert b_crit(spec) == pytest.approx(expected, rel=1e-12)
 
 
 def test_gaussian_energy_is_theta_minus_one():

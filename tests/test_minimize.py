@@ -1,6 +1,7 @@
 """Tests for minimizer location and phase classification."""
 
 import math
+import time
 
 import pytest
 
@@ -19,6 +20,7 @@ from hexlat import (
     YukawaDiff,
     closed_form_energy,
     hexagonal_point,
+    lattice_norms,
     minimize_generic,
     minimize_theta_difference,
     minimize_w,
@@ -157,23 +159,58 @@ def test_generic_gaussian_matches_theta():
     assert abs(out.value - (theta_lattice(1.0, HEX) - 1.0)) < 1e-10
 
 
+def test_generic_poly_gaussian_supercritical_diverges():
+    out = minimize_generic(PolyGaussian(alpha=1.0, b=0.3))
+    assert isinstance(out, NoMinimizer)
+    assert all(b < a for a, b in zip(out.witness_values, out.witness_values[1:]))
+
+
 @pytest.mark.parametrize(
     "spec",
     [
-        PolyGaussian(alpha=1.0, b=0.3),
         # b = 1.2 sqrt(a) and b = 1.05 lie just above their critical
         # couplings: the energy along x = 1/2 first rises and falls below
         # its value at the hexagonal point only beyond y = 50.
         GaussianDiff(alpha=1.5, a=4.0, b=2.4),
         YukawaDiff(alpha=1.0, a=2.0, b=1.05),
     ],
-    ids=["poly-gaussian", "gaussian-diff", "yukawa-diff"],
+    ids=["gaussian-diff", "yukawa-diff"],
 )
-def test_generic_poly_gaussian_supercritical_diverges(spec):
+def test_generic_supercritical_witness_undercuts_hexagonal(spec):
     out = minimize_generic(spec)
     assert isinstance(out, NoMinimizer)
     assert all(b < a for a, b in zip(out.witness_values, out.witness_values[1:]))
     assert out.witness_values[-1] < closed_form_energy(spec, HEX)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        YukawaDiff(alpha=1.0, a=2.0, b=1.0 + 1e-7),
+        LaplaceWeighted(alpha=1.0, a=2.0, b=math.sqrt(2.0) * (1.0 + 1e-6),
+                        weight=lambda x: math.exp(-x)),
+    ],
+    ids=["yukawa-diff", "laplace-f"],
+)
+def test_generic_near_critical_witness_stays_bounded(monkeypatch, spec):
+    # Just above b_crit the energy along x = 1/2 undercuts its hexagonal value
+    # only beyond y ~ 1e11, where a YukawaDiff direct sum enumerates millions
+    # of points per energy and the Laplace panels no longer converge; the
+    # witness stops short there instead of running out of time or memory.
+    sizes = []
+
+    def counting(z, radius):
+        pts = lattice_norms(z, radius)
+        sizes.append(len(pts))
+        return pts
+
+    monkeypatch.setattr("hexlat.energy.lattice_norms", counting)
+    start = time.perf_counter()
+    out = minimize_generic(spec)
+    assert time.perf_counter() - start < 30.0
+    assert isinstance(out, NoMinimizer)
+    assert all(b < a for a, b in zip(out.witness_values, out.witness_values[1:]))
+    assert max(sizes, default=0) <= 2.5e5
 
 
 def test_generic_advisory_matches_brute_force_oracle():

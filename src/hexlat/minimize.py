@@ -4,8 +4,9 @@ Every entry point takes one path.  Existence is decided analytically: the
 leading large-y coefficient of the energy along x = 1/2 changes sign at a
 critical coupling of the potential family (:func:`hexlat.energy.b_crit`), and for
 b > b_crit + BOUNDARY_MARGIN the energy is unbounded below and a numeric
-divergence witness is returned.  Otherwise the minimizer is located by a
-bounded line search along x = 1/2 and Nelder-Mead refinement in the plane.
+divergence witness is returned.  Otherwise the minimizer is located by Brent's
+bounded line search along x = 1/2 and Nelder-Mead refinement in the plane, in
+pure-Python ports of scipy's two methods that repeat its iterates bit for bit.
 A refinement that does not converge raises OptimizerDivergence, unless the
 hexagonal point ties or beats its candidate.
 """
@@ -14,10 +15,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Union
-
-from scipy.optimize import minimize as nelder_mead
-from scipy.optimize import minimize_scalar
+from itertools import chain, islice
+from typing import Callable, Iterator, Union
 
 from .config import DEFAULT_CONFIG, SeriesConfig
 from .energy import (
@@ -30,7 +29,7 @@ from .energy import (
     w_b,
     witness_y_max,
 )
-from .errors import InvalidParameter, OptimizerDivergence
+from .errors import InvalidParameter, OptimizerDivergence, QuadratureDivergence
 from .moduli import RT3_2, UpperHalfPoint, hexagonal_point, reduce_to_fundamental
 
 #: Margin for the boundary classification: |b - b_critical| below this is
@@ -82,48 +81,110 @@ def _divergence_witness(
     The sequence from k = 0 first rises for moderate alpha (the critical part
     of the energy still grows toward its supremum before the negative sqrt(y)
     term takes over), so the witness starts at the maximum of its first 25
-    points.
+    points.  It stops before the first y whose energy raises
+    QuadratureDivergence; at y = sqrt(3)/2 that error propagates.
     """
     hex_value = energy(hexagonal_point())
     ys = [y for y in (RT3_2 * 2.0**k for k in range(64)) if y <= y_max]
-    vals = [energy(UpperHalfPoint(0.5, y)) for y in ys[:25]]
+
+    def energies() -> Iterator[float]:
+        for k, y in enumerate(ys):
+            try:
+                yield energy(UpperHalfPoint(0.5, y))
+            except QuadratureDivergence:
+                if k == 0:
+                    raise
+                return
+
+    rest = energies()
+    vals = list(islice(rest, 25))
     start = max(range(len(vals)), key=lambda i: vals[i])
     wy, wv = [ys[start]], [vals[start]]
-    for k in range(start + 1, len(ys)):
-        v = vals[k] if k < len(vals) else energy(UpperHalfPoint(0.5, ys[k]))
+    for y, v in zip(ys[start + 1:], chain(vals[start + 1:], rest)):
         if v < wv[-1]:
-            wy.append(ys[k])
+            wy.append(y)
             wv.append(v)
         if len(wy) >= min_points and wv[-1] < hex_value:
             break
     return NoMinimizer(tuple(wy), tuple(wv), asymptotic_slope_sign=-1)
 
 
-def _locate_minimizer(
-    energy: Callable[[UpperHalfPoint], float], advisory: bool
-) -> Minimizer:
+def _brent_bounded(f: Callable[[float], float], a: float, b: float) -> float:
+    """Brent's minimization on [a, b], step for step scipy's
+    minimize_scalar(method="bounded") with xatol 1e-10 and 500 evaluations."""
+    sqrt_eps, golden = math.sqrt(2.2e-16), 0.5 * (3.0 - math.sqrt(5.0))
+    fulc = nfc = xf = a + golden * (b - a)
+    ffulc = fnfc = fx = f(xf)
+    nfev, rat, e, xm, tol1 = 1, 0.0, 0.0, 0.5 * (a + b), sqrt_eps * abs(xf) + 1e-10 / 3.0
+    while abs(xf - xm) > 2.0 * tol1 - 0.5 * (b - a) and nfev < 500:
+        parabolic = False
+        if abs(e) > tol1:
+            r, q = (xf - nfc) * (fx - ffulc), (xf - fulc) * (fx - fnfc)
+            p, q = (xf - fulc) * q - (xf - nfc) * r, 2.0 * (q - r)
+            p, q, r, e = (-p if q > 0.0 else p), abs(q), e, rat
+            parabolic = abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf)
+        if parabolic:
+            rat = p / q
+            if xf + rat - a < 2.0 * tol1 or b - (xf + rat) < 2.0 * tol1:
+                rat = tol1 if xm >= xf else -tol1
+        else:
+            e = a - xf if xf >= xm else b - xf
+            rat = golden * e
+        x = xf + (-1.0 if rat < 0 else 1.0) * max(abs(rat), tol1)
+        fu, nfev = f(x), nfev + 1
+        if fu <= fx:
+            a, b = (xf, b) if x >= xf else (a, xf)
+            fulc, ffulc, nfc, fnfc, xf, fx = nfc, fnfc, xf, fx, x, fu
+        else:
+            a, b = (x, b) if x < xf else (a, x)
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc, nfc, fnfc = nfc, fnfc, x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm, tol1 = 0.5 * (a + b), sqrt_eps * abs(xf) + 1e-10 / 3.0
+    return float(xf)
+
+
+def _nelder_mead(f: Callable[[tuple[float, float]], float], x0: tuple[float, float]):
+    """Nelder-Mead from x0 (no zero coordinate), step for step scipy's non-adaptive
+    minimize(method="Nelder-Mead") with xatol 1e-9, fatol 1e-15 and 4000 evaluations;
+    like scipy, it abandons an iteration whose next evaluation would be the 4001st.
+    Returns (x, f(x), nfev, converged)."""
+    sim = [x0, (1.05 * x0[0], x0[1]), (x0[0], 1.05 * x0[1])]
+    fs, nfev, maxfev = [f(p) for p in sim], 3, 4000
+    towards = lambda s, t: tuple(s * ((u + v) / 2) + t * w for u, v, w in zip(*sim))
+    while True:
+        # stable with nan last, as np.argsort orders three values; scipy returns nan if any is
+        sim, fs = map(list, zip(*sorted(zip(sim, fs), key=lambda t: (t[1] != t[1], t[1]))))
+        if nfev == maxfev or (all(abs(c - c0) <= 1e-9 for p in sim[1:] for c, c0 in zip(p, sim[0]))
+                              and all(abs(fs[0] - v) <= 1e-15 for v in fs[1:])):
+            return sim[0], (fs[0] if fs[2] == fs[2] else math.nan), nfev, nfev < maxfev
+        fr, nfev = f(xr := towards(2, -1)), nfev + 1
+        if fr < fs[0]:
+            if nfev < maxfev:
+                fe, nfev = f(xe := towards(3, -2)), nfev + 1
+                sim[2], fs[2] = (xe, fe) if fe < fr else (xr, fr)
+        elif fr < fs[1]:
+            sim[2], fs[2] = xr, fr
+        elif nfev < maxfev:
+            outside = fr < fs[2]
+            fc, nfev = f(xc := towards(1.5, -0.5) if outside else towards(0.5, 0.5)), nfev + 1
+            if (fc <= fr) if outside else (fc < fs[2]):
+                sim[2], fs[2] = xc, fc
+            else:
+                for j in (1, 2):
+                    sim[j] = tuple(u + 0.5 * (v - u) for u, v in zip(sim[0], sim[j]))
+                    if nfev == maxfev:
+                        break
+                    fs[j], nfev = f(sim[j]), nfev + 1
+
+
+def _locate_minimizer(energy: Callable[[UpperHalfPoint], float], advisory: bool) -> Minimizer:
     """Bounded line search along x = 1/2, then Nelder-Mead in the plane."""
-    line = minimize_scalar(
-        lambda y: energy(UpperHalfPoint(0.5, y)),
-        bounds=(RT3_2, GAMMA_Y_MAX),
-        method="bounded",
-        options={"xatol": 1e-10},
-    )
-    seed = UpperHalfPoint(0.5, float(line.x))
-
-    def objective(v) -> float:
-        if v[1] <= 1e-6:
-            return math.inf
-        return energy(UpperHalfPoint(float(v[0]), float(v[1])))
-
-    res = nelder_mead(
-        objective,
-        x0=[seed.x, seed.y],
-        method="Nelder-Mead",
-        options={"xatol": 1e-9, "fatol": 1e-15, "maxiter": 4000, "maxfev": 4000},
-    )
-    cand = UpperHalfPoint(float(res.x[0]), float(res.x[1]))
-    val = float(res.fun)
+    y = _brent_bounded(lambda y: energy(UpperHalfPoint(0.5, y)), RT3_2, GAMMA_Y_MAX)
+    xy, val, nfev, converged = _nelder_mead(
+        lambda v: math.inf if v[1] <= 1e-6 else energy(UpperHalfPoint(*v)), (0.5, y))
+    cand, val = UpperHalfPoint(*xy), float(val)
     # The theorems make the hexagonal point a minimizer whenever one exists;
     # prefer it on numerical ties (covers the exactly-flat case alpha = 1,
     # b = 1/(2 pi), where W vanishes identically).
@@ -131,10 +192,9 @@ def _locate_minimizer(
     hex_val = energy(hex_pt)
     if hex_val <= val + 1e-12:
         cand, val = hex_pt, hex_val
-    elif not res.success:
+    elif not converged:
         raise OptimizerDivergence(
-            f"Nelder-Mead did not converge from {seed} after {res.nfev} evaluations: {res.message}"
-        )
+            f"Nelder-Mead did not converge from (0.5, {y}) in {nfev} evaluations")
     reduced, _ = reduce_to_fundamental(cand)
     dist = math.hypot(reduced.x - 0.5, reduced.y - RT3_2)
     return Minimizer(z_star=reduced, value=val, distance_to_hex=dist, advisory=advisory)

@@ -8,9 +8,7 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
 import pytest
-from scipy.optimize import OptimizeResult
 
 from hexlat import UpperHalfPoint, lattice_norms
 
@@ -55,10 +53,8 @@ def sample_points() -> list[UpperHalfPoint]:
 
 
 def unconverged_nelder_mead(fun):
-    """Stand-in for scipy's minimize that stops unconverged at (0.2, 1.5)."""
-    def fake(objective, x0, **kwargs):
-        return OptimizeResult(
-            x=np.array([0.2, 1.5]), fun=fun, success=False, nfev=4000,
-            message="Maximum number of function evaluations has been exceeded.",
-        )
+    """Stand-in for hexlat.minimize._nelder_mead that stops unconverged at
+    (0.2, 1.5) with value fun after 4000 evaluations."""
+    def fake(objective, x0):
+        return (0.2, 1.5), fun, 4000, False
     return fake

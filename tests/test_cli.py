@@ -5,6 +5,10 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -166,10 +170,20 @@ def test_theta_truncation_failure_exit_3(capsys):
 
 
 def test_minimize_unconverged_exit_3(capsys, monkeypatch):
-    monkeypatch.setattr("hexlat.minimize.nelder_mead", unconverged_nelder_mead(-1e9))
+    monkeypatch.setattr("hexlat.minimize._nelder_mead", unconverged_nelder_mead(-1e9))
     code, _, err = run_cli(capsys, "minimize", "w", "--alpha", "1", "--b", "0")
     assert code == 3
     assert "energy evaluation failed" in err and "Traceback" not in err
+
+
+def test_cli_import_loads_no_scipy():
+    # numpy is the only runtime dependency; scipy is a test-only reference
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import hexlat.cli, sys; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_phase_scan_contract(capsys):

@@ -1,6 +1,7 @@
 """Tests for minimizer location and phase classification."""
 
 import math
+import random
 import time
 
 import pytest
@@ -113,6 +114,62 @@ def test_gamma_line_matches_2d_optimum(alpha):
     assert abs(float(res.fun) - out.value) < 1e-7
 
 
+def _counted(f):
+    calls = []
+
+    def g(v):
+        calls.append(v)
+        return f(v)
+    return g, calls
+
+
+def _plane_objective(case, rng):
+    """A seeded objective in the plane, guarded by the y <= 1e-6 barrier that
+    hexlat's refinement puts in front of every energy."""
+    if case == "bowl":  # cy above 50 puts the line search's minimum on its upper bound
+        cx, cy, k = rng.uniform(0.1, 0.9), rng.uniform(1.0, 60.0), rng.uniform(0.5, 5.0)
+        f = lambda v: (v[0] - cx) ** 2 + k * (v[1] - cy) ** 2 + (v[0] - cx) * (v[1] - cy)
+    elif case == "barrier":  # decreasing toward y = 0, so the simplex runs into the barrier
+        cx = rng.uniform(0.1, 0.9)
+        f = lambda v: (v[0] - cx) ** 2 + v[1]
+    elif case == "terraces":  # piecewise constant: vertices tie, so the sort order matters
+        cx, cy = rng.uniform(0.1, 0.9), rng.uniform(1.0, 40.0)
+        f = lambda v: float(math.floor(4.0 * abs(v[0] - cx)) + math.floor(abs(v[1] - cy)))
+    else:  # a curved flat-bottomed valley too stiff for 4000 evaluations
+        k = 10.0 ** rng.uniform(9.0, 12.0)
+        f = lambda v: (1.0 - v[0]) ** 2 + k * (v[1] - v[0] ** 2) ** 2
+    return lambda v: math.inf if v[1] <= 1e-6 else f(v)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("case", ["bowl", "barrier", "terraces", "ridge"])
+def test_optimizer_ports_match_scipy(case, seed):
+    # The line search and the refinement repeat scipy's iterates: same x, same
+    # value, same number of evaluations, run as hexlat runs them.
+    from scipy.optimize import minimize, minimize_scalar
+
+    from hexlat.minimize import _brent_bounded, _nelder_mead
+
+    objective = _plane_objective(case, random.Random(seed))
+    line, line_calls = _counted(lambda y: objective((0.5, y)))
+    y = _brent_bounded(line, RT3_2, 50.0)
+    ref_line, ref_line_calls = _counted(lambda y: objective((0.5, y)))
+    ref = minimize_scalar(ref_line, bounds=(RT3_2, 50.0), method="bounded",
+                          options={"xatol": 1e-10})
+    assert y == float(ref.x) and len(line_calls) == len(ref_line_calls) == ref.nfev
+    assert objective((0.5, y)) == ref.fun
+
+    xy, fun, nfev, converged = _nelder_mead(objective, (0.5, y))
+    ref = minimize(lambda v: objective((float(v[0]), float(v[1]))), x0=[0.5, y],
+                   method="Nelder-Mead",
+                   options={"xatol": 1e-9, "fatol": 1e-15, "maxiter": 4000, "maxfev": 4000})
+    assert xy == tuple(ref.x.tolist()) and fun == ref.fun
+    assert (nfev, converged) == (ref.nfev, ref.success)
+    if case == "barrier":
+        assert 1e-6 < xy[1] < 1e-5
+    assert (nfev == 4000) == (case == "ridge")
+
+
 def test_thetadiff_boundary_cases():
     out = minimize_theta_difference(1.0, 2.0, math.sqrt(2.0))
     assert isinstance(out, Minimizer) and out.distance_to_hex < 1e-6
@@ -213,6 +270,23 @@ def test_generic_near_critical_witness_stays_bounded(monkeypatch, spec):
     assert max(sizes, default=0) <= 2.5e5
 
 
+@pytest.mark.parametrize(
+    "spec",
+    [
+        LaplaceWeighted(alpha=1.0, a=2.0, b=2.5, weight=lambda x: 1.0, family="f"),
+        LaplaceWeighted(alpha=1.0, a=2.0, b=0.35, weight=lambda x: 1.0, family="g"),
+    ],
+    ids=["f", "g"],
+)
+def test_generic_flat_weight_witness_stops_before_quadrature_fails(spec):
+    # With a flat weight the Laplace panels give up from y ~ 900 on, but the
+    # energy along x = 1/2 already undercuts the hexagonal value near y ~ 100.
+    out = minimize_generic(spec)
+    assert isinstance(out, NoMinimizer)
+    assert all(b < a for a, b in zip(out.witness_values, out.witness_values[1:]))
+    assert out.witness_values[-1] < closed_form_energy(spec, HEX)
+
+
 def test_generic_advisory_matches_brute_force_oracle():
     # Below alpha = 1 the minimizer leaves the hexagonal point; the located
     # one must be the true minimizer by direct lattice summation.
@@ -284,13 +358,13 @@ def test_phase_scan_validation():
 
 
 def test_unconverged_refinement_raises(monkeypatch):
-    monkeypatch.setattr("hexlat.minimize.nelder_mead", unconverged_nelder_mead(-1e9))
+    monkeypatch.setattr("hexlat.minimize._nelder_mead", unconverged_nelder_mead(-1e9))
     with pytest.raises(OptimizerDivergence):
         minimize_w(1.0, 0.0)
 
 
 def test_unconverged_refinement_beaten_by_hexagonal_point(monkeypatch):
-    monkeypatch.setattr("hexlat.minimize.nelder_mead", unconverged_nelder_mead(1e9))
+    monkeypatch.setattr("hexlat.minimize._nelder_mead", unconverged_nelder_mead(1e9))
     out = minimize_w(1.0, 0.0)
     assert isinstance(out, Minimizer)
     assert out.z_star == HEX and out.distance_to_hex == 0.0

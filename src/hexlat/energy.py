@@ -8,7 +8,8 @@ expansion
 
 whose inner factors come from :mod:`hexlat.theta1d`.  Conventions: theta and
 W_b sum over the full lattice including the origin (the origin contributes 1
-to theta and -b/alpha to W_b); the potential energies E_f exclude the origin.
+to theta and -b/alpha to W_b); the potential energies E_f exclude the origin,
+summing the row n = 0 without it wherever subtracting it would cancel.
 """
 
 from __future__ import annotations
@@ -18,12 +19,7 @@ from dataclasses import dataclass
 from typing import Callable, Union
 
 from .config import DEFAULT_CONFIG, SeriesConfig
-from .errors import (
-    InvalidParameter,
-    NonPositiveAlpha,
-    QuadratureDivergence,
-    TailTooLarge,
-)
+from .errors import InvalidParameter, NonPositiveAlpha, TailTooLarge
 from .moduli import UpperHalfPoint, lattice_norms
 from .quadrature import gauss_panel, integrate
 from .theta1d import jacobi_theta, jacobi_theta_partial
@@ -47,10 +43,14 @@ def _check_alpha(alpha: float) -> None:
 def theta_lattice(alpha: float, z: UpperHalfPoint, cfg: SeriesConfig = DEFAULT_CONFIG) -> float:
     """theta(alpha; z) = sum over the full lattice of e^{-pi alpha |P|^2}."""
     _check_alpha(alpha)
+    return _theta_rows(alpha, z, jacobi_theta(z.y / alpha, 0.0, cfg), cfg)
+
+
+def _theta_rows(alpha: float, z: UpperHalfPoint, acc: float, cfg: SeriesConfig) -> float:
+    """The expansion of :func:`theta_lattice` with acc in place of its n = 0 term."""
     x, y = z.x, z.y
     X0 = y / alpha
     last = cfg.last_index(alpha * y, 0, 1, "theta_lattice")
-    acc = jacobi_theta(X0, 0.0, cfg)
     for n in range(1, last + 1):
         w = 2.0 * math.exp(-alpha * _PI * y * n * n)
         acc += w * jacobi_theta(X0, n * x, cfg)
@@ -69,18 +69,48 @@ def w_b(alpha: float, b: float, z: UpperHalfPoint, cfg: SeriesConfig = DEFAULT_C
     weighted by n^2, and SX the sum with theta replaced by theta_X.
     """
     _check_alpha(alpha)
+    X0 = z.y / alpha
+    c0 = 0.5 * (1.0 - 2.0 * _PI * b) * (alpha / z.y)
+    acc = c0 * jacobi_theta(X0, 0.0, cfg) + jacobi_theta_partial(X0, 0.0, 1, 0, cfg)
+    return _w_rows(alpha, c0, z, acc, cfg)
+
+
+def _w_rows(alpha: float, c0: float, z: UpperHalfPoint, acc: float, cfg: SeriesConfig) -> float:
+    """The expansion of :func:`w_b` with acc in place of its n = 0 term."""
     x, y = z.x, z.y
     X0 = y / alpha
-    c0 = 0.5 * (1.0 - 2.0 * _PI * b) * (alpha / y)
     c2 = _PI * alpha * alpha
     last = cfg.last_index(alpha * y, 2, 1, "w_b")
-    acc = c0 * jacobi_theta(X0, 0.0, cfg) + jacobi_theta_partial(X0, 0.0, 1, 0, cfg)
     for n in range(1, last + 1):
         w = 2.0 * math.exp(-alpha * _PI * y * n * n)
         th = jacobi_theta(X0, n * x, cfg)
         thx = jacobi_theta_partial(X0, n * x, 1, 0, cfg)
         acc += w * ((c0 + c2 * n * n) * th + thx)
     return y**1.5 / (_PI * alpha**2.5) * acc
+
+
+def _theta_minus_one(alpha: float, z: UpperHalfPoint, cfg: SeriesConfig) -> float:
+    """theta(alpha; z) - 1.  For alpha >= y the n = 0 term, theta(alpha/y; 0) by
+    Poisson, is summed without the origin; below, theta >= sqrt(y/alpha) > 1."""
+    if alpha < z.y:
+        return theta_lattice(alpha, z, cfg) - 1.0
+    d = alpha / z.y
+    last = cfg.last_index(d, 0, 1, "theta_lattice")
+    row0 = 2.0 * sum(math.exp(-_PI * d * k * k) for k in range(1, last + 1))
+    return row0 + _theta_rows(alpha, z, 0.0, cfg)
+
+
+def _w_b_minus_origin(alpha: float, b: float, z: UpperHalfPoint, cfg: SeriesConfig) -> float:
+    """W_b(alpha; z) + b/alpha, summing the n = 0 row without the origin for
+    alpha >= y/4.  Below, the nonzero points' theta mass sqrt(y/alpha) - 1 > 1
+    keeps adding b/alpha to W_b from cancelling more than a few ulps."""
+    if 4.0 * alpha < z.y:
+        return w_b(alpha, b, z, cfg) + b / alpha
+    d = alpha / z.y
+    last = cfg.last_index(d, 2, 1, "w_b")
+    row0 = 2.0 * sum((k * k * d - b) * math.exp(-_PI * d * k * k) for k in range(1, last + 1)) / alpha
+    c0 = 0.5 * (1.0 - 2.0 * _PI * b) * d
+    return row0 + _w_rows(alpha, c0, z, 0.0, cfg)
 
 
 def w_b_via_theta_derivative(
@@ -185,7 +215,7 @@ def theta_difference_via_w_integral(
     _check_alpha(alpha)
     if not a > 1.0:
         raise InvalidParameter(f"requires a > 1, got {a}")
-    val = gauss_panel(lambda t: math.sqrt(t) * w_b(t * alpha, B_CRITICAL, z, cfg), 1.0, a, nodes=64)
+    val = gauss_panel(lambda t: math.sqrt(t) * w_b(t * alpha, B_CRITICAL, z, cfg), 1.0, a)
     return _PI * alpha * val
 
 
@@ -301,7 +331,8 @@ def witness_y_max(p: PotentialSpec) -> float:
     sum behind YukawaDiff, cutoff radius r = 8/sqrt(min(alpha, 1)), visits
     ~2 r sqrt(y) points on the row through the origin, so its witness stops
     where that row would pass 2.5e5 points (~0.5 s per energy).  The Laplace
-    panels take seconds per energy from y ~ 5e10 on and stop converging later.
+    integrand at x subtracts two energies of size ~sqrt(y); just above b_crit
+    the quadrature's levels stop agreeing on that noise from y ~ 6e10 on.
     """
     if isinstance(p, YukawaDiff):
         return (2.5e5 / 16.0) ** 2 * min(p.alpha, 1.0)
@@ -318,14 +349,7 @@ def potential_value(p: PotentialSpec, q: float) -> float:
         return (q - p.b / p.alpha) * math.exp(-_PI * p.alpha * q)
     if isinstance(p, YukawaDiff):
         return (math.exp(-_PI * p.alpha * q) - p.b * math.exp(-_PI * p.a * p.alpha * q)) / q
-    # LaplaceWeighted: integrate the defining x-integral pointwise.
-    if p.family == "f":
-        integrand = lambda x: p.weight(x) * (
-            math.exp(-_PI * p.alpha * x * q) - p.b * math.exp(-_PI * p.a * p.alpha * x * q)
-        )
-    else:
-        integrand = lambda x: p.weight(x) * (q * x - p.b / p.alpha) * math.exp(-_PI * p.alpha * x * q)
-    return _laplace_panels(integrand, rel_tol=1e-12)
+    return _laplace_integral(p, lambda spec: potential_value(spec, q))
 
 
 def _tail_majorant(p: PotentialSpec, t0: float) -> float:
@@ -378,59 +402,30 @@ def lattice_energy(p: PotentialSpec, z: UpperHalfPoint, cutoff_radius: float) ->
     return total
 
 
-def _laplace_panels(integrand: Callable[[float], float], rel_tol: float = 1e-12) -> float:
-    """Integrate over [1, inf) with doubling panels until the tail is negligible."""
-    acc = 0.0
-    lo = 1.0
-    quiet = 0
-    while lo <= 1e4:
-        hi = 2.0 * lo
-        # Panels whose integrand is at roundoff level relative to the total
-        # cannot stabilize in a relative sense and contribute nothing.
-        probe = max(abs(integrand(lo)), abs(integrand(0.5 * (lo + hi))), abs(integrand(hi)))
-        if probe * (hi - lo) < 1e-15 * abs(acc):
-            part = 0.0
-        else:
-            part = integrate(
-                integrand, lo, hi, rel_tol=rel_tol, nodes=16, abs_tol=1e-13 * abs(acc)
-            )
-        acc += part
-        if abs(part) < 1e-10 * max(abs(acc), 1e-300):
-            quiet += 1
-            if quiet >= 2:
-                return acc
-        else:
-            quiet = 0
-        lo = hi
-    raise QuadratureDivergence("Laplace-weighted integral tail not converged by x = 1e4")
-
-
-def laplace_energy(
-    p: LaplaceWeighted, z: UpperHalfPoint, cfg: SeriesConfig = DEFAULT_CONFIG
-) -> float:
-    """E for a LaplaceWeighted potential by integrating closed-form inner
-    energies over the transform variable (Fubini)."""
-    if not isinstance(p, LaplaceWeighted):
-        raise InvalidParameter("laplace_energy requires a LaplaceWeighted spec")
-
-    if p.family == "f":
-        def inner(x: float) -> float:
-            return (theta_lattice(x * p.alpha, z, cfg) - 1.0) - p.b * (
-                theta_lattice(x * p.a * p.alpha, z, cfg) - 1.0
-            )
-    else:
-        def inner(x: float) -> float:
-            return x * w_b(x * p.alpha, 0.0, z, cfg) - (p.b / p.alpha) * (
-                theta_lattice(x * p.alpha, z, cfg) - 1.0
-            )
+def _laplace_integral(p: LaplaceWeighted, value: Callable[[PotentialSpec], float]) -> float:
+    """int_1^inf P(x) v(x) dx, where v(x) is value() of GaussianDiff(alpha x, a, b)
+    for family f and x times value() of PolyGaussian(alpha x, b) for family g:
+    the defining x-integral of p, with the weight P checked to be nonnegative."""
 
     def integrand(x: float) -> float:
         w = p.weight(x)
         if w < 0.0:
             raise InvalidParameter(f"weight must be nonnegative, got P({x}) = {w}")
-        return w * inner(x)
+        if p.family == "f":
+            return w * value(GaussianDiff(x * p.alpha, p.a, p.b))
+        return w * x * value(PolyGaussian(x * p.alpha, p.b))
 
-    return _laplace_panels(integrand, rel_tol=1e-12)
+    return integrate(integrand, 1.0)
+
+
+def laplace_energy(
+    p: LaplaceWeighted, z: UpperHalfPoint, cfg: SeriesConfig = DEFAULT_CONFIG
+) -> float:
+    """E for a LaplaceWeighted potential by integrating the origin-free
+    closed-form energies over the transform variable (Fubini)."""
+    if not isinstance(p, LaplaceWeighted):
+        raise InvalidParameter("laplace_energy requires a LaplaceWeighted spec")
+    return _laplace_integral(p, lambda spec: closed_form_energy(spec, z, cfg))
 
 
 def closed_form_energy(
@@ -440,13 +435,11 @@ def closed_form_energy(
     exists, falling back to direct summation for YukawaDiff and to the
     Fubini route for LaplaceWeighted."""
     if isinstance(p, Gaussian):
-        return theta_lattice(p.alpha, z, cfg) - 1.0
+        return _theta_minus_one(p.alpha, z, cfg)
     if isinstance(p, GaussianDiff):
-        return (theta_lattice(p.alpha, z, cfg) - 1.0) - p.b * (
-            theta_lattice(p.a * p.alpha, z, cfg) - 1.0
-        )
+        return _theta_minus_one(p.alpha, z, cfg) - p.b * _theta_minus_one(p.a * p.alpha, z, cfg)
     if isinstance(p, PolyGaussian):
-        return w_b(p.alpha, p.b, z, cfg) + p.b / p.alpha
+        return _w_b_minus_origin(p.alpha, p.b, z, cfg)
     if isinstance(p, YukawaDiff):
         return lattice_energy(p, z, cutoff_radius=8.0 / math.sqrt(min(p.alpha, 1.0)))
     return laplace_energy(p, z, cfg)

@@ -15,8 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, islice
-from typing import Callable, Iterator, Union
+from typing import Callable, Union
 
 from .config import DEFAULT_CONFIG, SeriesConfig
 from .energy import (
@@ -29,7 +28,7 @@ from .energy import (
     w_b,
     witness_y_max,
 )
-from .errors import InvalidParameter, OptimizerDivergence, QuadratureDivergence
+from .errors import InvalidParameter, OptimizerDivergence
 from .moduli import RT3_2, UpperHalfPoint, hexagonal_point, reduce_to_fundamental
 
 #: Margin for the boundary classification: |b - b_critical| below this is
@@ -80,29 +79,17 @@ def _divergence_witness(
 
     The sequence from k = 0 first rises for moderate alpha (the critical part
     of the energy still grows toward its supremum before the negative sqrt(y)
-    term takes over), so the witness starts at the maximum of its first 25
-    points.  It stops before the first y whose energy raises
-    QuadratureDivergence; at y = sqrt(3)/2 that error propagates.
+    term takes over), so the witness starts at the maximum of its first 25 points.
     """
     hex_value = energy(hexagonal_point())
     ys = [y for y in (RT3_2 * 2.0**k for k in range(64)) if y <= y_max]
-
-    def energies() -> Iterator[float]:
-        for k, y in enumerate(ys):
-            try:
-                yield energy(UpperHalfPoint(0.5, y))
-            except QuadratureDivergence:
-                if k == 0:
-                    raise
-                return
-
-    rest = energies()
-    vals = list(islice(rest, 25))
+    vals = [energy(UpperHalfPoint(0.5, y)) for y in ys[:25]]
     start = max(range(len(vals)), key=lambda i: vals[i])
     wy, wv = [ys[start]], [vals[start]]
-    for y, v in zip(ys[start + 1:], chain(vals[start + 1:], rest)):
+    for k in range(start + 1, len(ys)):
+        v = vals[k] if k < len(vals) else energy(UpperHalfPoint(0.5, ys[k]))
         if v < wv[-1]:
-            wy.append(y)
+            wy.append(ys[k])
             wv.append(v)
         if len(wy) >= min_points and wv[-1] < hex_value:
             break

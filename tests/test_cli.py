@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -293,12 +294,27 @@ def test_bad_spec_file_exit_2(capsys, tmp_path, text):
     assert err.startswith("hexlat: error:")
 
 
-def test_overflowing_spec_weight_exit_3(capsys, tmp_path):
+@pytest.mark.parametrize("rate", [800, 5])
+def test_overflowing_spec_weight_exit_3(capsys, tmp_path, rate):
+    # e^{800 x} overflows at the first node; e^{5 x} outgrows the theta decay
+    # e^{-pi x} and the quadrature refuses it without a deep search.
     spec = tmp_path / "pot.json"
-    spec.write_text(json.dumps({**_LAPLACE, "weight": {"kind": "exponential", "rate": 800}}))
+    spec.write_text(json.dumps({**_LAPLACE, "weight": {"kind": "exponential", "rate": rate}}))
+    start = time.perf_counter()
     code, _, err = run_cli(capsys, "energy", "--spec-file", str(spec), "--x", "0.5", "--y", "1")
+    assert time.perf_counter() - start < 5.0
     assert code == 3
-    assert "energy evaluation failed" in err
+    assert "energy evaluation failed: integrand does not decay" in err
+
+
+@pytest.mark.parametrize("route", [[], ["--cutoff", "6"]], ids=["closed-form", "cutoff"])
+def test_negative_spec_weight_exit_2(capsys, tmp_path, route):
+    spec = tmp_path / "pot.json"
+    spec.write_text(json.dumps({**_LAPLACE, "weight": {"kind": "constant", "value": -1.0}}))
+    code, out, err = run_cli(capsys, "energy", "--spec-file", str(spec), "--x", "0.5",
+                             "--y", "0.866", *route)
+    assert code == 2 and out == ""
+    assert "weight must be nonnegative" in err
 
 
 def test_underflowing_alpha_tail_exit_3(capsys):

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -16,18 +17,21 @@ from hexlat import (
     UpperHalfPoint,
     YukawaDiff,
     apply_word,
+    closed_form_energy,
     dx_w,
     dx_w_double_sum,
     dy_w,
     hexagonal_point,
     laplace_energy,
     lattice_energy,
+    lattice_norms,
     theta_difference,
     theta_lattice,
     w_b,
     w_b_via_theta_derivative,
 )
-from hexlat.energy import b_crit, potential_value, theta_difference_via_w_integral, _laplace_panels
+from hexlat.energy import b_crit, potential_value, theta_difference_via_w_integral
+from hexlat import quadrature
 from hexlat.errors import (
     InvalidParameter,
     NonPositiveAlpha,
@@ -279,6 +283,60 @@ def test_laplace_energy_flat_weight_equals_yukawa_route():
         assert abs(lhs - rhs) <= 1e-8 * abs(rhs)
 
 
+def test_poly_gaussian_energy_where_b_over_alpha_meets_the_first_norm():
+    # b/alpha = 0.4023 lies next to the first norm 1/y = 0.4034, so the nonzero
+    # terms sum to 3.1e-4 while W_b carries the origin's -b/alpha = -0.40:
+    # adding b/alpha back to W_b lost 3.7e-13 of that sum.
+    alpha, b = 1.9480538567807881, 0.7837194743447324
+    z = UpperHalfPoint(-0.33107787885947626, 2.4788117509073966)
+    with mpmath.workdps(40):
+        x, y = mpmath.mpf(z.x), mpmath.mpf(z.y)
+        norms = [((m + n * x) ** 2 + (n * y) ** 2) / y
+                 for m in range(-12, 13) for n in range(-12, 13) if (m, n) != (0, 0)]
+        exact = mpmath.fsum((q - mpmath.mpf(b) / alpha) * mpmath.exp(-mpmath.pi * alpha * q)
+                            for q in norms)
+    assert abs(closed_form_energy(PolyGaussian(alpha, b), z) - exact) <= 1e-14 * exact
+
+
+def flat_weight_terms(p, z):
+    """The terms of E_f for a LaplaceWeighted spec with P = 1, point by point:
+    with c = pi alpha |P|^2, int_1^inf e^{-c x} dx = e^{-c}/c and
+    int_1^inf (|P|^2 x - b/alpha) e^{-c x} dx = |P|^2 e^{-c}(1/c + 1/c^2) - (b/alpha) e^{-c}/c."""
+    terms = []
+    for q, _ in lattice_norms(z, 8.0):
+        if q == 0.0:
+            continue
+        c = PI * p.alpha * q
+        if p.family == "f":
+            terms += [math.exp(-c) / c, -p.b * math.exp(-p.a * c) / (p.a * c)]
+        else:
+            terms += [q * math.exp(-c) * (1.0 / c + 1.0 / c**2), -(p.b / p.alpha) * math.exp(-c) / c]
+    return terms
+
+
+@pytest.mark.parametrize("family", ["f", "g"])
+@pytest.mark.parametrize("alpha", [2.5, 2.99, 4.0, 6.0])
+def test_flat_weight_laplace_energy_matches_direct_sum(alpha, family):
+    # At large alpha theta(alpha x) - 1 is far below 1e-16 over most of the
+    # x-range; formed by subtraction it was rounding noise there.
+    p = LaplaceWeighted(alpha=alpha, a=2.0, b=0.5 if family == "f" else 0.1,
+                        weight=lambda x: 1.0, family=family)
+    for z in (UpperHalfPoint(0.5, 1.04), UpperHalfPoint(0.2, 1.1), HEX):
+        terms = flat_weight_terms(p, z)
+        error = abs(laplace_energy(p, z) - math.fsum(terms))
+        assert error <= 1e-13 * math.fsum(map(abs, terms)), z
+
+
+def test_flat_weight_laplace_energy_at_its_zero_crossing():
+    # Above b_crit = 2 the energy along x = 1/2 falls through 0 near y = 21.41
+    # on its way to -infinity; the quadrature's level test must not demand
+    # relative agreement with a value that is 0 to rounding.
+    p = LaplaceWeighted(alpha=1.0, a=2.0, b=2.5, weight=lambda x: 1.0, family="f")
+    z = UpperHalfPoint(0.5, 21.409322153779797)
+    terms = flat_weight_terms(p, z)
+    assert abs(laplace_energy(p, z) - math.fsum(terms)) <= 1e-13 * math.fsum(map(abs, terms))
+
+
 def test_laplace_energy_matches_pointwise_route():
     p = LaplaceWeighted(alpha=1.0, a=2.0, b=0.3, weight=lambda x: math.exp(-x), family="f")
     z = HEX
@@ -313,7 +371,7 @@ def test_laplace_negative_weight_rejected():
 
 def test_laplace_divergence_guard():
     with pytest.raises(QuadratureDivergence):
-        _laplace_panels(lambda x: 1.0)
+        quadrature.integrate(lambda x: 1.0, 1.0)
 
 
 def test_group_invariance_of_energies():

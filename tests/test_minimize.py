@@ -252,8 +252,8 @@ def test_generic_supercritical_witness_undercuts_hexagonal(spec):
 def test_generic_near_critical_witness_stays_bounded(monkeypatch, spec):
     # Just above b_crit the energy along x = 1/2 undercuts its hexagonal value
     # only beyond y ~ 1e11, where a YukawaDiff direct sum enumerates millions
-    # of points per energy and the Laplace panels no longer converge; the
-    # witness stops short there instead of running out of time or memory.
+    # of points per energy and the Laplace quadrature's levels stop agreeing;
+    # the witness stops short there instead of running out of time or memory.
     sizes = []
 
     def counting(z, radius):
@@ -279,8 +279,9 @@ def test_generic_near_critical_witness_stays_bounded(monkeypatch, spec):
     ids=["f", "g"],
 )
 def test_generic_flat_weight_witness_stops_before_quadrature_fails(spec):
-    # With a flat weight the Laplace panels give up from y ~ 900 on, but the
-    # energy along x = 1/2 already undercuts the hexagonal value near y ~ 100.
+    # With a flat weight the energy along x = 1/2 undercuts the hexagonal value
+    # near y ~ 100 and keeps falling; the witness needs energies up to y ~ 900
+    # and beyond, where the integrand spans x up to ~y, and every one evaluates.
     out = minimize_generic(spec)
     assert isinstance(out, NoMinimizer)
     assert all(b < a for a, b in zip(out.witness_values, out.witness_values[1:]))

@@ -1,8 +1,11 @@
-"""Property tests for the series truncation rule (SeriesConfig.last_index).
+"""Property tests for the series truncation rule (SeriesConfig.last_index),
+the origin-free closed-form energies and the exp-sinh quadrature.
 
-Each property compares two evaluations that the rule truncates differently:
-the Fourier and Poisson representations of theta(X; Y), the two sides of
-alpha-duality, and a tighter rel_tol against the default.
+The truncation properties compare two evaluations that the rule truncates
+differently: the Fourier and Poisson representations of theta(X; Y), the two
+sides of alpha-duality, and a tighter rel_tol against the default.  The
+energies are checked against direct lattice sums, the quadrature against
+exact exponential integrals.
 """
 
 import math
@@ -12,14 +15,20 @@ from hypothesis import strategies as st
 
 from hexlat import (
     DEFAULT_CONFIG,
+    Gaussian,
+    GaussianDiff,
+    PolyGaussian,
     SeriesConfig,
     UpperHalfPoint,
+    closed_form_energy,
     dy_w,
     jacobi_theta,
     jacobi_theta_partial,
+    lattice_norms,
     theta_lattice,
     w_b,
 )
+from hexlat.quadrature import integrate
 from hexlat.theta1d import SUPPORTED_ORDERS, _poisson_term
 
 FOURIER = SeriesConfig(poisson_switch=1e-9)
@@ -29,6 +38,9 @@ ORDERS = ((0, 0),) + SUPPORTED_ORDERS
 
 alphas = st.floats(0.2, 5.0)
 points = st.builds(UpperHalfPoint, st.floats(-0.5, 0.5), st.floats(0.5, 3.0))
+domain_points = st.floats(-0.5, 0.5).flatmap(
+    lambda x: st.builds(UpperHalfPoint, st.just(x), st.floats(math.sqrt(1.0 - x * x), 4.0))
+)
 
 
 def theta_of_order(X, Y, order, cfg):
@@ -97,3 +109,34 @@ def test_tighter_rel_tol_agrees_with_default(alpha, b, z):
     ):
         v = value(DEFAULT_CONFIG)
         assert abs(value(TIGHT) - v) <= 1e-13 * abs(v)
+
+
+@settings(max_examples=200, deadline=None)
+@given(alpha=st.floats(0.25, 64.0), a=st.floats(1.01, 4.0), b=st.floats(-2.0, 2.0), z=domain_points)
+def test_closed_form_energy_matches_direct_sum(alpha, a, b, z):
+    # The smallest nonzero norm is at most 2/sqrt(3), so this radius keeps every
+    # term above e^{-45} of the largest.  At large alpha the energies are far
+    # below the 1e-16 that subtracting the origin term from theta would leave.
+    # Each exponential term of f counts apart (b e^{-pi a alpha q}, (b/alpha)
+    # e^{-pi alpha q}): where they cancel at a point or across the lattice, the
+    # energy is as ill-conditioned as its inputs' last bits.
+    radius = math.sqrt(2.0 + 45.0 / (math.pi * alpha))
+    qs = [q for q, _ in lattice_norms(z, radius) if q > 0.0]
+    e = [math.exp(-math.pi * alpha * q) for q in qs]
+    for spec, terms in (
+        (Gaussian(alpha), e),
+        (GaussianDiff(alpha, a, b), e + [-b * math.exp(-math.pi * a * alpha * q) for q in qs]),
+        (PolyGaussian(alpha, b), [q * v for q, v in zip(qs, e)] + [-b / alpha * v for v in e]),
+    ):
+        error = abs(closed_form_energy(spec, z) - math.fsum(terms))
+        assert error <= 1e-13 * math.fsum(map(abs, terms)), spec
+
+
+@settings(max_examples=100, deadline=None)
+@given(c=st.floats(1e-3, 50.0))
+def test_exp_sinh_rule_integrates_exponentials(c):
+    # int_1^inf e^{-c x} dx = e^{-c}/c and int_1^inf x e^{-c x} dx = e^{-c}(1/c + 1/c^2)
+    e = math.exp(-c)
+    for f, exact in ((lambda x: math.exp(-c * x), e / c),
+                     (lambda x: x * math.exp(-c * x), e * (1.0 / c + 1.0 / c**2))):
+        assert abs(integrate(f, 1.0) - exact) <= 1e-14 * exact

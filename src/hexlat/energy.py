@@ -18,11 +18,13 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Union
 
+import numpy as np
+
 from .config import DEFAULT_CONFIG, SeriesConfig
 from .errors import InvalidParameter, NonPositiveAlpha, TailTooLarge
 from .moduli import UpperHalfPoint, lattice_norms
 from .quadrature import gauss_panel, integrate
-from .theta1d import jacobi_theta, jacobi_theta_partial
+from .theta1d import jacobi_theta, jacobi_theta_partial, theta_array
 
 _PI = math.pi
 
@@ -111,6 +113,58 @@ def _w_b_minus_origin(alpha: float, b: float, z: UpperHalfPoint, cfg: SeriesConf
     row0 = 2.0 * sum((k * k * d - b) * math.exp(-_PI * d * k * k) for k in range(1, last + 1)) / alpha
     c0 = 0.5 * (1.0 - 2.0 * _PI * b) * d
     return row0 + _w_rows(alpha, c0, z, 0.0, cfg)
+
+
+def _theta_minus_one_batch(alphas: np.ndarray, z: UpperHalfPoint, cfg: SeriesConfig) -> np.ndarray:
+    """:func:`_theta_minus_one` at each alpha of an array, by the same expansion
+    and branch.  Each series sums as many terms as last_index gives at the
+    batch's smallest decay; a node's terms past its own cut lie below rel_tol."""
+    x, y = z.x, z.y
+    X0 = y / alphas
+    full = alphas < y
+    n = np.arange(cfg.last_index(alphas.min() * y, 0, 1, "theta_lattice") + 1.0)
+    nc = n[:, None]
+    w = 2.0 * np.exp(-alphas * _PI * y * nc * nc)
+    w[0] = full  # the n = 0 term theta(X0; 0) where alpha < y
+    rows = np.sqrt(X0) * (w * theta_array(X0, n * x, 0, cfg)).sum(axis=0)
+    return np.where(full, rows - 1.0, _row0_batch(alphas, ~full, y, 0, 0.0, cfg) + rows)
+
+
+def _w_b_minus_origin_batch(
+    alphas: np.ndarray, b: float, z: UpperHalfPoint, cfg: SeriesConfig
+) -> np.ndarray:
+    """:func:`_w_b_minus_origin` at each alpha of an array, by the same expansion
+    and branch, with term counts as in :func:`_theta_minus_one_batch`."""
+    x, y = z.x, z.y
+    X0 = y / alphas
+    full = 4.0 * alphas < y
+    c0 = 0.5 * (1.0 - 2.0 * _PI * b) * (alphas / y)
+    c2 = _PI * alphas * alphas
+    n = np.arange(cfg.last_index(alphas.min() * y, 2, 1, "w_b") + 1.0)
+    nc = n[:, None]
+    w = 2.0 * np.exp(-alphas * _PI * y * nc * nc)
+    th, thx = theta_array(X0, n * x, 0, cfg), theta_array(X0, n * x, 1, cfg)
+    terms = w * ((c0 + c2 * nc * nc) * th + thx)
+    terms[0] = np.where(full, c0 * th[0] + thx[0], 0.0)  # the n = 0 term where 4 alpha < y
+    rows = y**1.5 / (_PI * alphas**2.5) * terms.sum(axis=0)
+    return np.where(full, rows + b / alphas, _row0_batch(alphas, ~full, y, 2, b, cfg) + rows)
+
+
+def _row0_batch(
+    alphas: np.ndarray, use: np.ndarray, y: float, power: int, b: float, cfg: SeriesConfig
+) -> np.ndarray:
+    """The row n = 0 without the origin, 2 sum_{k>=1} e^{-pi d k^2} (power 0)
+    or 2 sum_{k>=1} (k^2 d - b) e^{-pi d k^2} / alpha (power 2) with
+    d = alpha/y, at the alphas where use is set and 0 elsewhere."""
+    out = np.zeros(alphas.shape)
+    if use.any():
+        a = alphas[use]
+        d = a / y
+        name = "w_b" if power else "theta_lattice"
+        k = np.arange(1.0, cfg.last_index(d.min(), power, 1, name) + 1.0)[:, None]
+        e = np.exp(-_PI * d * k * k)
+        out[use] = 2.0 * ((k * k * d - b) * e).sum(axis=0) / a if power else 2.0 * e.sum(axis=0)
+    return out
 
 
 def w_b_via_theta_derivative(
@@ -349,7 +403,9 @@ def potential_value(p: PotentialSpec, q: float) -> float:
         return (q - p.b / p.alpha) * math.exp(-_PI * p.alpha * q)
     if isinstance(p, YukawaDiff):
         return (math.exp(-_PI * p.alpha * q) - p.b * math.exp(-_PI * p.a * p.alpha * q)) / q
-    return _laplace_integral(p, lambda spec: potential_value(spec, q))
+    return _laplace_integral(
+        p, lambda A: np.exp(-_PI * A * q), lambda A, b: (q - b / A) * np.exp(-_PI * A * q)
+    )
 
 
 def _tail_majorant(p: PotentialSpec, t0: float) -> float:
@@ -402,20 +458,43 @@ def lattice_energy(p: PotentialSpec, z: UpperHalfPoint, cutoff_radius: float) ->
     return total
 
 
-def _laplace_integral(p: LaplaceWeighted, value: Callable[[PotentialSpec], float]) -> float:
-    """int_1^inf P(x) v(x) dx, where v(x) is value() of GaussianDiff(alpha x, a, b)
-    for family f and x times value() of PolyGaussian(alpha x, b) for family g:
-    the defining x-integral of p, with the weight P checked to be nonnegative."""
+def _laplace_integral(
+    p: LaplaceWeighted,
+    gauss: Callable[[np.ndarray], np.ndarray],
+    poly: Callable[[np.ndarray, float], np.ndarray],
+) -> float:
+    """int_1^inf P(x) v(x) dx, where v(x) is gauss(alpha x) - b gauss(a alpha x)
+    for family f and x poly(alpha x, b) for family g: the defining x-integral of
+    p when gauss(A) and poly(A, b) give the Gaussian(A) and PolyGaussian(A, b)
+    quantity at each element of an array A.
 
-    def integrand(x: float) -> float:
-        w = p.weight(x)
-        if w < 0.0:
-            raise InvalidParameter(f"weight must be nonnegative, got P({x}) = {w}")
-        if p.family == "f":
-            return w * value(GaussianDiff(x * p.alpha, p.a, p.b))
-        return w * x * value(PolyGaussian(x * p.alpha, p.b))
+    Each quadrature call passes all its nodes through one call of gauss (at
+    alpha x and a alpha x together) or poly.  The weight P is called once per
+    node and checked to be nonnegative; where it overflows, the node's value
+    is inf.
+    """
+
+    def integrand(x: np.ndarray) -> np.ndarray:
+        w = np.array([_weight(p, t) for t in x.tolist()])
+        A = x * p.alpha
+        # Nodes far past the walk's stop may overflow; integrate ignores them.
+        with np.errstate(over="ignore", invalid="ignore"):
+            if p.family == "f":
+                e = gauss(np.concatenate((A, p.a * A)))
+                return w * (e[: len(A)] - p.b * e[len(A) :])
+            return w * x * poly(A, p.b)
 
     return integrate(integrand, 1.0)
+
+
+def _weight(p: LaplaceWeighted, x: float) -> float:
+    try:
+        w = p.weight(x)
+    except OverflowError:
+        return math.inf
+    if w < 0.0:
+        raise InvalidParameter(f"weight must be nonnegative, got P({x}) = {w}")
+    return w
 
 
 def laplace_energy(
@@ -425,7 +504,11 @@ def laplace_energy(
     closed-form energies over the transform variable (Fubini)."""
     if not isinstance(p, LaplaceWeighted):
         raise InvalidParameter("laplace_energy requires a LaplaceWeighted spec")
-    return _laplace_integral(p, lambda spec: closed_form_energy(spec, z, cfg))
+    return _laplace_integral(
+        p,
+        lambda A: _theta_minus_one_batch(A, z, cfg),
+        lambda A, b: _w_b_minus_origin_batch(A, b, z, cfg),
+    )
 
 
 def closed_form_energy(

@@ -22,45 +22,49 @@ def gauss_panel(f: Callable[[float], float], a: float, b: float) -> float:
     return half * sum(w * f(mid + half * t) for t, w in zip(*_nodes()))
 
 
-def integrate(f: Callable[[float], float], a: float) -> float:
+def integrate(f: Callable[[np.ndarray], np.ndarray], a: float) -> float:
     """int_a^inf f(x) dx: x = a + e^{(pi/2) sinh t} and the trapezoid rule in t.
 
-    The unit-step sum walks out from t = 0 until a term is below 1e-17 of the
-    summed magnitude on each side; each level then halves the step, down to
-    2^-9, until two levels agree to 1e-12 of the integral or 1e-14 of that of
-    |f|.  An f whose terms have not decayed by |t| = 6.5 (e^{(pi/2) sinh t} ~
-    1e227), or that overflows, raises QuadratureDivergence.
+    f takes an array of nodes and returns their values: it is called once for
+    the unit steps t = -6..6 and once for each level's midpoints.  The
+    unit-step sum walks out from t = 0 until a term is below 1e-17 of the
+    summed magnitude on each side; the terms past that stop are ignored,
+    finite or not.  Each level then halves the step, down to 2^-9, until two
+    levels agree to 1e-12 of the integral or 1e-14 of that of |f|.  An f
+    whose terms have not decayed by |t| = 6.5 (e^{(pi/2) sinh t} ~ 1e227), or
+    that is not finite at a node the sum uses, raises QuadratureDivergence.
     """
 
-    def term(t: float) -> float:
-        u = math.exp(_HALF_PI * math.sinh(t))
-        try:
-            v = _HALF_PI * math.cosh(t) * u * f(a + u)
-        except OverflowError:
-            v = math.inf
+    def terms(ts: list[float]) -> list[float]:
+        # math places the nodes: numpy's exp and sinh may differ in the last bit.
+        u = np.array([math.exp(_HALF_PI * math.sinh(t)) for t in ts])
+        c = np.array([_HALF_PI * math.cosh(t) for t in ts])
+        return (c * u * f(a + u)).tolist()
+
+    def used(v: float) -> float:
         if not math.isfinite(v):
             raise QuadratureDivergence(f"integrand does not decay on [{a}, inf)")
         return v
 
-    total = term(0.0)
+    unit = terms(list(range(-6, 7)))  # unit[6 + k] is the term at t = k
+    total = used(unit[6])
     s_abs = abs(total)
     ends = []
-    for step in (-1.0, 1.0):
-        t = 0.0
-        while abs(t + step) <= 6.5:
-            t += step
-            v = term(t)
+    for step in (-1, 1):
+        for k in range(step, 7 * step, step):
+            v = used(unit[6 + k])
             total += v
             s_abs += abs(v)
             if abs(v) <= 1e-17 * s_abs:
                 break
         else:
             raise QuadratureDivergence(f"integrand does not decay on [{a}, inf)")
-        ends.append(t)
+        ends.append(k)
     (t_lo, t_hi), h, estimate = ends, 1.0, total
     while h > 2.0**-9:
         h *= 0.5
-        mids = [term(t_lo + h * (2 * k + 1)) for k in range(round((t_hi - t_lo) / (2 * h)))]
+        ts = [t_lo + h * (2 * k + 1) for k in range(round((t_hi - t_lo) / (2 * h)))]
+        mids = [used(v) for v in terms(ts)]
         total += math.fsum(mids)
         s_abs += math.fsum(map(abs, mids))
         prev, estimate = estimate, h * total

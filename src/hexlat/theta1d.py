@@ -10,12 +10,15 @@ converges faster and is used instead; both branches are valid on all of
 X > 0, which the consistency checks exploit.
 
 Only the four partial derivatives the two-dimensional expansions actually
-need are implemented: theta_X, theta_Y, theta_XY and theta_XX.
+need are implemented: theta_X, theta_Y, theta_XY and theta_XX.  The Laplace
+quadrature evaluates theta and theta_X over arrays with :func:`theta_array`.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 from .config import DEFAULT_CONFIG, SeriesConfig
 from .errors import NonPositiveX, UnsupportedOrder
@@ -114,6 +117,45 @@ def jacobi_theta_partial(
     if X < cfg.poisson_switch:
         return _sum_poisson(X, Yr, x_order, y_order, cfg)
     return _sum_fourier(X, Yr, x_order, y_order, cfg)
+
+
+def theta_array(X: np.ndarray, Y: np.ndarray, x_order: int, cfg: SeriesConfig) -> np.ndarray:
+    """theta(X; Y) (x_order 0) or theta_X (x_order 1) at every pair of the 1-d
+    arrays X > 0 and Y: out[k, i] is the value at (X[i], Y[k]), by the branch
+    :func:`jacobi_theta` takes at X[i].
+
+    Each branch sums as many terms as last_index gives at its smallest decay,
+    so a pair may add terms past its own cut; they lie below rel_tol.
+    """
+    Y = (Y - np.floor(Y))[:, None]
+    out = np.empty((len(Y), len(X)))
+    low = X < cfg.poisson_switch
+    for mask, series in ((low, _poisson_array), (~low, _fourier_array)):
+        if mask.any():
+            out[:, mask] = series(X[mask], Y, x_order, cfg)
+    return out
+
+
+def _fourier_array(X: np.ndarray, Y: np.ndarray, xo: int, cfg: SeriesConfig) -> np.ndarray:
+    # Term n = 0 carries the constant 1 of theta, so the terms add up in the
+    # order of _sum_fourier.
+    n = np.arange(cfg.last_index(X.min(), 2 * xo, 1, "Fourier theta series") + 1.0)[:, None, None]
+    c = -_TWO_PI * n * n if xo else np.where(n == 0.0, 1.0, 2.0)
+    return (c * np.exp(-_PI * n * n * X) * np.cos(_TWO_PI * n * Y)).sum(axis=0)
+
+
+def _poisson_array(X: np.ndarray, Y: np.ndarray, xo: int, cfg: SeriesConfig) -> np.ndarray:
+    j = np.arange(cfg.last_index(1.0 / X.max(), 2 * xo, 0, "Poisson theta series") + 1.0)[:, None, None]
+    return (_poisson_comb(X, Y, xo, 1.0 + j) + _poisson_comb(X, Y, xo, -j)).sum(axis=0)
+
+
+def _poisson_comb(X: np.ndarray, Y: np.ndarray, xo: int, n: np.ndarray) -> np.ndarray:
+    """_poisson_term of order (xo, 0) at the integers n, over arrays."""
+    d = n - Y
+    e = np.exp(-_PI * d * d / X)
+    if xo == 0:
+        return X**-0.5 * e
+    return X**-2.5 * (_PI * d * d - 0.5 * X) * e
 
 
 def _power_tail(X: float, power: int, cfg: SeriesConfig, name: str) -> float:

@@ -31,7 +31,7 @@ from hexlat import (
     w_b_via_theta_derivative,
 )
 from hexlat.energy import b_crit, potential_value, theta_difference_via_w_integral
-from hexlat import quadrature
+from hexlat import energy, quadrature
 from hexlat.errors import (
     InvalidParameter,
     NonPositiveAlpha,
@@ -374,6 +374,35 @@ def test_laplace_divergence_guard():
         quadrature.integrate(lambda x: 1.0, 1.0)
 
 
+def test_exp_sinh_rule_ignores_values_past_its_stop():
+    # e^{-x} underflows long before x = 1e100 (t ~ 5.7), so the unit walk stops
+    # first and never sums the nan; a nan at x > 10 lies on the walk (t = 2).
+    def cut_at(x_max):
+        return lambda x: np.where(x <= x_max, np.exp(-x), np.nan)
+
+    assert abs(quadrature.integrate(cut_at(1e100), 1.0) - math.exp(-1.0)) <= 1e-14 * math.exp(-1.0)
+    with pytest.raises(QuadratureDivergence):
+        quadrature.integrate(cut_at(10.0), 1.0)
+
+
+@pytest.mark.parametrize("family, kernel", [("f", "_theta_minus_one_batch"),
+                                            ("g", "_w_b_minus_origin_batch")])
+def test_laplace_energy_batches_each_quadrature_level(monkeypatch, family, kernel):
+    # One kernel call for the unit walk and one per halving level (at most
+    # nine); evaluating the nodes one at a time would make ~100.
+    calls = []
+    batch = getattr(energy, kernel)
+
+    def counting(alphas, *args):
+        calls.append(len(alphas))
+        return batch(alphas, *args)
+
+    monkeypatch.setattr(energy, kernel, counting)
+    p = LaplaceWeighted(alpha=1.0, a=2.0, b=0.3, weight=lambda x: math.exp(-x), family=family)
+    laplace_energy(p, HEX)
+    assert 0 < len(calls) <= 12
+
+
 def test_group_invariance_of_energies():
     rng = np.random.default_rng(11)
     gens = list(Generator)
@@ -400,6 +429,10 @@ def test_potential_value_laplace_flat_closed_form():
 _CAPPED = SeriesConfig(max_terms=8)
 
 
+def _laplace_at(alpha, family):
+    return LaplaceWeighted(alpha=alpha, a=2.0, b=0.1, weight=lambda x: math.exp(-x), family=family)
+
+
 @pytest.mark.parametrize(
     "name, call",
     [
@@ -408,8 +441,10 @@ _CAPPED = SeriesConfig(max_terms=8)
         ("dx_w", lambda z: dx_w(0.01, z, _CAPPED)),
         ("dy_w", lambda z: dy_w(0.01, z, _CAPPED)),
         ("dx_w_double_sum", lambda z: dx_w_double_sum(0.01, z, _CAPPED)),
+        ("theta_lattice", lambda z: laplace_energy(_laplace_at(0.01, "f"), z, _CAPPED)),
+        ("w_b", lambda z: laplace_energy(_laplace_at(0.01, "g"), z, _CAPPED)),
     ],
-    ids=["theta_lattice", "w_b", "dx_w", "dy_w", "dx_w_double_sum"],
+    ids=["theta_lattice", "w_b", "dx_w", "dy_w", "dx_w_double_sum", "laplace-f", "laplace-g"],
 )
 def test_energy_truncation_failure_when_capped(name, call):
     # alpha y = 0.01 needs ~30 outer terms against a cap of 8

@@ -1,15 +1,18 @@
 """Property tests for the series truncation rule (SeriesConfig.last_index),
-the origin-free closed-form energies and the exp-sinh quadrature.
+the origin-free closed-form energies, their batched forms and the exp-sinh
+quadrature.
 
 The truncation properties compare two evaluations that the rule truncates
 differently: the Fourier and Poisson representations of theta(X; Y), the two
-sides of alpha-duality, and a tighter rel_tol against the default.  The
-energies are checked against direct lattice sums, the quadrature against
-exact exponential integrals.
+sides of alpha-duality, a tighter rel_tol against the default, and the
+batched origin-free sums against the scalar ones.  The energies are checked
+against direct lattice sums, the quadrature against exact exponential
+integrals.
 """
 
 import math
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -27,6 +30,12 @@ from hexlat import (
     lattice_norms,
     theta_lattice,
     w_b,
+)
+from hexlat.energy import (
+    _theta_minus_one,
+    _theta_minus_one_batch,
+    _w_b_minus_origin,
+    _w_b_minus_origin_batch,
 )
 from hexlat.quadrature import integrate
 from hexlat.theta1d import SUPPORTED_ORDERS, _poisson_term
@@ -81,6 +90,15 @@ def test_last_index_is_first_small_bound_plus_two_guards(d, p, start):
 
 
 @settings(max_examples=200, deadline=None)
+@given(d=st.floats(-3.0, 6.0), ratio=st.floats(0.0, 3.0), p=st.integers(0, 4),
+       start=st.sampled_from((0, 1, 2)))
+def test_last_index_non_increasing_in_decay(d, ratio, p, start):
+    # This lets one last_index call at a batch's smallest decay cover the batch.
+    lo, hi = 10.0**d, 10.0 ** (d + ratio)
+    assert DEFAULT_CONFIG.last_index(hi, p, start, "probe") <= DEFAULT_CONFIG.last_index(lo, p, start, "probe")
+
+
+@settings(max_examples=200, deadline=None)
 @given(X=st.floats(0.1, 10.0), Y=st.floats(-2.0, 2.0))
 def test_forced_fourier_equals_forced_poisson(X, Y):
     # Each branch is truncated at rel_tol of its largest term; the two agree
@@ -111,6 +129,23 @@ def test_tighter_rel_tol_agrees_with_default(alpha, b, z):
         assert abs(value(TIGHT) - v) <= 1e-13 * abs(v)
 
 
+@settings(max_examples=100, deadline=None)
+@given(exponents=st.lists(st.floats(-2.0, 8.0), min_size=1, max_size=16), b=st.floats(-2.0, 2.0),
+       x=st.floats(-1.0, 1.0), log2_y=st.floats(math.log2(0.2), 32.0))
+def test_batched_origin_free_sums_match_scalar(exponents, b, x, log2_y):
+    # The alphas straddle y and y/4, where the scalar sums switch branch.  W_b +
+    # b/alpha is held to its terms' magnitudes, which the b -> -|b| sum bounds.
+    z = UpperHalfPoint(x, 2.0**log2_y)
+    near = [z.y * r for r in (0.24, 0.26, 0.99, 1.01)]
+    alphas = np.array([10.0**e for e in exponents] + [a for a in near if 1e-2 <= a <= 1e8])
+    cfg = DEFAULT_CONFIG
+    for alpha, value in zip(alphas, _theta_minus_one_batch(alphas, z, cfg)):
+        assert abs(value - _theta_minus_one(alpha, z, cfg)) <= 1e-14 * _theta_minus_one(alpha, z, cfg)
+    for alpha, value in zip(alphas, _w_b_minus_origin_batch(alphas, b, z, cfg)):
+        scale = _w_b_minus_origin(alpha, -abs(b), z, cfg)
+        assert abs(value - _w_b_minus_origin(alpha, b, z, cfg)) <= 1e-14 * scale
+
+
 @settings(max_examples=200, deadline=None)
 @given(alpha=st.floats(0.25, 64.0), a=st.floats(1.01, 4.0), b=st.floats(-2.0, 2.0), z=domain_points)
 def test_closed_form_energy_matches_direct_sum(alpha, a, b, z):
@@ -137,6 +172,6 @@ def test_closed_form_energy_matches_direct_sum(alpha, a, b, z):
 def test_exp_sinh_rule_integrates_exponentials(c):
     # int_1^inf e^{-c x} dx = e^{-c}/c and int_1^inf x e^{-c x} dx = e^{-c}(1/c + 1/c^2)
     e = math.exp(-c)
-    for f, exact in ((lambda x: math.exp(-c * x), e / c),
-                     (lambda x: x * math.exp(-c * x), e * (1.0 / c + 1.0 / c**2))):
+    for f, exact in ((lambda x: np.exp(-c * x), e / c),
+                     (lambda x: x * np.exp(-c * x), e * (1.0 / c + 1.0 / c**2))):
         assert abs(integrate(f, 1.0) - exact) <= 1e-14 * exact

@@ -26,8 +26,30 @@ from .errors import NonPositiveX, UnsupportedOrder
 _TWO_PI = 2.0 * math.pi
 _PI = math.pi
 
+#: One entry per derivative order (x_order, y_order) of theta, holding each
+#: series term once.  Fourier: (c, trig), the term at n >= 1 being
+#: c(n) e^{-pi n^2 X} trig(2 pi n Y); c pairs n with -n, so the n = 0 term is
+#: c(0)/2.  Poisson: the comb term at d = n - Y with e = e^{-pi d^2 / X}.
+#: Arithmetic operators only, so the float sums and the array kernel share them.
+_TERMS = {
+    (0, 0): (lambda n: 2.0, "cos", lambda X, d, e: X**-0.5 * e),
+    (1, 0): (
+        lambda n: -_TWO_PI * n * n, "cos",
+        lambda X, d, e: X**-2.5 * (_PI * d * d - 0.5 * X) * e,
+    ),
+    (0, 1): (lambda n: -4.0 * _PI * n, "sin", lambda X, d, e: _TWO_PI * X**-1.5 * d * e),
+    (1, 1): (
+        lambda n: 4.0 * _PI * _PI * n**3, "sin",
+        lambda X, d, e: _PI * X**-3.5 * (2.0 * _PI * d**3 - 3.0 * X * d) * e,
+    ),
+    (2, 0): (
+        lambda n: 2.0 * _PI * _PI * n**4, "cos",
+        lambda X, d, e: X**-4.5 * (_PI * _PI * d**4 - 3.0 * _PI * X * d * d + 0.75 * X * X) * e,
+    ),
+}
+
 #: Derivative orders supported by jacobi_theta_partial, as (x_order, y_order).
-SUPPORTED_ORDERS = ((1, 0), (0, 1), (1, 1), (2, 0))
+SUPPORTED_ORDERS = tuple(order for order in _TERMS if order != (0, 0))
 
 
 def _check_x(X: float) -> None:
@@ -41,53 +63,30 @@ def _reduce_y(Y: float) -> float:
     return Y - math.floor(Y)
 
 
-def _fourier_term(X: float, Y: float, xo: int, yo: int, n: int) -> float:
-    """n-th term of the differentiated Fourier series."""
-    e = math.exp(-_PI * n * n * X)
-    if (xo, yo) == (0, 0):
-        return 2.0 * e * math.cos(_TWO_PI * n * Y)
-    if (xo, yo) == (1, 0):
-        return -_TWO_PI * n * n * e * math.cos(_TWO_PI * n * Y)
-    if (xo, yo) == (0, 1):
-        return -4.0 * _PI * n * e * math.sin(_TWO_PI * n * Y)
-    if (xo, yo) == (1, 1):
-        return 4.0 * _PI * _PI * n**3 * e * math.sin(_TWO_PI * n * Y)
-    # (2, 0)
-    return 2.0 * _PI * _PI * n**4 * e * math.cos(_TWO_PI * n * Y)
-
-
-def _poisson_term(X: float, Y: float, xo: int, yo: int, n: int) -> float:
-    """Term of the differentiated Poisson comb at integer n."""
-    d = n - Y
-    e = math.exp(-_PI * d * d / X)
-    if (xo, yo) == (0, 0):
-        return X**-0.5 * e
-    if (xo, yo) == (0, 1):
-        return _TWO_PI * X**-1.5 * d * e
-    if (xo, yo) == (1, 0):
-        return X**-2.5 * (_PI * d * d - 0.5 * X) * e
-    if (xo, yo) == (1, 1):
-        return _PI * X**-3.5 * (2.0 * _PI * d**3 - 3.0 * X * d) * e
-    # (2, 0)
-    return X**-4.5 * (_PI * _PI * d**4 - 3.0 * _PI * X * d * d + 0.75 * X * X) * e
-
-
 def _sum_fourier(X: float, Y: float, xo: int, yo: int, cfg: SeriesConfig) -> float:
     # The n-th term is bounded by n^(2 xo + yo) e^{-pi X n^2}.
     last = cfg.last_index(X, 2 * xo + yo, 1, "Fourier theta series")
-    acc = 1.0 if (xo, yo) == (0, 0) else 0.0
+    coef, trig_name, _ = _TERMS[xo, yo]
+    trig = getattr(math, trig_name)
+    acc = 0.5 * coef(0) * trig(0.0)
     for n in range(1, last + 1):
-        acc += _fourier_term(X, Y, xo, yo, n)
+        acc += coef(n) * math.exp(-_PI * n * n * X) * trig(_TWO_PI * n * Y)
     return acc
+
+
+def _comb(term, X, d, exp):
+    """Poisson comb term at d = n - Y, on floats (math.exp) or arrays (np.exp)."""
+    return term(X, d, exp(-_PI * d * d / X))
 
 
 def _sum_poisson(X: float, Y: float, xo: int, yo: int, cfg: SeriesConfig) -> float:
     # Y is in [0, 1); the dominant comb points are n = 0 and n = 1, so sum
     # outward in pairs (1 + j, -j), both at distance >= j from Y.
     last = cfg.last_index(1.0 / X, 2 * xo + yo, 0, "Poisson theta series")
+    term = _TERMS[xo, yo][2]
     acc = 0.0
     for j in range(last + 1):
-        acc += _poisson_term(X, Y, xo, yo, 1 + j) + _poisson_term(X, Y, xo, yo, -j)
+        acc += _comb(term, X, 1 + j - Y, math.exp) + _comb(term, X, -j - Y, math.exp)
     return acc
 
 
@@ -132,30 +131,23 @@ def theta_array(X: np.ndarray, Y: np.ndarray, x_order: int, cfg: SeriesConfig) -
     low = X < cfg.poisson_switch
     for mask, series in ((low, _poisson_array), (~low, _fourier_array)):
         if mask.any():
-            out[:, mask] = series(X[mask], Y, x_order, cfg)
+            out[:, mask] = series(X[mask], Y, x_order, 0, cfg)
     return out
 
 
-def _fourier_array(X: np.ndarray, Y: np.ndarray, xo: int, cfg: SeriesConfig) -> np.ndarray:
-    # Term n = 0 carries the constant 1 of theta, so the terms add up in the
-    # order of _sum_fourier.
-    n = np.arange(cfg.last_index(X.min(), 2 * xo, 1, "Fourier theta series") + 1.0)[:, None, None]
-    c = -_TWO_PI * n * n if xo else np.where(n == 0.0, 1.0, 2.0)
-    return (c * np.exp(-_PI * n * n * X) * np.cos(_TWO_PI * n * Y)).sum(axis=0)
+def _fourier_array(X: np.ndarray, Y: np.ndarray, xo: int, yo: int, cfg: SeriesConfig) -> np.ndarray:
+    # Row n = 0 holds the n = 0 term, so the rows add up in the order of _sum_fourier.
+    coef, trig_name, _ = _TERMS[xo, yo]
+    n = np.arange(cfg.last_index(X.min(), 2 * xo + yo, 1, "Fourier theta series") + 1.0)[:, None, None]
+    terms = coef(n) * np.exp(-_PI * n * n * X) * getattr(np, trig_name)(_TWO_PI * n * Y)
+    terms[0] *= 0.5
+    return terms.sum(axis=0)
 
 
-def _poisson_array(X: np.ndarray, Y: np.ndarray, xo: int, cfg: SeriesConfig) -> np.ndarray:
-    j = np.arange(cfg.last_index(1.0 / X.max(), 2 * xo, 0, "Poisson theta series") + 1.0)[:, None, None]
-    return (_poisson_comb(X, Y, xo, 1.0 + j) + _poisson_comb(X, Y, xo, -j)).sum(axis=0)
-
-
-def _poisson_comb(X: np.ndarray, Y: np.ndarray, xo: int, n: np.ndarray) -> np.ndarray:
-    """_poisson_term of order (xo, 0) at the integers n, over arrays."""
-    d = n - Y
-    e = np.exp(-_PI * d * d / X)
-    if xo == 0:
-        return X**-0.5 * e
-    return X**-2.5 * (_PI * d * d - 0.5 * X) * e
+def _poisson_array(X: np.ndarray, Y: np.ndarray, xo: int, yo: int, cfg: SeriesConfig) -> np.ndarray:
+    term = _TERMS[xo, yo][2]
+    j = np.arange(cfg.last_index(1.0 / X.max(), 2 * xo + yo, 0, "Poisson theta series") + 1.0)[:, None, None]
+    return (_comb(term, X, 1.0 + j - Y, np.exp) + _comb(term, X, -j - Y, np.exp)).sum(axis=0)
 
 
 def _power_tail(X: float, power: int, cfg: SeriesConfig, name: str) -> float:

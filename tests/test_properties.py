@@ -38,7 +38,7 @@ from hexlat.energy import (
     _w_b_minus_origin_batch,
 )
 from hexlat.quadrature import integrate
-from hexlat.theta1d import SUPPORTED_ORDERS, _poisson_term
+from hexlat.theta1d import _TERMS, SUPPORTED_ORDERS, _comb
 
 FOURIER = SeriesConfig(poisson_switch=1e-9)
 POISSON = SeriesConfig(poisson_switch=1e9)
@@ -71,8 +71,9 @@ def abs_term_sum(X, Y, order, branch):
             for n in range(-80, 81)
         )
     Y = Y - math.floor(Y)
+    term = _TERMS[order][2]
     return sum(
-        abs(_poisson_term(X, Y, xo, yo, 1 + j)) + abs(_poisson_term(X, Y, xo, yo, -j))
+        abs(_comb(term, X, 1 + j - Y, math.exp)) + abs(_comb(term, X, -j - Y, math.exp))
         for j in range(80)
     )
 

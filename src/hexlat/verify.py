@@ -153,14 +153,14 @@ def _lb_assemble(alpha, y, doubles):
     return g + (alpha**2 - 1.0) * np.exp(-_PI * y * alpha) * doubles
 
 
-def eps_c_terms(alpha, y):
+def eps_c_terms(alpha, y, cfg: SeriesConfig = DEFAULT_CONFIG):
     """The four R_c error terms (series prefactors times exponential tails)."""
     X0 = y / alpha
-    ks = np.arange(1.0, 25.0)
+    ks = np.arange(1.0, cfg.last_index(np.min(X0), 4, 1, "eps_c comb sums") + 1.0)
     comb = np.exp(-_PI * np.multiply.outer(X0, ks**2))
     t = comb.sum(axis=-1)
     pref_theta = (1.0 + t) / (1.0 - t)
-    ns = np.arange(2.0, 25.0)
+    ns = np.arange(2.0, cfg.last_index(np.min(alpha * y), 4, 2, "eps_c tails") + 1.0)
     tail = np.exp(-_PI * np.multiply.outer(alpha * y, ns**2 - 1.0))
     tail2 = (tail * ns**2).sum(axis=-1)
     tail4 = (tail * ns**4).sum(axis=-1)
@@ -185,9 +185,9 @@ def eps_d2(alpha, y):
     return 16.0 * np.exp(-3.0 * _PI * alpha * y) * (1.0 + np.exp(-3.0 * _PI * alpha / (4.0 * y)))
 
 
-def rc_inner_expression(alpha, y):
+def rc_inner_expression(alpha, y, cfg: SeriesConfig = DEFAULT_CONFIG):
     """The printed R_c lower-bound expression (with pointwise error terms)."""
-    e1, e2, e3, e4 = eps_c_terms(alpha, y)
+    e1, e2, e3, e4 = eps_c_terms(alpha, y, cfg)
     return (
         _PI * y / alpha
         - 1.5
@@ -283,9 +283,10 @@ def theta_radial_operator(alpha: float, z: UpperHalfPoint) -> float:
     return float(((_PI * alpha) ** 2 * (R**2 * E)).sum() - (2.0 * _PI * alpha / z.y) * (N**2 * E).sum())
 
 
-def _comb_moment_ratio(a: float, Y: float, nmax: int = 30) -> float:
-    """sum (n-Y)^3 e^{-a pi (n-Y)^2} / sum (n-Y) e^{-a pi (n-Y)^2}."""
-    ns = np.arange(-nmax, nmax + 1, dtype=float)
+def _comb_moment_ratio(a: float, Y: float, cfg: SeriesConfig) -> float:
+    """sum (n-Y)^3 e^{-a pi (n-Y)^2} / sum (n-Y) e^{-a pi (n-Y)^2}, 0 <= Y < 1."""
+    last = cfg.last_index(a, 3, 0, "comb moment ratio")
+    ns = np.arange(-last, last + 2.0)
     d = ns - Y
     e = np.exp(-a * _PI * d * d)
     return float((d**3 * e).sum() / (d * e).sum())
@@ -452,7 +453,7 @@ def _check_comb_ratio(ctx) -> list[LemmaReport]:
     worst = 0.0
     for a in (2.0, 2.5, 3.0, 5.0, 10.0, 40.0):
         for Y in [y / 100.0 for y in range(1, 50)]:
-            worst = max(worst, abs(_comb_moment_ratio(a, Y)))
+            worst = max(worst, abs(_comb_moment_ratio(a, Y, ctx.cfg)))
     return [_mk("L26", 0.25, worst, "<=", 1e-12,
                 "a in {2,...,40}, Y in (0, 0.5); bound approached as a -> inf")]
 
@@ -579,8 +580,9 @@ def _check_ratio_constants(ctx) -> list[LemmaReport]:
 def _check_fa1(ctx) -> list[LemmaReport]:
     worst = 0.0
     for a in np.linspace(2.0, 50.0, 49):
-        num = sum((2 * a * _PI * k**4 - 3 * k * k) * math.exp(-a * _PI * k * k) for k in range(1, 30))
-        den = -1.0 + 2.0 * sum((2 * a * _PI * k * k - 1) * math.exp(-a * _PI * k * k) for k in range(1, 30))
+        ks = range(1, ctx.cfg.last_index(a, 4, 1, "fa1") + 1)
+        num = sum((2 * a * _PI * k**4 - 3 * k * k) * math.exp(-a * _PI * k * k) for k in ks)
+        den = -1.0 + 2.0 * sum((2 * a * _PI * k * k - 1) * math.exp(-a * _PI * k * k) for k in ks)
         worst = max(worst, abs(2.0 * num / den))
     return [_mk("fa1", 0.05, worst, "<=", 0.0, "a in [2, 50], 49 points",
                 "|limit of the comb moment ratio at Y = 0|")]
@@ -852,25 +854,21 @@ def _check_gaa4(ctx) -> list[LemmaReport]:
 @check("P3-sigma1", "P3-sigma2", "P5-sigma3", "P5-sigma4")
 def _check_sigmas(ctx) -> list[LemmaReport]:
     m_half, n_half = mu(0.5), nu(0.5)
-    tail4 = sum(k**4 * math.exp(-1.1 * _PI * RT3_2 * (k * k - 1)) for k in range(2, 40))
-    tail2 = sum(k * k * math.exp(-1.1 * _PI * RT3_2 * (k * k - 1)) for k in range(2, 40))
-    rt3 = math.sqrt(3.0)
-    e_small = [
-        k**4 * math.exp(-rt3 * _PI * ((k * k - 1) * RT3_2 - 1.0 / (2.0 * rt3))) for k in range(2, 40)
-    ]
-    e_small2 = [
-        k * k * math.exp(-rt3 * _PI * ((k * k - 1) * RT3_2 - 1.0 / (2.0 * rt3))) for k in range(2, 40)
-    ]
+    # The sigma tails at alpha y = 1.1 rt3/2, and at alpha = rt3, y = rt3/2, where
+    # e^{-rt3 pi ((k^2 - 1) rt3/2 - 1/(2 rt3))} = e^{pi/2} e^{-pi (k^2 - 1) 3/2}.
+    tail4, tail2 = nu(1.1 * RT3_2, ctx.cfg), mu(1.1 * RT3_2, ctx.cfg)
+    e_small = math.exp(_PI / 2.0) * nu(1.5, ctx.cfg)
+    e_small2 = math.exp(_PI / 2.0) * mu(1.5, ctx.cfg)
     return [
         _mk("P3-sigma1", 2.169e-3, (1.0 + m_half) / (1.0 - m_half) * tail4, "<=",
             _half_last_digit(2.169e-3, 4), "extremal parameters alpha = 1.1, y = rt3/2, y/alpha = 1/2"),
         _mk("P3-sigma2", 6.75e-4, (1.0 + n_half) / (1.0 - m_half) * tail2, "<=",
             _half_last_digit(6.75e-4, 3), "same extremal parameters"),
-        _mk("P5-sigma3", 1.777e-5, sum(e_small) / _PI, "<=", _half_last_digit(1.777e-5, 4),
+        _mk("P5-sigma3", 1.777e-5, e_small / _PI, "<=", _half_last_digit(1.777e-5, 4),
             "printed ceiling reads 1.777e-6; its own defining series at the stated "
             "extremal point evaluates to 1.776e-5, so the printed exponent is off by "
             "one (mantissa matches); the corrected ceiling 1.777e-5 is asserted"),
-        _mk("P5-sigma4", 2.727e-5, (3.0 / _PI) * (1.0 + _PI / 3.0) * sum(e_small2), "<=",
+        _mk("P5-sigma4", 2.727e-5, (3.0 / _PI) * (1.0 + _PI / 3.0) * e_small2, "<=",
             _half_last_digit(2.727e-5, 4),
             "extremal parameters alpha = rt3, y = rt3/2, alpha/y = 2"),
     ]
@@ -1078,7 +1076,7 @@ def _check_rc_floor(ctx) -> list[LemmaReport]:
     for a in al:
         ys = np.linspace(5.0 * a / 6.0, 8.0, n)
         ys = ys[ys >= 5.0 * a / 6.0 - 1e-12]
-        vals = rc_inner_expression(a, ys)
+        vals = rc_inner_expression(a, ys, ctx.cfg)
         i = int(np.argmin(vals))
         if float(vals[i]) < worst:
             worst = float(vals[i])
@@ -1096,7 +1094,7 @@ def _check_rc_floor(ctx) -> list[LemmaReport]:
 
 @check("L413-eps1", "L414-eps2", "L413-eps3", "L414-eps4")
 def _check_rc_epsilons(ctx) -> list[LemmaReport]:
-    e1, e2, e3, e4 = (float(v) for v in eps_c_terms(1.2, 1.0))
+    e1, e2, e3, e4 = (float(v) for v in eps_c_terms(1.2, 1.0, ctx.cfg))
     grid_note = "R_c corner (alpha, y) = (1.2, 1.0), where all four terms peak"
     return [
         _mk("L413-eps1", 5.68e-4, e1, "<=", _half_last_digit(5.68e-4, 3), grid_note,
@@ -1153,7 +1151,7 @@ def _check_l413_l414_ineq(ctx) -> list[LemmaReport]:
         for y in (1.0, 1.5, 3.0):
             if y / alpha < 5.0 / 6.0 - 1e-12:
                 continue
-            _, e2, _, e4 = (float(v) for v in eps_c_terms(alpha, y))
+            _, e2, _, e4 = (float(v) for v in eps_c_terms(alpha, y, ctx.cfg))
             X0 = y / alpha
             base_x = 2.0 * math.exp(-_PI * alpha * y) * jacobi_theta_partial(X0, 0.5, 1, 0, ctx.cfg)
             base_xx = 2.0 * math.exp(-_PI * alpha * y) * jacobi_theta_partial(X0, 0.5, 2, 0, ctx.cfg)
@@ -1197,8 +1195,9 @@ def _check_l45_l46(ctx) -> list[LemmaReport]:
     worst = 0.0
     for alpha in (1.05, 1.15, 1.5):
         for y in (1.0, 1.3, 2.0):
-            single2 = float(sum(k * k * (math.exp(-_PI * k * k * y / alpha) - alpha**2 * math.exp(-_PI * k * k * y * alpha)) for k in range(1, 30)))
-            single4 = float(sum(k**4 * (math.exp(-_PI * k * k * y / alpha) - alpha**4 * math.exp(-_PI * k * k * y * alpha)) for k in range(1, 30)))
+            ks = range(1, ctx.cfg.last_index(min(y / alpha, y * alpha), 4, 1, "L45 single sums") + 1)
+            single2 = float(sum(k * k * (math.exp(-_PI * k * k * y / alpha) - alpha**2 * math.exp(-_PI * k * k * y * alpha)) for k in ks))
+            single4 = float(sum(k**4 * (math.exp(-_PI * k * k * y / alpha) - alpha**4 * math.exp(-_PI * k * k * y * alpha)) for k in ks))
             dbl2, dbl4 = _alternating_sums(alpha, y, 24)
             printed = (
                 1.5 * math.sqrt(y) * (-2.0 * _PI * single2 + 4.0 * _PI * dbl2)

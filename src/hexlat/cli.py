@@ -186,8 +186,6 @@ def _outcome_rows(outcome) -> tuple[dict, list[dict], str]:
 
 
 def _cmd_theta(args) -> int:
-    if args.alpha <= 0 or args.y <= 0:
-        raise InvalidParameter("theta requires alpha > 0 and y > 0")
     cfg = _series_config(args)
     value = theta_lattice(args.alpha, UpperHalfPoint(args.x, args.y), cfg)
     meta = {"command": "theta", "alpha": args.alpha, "x": args.x, "y": args.y,
@@ -198,8 +196,6 @@ def _cmd_theta(args) -> int:
 
 
 def _cmd_energy(args) -> int:
-    if args.y <= 0:
-        raise InvalidParameter("energy requires y > 0")
     if args.spec_file:
         spec = _potential_from_file(args.spec_file)
     elif args.family:
@@ -299,8 +295,6 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
-    if args.y <= 0:
-        raise InvalidParameter("reduce requires y > 0")
     reduced, word = reduce_to_fundamental(UpperHalfPoint(args.x, args.y))
     word_names = [g.value for g in word]
     meta = {"command": "reduce", "precision": args.precision}

@@ -41,6 +41,10 @@ GAMMA_Y_MAX = 50.0
 #: Largest distance_to_hex at which phase_scan labels a minimizer "hexagonal".
 HEX_TOL = 1e-6
 
+#: The divergence witness's y grid on x = 1/2; its top also bounds the y that
+#: the Nelder-Mead refinement may try, so a run toward y = inf stops unconverged.
+_WITNESS_YS = tuple(RT3_2 * 2.0**k for k in range(64))
+
 
 @dataclass(frozen=True)
 class Minimizer:
@@ -82,7 +86,7 @@ def _divergence_witness(
     term takes over), so the witness starts at the maximum of its first 25 points.
     """
     hex_value = energy(hexagonal_point())
-    ys = [y for y in (RT3_2 * 2.0**k for k in range(64)) if y <= y_max]
+    ys = [y for y in _WITNESS_YS if y <= y_max]
     vals = [energy(UpperHalfPoint(0.5, y)) for y in ys[:25]]
     start = max(range(len(vals)), key=lambda i: vals[i])
     wy, wv = [ys[start]], [vals[start]]
@@ -170,7 +174,8 @@ def _locate_minimizer(energy: Callable[[UpperHalfPoint], float], advisory: bool)
     """Bounded line search along x = 1/2, then Nelder-Mead in the plane."""
     y = _brent_bounded(lambda y: energy(UpperHalfPoint(0.5, y)), RT3_2, GAMMA_Y_MAX)
     xy, val, nfev, converged = _nelder_mead(
-        lambda v: math.inf if v[1] <= 1e-6 else energy(UpperHalfPoint(*v)), (0.5, y))
+        lambda v: math.inf if v[1] <= 1e-6 or v[1] > _WITNESS_YS[-1] else energy(UpperHalfPoint(*v)),
+        (0.5, y))
     cand, val = UpperHalfPoint(*xy), float(val)
     # The theorems make the hexagonal point a minimizer whenever one exists;
     # prefer it on numerical ties (covers the exactly-flat case alpha = 1,
@@ -182,6 +187,11 @@ def _locate_minimizer(energy: Callable[[UpperHalfPoint], float], advisory: bool)
     elif not converged:
         raise OptimizerDivergence(
             f"Nelder-Mead did not converge from (0.5, {y}) in {nfev} evaluations")
+    elif cand.y > _WITNESS_YS[-2]:
+        # Where the energy falls toward y = inf the simplex can collapse
+        # against the y ceiling and count as converged there.
+        raise OptimizerDivergence(
+            f"Nelder-Mead ran from (0.5, {y}) to the y ceiling, y = {cand.y:.6g}")
     reduced, _ = reduce_to_fundamental(cand)
     dist = math.hypot(reduced.x - 0.5, reduced.y - RT3_2)
     return Minimizer(z_star=reduced, value=val, distance_to_hex=dist, advisory=advisory)

@@ -38,9 +38,6 @@ class UpperHalfPoint:
         if not (math.isfinite(self.x) and math.isfinite(self.y) and self.y > 0.0):
             raise InvalidParameter(f"upper half-plane point needs finite x, y > 0; got ({self.x}, {self.y})")
 
-    def as_complex(self) -> complex:
-        return complex(self.x, self.y)
-
     def abs2(self) -> float:
         return self.x * self.x + self.y * self.y
 

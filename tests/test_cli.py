@@ -177,6 +177,16 @@ def test_minimize_unconverged_exit_3(capsys, monkeypatch):
     assert "energy evaluation failed" in err and "Traceback" not in err
 
 
+def test_phase_scan_runaway_refinement_exit_3(capsys):
+    # The 12-digit b grid makes sqrt(3) into sqrt(3) + 2.3e-13, where the
+    # energy falls toward y = inf; this was an input error (exit 2) before.
+    code, out, err = run_cli(capsys, "phase-scan", "--problem", "thetadiff", "--a", "3",
+                             "--alphas", "0.3", "--b-min", "1.7320508075688772",
+                             "--b-max", "1.7320508075688772", "--b-step", "0.1")
+    assert code == 3 and out == ""
+    assert "Nelder-Mead" in err and "Traceback" not in err
+
+
 def test_cli_import_loads_no_scipy():
     # numpy is the only runtime dependency; scipy is a test-only reference
     src = str(Path(__file__).resolve().parents[1] / "src")

@@ -364,6 +364,16 @@ def test_unconverged_refinement_raises(monkeypatch):
         minimize_w(1.0, 0.0)
 
 
+@pytest.mark.parametrize("alpha", [0.3, 0.5])
+def test_runaway_refinement_raises(alpha):
+    # b = sqrt(3) + 2.3e-13 lies within BOUNDARY_MARGIN of b_crit, so the cell is
+    # refined, but the energy falls toward y = inf.  Nelder-Mead stops at the y
+    # ceiling (alpha = 0.3) or runs out of evaluations (0.5); before the ceiling
+    # it reached y/alpha = inf and raised NonPositiveX.
+    with pytest.raises(OptimizerDivergence):
+        minimize_theta_difference(alpha, 3.0, round(math.sqrt(3.0), 12))
+
+
 def test_unconverged_refinement_beaten_by_hexagonal_point(monkeypatch):
     monkeypatch.setattr("hexlat.minimize._nelder_mead", unconverged_nelder_mead(1e9))
     out = minimize_w(1.0, 0.0)

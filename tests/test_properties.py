@@ -38,7 +38,7 @@ from hexlat.energy import (
     _w_b_minus_origin_batch,
 )
 from hexlat.quadrature import integrate
-from hexlat.theta1d import _TERMS, SUPPORTED_ORDERS, _comb
+from hexlat.theta1d import _TERMS, SUPPORTED_ORDERS, _comb, theta_array
 
 FOURIER = SeriesConfig(poisson_switch=1e-9)
 POISSON = SeriesConfig(poisson_switch=1e9)
@@ -109,6 +109,22 @@ def test_forced_fourier_equals_forced_poisson(X, Y):
         p = theta_of_order(X, Y, order, POISSON)
         scale = max(abs_term_sum(X, Y, order, "fourier"), abs_term_sum(X, Y, order, "poisson"))
         assert abs(f - p) <= 4.0 * DEFAULT_CONFIG.rel_tol * scale, order
+
+
+@settings(max_examples=100, deadline=None)
+@given(log_xs=st.lists(st.floats(-1.3, 1.3), min_size=1, max_size=6),
+       ys=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=4))
+def test_theta_array_matches_scalar(log_xs, ys):
+    # The X draws straddle the default switch at 1, so a batch can mix branches.
+    X = np.array([10.0**e for e in log_xs])
+    for cfg in (FOURIER, POISSON, DEFAULT_CONFIG):
+        for order in ((0, 0), (1, 0)):
+            out = theta_array(X, np.array(ys), order[0], cfg)
+            for k, Y in enumerate(ys):
+                for i, x in enumerate(X):
+                    branch = "poisson" if x < cfg.poisson_switch else "fourier"
+                    scale = abs_term_sum(x, Y, order, branch)
+                    assert abs(out[k, i] - theta_of_order(x, Y, order, cfg)) <= 1e-14 * scale
 
 
 @settings(max_examples=200, deadline=None)

@@ -41,8 +41,9 @@ GAMMA_Y_MAX = 50.0
 #: Largest distance_to_hex at which phase_scan labels a minimizer "hexagonal".
 HEX_TOL = 1e-6
 
-#: The divergence witness's y grid on x = 1/2; its top also bounds the y that
-#: the Nelder-Mead refinement may try, so a run toward y = inf stops unconverged.
+#: The divergence witness's y grid on x = 1/2.  Its top also bounds the y that
+#: the Nelder-Mead refinement may try, so that a run toward y = inf ends in
+#: OptimizerDivergence, not at X = y/alpha = inf.
 _WITNESS_YS = tuple(RT3_2 * 2.0**k for k in range(64))
 
 

@@ -68,7 +68,7 @@ def _sum_fourier(X: float, Y: float, xo: int, yo: int, cfg: SeriesConfig) -> flo
     last = cfg.last_index(X, 2 * xo + yo, 1, "Fourier theta series")
     coef, trig_name, _ = _TERMS[xo, yo]
     trig = getattr(math, trig_name)
-    acc = 0.5 * coef(0) * trig(0.0)
+    acc = 0.5 * coef(0) * trig(0.0)  # the n = 0 term
     for n in range(1, last + 1):
         acc += coef(n) * math.exp(-_PI * n * n * X) * trig(_TWO_PI * n * Y)
     return acc
@@ -136,11 +136,10 @@ def theta_array(X: np.ndarray, Y: np.ndarray, x_order: int, cfg: SeriesConfig) -
 
 
 def _fourier_array(X: np.ndarray, Y: np.ndarray, xo: int, yo: int, cfg: SeriesConfig) -> np.ndarray:
-    # Row n = 0 holds the n = 0 term, so the rows add up in the order of _sum_fourier.
     coef, trig_name, _ = _TERMS[xo, yo]
     n = np.arange(cfg.last_index(X.min(), 2 * xo + yo, 1, "Fourier theta series") + 1.0)[:, None, None]
     terms = coef(n) * np.exp(-_PI * n * n * X) * getattr(np, trig_name)(_TWO_PI * n * Y)
-    terms[0] *= 0.5
+    terms[0] *= 0.5  # the n = 0 term, so the rows add up in the order of _sum_fourier
     return terms.sum(axis=0)
 
 

@@ -853,7 +853,7 @@ def _check_gaa4(ctx) -> list[LemmaReport]:
 
 @check("P3-sigma1", "P3-sigma2", "P5-sigma3", "P5-sigma4")
 def _check_sigmas(ctx) -> list[LemmaReport]:
-    m_half, n_half = mu(0.5), nu(0.5)
+    m_half, n_half = mu(0.5, ctx.cfg), nu(0.5, ctx.cfg)
     # The sigma tails at alpha y = 1.1 rt3/2, and at alpha = rt3, y = rt3/2, where
     # e^{-rt3 pi ((k^2 - 1) rt3/2 - 1/(2 rt3))} = e^{pi/2} e^{-pi (k^2 - 1) 3/2}.
     tail4, tail2 = nu(1.1 * RT3_2, ctx.cfg), mu(1.1 * RT3_2, ctx.cfg)

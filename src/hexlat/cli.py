@@ -333,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("energy", help="evaluate a lattice energy at x + iy")
     p.add_argument("family", nargs="?", default=None,
-                   choices=["gaussian", "gaussian-diff", "poly-gaussian", "yukawa-diff"])
+                   choices=[name.replace("_", "-") for name in _FAMILIES])
     p.add_argument("--spec-file", default=None, help="JSON potential spec file")
     p.add_argument("--alpha", type=float, default=1.0)
     p.add_argument("--a", type=float, default=2.0)

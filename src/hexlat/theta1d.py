@@ -149,28 +149,42 @@ def _poisson_array(X: np.ndarray, Y: np.ndarray, xo: int, yo: int, cfg: SeriesCo
     return (_comb(term, X, 1.0 + j - Y, np.exp) + _comb(term, X, -j - Y, np.exp)).sum(axis=0)
 
 
-def _power_tail(X: float, power: int, cfg: SeriesConfig, name: str) -> float:
-    """sum_{n>=2} n^power exp(-pi (n^2 - 1) X)."""
-    _check_x(X)
-    acc = 0.0
-    for n in range(2, cfg.last_index(X, power, 2, name) + 1):
-        acc += float(n) ** power * math.exp(-_PI * (n * n - 1) * X)
-    return acc
+def _power_tail(X, power: int, cfg: SeriesConfig, name: str):
+    """sum_{n>=2} n^power exp(-pi (n^2 - 1) X) at a float X or at each X of an array,
+    to last_index's term count at the smallest X (as theta_array does)."""
+    X = np.asarray(X, dtype=float)
+    _check_x(X.min())
+    _check_x(X.max())
+    n = np.arange(2.0, cfg.last_index(X.min(), power, 2, name) + 1.0)
+    out = (n**power * np.exp(np.multiply.outer(X, -_PI * (n * n - 1.0)))).sum(axis=-1)
+    return float(out) if out.ndim == 0 else out
 
 
-def mu(X: float, cfg: SeriesConfig = DEFAULT_CONFIG) -> float:
-    """mu(X) = sum_{n>=2} n^2 exp(-pi (n^2 - 1) X); decreasing in X."""
+def mu(X, cfg: SeriesConfig = DEFAULT_CONFIG):
+    """mu(X) = sum_{n>=2} n^2 exp(-pi (n^2 - 1) X); decreasing in X.  X may be an array."""
     return _power_tail(X, 2, cfg, "mu")
 
 
-def nu(X: float, cfg: SeriesConfig = DEFAULT_CONFIG) -> float:
-    """nu(X) = sum_{n>=2} n^4 exp(-pi (n^2 - 1) X); decreasing in X."""
+def nu(X, cfg: SeriesConfig = DEFAULT_CONFIG):
+    """nu(X) = sum_{n>=2} n^4 exp(-pi (n^2 - 1) X); decreasing in X.  X may be an array."""
     return _power_tail(X, 4, cfg, "nu")
 
 
 #: Validity thresholds of the two envelope estimates for -theta_Y / sin(2 pi Y).
 ENVELOPE_LARGE_X = 0.2           # large-X envelope needs X > 1/5
 ENVELOPE_SMALL_X = _PI / (_PI + 2.0)  # small-X envelope needs X below this
+
+
+def _large_x_envelope(X: float, cfg: SeriesConfig) -> tuple[float, float]:
+    """4 pi e^{-pi X} (1 -+ mu(X)), valid for X > 1/5."""
+    m = mu(X, cfg)
+    base = 4.0 * _PI * math.exp(-_PI * X)
+    return base * (1.0 - m), base * (1.0 + m)
+
+
+def _small_x_envelope(X: float) -> tuple[float, float]:
+    """(pi e^{-pi/4X} X^{-3/2}, X^{-3/2}), valid for X < pi/(pi+2)."""
+    return _PI * math.exp(-_PI / (4.0 * X)) * X**-1.5, X**-1.5
 
 
 def theta_envelope(X: float, cfg: SeriesConfig = DEFAULT_CONFIG) -> tuple[float, float]:
@@ -182,14 +196,9 @@ def theta_envelope(X: float, cfg: SeriesConfig = DEFAULT_CONFIG) -> tuple[float,
     both hold simultaneously, so the pointwise tighter pair is returned.
     """
     _check_x(X)
-    lowers: list[float] = []
-    uppers: list[float] = []
+    pairs = []
     if X > ENVELOPE_LARGE_X:
-        m = mu(X, cfg)
-        base = 4.0 * _PI * math.exp(-_PI * X)
-        lowers.append(base * (1.0 - m))
-        uppers.append(base * (1.0 + m))
+        pairs.append(_large_x_envelope(X, cfg))
     if X < ENVELOPE_SMALL_X:
-        lowers.append(_PI * math.exp(-_PI / (4.0 * X)) * X**-1.5)
-        uppers.append(X**-1.5)
-    return max(lowers), min(uppers)
+        pairs.append(_small_x_envelope(X))
+    return max(lo for lo, _ in pairs), min(hi for _, hi in pairs)

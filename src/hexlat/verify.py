@@ -15,7 +15,7 @@ another, only those a request needs, and sorts the reports by id.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Callable, Iterable
 
 import numpy as np
@@ -43,6 +43,7 @@ from .moduli import (
     lattice_norms,
     reduce_to_fundamental,
 )
+from .theta1d import _large_x_envelope, _power_tail, _small_x_envelope
 from .theta1d import jacobi_theta, jacobi_theta_partial, mu, nu, theta_envelope
 
 _PI = math.pi
@@ -153,25 +154,21 @@ def _lb_assemble(alpha, y, doubles):
     return g + (alpha**2 - 1.0) * np.exp(-_PI * y * alpha) * doubles
 
 
+def _comb_sum(X, cfg: SeriesConfig):
+    """sum_{k>=1} e^{-pi k^2 X} = e^{-pi X} (1 + P_0(X)), P_0(X) = sum_{n>=2} e^{-pi (n^2 - 1) X}."""
+    return np.exp(-_PI * X) * (1.0 + _power_tail(X, 0, cfg, "comb sum"))
+
+
 def eps_c_terms(alpha, y, cfg: SeriesConfig = DEFAULT_CONFIG):
     """The four R_c error terms (series prefactors times exponential tails)."""
     X0 = y / alpha
-    ks = np.arange(1.0, cfg.last_index(np.min(X0), 4, 1, "eps_c comb sums") + 1.0)
-    comb = np.exp(-_PI * np.multiply.outer(X0, ks**2))
-    t = comb.sum(axis=-1)
+    t = _comb_sum(X0, cfg)
     pref_theta = (1.0 + t) / (1.0 - t)
-    ns = np.arange(2.0, cfg.last_index(np.min(alpha * y), 4, 2, "eps_c tails") + 1.0)
-    tail = np.exp(-_PI * np.multiply.outer(alpha * y, ns**2 - 1.0))
-    tail2 = (tail * ns**2).sum(axis=-1)
-    tail4 = (tail * ns**4).sum(axis=-1)
-    tail0 = tail.sum(axis=-1)
-    comb_rel = np.exp(-_PI * np.multiply.outer(X0, ks**2 - 1.0))
-    num2 = (comb_rel * ks**2).sum(axis=-1)
-    num4 = (comb_rel * ks**4).sum(axis=-1)
-    e1 = pref_theta * tail2
-    e3 = pref_theta * tail4
-    e2 = num2 / (1.0 - 4.0 * np.exp(-3.0 * _PI * X0)) * tail0
-    e4 = num4 / (1.0 - 16.0 * np.exp(-3.0 * _PI * X0)) * tail0
+    tail0 = _power_tail(alpha * y, 0, cfg, "P0")
+    e1 = pref_theta * mu(alpha * y, cfg)
+    e3 = pref_theta * nu(alpha * y, cfg)
+    e2 = (1.0 + mu(X0, cfg)) / (1.0 - 4.0 * np.exp(-3.0 * _PI * X0)) * tail0
+    e4 = (1.0 + nu(X0, cfg)) / (1.0 - 16.0 * np.exp(-3.0 * _PI * X0)) * tail0
     return e1, e2, e3, e4
 
 
@@ -226,10 +223,15 @@ def la_function(alpha, y):
     )
 
 
-def _lattice_grid(alpha: float, x: float, y: float):
-    """(N, Q, R, E) over (n, m) in Z^2 with |n|, |m| <= 16, where
-    Q = y n^2 + (m + n x)^2 / y, R = n^2 - (m + n x)^2 / y^2, E = e^{-pi alpha Q}."""
-    ns = np.arange(-16, 17, dtype=float)
+def _lattice_grid(alpha: float, x: float, y: float, cfg: SeriesConfig):
+    """(N, Q, R, E) over (n, m) in Z^2 with |n|, |m| <= K, where
+    Q = y n^2 + (m + n x)^2 / y, R = n^2 - (m + n x)^2 / y^2, E = e^{-pi alpha Q}.
+
+    For |x| <= 1/2 every point outside the square has Q >= K^2 min(y, 1/(4y)),
+    so K is last_index's at that decay, with the R^2 Q^2 weight's power 8.
+    """
+    K = cfg.last_index(alpha * min(y, 0.25 / y), 8, 1, "lattice grid")
+    ns = np.arange(-K, K + 1.0)
     N, M = np.meshgrid(ns, ns, indexing="ij")
     shift = (M + N * x) ** 2
     Q = y * N**2 + shift / y
@@ -237,13 +239,13 @@ def _lattice_grid(alpha: float, x: float, y: float):
     return N, Q, R, np.exp(-_PI * alpha * Q)
 
 
-def _half_lattice_sums(alpha: float, y: float):
+def _half_lattice_sums(alpha: float, y: float, cfg: SeriesConfig):
     """The six double sums of the x = 1/2 derivative identities.
 
     Returns (S_R2Q, S_n2, S_R2, S_n2Q, S_n2Q2, S_R2Q2), each sum weighted
     by E over the grid of :func:`_lattice_grid` at x = 1/2.
     """
-    N, Q, R, E = _lattice_grid(alpha, 0.5, y)
+    N, Q, R, E = _lattice_grid(alpha, 0.5, y, cfg)
     return (
         float((R**2 * Q * E).sum()),
         float((N**2 * E).sum()),
@@ -254,9 +256,9 @@ def _half_lattice_sums(alpha: float, y: float):
     )
 
 
-def dw_radial_operator(alpha: float, y: float) -> float:
+def dw_radial_operator(alpha: float, y: float, cfg: SeriesConfig = DEFAULT_CONFIG) -> float:
     """(d_yy + (2/y) d_y) W_{1/(2 pi)} at x = 1/2 via the double-sum identity."""
-    s_r2q, s_n2, s_r2, s_n2q, _, _ = _half_lattice_sums(alpha, y)
+    s_r2q, s_n2, s_r2, s_n2q, _, _ = _half_lattice_sums(alpha, y, cfg)
     return (
         (_PI * alpha) ** 2 * s_r2q
         + 3.0 / y * s_n2
@@ -265,9 +267,9 @@ def dw_radial_operator(alpha: float, y: float) -> float:
     )
 
 
-def dw_mixed_operator(alpha: float, y: float) -> float:
+def dw_mixed_operator(alpha: float, y: float, cfg: SeriesConfig = DEFAULT_CONFIG) -> float:
     """(d_yya + (2/y) d_ya) W_{1/(2 pi)} at x = 1/2 via the double-sum identity."""
-    s_r2q, s_n2, s_r2, s_n2q, s_n2q2, s_r2q2 = _half_lattice_sums(alpha, y)
+    s_r2q, s_n2, s_r2, s_n2q, s_n2q2, s_r2q2 = _half_lattice_sums(alpha, y, cfg)
     return (
         4.5 * _PI**2 * alpha * s_r2q
         + 2.0 * _PI**2 * alpha / y * s_n2q2
@@ -277,9 +279,11 @@ def dw_mixed_operator(alpha: float, y: float) -> float:
     )
 
 
-def theta_radial_operator(alpha: float, z: UpperHalfPoint) -> float:
-    """(d_yy + (2/y) d_y) theta(alpha; z) via its double-sum identity."""
-    N, Q, R, E = _lattice_grid(alpha, z.x, z.y)
+def theta_radial_operator(
+    alpha: float, z: UpperHalfPoint, cfg: SeriesConfig = DEFAULT_CONFIG
+) -> float:
+    """(d_yy + (2/y) d_y) theta(alpha; z), |x| <= 1/2, via its double-sum identity."""
+    N, Q, R, E = _lattice_grid(alpha, z.x, z.y, cfg)
     return float(((_PI * alpha) ** 2 * (R**2 * E)).sum() - (2.0 * _PI * alpha / z.y) * (N**2 * E).sum())
 
 
@@ -310,8 +314,8 @@ def _random_domain_points(rng: np.random.Generator, count: int, y_max: float = 1
 
 @check("PXY")
 def _check_poisson_consistency(ctx) -> list[LemmaReport]:
-    cfg_f = SeriesConfig(poisson_switch=1e-9)   # forces Fourier branch
-    cfg_p = SeriesConfig(poisson_switch=1e9)    # forces Poisson branch
+    cfg_f = replace(ctx.cfg, poisson_switch=1e-9)   # forces Fourier branch
+    cfg_p = replace(ctx.cfg, poisson_switch=1e9)    # forces Poisson branch
     xs = np.geomspace(0.05, 20.0, 31)
     ys = np.linspace(0.0, 1.0, 31)
     worst = 0.0
@@ -335,9 +339,9 @@ def _check_symmetry(ctx) -> list[LemmaReport]:
     for _ in range(200):
         X = float(rng.uniform(0.05, 20.0))
         Y = float(rng.uniform(-2.0, 2.0))
-        worst_period = max(worst_period, abs(jacobi_theta(X, Y + 1.0) - jacobi_theta(X, Y)))
-        v = jacobi_theta(X, Y)
-        worst_parity = max(worst_parity, abs(jacobi_theta(X, -Y) - v) / abs(v))
+        v = jacobi_theta(X, Y, ctx.cfg)
+        worst_period = max(worst_period, abs(jacobi_theta(X, Y + 1.0, ctx.cfg) - v))
+        worst_parity = max(worst_parity, abs(jacobi_theta(X, -Y, ctx.cfg) - v) / abs(v))
     return [
         _mk("TXY-period", 0.0, worst_period, "<=", 0.0, "200 seeded (X, Y) samples",
             "period-1 identity holds exactly (same truncated series)"),
@@ -347,20 +351,20 @@ def _check_symmetry(ctx) -> list[LemmaReport]:
 
 @check("TXY-partials")
 def _check_partials_fd(ctx) -> list[LemmaReport]:
-    rng = np.random.default_rng(ctx.seed + 1)
+    rng, cfg = np.random.default_rng(ctx.seed + 1), ctx.cfg
     worst = 0.0
     for _ in range(60):
         X = float(rng.uniform(0.1, 5.0))
         Y = float(rng.uniform(0.02, 0.48))
         h = 1e-6 * max(1.0, X)
         pairs = {
-            (1, 0): (jacobi_theta(X + h, Y) - jacobi_theta(X - h, Y)) / (2 * h),
-            (0, 1): (jacobi_theta(X, Y + h) - jacobi_theta(X, Y - h)) / (2 * h),
-            (1, 1): (jacobi_theta_partial(X, Y + h, 1, 0) - jacobi_theta_partial(X, Y - h, 1, 0)) / (2 * h),
-            (2, 0): (jacobi_theta_partial(X + h, Y, 1, 0) - jacobi_theta_partial(X - h, Y, 1, 0)) / (2 * h),
+            (1, 0): (jacobi_theta(X + h, Y, cfg) - jacobi_theta(X - h, Y, cfg)) / (2 * h),
+            (0, 1): (jacobi_theta(X, Y + h, cfg) - jacobi_theta(X, Y - h, cfg)) / (2 * h),
+            (1, 1): (jacobi_theta_partial(X, Y + h, 1, 0, cfg) - jacobi_theta_partial(X, Y - h, 1, 0, cfg)) / (2 * h),
+            (2, 0): (jacobi_theta_partial(X + h, Y, 1, 0, cfg) - jacobi_theta_partial(X - h, Y, 1, 0, cfg)) / (2 * h),
         }
         for order, fd in pairs.items():
-            v = jacobi_theta_partial(X, Y, *order)
+            v = jacobi_theta_partial(X, Y, *order, cfg)
             if abs(v) > 1e-8:
                 worst = max(worst, (abs(v - fd) - 1e-9) / abs(v))
     return [_mk("TXY-partials", 1e-6, worst, "<=", 0.0, "60 seeded (X, Y) samples",
@@ -373,9 +377,11 @@ def _check_partials_fd(ctx) -> list[LemmaReport]:
 def _check_mu_nu(ctx) -> list[LemmaReport]:
     worst = 0.0
     for X in (0.2, 0.3, 0.5, 1.0, 2.0):
+        # Fixed n <= 100 on purpose: these direct sums are the oracle for mu/nu.
         m_direct = sum(n * n * math.exp(-_PI * (n * n - 1) * X) for n in range(2, 101))
         n_direct = sum(n**4 * math.exp(-_PI * (n * n - 1) * X) for n in range(2, 101))
-        worst = max(worst, abs(mu(X) - m_direct) / m_direct, abs(nu(X) - n_direct) / n_direct)
+        m, n = mu(X, ctx.cfg), nu(X, ctx.cfg)
+        worst = max(worst, abs(m - m_direct) / m_direct, abs(n - n_direct) / n_direct)
     return [_mk("mmmx", 1e-13, worst, "<=", 0.0, "X in {0.2,0.3,0.5,1,2} vs direct sums to n=100")]
 
 
@@ -383,7 +389,7 @@ def _check_mu_nu(ctx) -> list[LemmaReport]:
 _QUOTIENT_YS = [y / 200.0 for y in range(1, 100) if abs(math.sin(2.0 * _PI * (y / 200.0))) > 1e-3]
 
 
-def _worst_quotient(xs, ks, num, den, cap) -> float:
+def _worst_quotient(xs, ks, num, den, cap, cfg: SeriesConfig) -> float:
     """max |theta_num(X; kY) / theta_den(X; Y)| / cap(X, k) over X in xs,
     k in ks and Y in the quotient grid; num and den are (x, y) derivative
     orders, and Y where |theta_den| < 1e-12 is skipped."""
@@ -392,20 +398,20 @@ def _worst_quotient(xs, ks, num, den, cap) -> float:
         for k in ks:
             c = cap(X, k)
             for Y in _QUOTIENT_YS:
-                d = jacobi_theta_partial(X, Y, *den)
+                d = jacobi_theta_partial(X, Y, *den, cfg)
                 if abs(d) < 1e-12:
                     continue
-                worst = max(worst, abs(jacobi_theta_partial(X, k * Y, *num) / d) / c)
+                worst = max(worst, abs(jacobi_theta_partial(X, k * Y, *num, cfg) / d) / c)
     return worst
 
 
 @check("L23-1", "L23-2")
 def _check_quotients_y(ctx) -> list[LemmaReport]:
-    ks = (2, 3, 4, 5)
+    ks, cfg = (2, 3, 4, 5), ctx.cfg
     worst1 = _worst_quotient((0.25, 0.3, 0.5, 1.0, 2.0), ks, (0, 1), (0, 1),
-                             lambda X, k: k * ((1.0 + mu(X)) / (1.0 - mu(X))))
+                             lambda X, k: k * ((1.0 + mu(X, cfg)) / (1.0 - mu(X, cfg))), cfg)
     worst2 = _worst_quotient((0.25, 0.4, 0.55), ks, (0, 1), (0, 1),
-                             lambda X, k: k * (math.exp(_PI / (4.0 * X)) / _PI))
+                             lambda X, k: k * (math.exp(_PI / (4.0 * X)) / _PI), cfg)
     return [
         _mk("L23-1", 1.0, worst1, "<=", 1e-12,
             "X in {0.25,0.3,0.5,1,2}, k in {2..5}, Y grid avoiding sin zeros",
@@ -417,14 +423,14 @@ def _check_quotients_y(ctx) -> list[LemmaReport]:
 
 @check("L24-1", "L24-2", "L24-3")
 def _check_quotients_xy(ctx) -> list[LemmaReport]:
-    ks = (2, 3, 4, 5)
+    ks, cfg = (2, 3, 4, 5), ctx.cfg
     xs = (0.25, 0.5, 1.0, 2.0)
     worst1 = _worst_quotient((0.3, 0.35, 0.5, 1.0, 2.0), ks, (1, 1), (1, 1),
-                             lambda X, k: k * ((1.0 + nu(X)) / (1.0 - nu(X))))
+                             lambda X, k: k * ((1.0 + nu(X, cfg)) / (1.0 - nu(X, cfg))), cfg)
     worst2 = _worst_quotient(xs, ks, (1, 1), (0, 1),
-                             lambda X, k: k * (_PI * (1.0 + nu(X)) / (1.0 - mu(X))))
+                             lambda X, k: k * (_PI * (1.0 + nu(X, cfg)) / (1.0 - mu(X, cfg))), cfg)
     worst3 = _worst_quotient(xs, (1,), (1, 1), (0, 1),
-                             lambda X, k: _PI * (1.0 + nu(X)) / (1.0 + mu(X)))
+                             lambda X, k: _PI * (1.0 + nu(X, cfg)) / (1.0 + mu(X, cfg)), cfg)
     return [
         _mk("L24-1", 1.0, worst1, "<=", 1e-12,
             "X in {0.3,...,2} >= 3/10, k in {2..5}, Y grid avoiding sin zeros"),
@@ -437,10 +443,11 @@ def _check_quotients_xy(ctx) -> list[LemmaReport]:
 def _check_small_x(ctx) -> list[LemmaReport]:
     xs = (0.1, 0.2, 0.35, 0.5)
     worst1 = _worst_quotient(xs, (1,), (1, 1), (0, 1),
-                             lambda X, k: 1.5 / X * (1.0 + _PI / (6.0 * X)))
+                             lambda X, k: 1.5 / X * (1.0 + _PI / (6.0 * X)), ctx.cfg)
     worst2 = _worst_quotient(
         xs, (2, 3, 4), (1, 1), (0, 1),
         lambda X, k: 1.5 * k / (_PI * X) * (1.0 + _PI / (6.0 * X)) * math.exp(_PI / (4.0 * X)),
+        ctx.cfg,
     )
     return [
         _mk("L25-1", 1.0, worst1, "<=", 1e-12, "X in {0.1,0.2,0.35,0.5} <= 1/2"),
@@ -493,32 +500,25 @@ def _check_sin_quotient(ctx) -> list[LemmaReport]:
     return [_mk("X2", 1.0, worst, "<=", 1e-9, "k in 1..8, 4000-point x grid")]
 
 
-def _worst_envelope_violation(xs, envelope) -> float:
-    """max violation of lo <= -theta_Y(X;Y)/sin(2 pi Y) <= hi, with
-    (lo, hi) = envelope(X), over X in xs and Y in (0, 1/2)."""
+def _worst_envelope_violation(bounds, cfg: SeriesConfig) -> float:
+    """max violation of lo <= -theta_Y(X;Y)/sin(2 pi Y) <= hi over X -> (lo, hi)
+    in `bounds` and Y in (0, 1/2)."""
     worst = 0.0
-    for X in xs:
-        lo, hi = envelope(X)
+    for X, (lo, hi) in bounds.items():
         for Y in [y / 100.0 for y in range(1, 50)]:
-            r = -jacobi_theta_partial(X, Y, 0, 1) / math.sin(2.0 * _PI * Y)
+            r = -jacobi_theta_partial(X, Y, 0, 1, cfg) / math.sin(2.0 * _PI * Y)
             worst = max(worst, lo - r, r - hi)
     return worst
 
 
-def _large_x_envelope(X: float) -> tuple[float, float]:
-    """The X > 1/5 envelope alone; theta_envelope merges it with the small-X one."""
-    m = mu(X)
-    c = 4.0 * _PI * math.exp(-_PI * X)
-    return c * (1.0 - m), c * (1.0 + m)
-
-
 @check("T1", "T2", "Envelope")
 def _check_envelopes(ctx) -> list[LemmaReport]:
-    worst_t1 = _worst_envelope_violation((0.25, 0.5, 1.0, 2.0), _large_x_envelope)
-    worst_t2 = _worst_envelope_violation(
-        (0.1, 0.3, 0.5), lambda X: (_PI * math.exp(-_PI / (4.0 * X)) * X**-1.5, X**-1.5)
+    cfg = ctx.cfg
+    worst_t1 = _worst_envelope_violation({X: _large_x_envelope(X, cfg) for X in (0.25, 0.5, 1.0, 2.0)}, cfg)
+    worst_t2 = _worst_envelope_violation({X: _small_x_envelope(X) for X in (0.1, 0.3, 0.5)}, cfg)
+    worst = _worst_envelope_violation(
+        {X: theta_envelope(X, cfg) for X in (0.25, 0.3, 0.5, 1.0, 2.0)}, cfg
     )
-    worst = _worst_envelope_violation((0.25, 0.3, 0.5, 1.0, 2.0), theta_envelope)
     return [
         _mk("T1", 0.0, worst_t1, "<=", 1e-12, "X in {0.25,0.5,1,2} > 1/5, Y in (0, 0.5)",
             "max violation of the 4 pi e^{-pi X}(1 -+ mu) envelope"),
@@ -531,7 +531,7 @@ def _check_envelopes(ctx) -> list[LemmaReport]:
 @check("H100")
 def _check_h100(ctx) -> list[LemmaReport]:
     xs = np.linspace(0.5, 3.0, 60)
-    vals = [(1.0 + nu(float(X))) / (1.0 + mu(float(X))) for X in xs]
+    vals = [(1.0 + nu(float(X), ctx.cfg)) / (1.0 + mu(float(X), ctx.cfg)) for X in xs]
     worst_increase = max(b - a for a, b in zip(vals, vals[1:]))
     return [_mk("H100", 0.0, worst_increase, "<=", 1e-15,
                 "(1+nu)/(1+mu) decreasing on X in [0.5, 3], 60 points")]
@@ -541,10 +541,11 @@ def _check_h100(ctx) -> list[LemmaReport]:
 def _check_lll7(ctx) -> list[LemmaReport]:
     worst = math.inf
     for X in np.linspace(0.211, 2.0, 80):
+        last = ctx.cfg.last_index(X, 6, 1, "LLL7 sums")
         s = 0.0
-        for n in range(2, 31):
-            for m in range(1, 31):
-                if (n <= 2 and m >= 3) or (m <= 2 and n >= 3) or (n >= 3 and m >= 3):
+        for n in range(2, last + 1):
+            for m in range(1, last + 1):
+                if n >= 3 or m >= 3:  # every pair but (2, 1) and (2, 2)
                     s += n * n * m * m * abs(n * n - m * m) * (n * n - 1) * math.exp(
                         -_PI * (m * m + n * n - 5) * X
                     )
@@ -558,7 +559,7 @@ def _check_nu_root(ctx) -> list[LemmaReport]:
     lo, hi = 0.25, 0.35
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if 1.0 - nu(mid) > 0.0:
+        if 1.0 - nu(mid, ctx.cfg) > 0.0:
             hi = mid
         else:
             lo = mid
@@ -568,7 +569,7 @@ def _check_nu_root(ctx) -> list[LemmaReport]:
 
 @check("P1a", "P1b", "P2")
 def _check_ratio_constants(ctx) -> list[LemmaReport]:
-    m, n = mu(0.5), nu(0.5)
+    m, n = mu(0.5, ctx.cfg), nu(0.5, ctx.cfg)
     return [
         _mk("P1a", 1.186694067, (1.0 + n) / (1.0 - m), "~", 1e-8, "series at X = 1/2"),
         _mk("P1b", 1.074612508, (1.0 + m) / (1.0 - m), "~", 1e-8, "series at X = 1/2"),
@@ -781,14 +782,12 @@ def _check_lemma39(ctx) -> list[LemmaReport]:
             # e^{-pi y (alpha + 1/alpha)} factor of A_{1,1}, without which the
             # exponentially small double sum could not dominate at large y
             s_ref = 0.5 * (alpha * alpha - 1.0) * math.exp(-_PI * y * (alpha + 1.0 / alpha))
+            # the double sum s, read off dx_w_double_sum = -8 pi alpha^{-5/2} y^{3/2} s
+            scale = -8.0 * _PI * alpha**-2.5 * y**1.5
             for x in [i / 40.0 for i in range(1, 20)]:
                 if x * x + y * y <= 1.0:
                     continue  # the claim is for points of the fundamental domain
-                s = sum(
-                    coupling_coefficient(n, m, alpha, y) * math.sin(2 * m * n * _PI * x)
-                    for n in range(1, 18)
-                    for m in range(1, 18)
-                )
+                s = dx_w_double_sum(alpha, UpperHalfPoint(x, y), ctx.cfg) / scale
                 worst = min(worst, s - s_ref * math.sin(2 * _PI * x))
     return [_mk("L39", 0.0, worst, ">=", 1e-18,
                 "alpha in (1, 1.1], y in [1, 3], x in (0, 1/2), |z| > 1",
@@ -807,6 +806,7 @@ def _check_lemma310_311(ctx) -> list[LemmaReport]:
                 bconst = geometric_tail_constant(y, 1.0 / alpha)
                 for m in (1, 2, 3, 4):
                     amm = coupling_coefficient(m, m, alpha, y)
+                    last = ctx.cfg.last_index(y * min(alpha, 1.0 / alpha), 3, m + 1, "L310/L311 sums")
                     for x in [i / 80.0 for i in range(1, 40)]:
                         s_ref = math.sin(2 * m * m * _PI * x)
                         if abs(s_ref) < 1e-3:
@@ -814,7 +814,7 @@ def _check_lemma310_311(ctx) -> list[LemmaReport]:
                         s = sum(
                             coupling_coefficient(*((m, n) if swap else (n, m)), alpha, y)
                             * math.sin(2 * m * n * _PI * x)
-                            for n in range(m + 1, m + 18)
+                            for n in range(m + 1, last + 1)
                         )
                         worst = max(worst, abs(s) / (bconst * amm * abs(s_ref)))
         note = ("mean-value endpoint alpha0 = 1/alpha (maximizing B); the bound "
@@ -834,7 +834,8 @@ def _check_b100(ctx) -> list[LemmaReport]:
     ident = abs(geometric_tail_constant(y, alpha0) - b1 / (1.0 - q))
     direct = 0.0
     m = 1
-    for k in range(1, 60):
+    # the exponent (2m + k) k = k^2 + 2mk decays at least as fast as the Gaussian k^2
+    for k in range(1, ctx.cfg.last_index(alpha0 * y, 6, 1, "B100 tail") + 1):
         direct += ((m + k) / m) ** 4 * (m + k) ** 2 * alpha0 * _PI * y * math.exp(
             -alpha0 * _PI * y * (2 * m + k) * k
         )
@@ -847,6 +848,7 @@ def _check_b100(ctx) -> list[LemmaReport]:
 
 @check("Gaa4")
 def _check_gaa4(ctx) -> list[LemmaReport]:
+    # Fixed range: the exponent is linear in n, which last_index's Gaussian rule does not fit.
     s = sum(n**6 * math.exp(-math.sqrt(3.0) * _PI * n) for n in range(2, 60))
     return [_mk("Gaa4", 1.27e-3, s, "<=", 0.0, "direct sum, n >= 2")]
 
@@ -927,7 +929,7 @@ def _check_hhh(ctx) -> list[LemmaReport]:
         return (up - 2.0 * mid + dn) / (h * h)
 
     fd = (wyy(1.0 + k) - wyy(1.0 - k)) / (2.0 * k)
-    ds = dw_mixed_operator(1.0, RT3_2)
+    ds = dw_mixed_operator(1.0, RT3_2, ctx.cfg)
     return [
         _mk("HHH", 1.127521373, fd, "~", 1e-5,
             "nested central differences, steps 5e-4 (1e-4 sits inside the "
@@ -993,11 +995,12 @@ def _check_l47(ctx) -> list[LemmaReport]:
     return reports
 
 
-def _alternating_sums(alpha: float, y: float, nmax: int) -> tuple[float, float]:
-    """The alternating double sums over 1 <= n, m <= nmax, sign (-1)^{nm}:
+def _alternating_sums(alpha: float, y: float, cfg: SeriesConfig) -> tuple[float, float]:
+    """The alternating double sums over n, m >= 1, sign (-1)^{nm}:
     sum n^2 (alpha^2 e_nm - e_mn) and sum n^4 (e_mn - alpha^4 e_nm), where
-    e_nm = e^{-pi y (n^2 alpha + m^2 / alpha)}."""
-    ns = np.arange(1.0, nmax + 1.0)
+    e_nm = e^{-pi y (n^2 alpha + m^2 / alpha)}; both indices run to last_index
+    at the smaller decay y min(alpha, 1/alpha)."""
+    ns = np.arange(1.0, cfg.last_index(y * min(alpha, 1.0 / alpha), 4, 1, "alternating sums") + 1.0)
     N, M = np.meshgrid(ns, ns, indexing="ij")
     sign = np.where((N * M) % 2 == 0, 1.0, -1.0)
     e_nm = np.exp(-_PI * y * (N**2 * alpha + M**2 / alpha))
@@ -1016,7 +1019,7 @@ def _check_l48(ctx) -> list[LemmaReport]:
         for y in (RT3_2, 1.0, 1.5, 3.0, 6.0):
             bconst = geometric_tail_constant(y, 1.0 / alpha)  # endpoint maximizing B
             base = math.exp(-_PI * y * (alpha + 1.0 / alpha))
-            s2, s4 = _alternating_sums(alpha, y, 18)
+            s2, s4 = _alternating_sums(alpha, y, ctx.cfg)
             worst4 = min(worst4, s4 - (1.0 - bconst) * (alpha**4 - 1.0) * base)
             worst2 = min(worst2, s2 + (1.0 + bconst) * (alpha**2 - 1.0) * base)
     return [
@@ -1134,8 +1137,7 @@ def _check_l413_l414_ineq(ctx) -> list[LemmaReport]:
             # sum without its factor 2, which leaves the n^4 inequality short by
             # a few 1e-5 relative at the region corner.
             X0 = y / alpha
-            last = ctx.cfg.last_index(X0, 0, 1, "comb sum")
-            t = sum(math.exp(-_PI * k * k * X0) for k in range(1, last + 1))
+            t = _comb_sum(X0, ctx.cfg)
             pref = (1.0 + 2.0 * t) / (1.0 - 2.0 * t)
             e1, e3 = pref * mu(alpha * y, ctx.cfg), pref * nu(alpha * y, ctx.cfg)
             th_half = jacobi_theta(X0, 0.5, ctx.cfg)
@@ -1198,7 +1200,7 @@ def _check_l45_l46(ctx) -> list[LemmaReport]:
             ks = range(1, ctx.cfg.last_index(min(y / alpha, y * alpha), 4, 1, "L45 single sums") + 1)
             single2 = float(sum(k * k * (math.exp(-_PI * k * k * y / alpha) - alpha**2 * math.exp(-_PI * k * k * y * alpha)) for k in ks))
             single4 = float(sum(k**4 * (math.exp(-_PI * k * k * y / alpha) - alpha**4 * math.exp(-_PI * k * k * y * alpha)) for k in ks))
-            dbl2, dbl4 = _alternating_sums(alpha, y, 24)
+            dbl2, dbl4 = _alternating_sums(alpha, y, ctx.cfg)
             printed = (
                 1.5 * math.sqrt(y) * (-2.0 * _PI * single2 + 4.0 * _PI * dbl2)
                 + y**1.5 * (2.0 * _PI**2 / alpha * single4 + 4.0 * _PI**2 / alpha * dbl4)
@@ -1245,20 +1247,20 @@ def _check_operator_identities(ctx) -> list[LemmaReport]:
     worst = 0.0
     for alpha, y in ((1.5, 1.2), (1.1, RT3_2), (2.0, 2.0)):
         fd = _radial_fd(lambda yy: theta_lattice(alpha, UpperHalfPoint(0.5, yy), ctx.cfg), y, h)
-        ds = theta_radial_operator(alpha, UpperHalfPoint(0.5, y))
+        ds = theta_radial_operator(alpha, UpperHalfPoint(0.5, y), ctx.cfg)
         worst = max(worst, abs(fd - ds) / max(abs(ds), 1e-12))
     out = [_mk("L419", 1e-5, worst, "<=", 0.0,
                "3 points on x = 1/2, finite differences with step 5e-4")]
     worst = 0.0
     for alpha, y in ((1.5, 1.2), (1.3, 1.0), (2.0, 2.0)):
         fd = _radial_fd(w_on_half(alpha), y, h)
-        ds = dw_radial_operator(alpha, y)
+        ds = dw_radial_operator(alpha, y, ctx.cfg)
         worst = max(worst, abs(fd - ds) / max(abs(ds), 1e-12))
     out.append(_mk("L420", 1e-5, worst, "<=", 0.0, "same scheme for W_{1/(2 pi)}"))
     worst = 0.0
     for alpha, y in ((1.1, 1.0), (1.0, RT3_2), (1.3, 1.5)):
         fd = (_radial_fd(w_on_half(alpha + k), y, h) - _radial_fd(w_on_half(alpha - k), y, h)) / (2.0 * k)
-        ds = dw_mixed_operator(alpha, y)
+        ds = dw_mixed_operator(alpha, y, ctx.cfg)
         worst = max(worst, abs(fd - ds) / max(abs(ds), 1e-12))
     out.append(_mk("L429", 1e-5, worst, "<=", 0.0, "3 points, nested differences, steps 5e-4"))
     return out
@@ -1296,7 +1298,7 @@ def _check_rd_region(ctx) -> list[LemmaReport]:
     # Validity of the printed derivative bound on R_d.
     worst, arg = _min_with_arg(
         ((a, y) for a in np.linspace(1.2, 3.0, 10) for y in np.linspace(RT3_2, 5.0 * a / 6.0, 8)),
-        lambda a, y: dw_radial_operator(float(a), float(y))
+        lambda a, y: dw_radial_operator(float(a), float(y), ctx.cfg)
         - _PI * a * y**-4.0 * math.exp(-_PI * a / y) * float(ld_function(float(a), float(y))),
     )
     out.append(_mk("L421-bound", 0.0, worst, ">=", 0.0,
@@ -1323,7 +1325,7 @@ def _check_dsum_bounds(ctx) -> list[LemmaReport]:
         for y in np.linspace(RT3_2, 5.0 * float(a) / 6.0, 12)
     ]
     for alpha, y in rd_cells:
-        s_r2q, s_n2, s_r2, s_n2q, _, _ = _half_lattice_sums(alpha, y)
+        s_r2q, s_n2, s_r2, s_n2q, _, _ = _half_lattice_sums(alpha, y, ctx.cfg)
         q1 = y + 0.25 / y
         r1 = 1.0 - 0.25 / y**2
         e_q1 = math.exp(-_PI * alpha * q1)
@@ -1342,7 +1344,7 @@ def _check_dsum_bounds(ctx) -> list[LemmaReport]:
         for y in np.linspace(RT3_2, 1.0, 9)
     ]
     for alpha, y in ra_cells:
-        _, _, _, _, s_n2q2, s_r2q2 = _half_lattice_sums(alpha, y)
+        _, _, _, _, s_n2q2, s_r2q2 = _half_lattice_sums(alpha, y, ctx.cfg)
         q1 = y + 0.25 / y
         r1 = 1.0 - 0.25 / y**2
         e_q1 = math.exp(-_PI * alpha * q1)
@@ -1356,8 +1358,8 @@ def _check_dsum_bounds(ctx) -> list[LemmaReport]:
         )
         if gap33 < worst33:
             worst33, arg33 = gap33, (alpha, y)
-    grid_rd = "R_d grid (alpha in [1.2, 6], y in [rt3/2, 5 alpha/6]), sums |n|,|m| <= 16"
-    grid_ra = "R_a grid (alpha in [1, 1.2], y in [rt3/2, 1]), sums |n|,|m| <= 16"
+    grid_rd = "R_d grid (alpha in [1.2, 6], y in [rt3/2, 5 alpha/6]), sums |n|,|m| <= last_index"
+    grid_ra = "R_a grid (alpha in [1, 1.2], y in [rt3/2, 1]), sums |n|,|m| <= last_index"
     out.append(_mk("L423", 0.0, worst23, ">=", 1e-18, grid_rd, "first-kind lower bound"))
     out.append(_mk("L424", 0.0, worst24, ">=", 1e-18, grid_rd, "second-kind lower bound"))
     out.append(_mk("L425", 0.0, worst25, ">=", 0.0, grid_rd,
@@ -1393,7 +1395,7 @@ def _check_ra_region(ctx) -> list[LemmaReport]:
                    "60x60 grid on [1, 1.2] x [rt3/2, 1]"))
     worst, arg = _min_with_arg(
         ((a, y) for a in np.linspace(1.0, 1.2, 8) for y in np.linspace(RT3_2, 1.0, 8)),
-        lambda a, y: dw_mixed_operator(float(a), float(y))
+        lambda a, y: dw_mixed_operator(float(a), float(y), ctx.cfg)
         - _PI / y**4 * math.exp(-_PI * a / y) * float(la_function(float(a), float(y))),
     )
     out.append(_mk("L430-bound", 0.0, worst, ">=", 0.0, "8x8 grid on R_a",
@@ -1481,23 +1483,3 @@ _DSUM_IDS = ("L423", "L424", "L425", "L426", "L432", "L433", "L310", "L311",
              "L47-Bn", "L47-floor", "L48-n2", "L48-n4")
 _IDENTITY_IDS = ("Thaaa", "L35", "W1", "L419", "L420", "L429", "Wdeform",
                  "Eq319", "aaF4", "L45", "L46", "L33", "L34", "L32")
-
-
-def verify_constants(**kw) -> list[LemmaReport]:
-    return run_checks(only=_CONSTANT_IDS, **kw)
-
-
-def verify_error_terms(**kw) -> list[LemmaReport]:
-    return run_checks(only=_ERROR_TERM_IDS, **kw)
-
-
-def verify_region_inequalities(**kw) -> list[LemmaReport]:
-    return run_checks(only=_REGION_IDS, **kw)
-
-
-def verify_double_sum_bounds(**kw) -> list[LemmaReport]:
-    return run_checks(only=_DSUM_IDS, **kw)
-
-
-def verify_identities(**kw) -> list[LemmaReport]:
-    return run_checks(only=_IDENTITY_IDS, **kw)

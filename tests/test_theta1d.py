@@ -3,6 +3,7 @@
 import math
 
 import mpmath
+import numpy as np
 import pytest
 
 from hexlat import SeriesConfig, jacobi_theta, jacobi_theta_partial, mu, nu, theta_envelope
@@ -86,6 +87,9 @@ def test_nonpositive_x():
         jacobi_theta(-1.0, 0.1)
     with pytest.raises(NonPositiveX):
         mu(-0.5)
+    for bad in (-0.5, math.nan, math.inf):
+        with pytest.raises(NonPositiveX):
+            nu(np.array([0.5, bad]))
 
 
 def test_truncation_failure_when_capped():
@@ -109,11 +113,15 @@ def test_config_validation():
 
 
 def test_mu_nu_against_direct_sums():
-    for X in (0.2, 0.5, 1.0):
-        m = sum(n * n * math.exp(-PI * (n * n - 1) * X) for n in range(2, 120))
-        n4 = sum(n**4 * math.exp(-PI * (n * n - 1) * X) for n in range(2, 120))
-        assert abs(mu(X) - m) <= 1e-13 * m
-        assert abs(nu(X) - n4) <= 1e-13 * n4
+    xs = (0.2, 0.5, 1.0, 3.0)
+    m = np.array([sum(n * n * math.exp(-PI * (n * n - 1) * X) for n in range(2, 120)) for X in xs])
+    n4 = np.array([sum(n**4 * math.exp(-PI * (n * n - 1) * X) for n in range(2, 120)) for X in xs])
+    for i, X in enumerate(xs):
+        assert abs(mu(X) - m[i]) <= 1e-13 * m[i]
+        assert abs(nu(X) - n4[i]) <= 1e-13 * n4[i]
+    # an array X, summed to the term count of its smallest entry
+    assert np.all(np.abs(mu(np.array(xs)) - m) <= 1e-13 * m)
+    assert np.all(np.abs(nu(np.array(xs)) - n4) <= 1e-13 * n4)
 
 
 def test_mu_monotone_and_negligible_at_large_x():

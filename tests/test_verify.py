@@ -5,7 +5,9 @@ printed-claim discrepancies must be detected (reports fail with the frozen
 computed values), and everything else must pass.
 """
 
+import inspect
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -31,11 +33,6 @@ from hexlat.verify import (
     ld_function,
     rc_inner_expression,
     run_checks,
-    verify_constants,
-    verify_double_sum_bounds,
-    verify_error_terms,
-    verify_identities,
-    verify_region_inequalities,
 )
 
 PI = math.pi
@@ -53,8 +50,11 @@ def test_manifest_matches_emitted_ids(reports):
 
 
 def test_failing_set_is_exactly_the_documented_one(reports):
-    failing = sorted(r.lemma_id for r in reports if not r.passed)
-    assert failing == sorted(EXPECTED_FAILURES)
+    # a looser --tol reaches every series of the suite and must flip no verdict
+    for run in (reports, run_checks(cfg=SeriesConfig(rel_tol=1e-10))):
+        assert [r.lemma_id for r in run] == coverage_manifest()
+        failing = sorted(r.lemma_id for r in run if not r.passed)
+        assert failing == sorted(EXPECTED_FAILURES)
 
 
 def test_every_failure_carries_a_note(reports):
@@ -110,14 +110,6 @@ def test_only_filter_and_unknown_id():
         run_checks(only=["NOPE"])
 
 
-def test_spec_groupings_cover_their_ids():
-    assert {r.lemma_id for r in verify_constants()} >= {"HHH", "L44-limit", "P1a"}
-    assert {r.lemma_id for r in verify_error_terms()} >= {"P3-sigma1", "L414-eps4"}
-    assert {r.lemma_id for r in verify_region_inequalities()} >= {"L44-floor", "L412-floor"}
-    assert {r.lemma_id for r in verify_double_sum_bounds()} >= {"L423", "L310"}
-    assert {r.lemma_id for r in verify_identities()} >= {"Thaaa", "W1", "L35"}
-
-
 def test_each_check_emits_exactly_its_declared_ids():
     ctx = _Ctx(cfg=DEFAULT_CONFIG, seed=DEFAULT_SEED)
     for fn in set(verify._EMITTERS.values()):
@@ -160,9 +152,23 @@ def test_group_run_calls_only_its_checks(group, reports, monkeypatch):
     assert len(called) == len(owners) and set(called) == owners
 
 
+#: (report ids, the last_index series names their checks must request)
+_RULED_SERIES = [
+    (["L413-ineq", "L414-ineq", "L46"], {"mu", "nu", "theta_weighted_sums", "comb sum"}),
+    (["L413-eps1", "L414-eps2", "L413-eps3", "L414-eps4"], {"mu", "nu", "comb sum", "P0"}),
+    (["L45", "L48-n2", "L48-n4"], {"alternating sums"}),
+    (["HHH-dsum", "L419", "L420", "L429", "L421-bound", "L423", "L432", "L430-bound"],
+     {"lattice grid"}),
+    (["L39"], {"dx_w_double_sum"}),
+    (["L310", "L311"], {"L310/L311 sums"}),
+    (["LLL7"], {"LLL7 sums"}),
+    (["B100-tail"], {"B100 tail"}),
+]
+
+
 def test_weighted_theta_sums_follow_the_truncation_rule(monkeypatch):
-    # the L413/L414/L46 series take their term counts from SeriesConfig, so
-    # --tol and max_terms reach them like every other series
+    # verify's series take their term counts from SeriesConfig, so --tol and
+    # max_terms reach them like every other series
     requested = []
     last_index = SeriesConfig.last_index
 
@@ -171,8 +177,39 @@ def test_weighted_theta_sums_follow_the_truncation_rule(monkeypatch):
         return last_index(self, d, p, start, name)
 
     monkeypatch.setattr(SeriesConfig, "last_index", spy)
-    run_checks(only=["L413-ineq", "L414-ineq", "L46"])
-    assert {"mu", "nu", "theta_weighted_sums", "comb sum"} <= set(requested)
+    for ids, names in _RULED_SERIES:
+        requested.clear()
+        run_checks(only=ids)
+        assert names <= set(requested), ids
+
+
+def test_every_theta1d_call_carries_the_run_config(monkeypatch):
+    # run_checks(cfg=C) hands C to each theta1d function verify calls itself;
+    # only PXY's forced-branch copies of C change the branch switch
+    cfg = SeriesConfig(rel_tol=1e-10)
+    seen = {}
+
+    def spy(name, fn):
+        sig = inspect.signature(fn)
+
+        def wrapped(*args, **kwargs):
+            seen.setdefault(name, []).append(sig.bind(*args, **kwargs).arguments.get("cfg"))
+            return fn(*args, **kwargs)
+        return wrapped
+
+    spied = [
+        name for name, fn in vars(verify).items()
+        if inspect.isfunction(fn) and fn.__module__ == "hexlat.theta1d"
+        and "cfg" in inspect.signature(fn).parameters
+    ]
+    for name in spied:
+        monkeypatch.setattr(verify, name, spy(name, getattr(verify, name)))
+    run_checks(cfg=cfg)
+    assert {"jacobi_theta", "jacobi_theta_partial", "mu", "nu", "theta_envelope"} <= set(spied)
+    assert set(seen) == set(spied)
+    for name, cfgs in seen.items():
+        assert all(c is not None and replace(c, poisson_switch=cfg.poisson_switch) == cfg
+                   for c in cfgs), name
 
 
 def test_report_serialization(reports):

@@ -7,6 +7,11 @@ from dataclasses import dataclass
 
 from .errors import InvalidParameter, TruncationFailure
 
+#: The most indices one series may use, N - start + 1; a series whose rule
+#: asks for more raises TruncationFailure before any term is summed.  A
+#: Poisson pair (1 + j, -j) counts as one index.
+MAX_TERMS = 256
+
 
 @dataclass(frozen=True)
 class SeriesConfig:
@@ -20,42 +25,29 @@ class SeriesConfig:
     largest bound at an earlier index) + 2 guard terms.
 
     rel_tol: the relative cut-off of that rule, in (0, 1e-6).
-    max_terms: the most indices one series may use, N - start + 1; a series
-        whose rule asks for more raises TruncationFailure before any term
-        is summed.  A Poisson pair (1 + j, -j) counts as one index.
-    poisson_switch: theta(X; Y) and its partials use the defining Fourier
-        series for X >= poisson_switch and the Poisson-resummed Gaussian
-        comb below it.  Both representations are valid on all of X > 0;
-        X = 1 is the self-dual point, where the two decay rates coincide.
     """
 
     rel_tol: float = 1e-14
-    max_terms: int = 256
-    poisson_switch: float = 1.0
 
     def __post_init__(self) -> None:
         if not 0.0 < self.rel_tol < 1e-6:
             raise InvalidParameter(f"rel_tol must lie in (0, 1e-6), got {self.rel_tol}")
-        if self.max_terms < 8:
-            raise InvalidParameter(f"max_terms must be >= 8, got {self.max_terms}")
-        if not self.poisson_switch > 0:
-            raise InvalidParameter(f"poisson_switch must be > 0, got {self.poisson_switch}")
 
     def last_index(self, d: float, p: int, start: int, name: str) -> int:
         """Last index N of sum_{n >= start} n^p e^{-pi d n^2} under the rule above.
 
         Raises TruncationFailure, naming the series `name`, when N - start + 1
-        would exceed max_terms.
+        would exceed MAX_TERMS.
         """
         peak = start**p * math.exp(-math.pi * d * start * start)
-        for n in range(start + 1, start + self.max_terms - 2):
+        for n in range(start + 1, start + MAX_TERMS - 2):
             bound = n**p * math.exp(-math.pi * d * n * n)
             if bound <= self.rel_tol * peak:
                 return n + 2
             if bound > peak:
                 peak = bound
         raise TruncationFailure(
-            f"{name} not converged within {self.max_terms} terms (decay d={d})"
+            f"{name} not converged within {MAX_TERMS} terms (decay d={d})"
         )
 
 

@@ -286,53 +286,52 @@ def theta_difference_via_w_integral(
 # ---------------------------------------------------------------------------
 
 
+class _Family:
+    """Parameter check shared by the families: alpha > 0, finite a > 1, finite b."""
+
+    def __post_init__(self) -> None:
+        _check_alpha(self.alpha)
+        if hasattr(self, "a") and not 1.0 < self.a < math.inf:
+            raise InvalidParameter(f"{type(self).__name__} requires a finite a > 1, got {self.a}")
+        if not math.isfinite(getattr(self, "b", 0.0)):
+            raise InvalidParameter(f"b must be finite, got {self.b}")
+
+
 @dataclass(frozen=True)
-class Gaussian:
+class Gaussian(_Family):
     """f(r^2) = e^{-pi alpha r^2}."""
 
     alpha: float
 
-    def __post_init__(self) -> None:
-        _check_spec(self)
-
 
 @dataclass(frozen=True)
-class GaussianDiff:
+class GaussianDiff(_Family):
     """f(r^2) = e^{-pi alpha r^2} - b e^{-pi a alpha r^2}, a > 1."""
 
     alpha: float
     a: float
     b: float
 
-    def __post_init__(self) -> None:
-        _check_spec(self)
-
 
 @dataclass(frozen=True)
-class PolyGaussian:
+class PolyGaussian(_Family):
     """f(r^2) = (r^2 - b/alpha) e^{-pi alpha r^2}."""
 
     alpha: float
     b: float
 
-    def __post_init__(self) -> None:
-        _check_spec(self)
-
 
 @dataclass(frozen=True)
-class YukawaDiff:
+class YukawaDiff(_Family):
     """f applied at r^2: h(q) = e^{-pi alpha q}/q - b e^{-pi a alpha q}/q, a > 1."""
 
     alpha: float
     a: float
     b: float
 
-    def __post_init__(self) -> None:
-        _check_spec(self)
-
 
 @dataclass(frozen=True)
-class LaplaceWeighted:
+class LaplaceWeighted(_Family):
     """Laplace-transform family with nonnegative weight P on [1, inf).
 
     family "f": f(q) = int_1^inf (e^{-pi alpha x q} - b e^{-pi a alpha x q}) P(x) dx
@@ -346,18 +345,9 @@ class LaplaceWeighted:
     family: str = "f"
 
     def __post_init__(self) -> None:
-        _check_spec(self)
+        super().__post_init__()
         if self.family not in ("f", "g"):
             raise InvalidParameter(f"family must be 'f' or 'g', got {self.family!r}")
-
-
-def _check_spec(p: PotentialSpec) -> None:
-    """Parameter check shared by the families: alpha > 0, finite a > 1, finite b."""
-    _check_alpha(p.alpha)
-    if hasattr(p, "a") and not 1.0 < p.a < math.inf:
-        raise InvalidParameter(f"{type(p).__name__} requires a finite a > 1, got {p.a}")
-    if not math.isfinite(getattr(p, "b", 0.0)):
-        raise InvalidParameter(f"b must be finite, got {p.b}")
 
 
 PotentialSpec = Union[Gaussian, GaussianDiff, PolyGaussian, YukawaDiff, LaplaceWeighted]

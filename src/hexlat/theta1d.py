@@ -1,8 +1,7 @@
 """One-dimensional Jacobi theta function, selected partials, and tail majorants.
 
 theta(X; Y) = sum_{n in Z} exp(-pi n^2 X) exp(2 pi i n Y) is real for real
-arguments (cosine form).  Below the configured switch point the Poisson
-resummation
+arguments (cosine form).  Below X = POISSON_SWITCH the Poisson resummation
 
     theta(X; Y) = X^{-1/2} sum_{n in Z} exp(-pi (n - Y)^2 / X)
 
@@ -25,6 +24,12 @@ from .errors import NonPositiveX, UnsupportedOrder
 
 _TWO_PI = 2.0 * math.pi
 _PI = math.pi
+
+#: theta(X; Y) and its partials use the Fourier series for X >= POISSON_SWITCH
+#: and the Poisson comb below it.  X = 1 is the self-dual point, where the
+#: two decay rates (X and 1/X) coincide, so each branch runs at decay >= 1
+#: and never needs more than last_index(1, ...) terms.
+POISSON_SWITCH = 1.0
 
 #: One entry per derivative order (x_order, y_order) of theta, holding each
 #: series term once.  Fourier: (c, trig), the term at n >= 1 being
@@ -94,7 +99,7 @@ def jacobi_theta(X: float, Y: float, cfg: SeriesConfig = DEFAULT_CONFIG) -> floa
     """theta(X; Y), real cosine form; X > 0, Y arbitrary (period 1)."""
     _check_x(X)
     Yr = _reduce_y(Y)
-    if X < cfg.poisson_switch:
+    if X < POISSON_SWITCH:
         return _sum_poisson(X, Yr, 0, 0, cfg)
     return _sum_fourier(X, Yr, 0, 0, cfg)
 
@@ -113,7 +118,7 @@ def jacobi_theta_partial(
             f"order ({x_order}, {y_order}) not in {SUPPORTED_ORDERS}"
         )
     Yr = _reduce_y(Y)
-    if X < cfg.poisson_switch:
+    if X < POISSON_SWITCH:
         return _sum_poisson(X, Yr, x_order, y_order, cfg)
     return _sum_fourier(X, Yr, x_order, y_order, cfg)
 
@@ -128,7 +133,7 @@ def theta_array(X: np.ndarray, Y: np.ndarray, x_order: int, cfg: SeriesConfig) -
     """
     Y = (Y - np.floor(Y))[:, None]
     out = np.empty((len(Y), len(X)))
-    low = X < cfg.poisson_switch
+    low = X < POISSON_SWITCH
     for mask, series in ((low, _poisson_array), (~low, _fourier_array)):
         if mask.any():
             out[:, mask] = series(X[mask], Y, x_order, 0, cfg)

@@ -15,7 +15,7 @@ another, only those a request needs, and sorts the reports by id.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from typing import Callable, Iterable
 
 import numpy as np
@@ -43,7 +43,8 @@ from .moduli import (
     lattice_norms,
     reduce_to_fundamental,
 )
-from .theta1d import _large_x_envelope, _power_tail, _small_x_envelope
+from .theta1d import _large_x_envelope, _power_tail, _reduce_y, _small_x_envelope
+from .theta1d import _sum_fourier, _sum_poisson
 from .theta1d import jacobi_theta, jacobi_theta_partial, mu, nu, theta_envelope
 
 _PI = math.pi
@@ -314,16 +315,15 @@ def _random_domain_points(rng: np.random.Generator, count: int, y_max: float = 1
 
 @check("PXY")
 def _check_poisson_consistency(ctx) -> list[LemmaReport]:
-    cfg_f = replace(ctx.cfg, poisson_switch=1e-9)   # forces Fourier branch
-    cfg_p = replace(ctx.cfg, poisson_switch=1e9)    # forces Poisson branch
     xs = np.geomspace(0.05, 20.0, 31)
     ys = np.linspace(0.0, 1.0, 31)
     worst = 0.0
-    for X in xs:
-        for Y in ys:
-            a = jacobi_theta(float(X), float(Y), cfg_f)
-            b = jacobi_theta(float(X), float(Y), cfg_p)
-            scale = max(abs(b), jacobi_theta(float(X), 0.0, cfg_p))
+    for X in map(float, xs):
+        for Y in map(float, ys):
+            Yr = _reduce_y(Y)
+            a = _sum_fourier(X, Yr, 0, 0, ctx.cfg)
+            b = _sum_poisson(X, Yr, 0, 0, ctx.cfg)
+            scale = max(abs(b), _sum_poisson(X, 0.0, 0, 0, ctx.cfg))
             worst = max(worst, abs(a - b) / scale)
     return [_mk("PXY", 1e-12, worst, "<=", 0.0, "31x31 grid, X in [0.05,20] log, Y in [0,1]",
                 "branch gap relative to the series scale theta(X;0); near Y = 1/2 at "

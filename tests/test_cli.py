@@ -66,6 +66,14 @@ def test_invalid_arguments_exit_2(capsys):
     assert run_cli(capsys, "theta", "1", "0", "-1")[0] == 2
     assert run_cli(capsys, "theta", "-1", "0", "1")[0] == 2
     assert run_cli(capsys, "reduce", "0.3", "0")[0] == 2
+    for argv, message in (
+        (("energy", "--x", "0", "--y", "1"), "give a potential family or --spec-file"),
+        (("energy", "gaussian", "--x", "0", "--y", "1", "--cutoff", "0"), "cutoff_radius must be > 0"),
+        (("phase-scan", "--problem", "w", "--alphas", ",", "--b-min", "0", "--b-max", "0.1",
+          "--b-step", "0.05"), "empty alpha list"),
+    ):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 2 and message in err, argv
     with pytest.raises(SystemExit) as err:
         main(["theta", "1", "0", "1", "--precision", "22"])
     assert err.value.code == 2
@@ -293,8 +301,11 @@ _LAPLACE = {"family": "laplace_weighted", "alpha": 1.0, "a": 2.0, "b": 0.0}
         json.dumps({"family": "gaussian_diff", "alpha": 1.0, "a": 2.0}),
         json.dumps({**_LAPLACE, "weight": {"kind": "exponential", "rate": "fast"}}),
         json.dumps({**_LAPLACE, "weight": {"kind": "constant", "value": math.nan}}),
+        json.dumps({"family": "coulomb", "alpha": 1.0}),
+        json.dumps({**_LAPLACE, "weight": {"kind": "linear"}}),
     ],
-    ids=["malformed", "not-an-object", "alpha-abc", "missing-b", "rate-abc", "value-nan"],
+    ids=["malformed", "not-an-object", "alpha-abc", "missing-b", "rate-abc", "value-nan",
+         "unknown-family", "unknown-weight"],
 )
 def test_bad_spec_file_exit_2(capsys, tmp_path, text):
     spec = tmp_path / "pot.json"

@@ -9,7 +9,6 @@ import pytest
 from conftest import brute_energy, brute_theta, brute_w
 from hexlat import (
     B_CRITICAL,
-    SeriesConfig,
     Gaussian,
     GaussianDiff,
     LaplaceWeighted,
@@ -182,6 +181,8 @@ def test_theta_difference_reduces_at_b_zero():
 def test_theta_difference_requires_a_above_one():
     with pytest.raises(InvalidParameter):
         theta_difference(1.0, 1.0, 0.5, HEX)
+    with pytest.raises(InvalidParameter):
+        theta_difference_via_w_integral(1.0, 1.0, HEX)
 
 
 def test_theta_difference_brute():
@@ -209,6 +210,8 @@ def test_potential_validation():
         Gaussian(alpha=0.0)
     with pytest.raises(InvalidParameter):
         LaplaceWeighted(alpha=1.0, a=2.0, b=0.0, weight=lambda x: 1.0, family="h")
+    with pytest.raises(InvalidParameter, match="requires a LaplaceWeighted spec"):
+        laplace_energy(GaussianDiff(alpha=1.0, a=2.0, b=0.5), HEX)
     for bad in (math.nan, math.inf, -math.inf):
         for make in (
             lambda v: GaussianDiff(alpha=1.0, a=2.0, b=v),
@@ -426,9 +429,6 @@ def test_potential_value_laplace_flat_closed_form():
     assert abs(potential_value(p, q) - ref) <= 1e-10 * ref
 
 
-_CAPPED = SeriesConfig(max_terms=8)
-
-
 def _laplace_at(alpha, family):
     return LaplaceWeighted(alpha=alpha, a=2.0, b=0.1, weight=lambda x: math.exp(-x), family=family)
 
@@ -436,17 +436,17 @@ def _laplace_at(alpha, family):
 @pytest.mark.parametrize(
     "name, call",
     [
-        ("theta_lattice", lambda z: theta_lattice(0.01, z, _CAPPED)),
-        ("w_b", lambda z: w_b(0.01, 0.0, z, _CAPPED)),
-        ("dx_w", lambda z: dx_w(0.01, z, _CAPPED)),
-        ("dy_w", lambda z: dy_w(0.01, z, _CAPPED)),
-        ("dx_w_double_sum", lambda z: dx_w_double_sum(0.01, z, _CAPPED)),
-        ("theta_lattice", lambda z: laplace_energy(_laplace_at(0.01, "f"), z, _CAPPED)),
-        ("w_b", lambda z: laplace_energy(_laplace_at(0.01, "g"), z, _CAPPED)),
+        ("theta_lattice", lambda z: theta_lattice(1e-5, z)),
+        ("w_b", lambda z: w_b(1e-5, 0.0, z)),
+        ("dx_w", lambda z: dx_w(1e-5, z)),
+        ("dy_w", lambda z: dy_w(1e-5, z)),
+        ("dx_w_double_sum", lambda z: dx_w_double_sum(1e-5, z)),
+        ("theta_lattice", lambda z: laplace_energy(_laplace_at(1e-5, "f"), z)),
+        ("w_b", lambda z: laplace_energy(_laplace_at(1e-5, "g"), z)),
     ],
     ids=["theta_lattice", "w_b", "dx_w", "dy_w", "dx_w_double_sum", "laplace-f", "laplace-g"],
 )
 def test_energy_truncation_failure_when_capped(name, call):
-    # alpha y = 0.01 needs ~30 outer terms against a cap of 8
+    # alpha y = 1e-5 needs ~1,000 outer terms against MAX_TERMS = 256
     with pytest.raises(TruncationFailure, match=rf"^{name} "):
         call(UpperHalfPoint(0.3, 1.0))

@@ -31,6 +31,7 @@ from hexlat import (
     theta_lattice,
     w_b,
 )
+from hexlat.config import MAX_TERMS
 from hexlat.energy import (
     _theta_minus_one,
     _theta_minus_one_batch,
@@ -38,10 +39,21 @@ from hexlat.energy import (
     _w_b_minus_origin_batch,
 )
 from hexlat.quadrature import integrate
-from hexlat.theta1d import _TERMS, SUPPORTED_ORDERS, _comb, theta_array
+from hexlat.theta1d import (
+    _TERMS,
+    POISSON_SWITCH,
+    SUPPORTED_ORDERS,
+    _comb,
+    _fourier_array,
+    _poisson_array,
+    _reduce_y,
+    _sum_fourier,
+    _sum_poisson,
+    theta_array,
+)
 
-FOURIER = SeriesConfig(poisson_switch=1e-9)
-POISSON = SeriesConfig(poisson_switch=1e9)
+FOURIER, POISSON = _sum_fourier, _sum_poisson
+BRANCHES = {"fourier": (FOURIER, _fourier_array), "poisson": (POISSON, _poisson_array)}
 TIGHT = SeriesConfig(rel_tol=1e-15)
 ORDERS = ((0, 0),) + SUPPORTED_ORDERS
 
@@ -83,7 +95,7 @@ def abs_term_sum(X, Y, order, branch):
 def test_last_index_is_first_small_bound_plus_two_guards(d, p, start):
     cfg = DEFAULT_CONFIG
     last = cfg.last_index(d, p, start, "probe")
-    assert last - start + 1 <= cfg.max_terms
+    assert last - start + 1 <= MAX_TERMS
     bounds = [n**p * math.exp(-math.pi * d * n * n) for n in range(start, last + 1)]
     cut = last - 2 - start
     assert bounds[cut] <= cfg.rel_tol * max(bounds[:cut])
@@ -104,9 +116,10 @@ def test_last_index_non_increasing_in_decay(d, ratio, p, start):
 def test_forced_fourier_equals_forced_poisson(X, Y):
     # Each branch is truncated at rel_tol of its largest term; the two agree
     # to a few rel_tol of the larger branch's absolute term sum.
+    Yr = _reduce_y(Y)
     for order in ORDERS:
-        f = theta_of_order(X, Y, order, FOURIER)
-        p = theta_of_order(X, Y, order, POISSON)
+        f = FOURIER(X, Yr, *order, DEFAULT_CONFIG)
+        p = POISSON(X, Yr, *order, DEFAULT_CONFIG)
         scale = max(abs_term_sum(X, Y, order, "fourier"), abs_term_sum(X, Y, order, "poisson"))
         assert abs(f - p) <= 4.0 * DEFAULT_CONFIG.rel_tol * scale, order
 
@@ -115,16 +128,34 @@ def test_forced_fourier_equals_forced_poisson(X, Y):
 @given(log_xs=st.lists(st.floats(-1.3, 1.3), min_size=1, max_size=6),
        ys=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=4))
 def test_theta_array_matches_scalar(log_xs, ys):
-    # The X draws straddle the default switch at 1, so a batch can mix branches.
+    # The X draws straddle the switch at 1, so a batch can mix branches; each
+    # branch's array kernel is also held to its scalar sum at every X.
     X = np.array([10.0**e for e in log_xs])
-    for cfg in (FOURIER, POISSON, DEFAULT_CONFIG):
-        for order in ((0, 0), (1, 0)):
-            out = theta_array(X, np.array(ys), order[0], cfg)
-            for k, Y in enumerate(ys):
-                for i, x in enumerate(X):
-                    branch = "poisson" if x < cfg.poisson_switch else "fourier"
-                    scale = abs_term_sum(x, Y, order, branch)
-                    assert abs(out[k, i] - theta_of_order(x, Y, order, cfg)) <= 1e-14 * scale
+    Yr = np.array(ys) - np.floor(ys)
+    cfg = DEFAULT_CONFIG
+    for order in ((0, 0), (1, 0)):
+        out = theta_array(X, np.array(ys), order[0], cfg)
+        forced = {name: array(X, Yr[:, None], *order, cfg) for name, (_, array) in BRANCHES.items()}
+        for k, Y in enumerate(ys):
+            for i, x in enumerate(X):
+                branch = "poisson" if x < POISSON_SWITCH else "fourier"
+                scale = abs_term_sum(x, Y, order, branch)
+                assert abs(out[k, i] - theta_of_order(x, Y, order, cfg)) <= 1e-14 * scale
+                for name, (scalar, _) in BRANCHES.items():
+                    scale = abs_term_sum(x, Y, order, name)
+                    assert abs(forced[name][k, i] - scalar(x, Yr[k], *order, cfg)) <= 1e-14 * scale, name
+
+
+@settings(max_examples=200, deadline=None)
+@given(log_x=st.floats(-6.0, 6.0), Y=st.floats(allow_nan=False, allow_infinity=False),
+       cfg=st.sampled_from((DEFAULT_CONFIG, SeriesConfig(rel_tol=1e-300))))
+def test_theta_never_reaches_the_term_cap(log_x, Y, cfg):
+    # Each branch runs at decay >= 1 (X on the Fourier side, 1/X on the
+    # Poisson side), where last_index stays far below MAX_TERMS at any
+    # rel_tol, so no TruncationFailure can come out of theta itself.
+    X = 10.0**log_x
+    for order in ORDERS:
+        assert math.isfinite(theta_of_order(X, Y, order, cfg)), order
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,13 +1,23 @@
 """Tests for the one-dimensional theta function and its companions."""
 
+import dataclasses
 import math
 
 import mpmath
 import numpy as np
 import pytest
 
-from hexlat import SeriesConfig, jacobi_theta, jacobi_theta_partial, mu, nu, theta_envelope
+from hexlat import (
+    DEFAULT_CONFIG,
+    SeriesConfig,
+    jacobi_theta,
+    jacobi_theta_partial,
+    mu,
+    nu,
+    theta_envelope,
+)
 from hexlat.errors import InvalidParameter, NonPositiveX, TruncationFailure, UnsupportedOrder
+from hexlat.theta1d import _sum_fourier
 
 PI = math.pi
 
@@ -93,23 +103,22 @@ def test_nonpositive_x():
 
 
 def test_truncation_failure_when_capped():
-    cfg = SeriesConfig(max_terms=8, poisson_switch=1e-12)  # force the Fourier branch
-    with pytest.raises(TruncationFailure):
-        jacobi_theta(0.001, 0.2, cfg)
+    # the Fourier sum at X = 1e-5 needs ~1,000 terms against MAX_TERMS = 256;
+    # jacobi_theta itself switches to the Poisson comb there
+    with pytest.raises(TruncationFailure, match=r"^Fourier theta series "):
+        _sum_fourier(1e-5, 0.2, 0, 0, DEFAULT_CONFIG)
 
 
 def test_mu_truncation_failure_when_capped():
     with pytest.raises(TruncationFailure, match=r"^mu "):
-        mu(0.01, SeriesConfig(max_terms=8))
+        mu(1e-5)
 
 
 def test_config_validation():
+    # the term cap and the branch switch are constants; rel_tol is the one setting
+    assert [f.name for f in dataclasses.fields(SeriesConfig)] == ["rel_tol"]
     with pytest.raises(InvalidParameter):
         SeriesConfig(rel_tol=0.5)
-    with pytest.raises(InvalidParameter):
-        SeriesConfig(max_terms=4)
-    with pytest.raises(InvalidParameter):
-        SeriesConfig(poisson_switch=0.0)
 
 
 def test_mu_nu_against_direct_sums():

@@ -7,7 +7,6 @@ computed values), and everything else must pass.
 
 import inspect
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -167,8 +166,8 @@ _RULED_SERIES = [
 
 
 def test_weighted_theta_sums_follow_the_truncation_rule(monkeypatch):
-    # verify's series take their term counts from SeriesConfig, so --tol and
-    # max_terms reach them like every other series
+    # verify's series take their term counts from SeriesConfig.last_index, so
+    # --tol and the MAX_TERMS cap reach them like every other series
     requested = []
     last_index = SeriesConfig.last_index
 
@@ -184,8 +183,8 @@ def test_weighted_theta_sums_follow_the_truncation_rule(monkeypatch):
 
 
 def test_every_theta1d_call_carries_the_run_config(monkeypatch):
-    # run_checks(cfg=C) hands C to each theta1d function verify calls itself;
-    # only PXY's forced-branch copies of C change the branch switch
+    # run_checks(cfg=C) hands C itself to each theta1d function verify calls,
+    # PXY's two branch sums included
     cfg = SeriesConfig(rel_tol=1e-10)
     seen = {}
 
@@ -205,11 +204,11 @@ def test_every_theta1d_call_carries_the_run_config(monkeypatch):
     for name in spied:
         monkeypatch.setattr(verify, name, spy(name, getattr(verify, name)))
     run_checks(cfg=cfg)
-    assert {"jacobi_theta", "jacobi_theta_partial", "mu", "nu", "theta_envelope"} <= set(spied)
+    assert {"jacobi_theta", "jacobi_theta_partial", "mu", "nu", "theta_envelope",
+            "_sum_fourier", "_sum_poisson"} <= set(spied)
     assert set(seen) == set(spied)
     for name, cfgs in seen.items():
-        assert all(c is not None and replace(c, poisson_switch=cfg.poisson_switch) == cfg
-                   for c in cfgs), name
+        assert all(c == cfg for c in cfgs), name
 
 
 def test_report_serialization(reports):

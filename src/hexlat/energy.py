@@ -6,7 +6,8 @@ expansion
 
     theta(alpha; z) = sqrt(y/alpha) sum_n e^{-alpha pi y n^2} theta(y/alpha; n x)
 
-whose inner factors come from :mod:`hexlat.theta1d`.  Conventions: theta and
+whose inner factors come from :mod:`hexlat.theta1d`: one theta_rows call at
+X = y/alpha per scalar sum, theta_array for the batched ones.  Conventions: theta and
 W_b sum over the full lattice including the origin (the origin contributes 1
 to theta and -b/alpha to W_b); the potential energies E_f exclude the origin,
 summing the row n = 0 without it wherever subtracting it would cancel.
@@ -24,7 +25,7 @@ from .config import DEFAULT_CONFIG, SeriesConfig
 from .errors import InvalidParameter, NonPositiveAlpha, TailTooLarge
 from .moduli import UpperHalfPoint, lattice_norms
 from .quadrature import gauss_panel, integrate
-from .theta1d import jacobi_theta, jacobi_theta_partial, theta_array
+from .theta1d import theta_array, theta_rows
 
 _PI = math.pi
 
@@ -45,18 +46,26 @@ def _check_alpha(alpha: float) -> None:
 def theta_lattice(alpha: float, z: UpperHalfPoint, cfg: SeriesConfig = DEFAULT_CONFIG) -> float:
     """theta(alpha; z) = sum over the full lattice of e^{-pi alpha |P|^2}."""
     _check_alpha(alpha)
-    return _theta_rows(alpha, z, jacobi_theta(z.y / alpha, 0.0, cfg), cfg)
+    return _theta_rows(alpha, z, True, cfg)
 
 
-def _theta_rows(alpha: float, z: UpperHalfPoint, acc: float, cfg: SeriesConfig) -> float:
-    """The expansion of :func:`theta_lattice` with acc in place of its n = 0 term."""
-    x, y = z.x, z.y
-    X0 = y / alpha
+def _inner_rows(alpha: float, z: UpperHalfPoint, last: int, orders, origin: bool, cfg: SeriesConfig):
+    """theta1d.theta_rows at X0 = y/alpha for the rows n = 1..last, Y = n x,
+    led by the row n = 0, Y = 0.0, when origin is set: one list per order."""
+    ys = [n * z.x for n in range(1, last + 1)]
+    return theta_rows(z.y / alpha, [0.0] + ys if origin else ys, orders, cfg)
+
+
+def _theta_rows(alpha: float, z: UpperHalfPoint, origin: bool, cfg: SeriesConfig) -> float:
+    """The expansion of :func:`theta_lattice`; its n = 0 term is 0 unless origin is set."""
+    y = z.y
     last = cfg.last_index(alpha * y, 0, 1, "theta_lattice")
-    for n in range(1, last + 1):
+    (th,) = _inner_rows(alpha, z, last, ((0, 0),), origin, cfg)
+    acc = th[0] if origin else 0.0
+    for n, th_n in zip(range(1, last + 1), th[origin:]):
         w = 2.0 * math.exp(-alpha * _PI * y * n * n)
-        acc += w * jacobi_theta(X0, n * x, cfg)
-    return math.sqrt(X0) * acc
+        acc += w * th_n
+    return math.sqrt(y / alpha) * acc
 
 
 def w_b(alpha: float, b: float, z: UpperHalfPoint, cfg: SeriesConfig = DEFAULT_CONFIG) -> float:
@@ -79,23 +88,20 @@ def w_b(alpha: float, b: float, z: UpperHalfPoint, cfg: SeriesConfig = DEFAULT_C
     sum |terms| against a 40-digit mpmath sum.  Reduce z first.
     """
     _check_alpha(alpha)
-    X0 = z.y / alpha
     c0 = 0.5 * (1.0 - 2.0 * _PI * b) * (alpha / z.y)
-    acc = c0 * jacobi_theta(X0, 0.0, cfg) + jacobi_theta_partial(X0, 0.0, 1, 0, cfg)
-    return _w_rows(alpha, c0, z, acc, cfg)
+    return _w_rows(alpha, c0, z, True, cfg)
 
 
-def _w_rows(alpha: float, c0: float, z: UpperHalfPoint, acc: float, cfg: SeriesConfig) -> float:
-    """The expansion of :func:`w_b` with acc in place of its n = 0 term."""
-    x, y = z.x, z.y
-    X0 = y / alpha
+def _w_rows(alpha: float, c0: float, z: UpperHalfPoint, origin: bool, cfg: SeriesConfig) -> float:
+    """The expansion of :func:`w_b`; its n = 0 term is 0 unless origin is set."""
+    y = z.y
     c2 = _PI * alpha * alpha
     last = cfg.last_index(alpha * y, 2, 1, "w_b")
-    for n in range(1, last + 1):
+    th, thx = _inner_rows(alpha, z, last, ((0, 0), (1, 0)), origin, cfg)
+    acc = c0 * th[0] + thx[0] if origin else 0.0
+    for n, th_n, thx_n in zip(range(1, last + 1), th[origin:], thx[origin:]):
         w = 2.0 * math.exp(-alpha * _PI * y * n * n)
-        th = jacobi_theta(X0, n * x, cfg)
-        thx = jacobi_theta_partial(X0, n * x, 1, 0, cfg)
-        acc += w * ((c0 + c2 * n * n) * th + thx)
+        acc += w * ((c0 + c2 * n * n) * th_n + thx_n)
     return y**1.5 / (_PI * alpha**2.5) * acc
 
 
@@ -107,7 +113,7 @@ def _theta_minus_one(alpha: float, z: UpperHalfPoint, cfg: SeriesConfig) -> floa
     d = alpha / z.y
     last = cfg.last_index(d, 0, 1, "theta_lattice")
     row0 = 2.0 * sum(math.exp(-_PI * d * k * k) for k in range(1, last + 1))
-    return row0 + _theta_rows(alpha, z, 0.0, cfg)
+    return row0 + _theta_rows(alpha, z, False, cfg)
 
 
 def _w_b_minus_origin(alpha: float, b: float, z: UpperHalfPoint, cfg: SeriesConfig) -> float:
@@ -120,7 +126,7 @@ def _w_b_minus_origin(alpha: float, b: float, z: UpperHalfPoint, cfg: SeriesConf
     last = cfg.last_index(d, 2, 1, "w_b")
     row0 = 2.0 * sum((k * k * d - b) * math.exp(-_PI * d * k * k) for k in range(1, last + 1)) / alpha
     c0 = 0.5 * (1.0 - 2.0 * _PI * b) * d
-    return row0 + _w_rows(alpha, c0, z, 0.0, cfg)
+    return row0 + _w_rows(alpha, c0, z, False, cfg)
 
 
 def _theta_minus_one_batch(alphas: np.ndarray, z: UpperHalfPoint, cfg: SeriesConfig) -> np.ndarray:
@@ -197,16 +203,14 @@ def w_b_via_theta_derivative(
 def dx_w(alpha: float, z: UpperHalfPoint, cfg: SeriesConfig = DEFAULT_CONFIG) -> float:
     """d/dx of W_{1/(2 pi)}(alpha; z), by the theta_Y / theta_XY series."""
     _check_alpha(alpha)
-    x, y = z.x, z.y
-    X0 = y / alpha
+    y = z.y
     c3 = _PI * alpha * alpha
     last = cfg.last_index(alpha * y, 3, 1, "dx_w")
+    thy, thxy = _inner_rows(alpha, z, last, ((0, 1), (1, 1)), False, cfg)
     acc = 0.0
-    for n in range(1, last + 1):
+    for n, thy_n, thxy_n in zip(range(1, last + 1), thy, thxy):
         w = 2.0 * math.exp(-alpha * _PI * y * n * n)
-        thy = jacobi_theta_partial(X0, n * x, 0, 1, cfg)
-        thxy = jacobi_theta_partial(X0, n * x, 1, 1, cfg)
-        acc += w * (c3 * n**3 * thy + n * thxy)
+        acc += w * (c3 * n**3 * thy_n + n * thxy_n)
     return y**1.5 / (_PI * alpha**2.5) * acc
 
 
@@ -238,20 +242,17 @@ def dy_w(alpha: float, z: UpperHalfPoint, cfg: SeriesConfig = DEFAULT_CONFIG) ->
     """d/dy of W_{1/(2 pi)}(alpha; z), valid for every z (not only on the
     vertical line x = 1/2 where the minimization uses it)."""
     _check_alpha(alpha)
-    x, y = z.x, z.y
-    X0 = y / alpha
+    y = z.y
     c2 = _PI * alpha * alpha
     c4 = _PI * _PI * alpha**3
     last = cfg.last_index(alpha * y, 4, 1, "dy_w")
-    s_low = jacobi_theta_partial(X0, 0.0, 1, 0, cfg)       # pi a^2 S2 + SX, n = 0 part
-    s_high = jacobi_theta_partial(X0, 0.0, 2, 0, cfg) / alpha  # -pi^2 a^3 S4 + SXX/alpha
-    for n in range(1, last + 1):
+    th, thx, thxx = _inner_rows(alpha, z, last, ((0, 0), (1, 0), (2, 0)), True, cfg)
+    s_low = thx[0]  # pi a^2 S2 + SX, n = 0 part
+    s_high = thxx[0] / alpha  # -pi^2 a^3 S4 + SXX/alpha
+    for n, th_n, thx_n, thxx_n in zip(range(1, last + 1), th[1:], thx[1:], thxx[1:]):
         w = 2.0 * math.exp(-alpha * _PI * y * n * n)
-        th = jacobi_theta(X0, n * x, cfg)
-        thx = jacobi_theta_partial(X0, n * x, 1, 0, cfg)
-        thxx = jacobi_theta_partial(X0, n * x, 2, 0, cfg)
-        s_low += w * (c2 * n * n * th + thx)
-        s_high += w * (-c4 * n**4 * th + thxx / alpha)
+        s_low += w * (c2 * n * n * th_n + thx_n)
+        s_high += w * (-c4 * n**4 * th_n + thxx_n / alpha)
     return (1.5 * math.sqrt(y) * s_low + y**1.5 * s_high) / (_PI * alpha**2.5)
 
 

@@ -9,7 +9,8 @@ converges faster and is used instead; both branches are valid on all of
 X > 0, which the consistency checks exploit.
 
 Only the four partial derivatives the two-dimensional expansions actually
-need are implemented: theta_X, theta_Y, theta_XY and theta_XX.  The Laplace
+need are implemented: theta_X, theta_Y, theta_XY and theta_XX.  The lattice
+sums evaluate them at one X and many Y with :func:`theta_rows`; the Laplace
 quadrature evaluates theta and theta_X over arrays with :func:`theta_array`.
 """
 
@@ -34,22 +35,23 @@ POISSON_SWITCH = 1.0
 #: One entry per derivative order (x_order, y_order) of theta, holding each
 #: series term once.  Fourier: (c, trig), the term at n >= 1 being
 #: c(n) e^{-pi n^2 X} trig(2 pi n Y); c pairs n with -n, so the n = 0 term is
-#: c(0)/2.  Poisson: the comb term at d = n - Y with e = e^{-pi d^2 / X}.
-#: Arithmetic operators only, so the float sums and the array kernel share them.
+#: c(0)/2.  Poisson: (prefactor, poly), the comb term at d = n - Y being
+#: prefactor(X) poly(X, d) e^{-pi d^2 / X}, multiplied left to right.
+#: Arithmetic operators only, so the float rows and the array kernel share them.
 _TERMS = {
-    (0, 0): (lambda n: 2.0, "cos", lambda X, d, e: X**-0.5 * e),
+    (0, 0): (lambda n: 2.0, "cos", lambda X: X**-0.5, lambda X, d: 1.0),
     (1, 0): (
         lambda n: -_TWO_PI * n * n, "cos",
-        lambda X, d, e: X**-2.5 * (_PI * d * d - 0.5 * X) * e,
+        lambda X: X**-2.5, lambda X, d: _PI * d * d - 0.5 * X,
     ),
-    (0, 1): (lambda n: -4.0 * _PI * n, "sin", lambda X, d, e: _TWO_PI * X**-1.5 * d * e),
+    (0, 1): (lambda n: -4.0 * _PI * n, "sin", lambda X: _TWO_PI * X**-1.5, lambda X, d: d),
     (1, 1): (
         lambda n: 4.0 * _PI * _PI * n**3, "sin",
-        lambda X, d, e: _PI * X**-3.5 * (2.0 * _PI * d**3 - 3.0 * X * d) * e,
+        lambda X: _PI * X**-3.5, lambda X, d: 2.0 * _PI * d**3 - 3.0 * X * d,
     ),
     (2, 0): (
         lambda n: 2.0 * _PI * _PI * n**4, "cos",
-        lambda X, d, e: X**-4.5 * (_PI * _PI * d**4 - 3.0 * _PI * X * d * d + 0.75 * X * X) * e,
+        lambda X: X**-4.5, lambda X, d: _PI * _PI * d**4 - 3.0 * _PI * X * d * d + 0.75 * X * X,
     ),
 }
 
@@ -68,40 +70,71 @@ def _reduce_y(Y: float) -> float:
     return Y - math.floor(Y)
 
 
-def _sum_fourier(X: float, Y: float, xo: int, yo: int, cfg: SeriesConfig) -> float:
-    # The n-th term is bounded by n^(2 xo + yo) e^{-pi X n^2}.
+def theta_rows(X: float, Ys, orders, cfg: SeriesConfig = DEFAULT_CONFIG) -> list[list[float]]:
+    """theta(X; Y) and its partials at one X and every Y of Ys: out[k][i] is
+    the value of order orders[k] (a key of the term table, (0, 0) for theta
+    itself) at Ys[i], by the branch :func:`jacobi_theta` takes at X.
+
+    Each value equals the one-Y call bit for bit.  Per order, the term count,
+    the X-power and the Fourier weights c(n) e^{-pi n^2 X} are computed once
+    and shared by every Y.
+    """
+    rows = _branch(X)
+    Ys = [_reduce_y(Y) for Y in Ys]
+    return [rows(X, Ys, xo, yo, cfg) for xo, yo in orders]
+
+
+def _branch(X: float):
+    """The row kernel of the series theta takes at X, once X is checked."""
+    _check_x(X)
+    return _poisson_rows if X < POISSON_SWITCH else _fourier_rows
+
+
+def _fourier_rows(X: float, Ys: list[float], xo: int, yo: int, cfg: SeriesConfig) -> list[float]:
+    """The Fourier series of order (xo, yo) at each reduced Y of Ys.  Its n-th
+    term is bounded by n^(2 xo + yo) e^{-pi X n^2}."""
     last = cfg.last_index(X, 2 * xo + yo, 1, "Fourier theta series")
-    coef, trig_name, _ = _TERMS[xo, yo]
+    coef, trig_name = _TERMS[xo, yo][:2]
     trig = getattr(math, trig_name)
-    acc = 0.5 * coef(0) * trig(0.0)  # the n = 0 term
-    for n in range(1, last + 1):
-        acc += coef(n) * math.exp(-_PI * n * n * X) * trig(_TWO_PI * n * Y)
-    return acc
+    terms = [(_TWO_PI * n, coef(n) * math.exp(-_PI * n * n * X)) for n in range(1, last + 1)]
+    first = 0.5 * coef(0) * trig(0.0)  # the n = 0 term
+    out = []
+    for Y in Ys:
+        acc = first
+        for freq, c in terms:
+            acc += c * trig(freq * Y)
+        out.append(acc)
+    return out
 
 
-def _comb(term, X, d, exp):
-    """Poisson comb term at d = n - Y, on floats (math.exp) or arrays (np.exp)."""
-    return term(X, d, exp(-_PI * d * d / X))
-
-
-def _sum_poisson(X: float, Y: float, xo: int, yo: int, cfg: SeriesConfig) -> float:
-    # Y is in [0, 1); the dominant comb points are n = 0 and n = 1, so sum
-    # outward in pairs (1 + j, -j), both at distance >= j from Y.
+def _poisson_rows(X: float, Ys: list[float], xo: int, yo: int, cfg: SeriesConfig) -> list[float]:
+    """The Poisson comb sum of order (xo, yo) at each reduced Y of Ys, in
+    [0, 1).  The dominant comb points are n = 0 and n = 1, so each sum runs
+    outward in pairs (1 + j, -j), both at distance >= j from Y."""
     last = cfg.last_index(1.0 / X, 2 * xo + yo, 0, "Poisson theta series")
-    term = _TERMS[xo, yo][2]
-    acc = 0.0
-    for j in range(last + 1):
-        acc += _comb(term, X, 1 + j - Y, math.exp) + _comb(term, X, -j - Y, math.exp)
-    return acc
+    prefactor, poly = _TERMS[xo, yo][2:]
+    pre = prefactor(X)
+    out = []
+    for Y in Ys:
+        acc = 0.0
+        for j in range(last + 1):
+            d1, d2 = 1 + j - Y, -j - Y
+            acc += (pre * poly(X, d1) * math.exp(-_PI * d1 * d1 / X)
+                    + pre * poly(X, d2) * math.exp(-_PI * d2 * d2 / X))
+        out.append(acc)
+    return out
+
+
+def _comb(order, X, d, exp):
+    """Poisson comb term of the given order at d = n - Y, on floats (math.exp)
+    or arrays (np.exp)."""
+    prefactor, poly = _TERMS[order][2:]
+    return prefactor(X) * poly(X, d) * exp(-_PI * d * d / X)
 
 
 def jacobi_theta(X: float, Y: float, cfg: SeriesConfig = DEFAULT_CONFIG) -> float:
     """theta(X; Y), real cosine form; X > 0, Y arbitrary (period 1)."""
-    _check_x(X)
-    Yr = _reduce_y(Y)
-    if X < POISSON_SWITCH:
-        return _sum_poisson(X, Yr, 0, 0, cfg)
-    return _sum_fourier(X, Yr, 0, 0, cfg)
+    return _branch(X)(X, [_reduce_y(Y)], 0, 0, cfg)[0]
 
 
 def jacobi_theta_partial(
@@ -112,15 +145,12 @@ def jacobi_theta_partial(
     Supported orders are exactly (1,0), (0,1), (1,1) and (2,0); anything
     else raises UnsupportedOrder.
     """
-    _check_x(X)
+    rows = _branch(X)
     if (x_order, y_order) not in SUPPORTED_ORDERS:
         raise UnsupportedOrder(
             f"order ({x_order}, {y_order}) not in {SUPPORTED_ORDERS}"
         )
-    Yr = _reduce_y(Y)
-    if X < POISSON_SWITCH:
-        return _sum_poisson(X, Yr, x_order, y_order, cfg)
-    return _sum_fourier(X, Yr, x_order, y_order, cfg)
+    return rows(X, [_reduce_y(Y)], x_order, y_order, cfg)[0]
 
 
 def theta_array(X: np.ndarray, Y: np.ndarray, x_order: int, cfg: SeriesConfig) -> np.ndarray:
@@ -141,17 +171,16 @@ def theta_array(X: np.ndarray, Y: np.ndarray, x_order: int, cfg: SeriesConfig) -
 
 
 def _fourier_array(X: np.ndarray, Y: np.ndarray, xo: int, yo: int, cfg: SeriesConfig) -> np.ndarray:
-    coef, trig_name, _ = _TERMS[xo, yo]
+    coef, trig_name = _TERMS[xo, yo][:2]
     n = np.arange(cfg.last_index(X.min(), 2 * xo + yo, 1, "Fourier theta series") + 1.0)[:, None, None]
     terms = coef(n) * np.exp(-_PI * n * n * X) * getattr(np, trig_name)(_TWO_PI * n * Y)
-    terms[0] *= 0.5  # the n = 0 term, so the rows add up in the order of _sum_fourier
+    terms[0] *= 0.5  # the n = 0 term, so the rows add up in the order of _fourier_rows
     return terms.sum(axis=0)
 
 
 def _poisson_array(X: np.ndarray, Y: np.ndarray, xo: int, yo: int, cfg: SeriesConfig) -> np.ndarray:
-    term = _TERMS[xo, yo][2]
     j = np.arange(cfg.last_index(1.0 / X.max(), 2 * xo + yo, 0, "Poisson theta series") + 1.0)[:, None, None]
-    return (_comb(term, X, 1.0 + j - Y, np.exp) + _comb(term, X, -j - Y, np.exp)).sum(axis=0)
+    return (_comb((xo, yo), X, 1.0 + j - Y, np.exp) + _comb((xo, yo), X, -j - Y, np.exp)).sum(axis=0)
 
 
 def _power_tail(X, power: int, cfg: SeriesConfig, name: str):

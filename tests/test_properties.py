@@ -17,12 +17,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hexlat import (
+    B_CRITICAL,
     DEFAULT_CONFIG,
     Gaussian,
     GaussianDiff,
     PolyGaussian,
     SeriesConfig,
     UpperHalfPoint,
+    apply_word,
     closed_form_energy,
     dy_w,
     jacobi_theta,
@@ -38,21 +40,23 @@ from hexlat.energy import (
     _w_b_minus_origin,
     _w_b_minus_origin_batch,
 )
+from hexlat.moduli import Generator
 from hexlat.quadrature import integrate
 from hexlat.theta1d import (
-    _TERMS,
     POISSON_SWITCH,
     SUPPORTED_ORDERS,
     _comb,
     _fourier_array,
+    _fourier_rows,
     _poisson_array,
+    _poisson_rows,
     _reduce_y,
-    _sum_fourier,
-    _sum_poisson,
     theta_array,
 )
 
-FOURIER, POISSON = _sum_fourier, _sum_poisson
+# Each branch's row kernel, at reduced Ys: FOURIER(X, Ys, xo, yo, cfg)[i] is
+# the Fourier series of order (xo, yo) at Ys[i].
+FOURIER, POISSON = _fourier_rows, _poisson_rows
 BRANCHES = {"fourier": (FOURIER, _fourier_array), "poisson": (POISSON, _poisson_array)}
 TIGHT = SeriesConfig(rel_tol=1e-15)
 ORDERS = ((0, 0),) + SUPPORTED_ORDERS
@@ -83,9 +87,8 @@ def abs_term_sum(X, Y, order, branch):
             for n in range(-80, 81)
         )
     Y = Y - math.floor(Y)
-    term = _TERMS[order][2]
     return sum(
-        abs(_comb(term, X, 1 + j - Y, math.exp)) + abs(_comb(term, X, -j - Y, math.exp))
+        abs(_comb(order, X, 1 + j - Y, math.exp)) + abs(_comb(order, X, -j - Y, math.exp))
         for j in range(80)
     )
 
@@ -118,8 +121,8 @@ def test_forced_fourier_equals_forced_poisson(X, Y):
     # to a few rel_tol of the larger branch's absolute term sum.
     Yr = _reduce_y(Y)
     for order in ORDERS:
-        f = FOURIER(X, Yr, *order, DEFAULT_CONFIG)
-        p = POISSON(X, Yr, *order, DEFAULT_CONFIG)
+        (f,) = FOURIER(X, [Yr], *order, DEFAULT_CONFIG)
+        (p,) = POISSON(X, [Yr], *order, DEFAULT_CONFIG)
         scale = max(abs_term_sum(X, Y, order, "fourier"), abs_term_sum(X, Y, order, "poisson"))
         assert abs(f - p) <= 4.0 * DEFAULT_CONFIG.rel_tol * scale, order
 
@@ -136,14 +139,15 @@ def test_theta_array_matches_scalar(log_xs, ys):
     for order in ((0, 0), (1, 0)):
         out = theta_array(X, np.array(ys), order[0], cfg)
         forced = {name: array(X, Yr[:, None], *order, cfg) for name, (_, array) in BRANCHES.items()}
-        for k, Y in enumerate(ys):
-            for i, x in enumerate(X):
+        for i, x in enumerate(X):
+            rows = {name: scalar(float(x), Yr.tolist(), *order, cfg) for name, (scalar, _) in BRANCHES.items()}
+            for k, Y in enumerate(ys):
                 branch = "poisson" if x < POISSON_SWITCH else "fourier"
                 scale = abs_term_sum(x, Y, order, branch)
                 assert abs(out[k, i] - theta_of_order(x, Y, order, cfg)) <= 1e-14 * scale
-                for name, (scalar, _) in BRANCHES.items():
+                for name in BRANCHES:
                     scale = abs_term_sum(x, Y, order, name)
-                    assert abs(forced[name][k, i] - scalar(x, Yr[k], *order, cfg)) <= 1e-14 * scale, name
+                    assert abs(forced[name][k, i] - rows[name][k]) <= 1e-14 * scale, name
 
 
 @settings(max_examples=200, deadline=None)
@@ -213,6 +217,21 @@ def test_closed_form_energy_matches_direct_sum(alpha, a, b, z):
     ):
         error = abs(closed_form_energy(spec, z) - math.fsum(terms))
         assert error <= 1e-13 * math.fsum(map(abs, terms)), spec
+
+
+@settings(max_examples=200, deadline=None)
+@given(z=domain_points, word=st.lists(st.sampled_from(list(Generator)), min_size=1, max_size=6),
+       alpha=st.floats(0.5, 4.0), b=st.floats(0.0, B_CRITICAL))
+def test_theta_and_w_b_invariant_under_group_words(z, word, alpha, b):
+    # word.z spans the same lattice as z, so theta and W_b must not move.  The
+    # brute-force sums keep every point with pi alpha |P|^2 <= 60.
+    moved = apply_word(word, z)
+    qs = [q for q, _ in lattice_norms(z, math.sqrt(60.0 / (math.pi * alpha)))]
+    e = [math.exp(-math.pi * alpha * q) for q in qs]
+    theta_scale = math.fsum(e)
+    w_scale = math.fsum(abs(q - b / alpha) * v for q, v in zip(qs, e))
+    assert abs(theta_lattice(alpha, moved) - theta_lattice(alpha, z)) <= 1e-11 * theta_scale
+    assert abs(w_b(alpha, b, moved) - w_b(alpha, b, z)) <= 1e-11 * w_scale
 
 
 @settings(max_examples=100, deadline=None)

@@ -6,6 +6,8 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hexlat import (
     DEFAULT_CONFIG,
@@ -17,7 +19,7 @@ from hexlat import (
     theta_envelope,
 )
 from hexlat.errors import InvalidParameter, NonPositiveX, TruncationFailure, UnsupportedOrder
-from hexlat.theta1d import _sum_fourier
+from hexlat.theta1d import _fourier_rows
 
 PI = math.pi
 
@@ -50,6 +52,20 @@ def test_direct_sum_value():
 @pytest.mark.parametrize("Y", [0.0, 0.13, 0.37, 0.75])
 def test_mpmath_oracle(X, Y):
     ref = mp_theta(X, Y)
+    assert abs(jacobi_theta(X, Y) - ref) <= 1e-13 * abs(ref)
+
+
+@settings(max_examples=150, deadline=None)
+@given(log_x=st.floats(math.log(0.05), math.log(20.0)),
+       Y=st.floats(allow_nan=False, allow_infinity=False))
+def test_mpmath_oracle_property(log_x, Y):
+    # X straddles the Fourier/Poisson switch at 1.  mpmath takes Y mod 1 exactly
+    # (mpf(Y) is exact); jacobi_theta's own reduction may round for Y in
+    # (-1, 0), which moves theta by far less than 1e-13 of its value.
+    X = math.exp(log_x)
+    with mpmath.workdps(30):
+        frac = mpmath.mpf(Y) - mpmath.floor(mpmath.mpf(Y))
+        ref = float(mpmath.jtheta(3, mpmath.pi * frac, mpmath.exp(-mpmath.pi * X)))
     assert abs(jacobi_theta(X, Y) - ref) <= 1e-13 * abs(ref)
 
 
@@ -103,10 +119,10 @@ def test_nonpositive_x():
 
 
 def test_truncation_failure_when_capped():
-    # the Fourier sum at X = 1e-5 needs ~1,000 terms against MAX_TERMS = 256;
+    # the Fourier row kernel at X = 1e-5 needs ~1,000 terms against MAX_TERMS = 256;
     # jacobi_theta itself switches to the Poisson comb there
     with pytest.raises(TruncationFailure, match=r"^Fourier theta series "):
-        _sum_fourier(1e-5, 0.2, 0, 0, DEFAULT_CONFIG)
+        _fourier_rows(1e-5, [0.2], 0, 0, DEFAULT_CONFIG)
 
 
 def test_mu_truncation_failure_when_capped():

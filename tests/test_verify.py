@@ -184,7 +184,7 @@ def test_weighted_theta_sums_follow_the_truncation_rule(monkeypatch):
 
 def test_every_theta1d_call_carries_the_run_config(monkeypatch):
     # run_checks(cfg=C) hands C itself to each theta1d function verify calls,
-    # PXY's two branch sums included
+    # PXY's two branch row kernels included
     cfg = SeriesConfig(rel_tol=1e-10)
     seen = {}
 
@@ -205,7 +205,7 @@ def test_every_theta1d_call_carries_the_run_config(monkeypatch):
         monkeypatch.setattr(verify, name, spy(name, getattr(verify, name)))
     run_checks(cfg=cfg)
     assert {"jacobi_theta", "jacobi_theta_partial", "mu", "nu", "theta_envelope",
-            "_sum_fourier", "_sum_poisson"} <= set(spied)
+            "_fourier_rows", "_poisson_rows"} <= set(spied)
     assert set(seen) == set(spied)
     for name, cfgs in seen.items():
         assert all(c == cfg for c in cfgs), name

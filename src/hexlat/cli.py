@@ -315,14 +315,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def common(p: argparse.ArgumentParser, tol: bool = True) -> None:
         p.add_argument("--format", choices=["csv", "json"], default=None,
                        help="structured output format (default: plain text)")
         p.add_argument("--precision", type=int, default=12,
                        help="significant digits for printed floats (6..17)")
         p.add_argument("--out", default=None, help="write output to FILE")
-        p.add_argument("--tol", type=float, default=None,
-                       help="series truncation tolerance override")
+        if tol:  # only the commands that evaluate a series take --tol
+            p.add_argument("--tol", type=float, default=None,
+                           help="series truncation tolerance override")
 
     p = sub.add_parser("theta", help="evaluate theta(alpha; x + iy)")
     p.add_argument("alpha", type=float)
@@ -374,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reduce", help="reduce x + iy to the fundamental domain")
     p.add_argument("x", type=float)
     p.add_argument("y", type=float)
-    common(p)
+    common(p, tol=False)
     p.set_defaults(func=_cmd_reduce)
 
     return parser

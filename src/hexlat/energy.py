@@ -439,8 +439,8 @@ def lattice_energy(p: PotentialSpec, z: UpperHalfPoint, cutoff_radius: float) ->
     (:func:`_tail_majorant`) is heuristic: a shell-count margin of 2 and,
     for LaplaceWeighted, a sampled potential stand in for a proof.
     """
-    if not cutoff_radius > 0.0:
-        raise InvalidParameter(f"cutoff_radius must be > 0, got {cutoff_radius}")
+    if not 0.0 < cutoff_radius < math.inf:
+        raise InvalidParameter(f"cutoff_radius must be > 0 and finite, got {cutoff_radius}")
     total = 0.0
     total_abs = 0.0
     for q, _mn in lattice_norms(z, cutoff_radius):

@@ -134,8 +134,8 @@ def lattice_norms(
     radius / sqrt(y), and for each m the admissible n form the interval
     |m x + n| <= sqrt(y (radius^2 - m^2 y)).
     """
-    if not radius > 0.0:
-        raise InvalidParameter(f"radius must be > 0, got {radius}")
+    if not 0.0 < radius < math.inf:
+        raise InvalidParameter(f"radius must be > 0 and finite, got {radius}")
     x, y = z.x, z.y
     r2 = radius * radius
     mmax = int(math.floor(radius / math.sqrt(y)))

@@ -45,7 +45,7 @@ from .moduli import (
 )
 from .theta1d import _large_x_envelope, _power_tail, _reduce_y, _small_x_envelope
 from .theta1d import _fourier_rows, _poisson_rows
-from .theta1d import jacobi_theta, jacobi_theta_partial, mu, nu, theta_envelope
+from .theta1d import jacobi_theta, jacobi_theta_partial, mu, nu, theta_envelope, theta_rows
 
 _PI = math.pi
 DEFAULT_SEED = 1729
@@ -395,13 +395,13 @@ def _worst_quotient(xs, ks, num, den, cap, cfg: SeriesConfig) -> float:
     orders, and Y where |theta_den| < 1e-12 is skipped."""
     worst = 0.0
     for X in xs:
+        [dens] = theta_rows(X, _QUOTIENT_YS, [den], cfg)
         for k in ks:
             c = cap(X, k)
-            for Y in _QUOTIENT_YS:
-                d = jacobi_theta_partial(X, Y, *den, cfg)
-                if abs(d) < 1e-12:
-                    continue
-                worst = max(worst, abs(jacobi_theta_partial(X, k * Y, *num, cfg) / d) / c)
+            [nums] = theta_rows(X, [k * Y for Y in _QUOTIENT_YS], [num], cfg)
+            for d, v in zip(dens, nums):
+                if abs(d) >= 1e-12:
+                    worst = max(worst, abs(v / d) / c)
     return worst
 
 
@@ -504,9 +504,11 @@ def _worst_envelope_violation(bounds, cfg: SeriesConfig) -> float:
     """max violation of lo <= -theta_Y(X;Y)/sin(2 pi Y) <= hi over X -> (lo, hi)
     in `bounds` and Y in (0, 1/2)."""
     worst = 0.0
+    Ys = [y / 100.0 for y in range(1, 50)]
     for X, (lo, hi) in bounds.items():
-        for Y in [y / 100.0 for y in range(1, 50)]:
-            r = -jacobi_theta_partial(X, Y, 0, 1, cfg) / math.sin(2.0 * _PI * Y)
+        [theta_y] = theta_rows(X, Ys, [(0, 1)], cfg)
+        for Y, t in zip(Ys, theta_y):
+            r = -t / math.sin(2.0 * _PI * Y)
             worst = max(worst, lo - r, r - hi)
     return worst
 
@@ -1111,16 +1113,13 @@ def _check_rc_epsilons(ctx) -> list[LemmaReport]:
 
 
 def _theta_weighted_sums(alpha: float, y: float, cfg: SeriesConfig, power: int, order: int):
-    """sum_n n^power e^{-alpha pi y n^2} theta[_X|_XX](y/alpha; n/2), n in Z."""
-    X0 = y / alpha
-    def f(Y: float) -> float:
-        if order == 0:
-            return jacobi_theta(X0, Y, cfg)
-        return jacobi_theta_partial(X0, Y, order, 0, cfg)
-    total = 0.0 if power else f(0.0)
-    for n in range(1, cfg.last_index(alpha * y, power, 1, "theta_weighted_sums") + 1):
+    """sum_n n^power e^{-alpha pi y n^2} d_X^order theta(y/alpha; n/2), n in Z."""
+    last = cfg.last_index(alpha * y, power, 1, "theta_weighted_sums")
+    [f] = theta_rows(y / alpha, [0.5 * n for n in range(last + 1)], [(order, 0)], cfg)
+    total = 0.0 if power else f[0]
+    for n in range(1, last + 1):
         w = math.exp(-alpha * _PI * y * n * n)
-        total += 2.0 * float(n) ** power * w * f(0.5 * n)
+        total += 2.0 * float(n) ** power * w * f[n]
     return total
 
 
@@ -1155,12 +1154,11 @@ def _check_l413_l414_ineq(ctx) -> list[LemmaReport]:
                 continue
             _, e2, _, e4 = (float(v) for v in eps_c_terms(alpha, y, ctx.cfg))
             X0 = y / alpha
-            base_x = 2.0 * math.exp(-_PI * alpha * y) * jacobi_theta_partial(X0, 0.5, 1, 0, ctx.cfg)
-            base_xx = 2.0 * math.exp(-_PI * alpha * y) * jacobi_theta_partial(X0, 0.5, 2, 0, ctx.cfg)
+            (head_x, half_x), (head_xx, half_xx) = theta_rows(X0, [0.0, 0.5], [(1, 0), (2, 0)], ctx.cfg)
+            base_x = 2.0 * math.exp(-_PI * alpha * y) * half_x
+            base_xx = 2.0 * math.exp(-_PI * alpha * y) * half_xx
             lhs_x = _theta_weighted_sums(alpha, y, ctx.cfg, 0, 1)
             lhs_xx = _theta_weighted_sums(alpha, y, ctx.cfg, 0, 2)
-            head_x = jacobi_theta_partial(X0, 0.0, 1, 0, ctx.cfg)
-            head_xx = jacobi_theta_partial(X0, 0.0, 2, 0, ctx.cfg)
             worst = min(
                 worst,
                 lhs_x - (head_x + base_x * (1.0 - e2)),
@@ -1177,15 +1175,15 @@ def _check_l415_l416(ctx) -> list[LemmaReport]:
     for X0 in (0.55, 0.85, 1.3, 2.0):
         alpha = 1.0
         y = X0
-        lhs = 1.5 * math.sqrt(y) * jacobi_theta_partial(X0, 0.0, 1, 0, ctx.cfg) + y**1.5 / alpha * jacobi_theta_partial(X0, 0.0, 2, 0, ctx.cfg)
+        [th_x], [th_xx] = theta_rows(X0, [0.0], [(1, 0), (2, 0)], ctx.cfg)
+        lhs = 1.5 * math.sqrt(y) * th_x + y**1.5 / alpha * th_xx
         rhs = 2.0 * _PI * math.sqrt(y) * (_PI * y / alpha - 1.5) * math.exp(-_PI * y / alpha)
         worst = min(worst, lhs - rhs)
     rep1 = _mk("L415", 0.0, worst, ">=", 1e-14, "y/alpha in {0.55, 0.85, 1.3, 2} > 3/(2 pi)")
     worst = math.inf
-    for X in np.linspace(5.0 / 6.0, 4.0, 30):
-        g1 = 1.0 - jacobi_theta(float(X), 0.5, ctx.cfg)
-        g2 = 2.0 * _PI**2 * math.exp(-_PI * float(X)) - abs(jacobi_theta_partial(float(X), 0.5, 2, 0, ctx.cfg))
-        worst = min(worst, g1, g2)
+    for X in map(float, np.linspace(5.0 / 6.0, 4.0, 30)):
+        [th], [th_xx] = theta_rows(X, [0.5], [(0, 0), (2, 0)], ctx.cfg)
+        worst = min(worst, 1.0 - th, 2.0 * _PI**2 * math.exp(-_PI * X) - abs(th_xx))
     rep2 = _mk("L416", 0.0, worst, ">=", 1e-14, "X in [5/6, 4], 30 points",
                "theta(X;1/2) <= 1 and |theta_XX(X;1/2)| <= 2 pi^2 e^{-pi X}")
     return [rep1, rep2]

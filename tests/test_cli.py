@@ -69,17 +69,20 @@ def test_invalid_arguments_exit_2(capsys):
     for argv, message in (
         (("energy", "--x", "0", "--y", "1"), "give a potential family or --spec-file"),
         (("energy", "gaussian", "--x", "0", "--y", "1", "--cutoff", "0"), "cutoff_radius must be > 0"),
+        (("energy", "gaussian", "--x", "0", "--y", "1", "--cutoff", "inf"), "cutoff_radius must be > 0"),
         (("phase-scan", "--problem", "w", "--alphas", ",", "--b-min", "0", "--b-max", "0.1",
           "--b-step", "0.05"), "empty alpha list"),
     ):
         code, _, err = run_cli(capsys, *argv)
         assert code == 2 and message in err, argv
-    with pytest.raises(SystemExit) as err:
-        main(["theta", "1", "0", "1", "--precision", "22"])
-    assert err.value.code == 2
-    with pytest.raises(SystemExit) as err:
-        main(["theta", "1", "0", "1", "--format", "xml"])
-    assert err.value.code == 2
+    for argv in (
+        ["theta", "1", "0", "1", "--precision", "22"],
+        ["theta", "1", "0", "1", "--format", "xml"],
+        ["reduce", "0.3", "1.2", "--tol", "1e-10"],  # reduce evaluates no series
+    ):
+        with pytest.raises(SystemExit) as err:
+            main(argv)
+        assert err.value.code == 2, argv
 
 
 def test_reduce_examples(capsys):

@@ -263,6 +263,34 @@ def test_yukawa_prefers_hexagonal():
     assert lattice_energy(p, HEX, 8.0) < lattice_energy(p, UpperHalfPoint(0.0, 1.0), 8.0)
 
 
+def _yukawa_split_reference(alpha, a, b):
+    # mpmath, 30 digits, at the hexagonal point: with I(s) = sum_{P != 0}
+    # e^{-pi s |P|^2}/|P|^2 = pi int_s^inf (theta - 1) and theta(s) = theta(1/s)/s,
+    # I(s) = pi [sum e^{-pi q}/(pi q) + sum (E1(pi q) - E1(pi q/s)) - ln s - 1 + s]
+    # for s < 1, each sum over the norms q = |P|^2 (Ewald's split at s = 1).
+    with mpmath.workdps(30):
+        x, y = mpmath.mpf(HEX.x), mpmath.mpf(HEX.y)
+        qs = [((m * x + n) ** 2 + (m * y) ** 2) / y
+              for m in range(-8, 9) for n in range(-8, 9) if (m, n) != (0, 0)]
+        head = mpmath.fsum(mpmath.exp(-mpmath.pi * q) / (mpmath.pi * q) for q in qs)
+
+        def split(s):
+            s = mpmath.mpf(s)
+            tail = mpmath.fsum(mpmath.e1(mpmath.pi * q) - mpmath.e1(mpmath.pi * q / s) for q in qs)
+            return mpmath.pi * (head + tail - mpmath.log(s) - 1 + s)
+
+        return float(split(alpha) - mpmath.mpf(b) * split(a * alpha))
+
+
+@pytest.mark.parametrize("alpha, reference", [(1e-2, 6.8769903959486833), (1e-3, 10.493882602156416)])
+def test_yukawa_diff_small_alpha_matches_the_split_reference(alpha, reference):
+    # The references are the split above; the direct sum behind closed_form_energy
+    # meets them to 1.7e-14 and 6.9e-14 (alpha = 1e-4, 4.1e-13, takes ~11 s).
+    assert _yukawa_split_reference(alpha, 2.0, 0.5) == pytest.approx(reference, rel=1e-15)
+    value = closed_form_energy(YukawaDiff(alpha=alpha, a=2.0, b=0.5), HEX)
+    assert abs(value - reference) <= 1e-13 * reference
+
+
 def test_tail_guard():
     with pytest.raises(TailTooLarge):
         lattice_energy(Gaussian(alpha=1.0), HEX, cutoff_radius=1.5)

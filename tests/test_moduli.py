@@ -149,7 +149,8 @@ def test_lattice_norms_translation_invariant():
 
 
 def test_lattice_norms_guard():
-    with pytest.raises(InvalidParameter):
-        lattice_norms(hexagonal_point(), 0.0)
+    for radius in (0.0, math.inf):
+        with pytest.raises(InvalidParameter):
+            lattice_norms(hexagonal_point(), radius)
     with pytest.raises(RadiusTooLarge):
         lattice_norms(UpperHalfPoint(0.0, 1.0), 1e5)

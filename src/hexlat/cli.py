@@ -68,21 +68,14 @@ _MAX_B_CELLS = 10_000
 
 
 def _fmt(value: Any, precision: int) -> str:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return str(value)
-    if isinstance(value, int):
-        return str(value)
-    return f"{value:.{precision}g}"
+    return f"{value:.{precision}g}" if isinstance(value, float) else str(value)
 
 
 def _round(value: Any, precision: int) -> Any:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    """A float rounded to `precision` digits ("inf"/"nan" for JSON); anything else as is."""
+    if not isinstance(value, float):
         return value
-    if isinstance(value, int):
-        return value
-    if not math.isfinite(value):
-        return str(value)
-    return float(f"{value:.{precision}g}")
+    return float(f"{value:.{precision}g}") if math.isfinite(value) else str(value)
 
 
 def _emit(args, meta: dict, rows: list[dict], plain: str) -> None:

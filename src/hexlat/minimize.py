@@ -276,7 +276,9 @@ def phase_scan(
     cfg: SeriesConfig = DEFAULT_CONFIG,
 ) -> PhaseScanResult:
     """Classify every (alpha, b) cell; cells are independent of one another.
-    A minimizer farther than HEX_TOL from the hexagonal point is a "minimizer"."""
+    A minimizer farther than HEX_TOL from the hexagonal point is a "minimizer".
+    A cell that raises stops the whole scan: the error propagates, and no rows
+    are returned (the CLI exits 3 and prints none)."""
     if not alpha_grid or not b_grid:
         raise InvalidParameter("phase_scan needs nonempty alpha and b grids")
     rows: list[PhaseCell] = []

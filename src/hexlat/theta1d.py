@@ -57,6 +57,7 @@ _TERMS = {
 
 #: Derivative orders supported by jacobi_theta_partial, as (x_order, y_order).
 SUPPORTED_ORDERS = tuple(order for order in _TERMS if order != (0, 0))
+_ORDERS = frozenset(_TERMS)  # the orders theta_rows accepts
 
 
 def _check_x(X: float) -> None:
@@ -73,21 +74,19 @@ def _reduce_y(Y: float) -> float:
 def theta_rows(X: float, Ys, orders, cfg: SeriesConfig = DEFAULT_CONFIG) -> list[list[float]]:
     """theta(X; Y) and its partials at one X and every Y of Ys: out[k][i] is
     the value of order orders[k] (a key of the term table, (0, 0) for theta
-    itself) at Ys[i], by the branch :func:`jacobi_theta` takes at X.
+    itself) at Ys[i].  X is checked first, then the orders (UnsupportedOrder
+    for any other); jacobi_theta and jacobi_theta_partial are the one-Y case.
 
-    Each value equals the one-Y call bit for bit.  Per order, the term count,
-    the X-power and the Fourier weights c(n) e^{-pi n^2 X} are computed once
-    and shared by every Y.
+    Each value equals the call with Ys = [Ys[i]] bit for bit.  Per order, the
+    term count, the X-power and the Fourier weights c(n) e^{-pi n^2 X} are
+    computed once and shared by every Y.
     """
-    rows = _branch(X)
-    Ys = [_reduce_y(Y) for Y in Ys]
-    return [rows(X, Ys, xo, yo, cfg) for xo, yo in orders]
-
-
-def _branch(X: float):
-    """The row kernel of the series theta takes at X, once X is checked."""
     _check_x(X)
-    return _poisson_rows if X < POISSON_SWITCH else _fourier_rows
+    if not _ORDERS.issuperset(orders):
+        raise UnsupportedOrder(f"orders {orders} not all in {tuple(_TERMS)}")
+    Ys = [_reduce_y(Y) for Y in Ys]
+    rows = _poisson_rows if X < POISSON_SWITCH else _fourier_rows
+    return [rows(X, Ys, xo, yo, cfg) for xo, yo in orders]
 
 
 def _fourier_rows(X: float, Ys: list[float], xo: int, yo: int, cfg: SeriesConfig) -> list[float]:
@@ -134,7 +133,7 @@ def _comb(order, X, d, exp):
 
 def jacobi_theta(X: float, Y: float, cfg: SeriesConfig = DEFAULT_CONFIG) -> float:
     """theta(X; Y), real cosine form; X > 0, Y arbitrary (period 1)."""
-    return _branch(X)(X, [_reduce_y(Y)], 0, 0, cfg)[0]
+    return theta_rows(X, [Y], [(0, 0)], cfg)[0][0]
 
 
 def jacobi_theta_partial(
@@ -143,14 +142,13 @@ def jacobi_theta_partial(
     """Partial derivative of theta(X; Y) of order (x_order, y_order).
 
     Supported orders are exactly (1,0), (0,1), (1,1) and (2,0); anything
-    else raises UnsupportedOrder.
+    else raises UnsupportedOrder (after X is checked, as in theta_rows).
     """
-    rows = _branch(X)
-    if (x_order, y_order) not in SUPPORTED_ORDERS:
-        raise UnsupportedOrder(
-            f"order ({x_order}, {y_order}) not in {SUPPORTED_ORDERS}"
-        )
-    return rows(X, [_reduce_y(Y)], x_order, y_order, cfg)[0]
+    order = (x_order, y_order)
+    if order not in SUPPORTED_ORDERS:
+        _check_x(X)
+        raise UnsupportedOrder(f"order {order} not in {SUPPORTED_ORDERS}")
+    return theta_rows(X, [Y], [order], cfg)[0][0]
 
 
 def theta_array(X: np.ndarray, Y: np.ndarray, x_order: int, cfg: SeriesConfig) -> np.ndarray:

@@ -469,7 +469,7 @@ def _check_comb_ratio(ctx) -> list[LemmaReport]:
 def _check_dirichlet_kernel(ctx) -> list[LemmaReport]:
     worst_excess = 0.0
     for n in range(1, 7):
-        cap = 2.0 * _PI / 3.0 * (n - 1) * n * (n + 1)
+        cap = 2.0 * _PI / 3.0 * (n - 1) * n * (n + 1)  # C(1) = 0: n = 1 bounds |v| itself
         for j in range(1, 2000):
             Y = j / 2000.0
             s = math.sin(2.0 * _PI * Y)
@@ -479,10 +479,7 @@ def _check_dirichlet_kernel(ctx) -> list[LemmaReport]:
                 2.0 * n * _PI * math.cos(2 * n * _PI * Y) * s
                 - 2.0 * _PI * math.cos(2 * _PI * Y) * math.sin(2 * n * _PI * Y)
             ) / s**3
-            if n > 1:
-                worst_excess = max(worst_excess, abs(v) - cap)
-            else:
-                worst_excess = max(worst_excess, abs(v))  # C(1) = 0
+            worst_excess = max(worst_excess, abs(v) - cap)
     return [_mk("L27", 0.0, worst_excess, "<=", 1e-9,
                 "n in 1..6, 2000-point Y grid avoiding sin zeros")]
 
@@ -596,12 +593,12 @@ def _check_fa1(ctx) -> list[LemmaReport]:
 # ---------------------------------------------------------------------------
 
 
-def _brute_theta(alpha: float, z: UpperHalfPoint, radius: float = 8.0) -> float:
-    return sum(math.exp(-_PI * alpha * q) for q, _ in lattice_norms(z, radius))
+def _brute_theta(alpha: float, z: UpperHalfPoint) -> float:
+    return sum(math.exp(-_PI * alpha * q) for q, _ in lattice_norms(z, 8.0))
 
 
-def _brute_w(alpha: float, b: float, z: UpperHalfPoint, radius: float = 8.0) -> float:
-    return sum((q - b / alpha) * math.exp(-_PI * alpha * q) for q, _ in lattice_norms(z, radius))
+def _brute_w(alpha: float, b: float, z: UpperHalfPoint) -> float:
+    return sum((q - b / alpha) * math.exp(-_PI * alpha * q) for q, _ in lattice_norms(z, 8.0))
 
 
 _SAMPLE_POINTS = (
@@ -786,9 +783,7 @@ def _check_lemma39(ctx) -> list[LemmaReport]:
             s_ref = 0.5 * (alpha * alpha - 1.0) * math.exp(-_PI * y * (alpha + 1.0 / alpha))
             # the double sum s, read off dx_w_double_sum = -8 pi alpha^{-5/2} y^{3/2} s
             scale = -8.0 * _PI * alpha**-2.5 * y**1.5
-            for x in [i / 40.0 for i in range(1, 20)]:
-                if x * x + y * y <= 1.0:
-                    continue  # the claim is for points of the fundamental domain
+            for x in [i / 40.0 for i in range(1, 20)]:  # y >= 1, so |z| > 1
                 s = dx_w_double_sum(alpha, UpperHalfPoint(x, y), ctx.cfg) / scale
                 worst = min(worst, s - s_ref * math.sin(2 * _PI * x))
     return [_mk("L39", 0.0, worst, ">=", 1e-18,
@@ -1080,7 +1075,6 @@ def _check_rc_floor(ctx) -> list[LemmaReport]:
     argmin = (0.0, 0.0)
     for a in al:
         ys = np.linspace(5.0 * a / 6.0, 8.0, n)
-        ys = ys[ys >= 5.0 * a / 6.0 - 1e-12]
         vals = rc_inner_expression(a, ys, ctx.cfg)
         i = int(np.argmin(vals))
         if float(vals[i]) < worst:
@@ -1125,8 +1119,7 @@ def _theta_weighted_sums(alpha: float, y: float, cfg: SeriesConfig, power: int, 
 
 @check("L413-ineq", "L414-ineq")
 def _check_l413_l414_ineq(ctx) -> list[LemmaReport]:
-    out = []
-    worst = math.inf
+    worst13 = worst14 = math.inf
     for alpha in (1.2, 1.5, 2.5):
         for y in (1.0, 1.5, 3.0):
             if y < 5.0 * alpha / 6.0:
@@ -1143,30 +1136,25 @@ def _check_l413_l414_ineq(ctx) -> list[LemmaReport]:
             lhs2 = _theta_weighted_sums(alpha, y, ctx.cfg, 2, 0)
             lhs4 = _theta_weighted_sums(alpha, y, ctx.cfg, 4, 0)
             base = 2.0 * math.exp(-_PI * alpha * y) * th_half
-            worst = min(worst, lhs2 - base * (1.0 - e1), base * (1.0 + e3) - lhs4)
-    out.append(_mk("L413-ineq", 0.0, worst, ">=", 0.0, "R_c samples",
-                   "two-sided theta-weighted n^2/n^4 sum bounds with the "
-                   "factor-2 comb prefactor restored"))
-    worst = math.inf
-    for alpha in (1.2, 1.5, 2.5):
-        for y in (1.0, 1.5, 3.0):
-            if y / alpha < 5.0 / 6.0 - 1e-12:
-                continue
+            worst13 = min(worst13, lhs2 - base * (1.0 - e1), base * (1.0 + e3) - lhs4)
             _, e2, _, e4 = (float(v) for v in eps_c_terms(alpha, y, ctx.cfg))
-            X0 = y / alpha
             (head_x, half_x), (head_xx, half_xx) = theta_rows(X0, [0.0, 0.5], [(1, 0), (2, 0)], ctx.cfg)
             base_x = 2.0 * math.exp(-_PI * alpha * y) * half_x
             base_xx = 2.0 * math.exp(-_PI * alpha * y) * half_xx
             lhs_x = _theta_weighted_sums(alpha, y, ctx.cfg, 0, 1)
             lhs_xx = _theta_weighted_sums(alpha, y, ctx.cfg, 0, 2)
-            worst = min(
-                worst,
+            worst14 = min(
+                worst14,
                 lhs_x - (head_x + base_x * (1.0 - e2)),
                 lhs_xx - (head_xx + base_xx * (1.0 + e4)),
             )
-    out.append(_mk("L414-ineq", 0.0, worst, ">=", 0.0, "y/alpha >= 5/6 samples",
-                   "theta_X / theta_XX weighted-sum lower bounds"))
-    return out
+    return [
+        _mk("L413-ineq", 0.0, worst13, ">=", 0.0, "R_c samples",
+            "two-sided theta-weighted n^2/n^4 sum bounds with the "
+            "factor-2 comb prefactor restored"),
+        _mk("L414-ineq", 0.0, worst14, ">=", 0.0, "y/alpha >= 5/6 samples",
+            "theta_X / theta_XX weighted-sum lower bounds"),
+    ]
 
 
 @check("L415", "L416")
@@ -1264,14 +1252,16 @@ def _check_operator_identities(ctx) -> list[LemmaReport]:
     return out
 
 
-def _min_with_arg(cells, gap) -> tuple[float, tuple[float, float]]:
-    """The smallest gap(a, y) over the (a, y) cells, and the first cell attaining it."""
-    worst, arg = math.inf, (0.0, 0.0)
+def _min_with_arg(cells, gaps) -> list[tuple[float, tuple[float, float]]]:
+    """For each of the values gaps(a, y) returns: its smallest over the (a, y)
+    cells, and the first cell attaining it."""
+    worst = None
     for a, y in cells:
-        value = gap(a, y)
-        if value < worst:
-            worst, arg = value, (float(a), float(y))
-    return worst, arg
+        values = gaps(a, y)
+        if worst is None:
+            worst = [(math.inf, (0.0, 0.0))] * len(values)
+        worst = [(v, (float(a), float(y))) if v < w else (w, arg) for v, (w, arg) in zip(values, worst)]
+    return worst
 
 
 @check("L422-Ld", "L422-caseb", "L421-bound")
@@ -1294,10 +1284,12 @@ def _check_rd_region(ctx) -> list[LemmaReport]:
                    "recomputation gives ~2.05 (minimum at y = rt3/2), which still "
                    "proves the positivity the lemma needs"))
     # Validity of the printed derivative bound on R_d.
-    worst, arg = _min_with_arg(
+    [(worst, arg)] = _min_with_arg(
         ((a, y) for a in np.linspace(1.2, 3.0, 10) for y in np.linspace(RT3_2, 5.0 * a / 6.0, 8)),
-        lambda a, y: dw_radial_operator(float(a), float(y), ctx.cfg)
-        - _PI * a * y**-4.0 * math.exp(-_PI * a / y) * float(ld_function(float(a), float(y))),
+        lambda a, y: (
+            dw_radial_operator(float(a), float(y), ctx.cfg)
+            - _PI * a * y**-4.0 * math.exp(-_PI * a / y) * float(ld_function(float(a), float(y))),
+        ),
     )
     out.append(_mk("L421-bound", 0.0, worst, ">=", 0.0,
                    "10x8 grid on R_d (alpha <= 3)",
@@ -1308,54 +1300,35 @@ def _check_rd_region(ctx) -> list[LemmaReport]:
 @check("L423", "L424", "L425", "L426", "L432", "L433", "L425-epsd1", "L426-epsd2")
 def _check_dsum_bounds(ctx) -> list[LemmaReport]:
     out = []
-    worst23 = math.inf
-    worst24 = math.inf
-    worst25 = math.inf
-    worst26 = math.inf
-    worst32 = math.inf
-    worst33 = math.inf
-    arg25 = arg26 = arg33 = (0.0, 0.0)
+
+    def first_shell(alpha, y):
+        """q1 = y + 1/(4y), r1 = 1 - 1/(4y^2), e^{-pi alpha q1} and e^{-pi alpha/y}."""
+        q1 = y + 0.25 / y
+        return q1, 1.0 - 0.25 / y**2, math.exp(-_PI * alpha * q1), math.exp(-_PI * alpha / y)
+
+    def rd_gaps(alpha, y):
+        s_r2q, s_n2, s_r2, s_n2q, _, _ = _half_lattice_sums(alpha, y, ctx.cfg)
+        q1, r1, e_q1, e_inv = first_shell(alpha, y)
+        return (s_r2q - (2.0 / y**5 * e_inv + 4.0 * r1 * r1 * q1 * e_q1),
+                s_n2 - 4.0 * e_q1,
+                (1.0 + float(eps_d1(alpha, y))) * 2.0 / y**4 * e_inv + 4.0 * r1 * r1 * e_q1 - s_r2,
+                4.0 * (1.0 + float(eps_d2(alpha, y))) * q1 * e_q1 - s_n2q)
+
+    def ra_gaps(alpha, y):
+        *_, s_n2q2, s_r2q2 = _half_lattice_sums(alpha, y, ctx.cfg)
+        q1, r1, e_q1, e_inv = first_shell(alpha, y)
+        return (s_n2q2 - 4.0 * q1 * q1 * e_q1,
+                2.0 / y**6 * e_inv + 4.0 * r1 * r1 * q1 * q1 * e_q1
+                + 3.0 * 256.0 * math.exp(-4.0 * _PI * alpha * y) - s_r2q2)
+
     # Lemmas 4.23-4.26 feed the R_d analysis, 4.32-4.33 the R_a analysis;
     # each is checked on the region where the proof deploys it.
-    rd_cells = [
-        (float(a), float(y))
-        for a in np.linspace(1.2, 6.0, 25)
-        for y in np.linspace(RT3_2, 5.0 * float(a) / 6.0, 12)
-    ]
-    for alpha, y in rd_cells:
-        s_r2q, s_n2, s_r2, s_n2q, _, _ = _half_lattice_sums(alpha, y, ctx.cfg)
-        q1 = y + 0.25 / y
-        r1 = 1.0 - 0.25 / y**2
-        e_q1 = math.exp(-_PI * alpha * q1)
-        e_inv = math.exp(-_PI * alpha / y)
-        worst23 = min(worst23, s_r2q - (2.0 / y**5 * e_inv + 4.0 * r1 * r1 * q1 * e_q1))
-        worst24 = min(worst24, s_n2 - 4.0 * e_q1)
-        gap25 = (1.0 + float(eps_d1(alpha, y))) * 2.0 / y**4 * e_inv + 4.0 * r1 * r1 * e_q1 - s_r2
-        if gap25 < worst25:
-            worst25, arg25 = gap25, (alpha, y)
-        gap26 = 4.0 * (1.0 + float(eps_d2(alpha, y))) * q1 * e_q1 - s_n2q
-        if gap26 < worst26:
-            worst26, arg26 = gap26, (alpha, y)
-    ra_cells = [
-        (float(a), float(y))
-        for a in np.linspace(1.0, 1.2, 9)
-        for y in np.linspace(RT3_2, 1.0, 9)
-    ]
-    for alpha, y in ra_cells:
-        _, _, _, _, s_n2q2, s_r2q2 = _half_lattice_sums(alpha, y, ctx.cfg)
-        q1 = y + 0.25 / y
-        r1 = 1.0 - 0.25 / y**2
-        e_q1 = math.exp(-_PI * alpha * q1)
-        e_inv = math.exp(-_PI * alpha / y)
-        worst32 = min(worst32, s_n2q2 - 4.0 * q1 * q1 * e_q1)
-        gap33 = (
-            2.0 / y**6 * e_inv
-            + 4.0 * r1 * r1 * q1 * q1 * e_q1
-            + 3.0 * 256.0 * math.exp(-4.0 * _PI * alpha * y)
-            - s_r2q2
-        )
-        if gap33 < worst33:
-            worst33, arg33 = gap33, (alpha, y)
+    (worst23, _), (worst24, _), (worst25, arg25), (worst26, arg26) = _min_with_arg(
+        ((float(a), float(y)) for a in np.linspace(1.2, 6.0, 25)
+         for y in np.linspace(RT3_2, 5.0 * float(a) / 6.0, 12)), rd_gaps)
+    (worst32, _), (worst33, arg33) = _min_with_arg(
+        ((float(a), float(y)) for a in np.linspace(1.0, 1.2, 9) for y in np.linspace(RT3_2, 1.0, 9)),
+        ra_gaps)
     grid_rd = "R_d grid (alpha in [1.2, 6], y in [rt3/2, 5 alpha/6]), sums |n|,|m| <= last_index"
     grid_ra = "R_a grid (alpha in [1, 1.2], y in [rt3/2, 1]), sums |n|,|m| <= last_index"
     out.append(_mk("L423", 0.0, worst23, ">=", 1e-18, grid_rd, "first-kind lower bound"))
@@ -1391,10 +1364,12 @@ def _check_ra_region(ctx) -> list[LemmaReport]:
     la = la_function(al, yy)
     out.append(_mk("L431-La", 0.5, float(la.min()), ">=", 1e-9,
                    "60x60 grid on [1, 1.2] x [rt3/2, 1]"))
-    worst, arg = _min_with_arg(
+    [(worst, arg)] = _min_with_arg(
         ((a, y) for a in np.linspace(1.0, 1.2, 8) for y in np.linspace(RT3_2, 1.0, 8)),
-        lambda a, y: dw_mixed_operator(float(a), float(y), ctx.cfg)
-        - _PI / y**4 * math.exp(-_PI * a / y) * float(la_function(float(a), float(y))),
+        lambda a, y: (
+            dw_mixed_operator(float(a), float(y), ctx.cfg)
+            - _PI / y**4 * math.exp(-_PI * a / y) * float(la_function(float(a), float(y))),
+        ),
     )
     out.append(_mk("L430-bound", 0.0, worst, ">=", 0.0, "8x8 grid on R_a",
                    f"mixed-operator value minus the printed bound; worst at {arg}; "
@@ -1467,17 +1442,3 @@ def coverage_manifest() -> list[str]:
     """Sorted list of every report id the registered checks emit."""
     return sorted(_EMITTERS)
 
-
-# Thematic groupings ----------------------------------------------------------
-
-_CONSTANT_IDS = ("HHH", "HHH-dsum", "L44-limit", "L47-limit", "Gaa4", "P1a",
-                 "P1b", "P2", "L24-root", "fa1")
-_ERROR_TERM_IDS = ("P3-sigma1", "P3-sigma2", "P5-sigma3", "P5-sigma4",
-                   "L413-eps1", "L413-eps3", "L414-eps2", "L414-eps4",
-                   "L425-epsd1", "L426-epsd2", "B100", "B100-tail")
-_REGION_IDS = ("L44-floor", "L43-bound", "L412-floor", "L422-Ld",
-               "L422-caseb", "L431-La", "L39", "L421-bound", "L430-bound")
-_DSUM_IDS = ("L423", "L424", "L425", "L426", "L432", "L433", "L310", "L311",
-             "L47-Bn", "L47-floor", "L48-n2", "L48-n4")
-_IDENTITY_IDS = ("Thaaa", "L35", "W1", "L419", "L420", "L429", "Wdeform",
-                 "Eq319", "aaF4", "L45", "L46", "L33", "L34", "L32")

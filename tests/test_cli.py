@@ -11,12 +11,13 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import unconverged_nelder_mead
-from hexlat.cli import main
+from hexlat.cli import _fmt, _round, main
 
 
 def run_cli(capsys, *argv):
@@ -60,6 +61,25 @@ def test_csv_json_numeric_parity(capsys):
     lines = [ln for ln in cout.splitlines() if not ln.startswith("#")]
     rows = list(csv.DictReader(io.StringIO("\n".join(lines))))
     assert float(rows[0]["theta"]) == jdoc["rows"][0]["theta"]
+
+
+@pytest.mark.parametrize("value, rounded, shown", [
+    (math.inf, "inf", "inf"),
+    (-math.inf, "-inf", "-inf"),
+    (math.nan, "nan", "nan"),
+    (True, True, "True"),
+    (3, 3, "3"),
+    (np.int64(7), np.int64(7), "7"),
+    (1.0 / 3.0, 0.333, "0.333"),
+    (np.float64(1.0 / 3.0), 0.333, "0.333"),
+    ("hexagonal", "hexagonal", "hexagonal"),
+])
+def test_fmt_and_round_by_type(value, rounded, shown):
+    # only floats (np.float64 included) are rounded; JSON gets a non-finite
+    # float as its string, and every other value as it is
+    out = _round(value, 3)
+    assert type(out) is type(rounded) and out == rounded
+    assert _fmt(value, 3) == shown
 
 
 def test_invalid_arguments_exit_2(capsys):

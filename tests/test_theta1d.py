@@ -16,10 +16,11 @@ from hexlat import (
     jacobi_theta_partial,
     mu,
     nu,
+    theta1d,
     theta_envelope,
 )
 from hexlat.errors import InvalidParameter, NonPositiveX, TruncationFailure, UnsupportedOrder
-from hexlat.theta1d import _fourier_rows
+from hexlat.theta1d import _fourier_rows, theta_rows
 
 PI = math.pi
 
@@ -104,6 +105,32 @@ def test_unsupported_orders():
     for bad in ((0, 0), (2, 1), (0, 2), (3, 0)):
         with pytest.raises(UnsupportedOrder):
             jacobi_theta_partial(1.0, 0.1, *bad)
+    # theta_rows checks its orders against the term table, after X
+    for bad in ([(3, 0)], [(0, 2)], [(0, 0), (2, 1)]):
+        with pytest.raises(UnsupportedOrder):
+            theta_rows(1.0, [0.0], bad)
+    with pytest.raises(NonPositiveX):
+        theta_rows(0.0, [0.0], [(3, 0)])
+    with pytest.raises(NonPositiveX):
+        jacobi_theta_partial(0.0, 0.1, 0, 0)
+
+
+@pytest.mark.parametrize("X", [0.5, 2.0], ids=["poisson", "fourier"])
+@pytest.mark.parametrize(
+    "point", [lambda X: jacobi_theta(X, 0.3), lambda X: jacobi_theta_partial(X, 0.3, 1, 1)],
+    ids=["theta", "partial"],
+)
+def test_point_functions_take_one_theta_rows_call(monkeypatch, X, point):
+    # theta_rows is the one entry point into the row kernels
+    calls = []
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return theta_rows(*args, **kwargs)
+
+    monkeypatch.setattr(theta1d, "theta_rows", spy)
+    point(X)
+    assert len(calls) == 1
 
 
 def test_nonpositive_x():

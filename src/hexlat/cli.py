@@ -18,7 +18,7 @@ import math
 import sys
 from typing import Any
 
-from .config import DEFAULT_CONFIG, SeriesConfig
+from .config import DEFAULT_CONFIG, DEFAULT_SEED, SeriesConfig
 from .energy import (
     Gaussian,
     GaussianDiff,
@@ -48,7 +48,6 @@ from .minimize import (
     phase_scan,
 )
 from .moduli import UpperHalfPoint, reduce_to_fundamental
-from .verify import DEFAULT_SEED, coverage_manifest, run_checks
 
 #: OverflowError: a spec-file weight e^{rate x} that outgrows double range.
 _EVAL_ERRORS = (TailTooLarge, TruncationFailure, QuadratureDivergence, OptimizerDivergence,
@@ -269,6 +268,9 @@ def _cmd_phase_scan(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    # Imported here: verify loads numpy, which no other command needs.
+    from .verify import coverage_manifest, run_checks
+
     reports = run_checks(only=args.only or None, seed=args.seed, cfg=_series_config(args))
     rows = [r.as_dict() for r in reports]
     n_fail = sum(1 for r in reports if not r.passed)

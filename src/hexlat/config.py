@@ -12,6 +12,9 @@ from .errors import InvalidParameter, TruncationFailure
 #: Poisson pair (1 + j, -j) counts as one index.
 MAX_TERMS = 256
 
+#: Seed of the randomized grids in the verification suite (``hexlat verify --seed``).
+DEFAULT_SEED = 1729
+
 
 @dataclass(frozen=True)
 class SeriesConfig:

@@ -17,15 +17,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Union
 
 from .config import DEFAULT_CONFIG, SeriesConfig
 from .errors import InvalidParameter, NonPositiveAlpha, TailTooLarge
 from .moduli import UpperHalfPoint, lattice_norms
 from .quadrature import gauss_panel, integrate
 from .theta1d import theta_array, theta_rows
+
+# numpy is imported inside the functions that use it, not at module load.
+if TYPE_CHECKING:
+    import numpy as np
 
 _PI = math.pi
 
@@ -133,6 +135,7 @@ def _theta_minus_one_batch(alphas: np.ndarray, z: UpperHalfPoint, cfg: SeriesCon
     """:func:`_theta_minus_one` at each alpha of an array, by the same expansion
     and branch.  Each series sums as many terms as last_index gives at the
     batch's smallest decay; a node's terms past its own cut lie below rel_tol."""
+    import numpy as np
     x, y = z.x, z.y
     X0 = y / alphas
     full = alphas < y
@@ -149,6 +152,7 @@ def _w_b_minus_origin_batch(
 ) -> np.ndarray:
     """:func:`_w_b_minus_origin` at each alpha of an array, by the same expansion
     and branch, with term counts as in :func:`_theta_minus_one_batch`."""
+    import numpy as np
     x, y = z.x, z.y
     X0 = y / alphas
     full = 4.0 * alphas < y
@@ -170,6 +174,7 @@ def _row0_batch(
     """The row n = 0 without the origin, 2 sum_{k>=1} e^{-pi d k^2} (power 0)
     or 2 sum_{k>=1} (k^2 d - b) e^{-pi d k^2} / alpha (power 2) with
     d = alpha/y, at the alphas where use is set and 0 elsewhere."""
+    import numpy as np
     out = np.zeros(alphas.shape)
     if use.any():
         a = alphas[use]
@@ -402,6 +407,7 @@ def potential_value(p: PotentialSpec, q: float) -> float:
         return (q - p.b / p.alpha) * math.exp(-_PI * p.alpha * q)
     if isinstance(p, YukawaDiff):
         return (math.exp(-_PI * p.alpha * q) - p.b * math.exp(-_PI * p.a * p.alpha * q)) / q
+    import numpy as np
     return _laplace_integral(
         p, lambda A: np.exp(-_PI * A * q), lambda A, b: (q - b / A) * np.exp(-_PI * A * q)
     )
@@ -472,6 +478,7 @@ def _laplace_integral(
     node and checked to be nonnegative; where it overflows, the node's value
     is inf.
     """
+    import numpy as np
 
     def integrand(x: np.ndarray) -> np.ndarray:
         w = np.array([_weight(p, t) for t in x.tolist()])

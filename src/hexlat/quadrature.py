@@ -5,15 +5,23 @@ from __future__ import annotations
 
 import math
 from functools import cache
-from typing import Callable
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable
 
 from .errors import QuadratureDivergence
 
-#: Computed on first use: importing numpy.polynomial adds ~2 MB of peak RSS.
-_nodes = cache(lambda: np.polynomial.legendre.leggauss(64))
+# numpy is imported inside the functions that use it, not at module load.
+if TYPE_CHECKING:
+    import numpy as np
+
 _HALF_PI = 0.5 * math.pi
+
+
+@cache
+def _nodes():
+    """The 64-point Gauss-Legendre nodes and weights on [-1, 1], computed on
+    first use: importing numpy.polynomial adds ~2 MB of peak RSS."""
+    import numpy as np
+    return np.polynomial.legendre.leggauss(64)
 
 
 def gauss_panel(f: Callable[[float], float], a: float, b: float) -> float:
@@ -34,6 +42,7 @@ def integrate(f: Callable[[np.ndarray], np.ndarray], a: float) -> float:
     whose terms have not decayed by |t| = 6.5 (e^{(pi/2) sinh t} ~ 1e227), or
     that is not finite at a node the sum uses, raises QuadratureDivergence.
     """
+    import numpy as np
 
     def terms(ts: list[float]) -> list[float]:
         # math places the nodes: numpy's exp and sinh may differ in the last bit.

@@ -17,11 +17,15 @@ quadrature evaluates theta and theta_X over arrays with :func:`theta_array`.
 from __future__ import annotations
 
 import math
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .config import DEFAULT_CONFIG, SeriesConfig
 from .errors import NonPositiveX, UnsupportedOrder
+
+# numpy is imported inside the functions that use it, not at module load:
+# a process that only calls the scalar row kernels never loads it.
+if TYPE_CHECKING:
+    import numpy as np
 
 _TWO_PI = 2.0 * math.pi
 _PI = math.pi
@@ -159,6 +163,7 @@ def theta_array(X: np.ndarray, Y: np.ndarray, x_order: int, cfg: SeriesConfig) -
     Each branch sums as many terms as last_index gives at its smallest decay,
     so a pair may add terms past its own cut; they lie below rel_tol.
     """
+    import numpy as np
     Y = (Y - np.floor(Y))[:, None]
     out = np.empty((len(Y), len(X)))
     low = X < POISSON_SWITCH
@@ -169,6 +174,7 @@ def theta_array(X: np.ndarray, Y: np.ndarray, x_order: int, cfg: SeriesConfig) -
 
 
 def _fourier_array(X: np.ndarray, Y: np.ndarray, xo: int, yo: int, cfg: SeriesConfig) -> np.ndarray:
+    import numpy as np
     coef, trig_name = _TERMS[xo, yo][:2]
     n = np.arange(cfg.last_index(X.min(), 2 * xo + yo, 1, "Fourier theta series") + 1.0)[:, None, None]
     terms = coef(n) * np.exp(-_PI * n * n * X) * getattr(np, trig_name)(_TWO_PI * n * Y)
@@ -177,6 +183,7 @@ def _fourier_array(X: np.ndarray, Y: np.ndarray, xo: int, yo: int, cfg: SeriesCo
 
 
 def _poisson_array(X: np.ndarray, Y: np.ndarray, xo: int, yo: int, cfg: SeriesConfig) -> np.ndarray:
+    import numpy as np
     j = np.arange(cfg.last_index(1.0 / X.max(), 2 * xo + yo, 0, "Poisson theta series") + 1.0)[:, None, None]
     return (_comb((xo, yo), X, 1.0 + j - Y, np.exp) + _comb((xo, yo), X, -j - Y, np.exp)).sum(axis=0)
 
@@ -184,6 +191,7 @@ def _poisson_array(X: np.ndarray, Y: np.ndarray, xo: int, yo: int, cfg: SeriesCo
 def _power_tail(X, power: int, cfg: SeriesConfig, name: str):
     """sum_{n>=2} n^power exp(-pi (n^2 - 1) X) at a float X or at each X of an array,
     to last_index's term count at the smallest X (as theta_array does)."""
+    import numpy as np
     X = np.asarray(X, dtype=float)
     _check_x(X.min())
     _check_x(X.max())

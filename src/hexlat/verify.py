@@ -20,7 +20,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .config import DEFAULT_CONFIG, SeriesConfig
+from .config import DEFAULT_CONFIG, DEFAULT_SEED, SeriesConfig
 from .energy import (
     B_CRITICAL,
     coupling_coefficient,
@@ -48,7 +48,6 @@ from .theta1d import _fourier_rows, _poisson_rows
 from .theta1d import jacobi_theta, jacobi_theta_partial, mu, nu, theta_envelope, theta_rows
 
 _PI = math.pi
-DEFAULT_SEED = 1729
 
 
 @dataclass(frozen=True)

@@ -218,14 +218,47 @@ def test_phase_scan_runaway_refinement_exit_3(capsys):
     assert "Nelder-Mead" in err and "Traceback" not in err
 
 
-def test_cli_import_loads_no_scipy():
-    # numpy is the only runtime dependency; scipy is a test-only reference
+#: Run in a fresh interpreter: the scalar commands, the modules they left
+#: loaded, then the two kinds of command that do load numpy.
+_SCALAR_CHILD = """
+import contextlib, io, json, sys
+from hexlat.cli import main
+
+scalar = [
+    ["theta", "1", "0.3", "1"],
+    ["reduce", "0.3", "0.5"],
+    ["energy", "gaussian", "--x", "0.1", "--y", "1.2"],
+    ["energy", "gaussian-diff", "--a", "2", "--b", "1", "--x", "0.1", "--y", "1.2"],
+    ["energy", "poly-gaussian", "--b", "0.1", "--x", "0.1", "--y", "1.2"],
+    ["energy", "yukawa-diff", "--a", "2", "--b", "0.5", "--x", "0.1", "--y", "1.2"],
+    ["minimize", "w", "--alpha", "1", "--b", "0"],
+    ["minimize", "thetadiff", "--alpha", "1", "--a", "2", "--b", "1"],
+    ["phase-scan", "--problem", "w", "--alphas", "1", "--b-min", "0.1", "--b-max", "0.2",
+     "--b-step", "0.1"],
+]
+array = [
+    ["verify", "--only", "HHH"],
+    ["energy", "--spec-file", sys.argv[1], "--x", "0.5", "--y", "0.8660254037844386"],
+]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(argv) for argv in scalar]
+    loaded = sorted(m for m in ("numpy", "scipy", "hexlat.verify") if m in sys.modules)
+    array_codes = [main(argv) for argv in array]
+print(json.dumps({"codes": codes, "loaded": loaded, "array_codes": array_codes}))
+"""
+
+
+def test_scalar_commands_load_no_numpy(tmp_path):
+    # numpy, the only runtime dependency, loads only where array code runs;
+    # scipy is a test-only reference.  One process keeps the test cheap.
+    spec = tmp_path / "laplace.json"
+    spec.write_text(json.dumps({**_LAPLACE, "weight": {"kind": "exponential", "rate": -1.0}}))
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import hexlat.cli, sys; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                          timeout=120, check=True)
-    assert proc.stdout.strip() == "[]"
+    proc = subprocess.run([sys.executable, "-c", _SCALAR_CHILD, str(spec)], env=env,
+                          capture_output=True, text=True, timeout=120, check=True)
+    result = json.loads(proc.stdout)
+    assert result == {"codes": [0] * 9, "loaded": [], "array_codes": [0, 0]}
 
 
 def test_phase_scan_contract(capsys):

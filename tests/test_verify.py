@@ -299,6 +299,17 @@ def test_region_minima_stable_under_refinement():
         assert abs(fine - coarse) / scale < 0.10
 
 
+def test_rc_inner_expression_scalar_matches_array_rows():
+    # L412-floor scans rc_inner_expression one y-row per alpha; a per-cell
+    # scan (or interval arithmetic on the same formula) relies on the scalar
+    # call giving the row's value bit for bit.  Sub-grid of its 60x60 grid.
+    idx = [*range(0, 60, 7), 59]
+    for a in np.linspace(1.2, 6.0, 60)[idx]:
+        ys = np.linspace(5.0 * a / 6.0, 8.0, 60)
+        row = rc_inner_expression(a, ys)
+        assert [float(rc_inner_expression(a, float(ys[i]))) for i in idx] == row[idx].tolist()
+
+
 def test_printed_lb_form_misses_its_floor():
     # documented discrepancy: the double-sum contribution as printed bottoms
     # out below 0.316 at (alpha, y) = (1.2, 1)

@@ -78,7 +78,7 @@ def _round(value: Any, precision: int) -> Any:
 
 
 def _emit(args, meta: dict, rows: list[dict], plain: str) -> None:
-    """Render rows as csv/json/plain and write to --out or stdout."""
+    """Render rows (one or more) or plain (no final newline) to --out or stdout."""
     p = args.precision
     if args.format == "json":
         doc = {"meta": meta, "rows": [{k: _round(v, p) for k, v in r.items()} for r in rows]}
@@ -87,14 +87,13 @@ def _emit(args, meta: dict, rows: list[dict], plain: str) -> None:
         buf = io.StringIO()
         for k, v in meta.items():
             buf.write(f"# {k}={_fmt(v, p)}\n")
-        if rows:
-            writer = csv.writer(buf)
-            writer.writerow(rows[0].keys())
-            for r in rows:
-                writer.writerow([_fmt(v, p) for v in r.values()])
+        writer = csv.writer(buf)
+        writer.writerow(rows[0].keys())
+        for r in rows:
+            writer.writerow([_fmt(v, p) for v in r.values()])
         text = buf.getvalue()
     else:
-        text = plain if plain.endswith("\n") else plain + "\n"
+        text = plain + "\n"
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)

@@ -40,6 +40,14 @@ def _check_alpha(alpha: float) -> None:
         raise NonPositiveAlpha(f"alpha must be finite and > 0, got {alpha}")
 
 
+def _check_a_b(a: float = 2.0, b: float = 0.0) -> None:
+    # a default stands in for a parameter the caller does not take
+    if not 1.0 < a < math.inf:
+        raise InvalidParameter(f"a must be finite and > 1, got {a}")
+    if not math.isfinite(b):
+        raise InvalidParameter(f"b must be finite, got {b}")
+
+
 # ---------------------------------------------------------------------------
 # theta(alpha; z) and W_b(alpha; z)
 # ---------------------------------------------------------------------------
@@ -90,6 +98,7 @@ def w_b(alpha: float, b: float, z: UpperHalfPoint, cfg: SeriesConfig = DEFAULT_C
     sum |terms| against a 40-digit mpmath sum.  Reduce z first.
     """
     _check_alpha(alpha)
+    _check_a_b(b=b)
     c0 = 0.5 * (1.0 - 2.0 * _PI * b) * (alpha / z.y)
     return _w_rows(alpha, c0, z, True, cfg)
 
@@ -195,6 +204,7 @@ def w_b_via_theta_derivative(
     1e-5; this cross-checks the exponential expansion in :func:`w_b`.
     """
     _check_alpha(alpha)
+    _check_a_b(b=b)
     h = 1e-5 * alpha
     dtheta = (theta_lattice(alpha + h, z, cfg) - theta_lattice(alpha - h, z, cfg)) / (2.0 * h)
     return -dtheta / _PI - (b / alpha) * theta_lattice(alpha, z, cfg)
@@ -264,10 +274,9 @@ def dy_w(alpha: float, z: UpperHalfPoint, cfg: SeriesConfig = DEFAULT_CONFIG) ->
 def theta_difference(
     alpha: float, a: float, b: float, z: UpperHalfPoint, cfg: SeriesConfig = DEFAULT_CONFIG
 ) -> float:
-    """theta(alpha; z) - b * theta(a alpha; z), for a > 1."""
+    """theta(alpha; z) - b * theta(a alpha; z), for finite a > 1 and finite b."""
     _check_alpha(alpha)
-    if not a > 1.0:
-        raise InvalidParameter(f"theta difference requires a > 1, got {a}")
+    _check_a_b(a, b)
     return theta_lattice(alpha, z, cfg) - b * theta_lattice(a * alpha, z, cfg)
 
 
@@ -281,8 +290,7 @@ def theta_difference_via_w_integral(
     the sqrt(t) weight and the alpha factor are required for it to hold.
     """
     _check_alpha(alpha)
-    if not a > 1.0:
-        raise InvalidParameter(f"requires a > 1, got {a}")
+    _check_a_b(a)
     val = gauss_panel(lambda t: math.sqrt(t) * w_b(t * alpha, B_CRITICAL, z, cfg), 1.0, a)
     return _PI * alpha * val
 
@@ -297,10 +305,7 @@ class _Family:
 
     def __post_init__(self) -> None:
         _check_alpha(self.alpha)
-        if hasattr(self, "a") and not 1.0 < self.a < math.inf:
-            raise InvalidParameter(f"{type(self).__name__} requires a finite a > 1, got {self.a}")
-        if not math.isfinite(getattr(self, "b", 0.0)):
-            raise InvalidParameter(f"b must be finite, got {self.b}")
+        _check_a_b(getattr(self, "a", 2.0), getattr(self, "b", 0.0))
 
 
 @dataclass(frozen=True)

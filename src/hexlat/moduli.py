@@ -99,7 +99,7 @@ def reduce_to_fundamental(z: UpperHalfPoint) -> tuple[UpperHalfPoint, GroupWord]
     """
     word: list[Generator] = []
     current = z
-    for _ in range(100):
+    while True:  # each pass after the first shifts and inverts, so the word cap ends it
         k = math.ceil(current.x - 0.5)  # shift so that x lands in (-1/2, 1/2]
         if k != 0:
             if len(word) + abs(k) > MAX_WORD_LENGTH:
@@ -107,15 +107,12 @@ def reduce_to_fundamental(z: UpperHalfPoint) -> tuple[UpperHalfPoint, GroupWord]
             gen = Generator.SHIFT_MINUS if k > 0 else Generator.SHIFT_PLUS
             word.extend([gen] * abs(k))
             current = UpperHalfPoint(current.x - k, current.y)
-        if current.abs2() < 1.0 - BOUNDARY_TOL:
-            if len(word) + 1 > MAX_WORD_LENGTH:
-                raise ReductionDivergence("inversion loop exceeded the word cap")
-            word.append(Generator.INVERT)
-            current = apply_generator(Generator.INVERT, current)
-            continue
-        break
-    else:
-        raise ReductionDivergence("fundamental-domain reduction did not converge in 100 iterations")
+        if current.abs2() >= 1.0 - BOUNDARY_TOL:
+            break
+        if len(word) + 1 > MAX_WORD_LENGTH:
+            raise ReductionDivergence("inversion loop exceeded the word cap")
+        word.append(Generator.INVERT)
+        current = apply_generator(Generator.INVERT, current)
     if current.x < 0.0:
         word.append(Generator.REFLECT)
         current = apply_generator(Generator.REFLECT, current)

@@ -61,7 +61,6 @@ _TERMS = {
 
 #: Derivative orders supported by jacobi_theta_partial, as (x_order, y_order).
 SUPPORTED_ORDERS = tuple(order for order in _TERMS if order != (0, 0))
-_ORDERS = frozenset(_TERMS)  # the orders theta_rows accepts
 
 
 def _check_x(X: float) -> None:
@@ -86,7 +85,7 @@ def theta_rows(X: float, Ys, orders, cfg: SeriesConfig = DEFAULT_CONFIG) -> list
     computed once and shared by every Y.
     """
     _check_x(X)
-    if not _ORDERS.issuperset(orders):
+    if not _TERMS.keys() >= set(orders):
         raise UnsupportedOrder(f"orders {orders} not all in {tuple(_TERMS)}")
     Ys = [_reduce_y(Y) for Y in Ys]
     rows = _poisson_rows if X < POISSON_SWITCH else _fourier_rows

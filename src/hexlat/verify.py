@@ -45,7 +45,7 @@ from .moduli import (
 )
 from .theta1d import _large_x_envelope, _power_tail, _reduce_y, _small_x_envelope
 from .theta1d import _fourier_rows, _poisson_rows
-from .theta1d import jacobi_theta, jacobi_theta_partial, mu, nu, theta_envelope, theta_rows
+from .theta1d import SUPPORTED_ORDERS, mu, nu, theta_envelope, theta_rows
 
 _PI = math.pi
 
@@ -338,9 +338,9 @@ def _check_symmetry(ctx) -> list[LemmaReport]:
     for _ in range(200):
         X = float(rng.uniform(0.05, 20.0))
         Y = float(rng.uniform(-2.0, 2.0))
-        v = jacobi_theta(X, Y, ctx.cfg)
-        worst_period = max(worst_period, abs(jacobi_theta(X, Y + 1.0, ctx.cfg) - v))
-        worst_parity = max(worst_parity, abs(jacobi_theta(X, -Y, ctx.cfg) - v) / abs(v))
+        [[v, shifted, mirrored]] = theta_rows(X, [Y, Y + 1.0, -Y], [(0, 0)], ctx.cfg)
+        worst_period = max(worst_period, abs(shifted - v))
+        worst_parity = max(worst_parity, abs(mirrored - v) / abs(v))
     return [
         _mk("TXY-period", 0.0, worst_period, "<=", 0.0, "200 seeded (X, Y) samples",
             "period-1 identity holds exactly (same truncated series)"),
@@ -356,14 +356,17 @@ def _check_partials_fd(ctx) -> list[LemmaReport]:
         X = float(rng.uniform(0.1, 5.0))
         Y = float(rng.uniform(0.02, 0.48))
         h = 1e-6 * max(1.0, X)
-        pairs = {
-            (1, 0): (jacobi_theta(X + h, Y, cfg) - jacobi_theta(X - h, Y, cfg)) / (2 * h),
-            (0, 1): (jacobi_theta(X, Y + h, cfg) - jacobi_theta(X, Y - h, cfg)) / (2 * h),
-            (1, 1): (jacobi_theta_partial(X, Y + h, 1, 0, cfg) - jacobi_theta_partial(X, Y - h, 1, 0, cfg)) / (2 * h),
-            (2, 0): (jacobi_theta_partial(X + h, Y, 1, 0, cfg) - jacobi_theta_partial(X - h, Y, 1, 0, cfg)) / (2 * h),
-        }
-        for order, fd in pairs.items():
-            v = jacobi_theta_partial(X, Y, *order, cfg)
+        # theta and theta_X at X -+ h; theta and its four partials at Y - h, Y, Y + h
+        (th_lo,), (thx_lo,) = theta_rows(X - h, [Y], [(0, 0), (1, 0)], cfg)
+        (th_hi,), (thx_hi,) = theta_rows(X + h, [Y], [(0, 0), (1, 0)], cfg)
+        th, *partials = theta_rows(X, [Y - h, Y, Y + h], [(0, 0), *SUPPORTED_ORDERS], cfg)
+        fds = (  # orders (1, 0), (0, 1), (1, 1), (2, 0), as in SUPPORTED_ORDERS
+            (th_hi - th_lo) / (2 * h),
+            (th[2] - th[0]) / (2 * h),
+            (partials[0][2] - partials[0][0]) / (2 * h),
+            (thx_hi - thx_lo) / (2 * h),
+        )
+        for (_, v, _), fd in zip(partials, fds):
             if abs(v) > 1e-8:
                 worst = max(worst, (abs(v - fd) - 1e-9) / abs(v))
     return [_mk("TXY-partials", 1e-6, worst, "<=", 0.0, "60 seeded (X, Y) samples",
@@ -1105,15 +1108,20 @@ def _check_rc_epsilons(ctx) -> list[LemmaReport]:
     ]
 
 
-def _theta_weighted_sums(alpha: float, y: float, cfg: SeriesConfig, power: int, order: int):
-    """sum_n n^power e^{-alpha pi y n^2} d_X^order theta(y/alpha; n/2), n in Z."""
-    last = cfg.last_index(alpha * y, power, 1, "theta_weighted_sums")
-    [f] = theta_rows(y / alpha, [0.5 * n for n in range(last + 1)], [(order, 0)], cfg)
-    total = 0.0 if power else f[0]
-    for n in range(1, last + 1):
-        w = math.exp(-alpha * _PI * y * n * n)
-        total += 2.0 * float(n) ** power * w * f[n]
-    return total
+def _theta_weighted_sums(alpha: float, y: float, cfg: SeriesConfig):
+    """theta, theta_X and theta_XX at (y/alpha; n/2), n = 0, 1, ... (index 1 is Y = 1/2),
+    and sum_n n^power e^{-alpha pi y n^2} d_X^order theta(y/alpha; n/2), n in Z, for
+    (power, order) = (2, 0), (4, 0), (0, 1), (0, 2), each cut at its own last index."""
+    cuts = [(p, o, cfg.last_index(alpha * y, p, 1, "theta_weighted_sums")) for p, o in ((2, 0), (4, 0), (0, 1), (0, 2))]
+    rows = theta_rows(y / alpha, [0.5 * n for n in range(max(c[2] for c in cuts) + 1)], [(0, 0), (1, 0), (2, 0)], cfg)
+    sums = []
+    for power, order, last in cuts:
+        f = rows[order]
+        total = 0.0 if power else f[0]
+        for n in range(1, last + 1):
+            total += 2.0 * float(n) ** power * math.exp(-alpha * _PI * y * n * n) * f[n]
+        sums.append(total)
+    return rows, sums
 
 
 @check("L413-ineq", "L414-ineq")
@@ -1127,25 +1135,19 @@ def _check_l413_l414_ineq(ctx) -> list[LemmaReport]:
             # 1 -+ 2 sum_k e^{-pi k^2 X}; the printed error terms carry the comb
             # sum without its factor 2, which leaves the n^4 inequality short by
             # a few 1e-5 relative at the region corner.
-            X0 = y / alpha
-            t = _comb_sum(X0, ctx.cfg)
+            t = _comb_sum(y / alpha, ctx.cfg)
             pref = (1.0 + 2.0 * t) / (1.0 - 2.0 * t)
             e1, e3 = pref * mu(alpha * y, ctx.cfg), pref * nu(alpha * y, ctx.cfg)
-            th_half = jacobi_theta(X0, 0.5, ctx.cfg)
-            lhs2 = _theta_weighted_sums(alpha, y, ctx.cfg, 2, 0)
-            lhs4 = _theta_weighted_sums(alpha, y, ctx.cfg, 4, 0)
-            base = 2.0 * math.exp(-_PI * alpha * y) * th_half
+            (th, th_x, th_xx), (lhs2, lhs4, lhs_x, lhs_xx) = _theta_weighted_sums(alpha, y, ctx.cfg)
+            base = 2.0 * math.exp(-_PI * alpha * y) * th[1]
             worst13 = min(worst13, lhs2 - base * (1.0 - e1), base * (1.0 + e3) - lhs4)
             _, e2, _, e4 = (float(v) for v in eps_c_terms(alpha, y, ctx.cfg))
-            (head_x, half_x), (head_xx, half_xx) = theta_rows(X0, [0.0, 0.5], [(1, 0), (2, 0)], ctx.cfg)
-            base_x = 2.0 * math.exp(-_PI * alpha * y) * half_x
-            base_xx = 2.0 * math.exp(-_PI * alpha * y) * half_xx
-            lhs_x = _theta_weighted_sums(alpha, y, ctx.cfg, 0, 1)
-            lhs_xx = _theta_weighted_sums(alpha, y, ctx.cfg, 0, 2)
+            base_x = 2.0 * math.exp(-_PI * alpha * y) * th_x[1]
+            base_xx = 2.0 * math.exp(-_PI * alpha * y) * th_xx[1]
             worst14 = min(
                 worst14,
-                lhs_x - (head_x + base_x * (1.0 - e2)),
-                lhs_xx - (head_xx + base_xx * (1.0 + e4)),
+                lhs_x - (th_x[0] + base_x * (1.0 - e2)),
+                lhs_xx - (th_xx[0] + base_xx * (1.0 + e4)),
             )
     return [
         _mk("L413-ineq", 0.0, worst13, ">=", 0.0, "R_c samples",
@@ -1199,10 +1201,7 @@ def _check_l45_l46(ctx) -> list[LemmaReport]:
     worst = 0.0
     for alpha in (1.05, 1.5):
         for y in (1.0, 2.0):
-            s2, s4, s_low, sxx = (
-                _theta_weighted_sums(alpha, y, ctx.cfg, power, order)
-                for power, order in ((2, 0), (4, 0), (0, 1), (0, 2))
-            )
+            _, (s2, s4, s_low, sxx) = _theta_weighted_sums(alpha, y, ctx.cfg)
             printed = (
                 1.5 * math.sqrt(y) * (_PI * alpha**2 * s2 + s_low)
                 + y**1.5 * (-_PI**2 * alpha**3 * s4 + sxx / alpha)

@@ -222,6 +222,16 @@ def test_potential_validation():
         ):
             with pytest.raises(InvalidParameter):
                 make(bad)
+        # the point functions refuse them too, naming the parameter
+        for call, name in (
+            (lambda v: theta_difference(1.0, v, 1.0, HEX), "a"),
+            (lambda v: theta_difference(1.0, 2.0, v, HEX), "b"),
+            (lambda v: theta_difference_via_w_integral(1.0, v, HEX), "a"),
+            (lambda v: w_b(1.0, v, HEX), "b"),
+            (lambda v: w_b_via_theta_derivative(1.0, v, HEX), "b"),
+        ):
+            with pytest.raises(InvalidParameter, match=f"^{name} must be finite"):
+                call(bad)
 
 
 @pytest.mark.parametrize(

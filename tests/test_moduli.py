@@ -118,6 +118,15 @@ def test_reduce_underflowing_modulus_raises():
         apply_word([Generator.INVERT], UpperHalfPoint(1e-200, 1e-200))
 
 
+def test_reduce_word_cap_errors():
+    # the word cap is what ends the reduction loop: a shift past it and an
+    # inversion past it (96 shifts, invert, 3 shifts, invert) both raise
+    with pytest.raises(ReductionDivergence, match=r"input too far from the fundamental domain \(word cap\)"):
+        reduce_to_fundamental(UpperHalfPoint(150.3, 1.0))
+    with pytest.raises(ReductionDivergence, match="inversion loop exceeded the word cap"):
+        reduce_to_fundamental(UpperHalfPoint(96.3, 0.01))
+
+
 def test_hexagonal_point_values():
     h = hexagonal_point()
     assert h.x == 0.5

@@ -215,46 +215,47 @@ def test_every_theta1d_call_carries_the_run_config(monkeypatch):
     for name in spied:
         monkeypatch.setattr(verify, name, spy(name, getattr(verify, name)))
     run_checks(cfg=cfg)
-    assert {"jacobi_theta", "jacobi_theta_partial", "mu", "nu", "theta_envelope",
-            "theta_rows", "_fourier_rows", "_poisson_rows"} <= set(spied)
+    assert {"mu", "nu", "theta_envelope", "theta_rows", "_fourier_rows",
+            "_poisson_rows"} <= set(spied)
     assert set(seen) == set(spied)
     for name, cfgs in seen.items():
         assert all(c == cfg for c in cfgs), name
 
 
 #: theta_rows calls each group of reports may make: one per scanned X (plus
-#: one per (X, k) in the quotient scans), one per theta-weighted sum, and one
-#: per point of the L414-ineq, L415 and L416 samples.
+#: one per (X, k) in the quotient scans), one per (alpha, y) sample of the
+#: theta-weighted sums, one per point of the L415 and L416 samples, one per
+#: TXY-period/parity sample and three per TXY-partials sample (X - h, X, X + h).
 _ROW_CALL_BUDGETS = {
     ("L23-1", "L23-2"): 5 * (1 + 4) + 3 * (1 + 4),
     ("L24-1", "L24-2", "L24-3"): 5 * (1 + 4) + 4 * (1 + 4) + 4 * (1 + 1),
     ("L25-1", "L25-2"): 4 * (1 + 1) + 4 * (1 + 3),
     ("T1", "T2", "Envelope"): 4 + 3 + 5,
-    ("L413-ineq", "L414-ineq"): 6 * 2 + 6 * (2 + 1),
+    ("L413-ineq", "L414-ineq"): 6,
     ("L415", "L416"): 4 + 30,
-    ("L46",): 4 * 4,
+    ("L46",): 4,
+    ("TXY-period", "TXY-parity"): 200,
+    ("TXY-partials",): 60 * 3,
 }
 
 
 @pytest.mark.parametrize("ids", list(_ROW_CALL_BUDGETS), ids=lambda ids: ids[0])
 def test_theta_grids_take_one_row_call_per_x(monkeypatch, ids):
-    # the quotient, envelope and theta-weighted scans read each grid through
-    # theta_rows, never point by point
-    calls = {"jacobi_theta_partial": 0, "theta_rows": 0}
+    # verify reads theta only through theta_rows (PXY's branch kernels aside),
+    # one call per scanned X or sample point, never point by point
+    assert not hasattr(verify, "jacobi_theta")
+    assert not hasattr(verify, "jacobi_theta_partial")
+    calls = 0
+    theta_rows = verify.theta_rows
 
-    def counting(name):
-        fn = getattr(verify, name)
+    def counting(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return theta_rows(*args, **kwargs)
 
-        def wrapped(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapped
-
-    for name in calls:
-        monkeypatch.setattr(verify, name, counting(name))
+    monkeypatch.setattr(verify, "theta_rows", counting)
     run_checks(only=list(ids))
-    assert calls["jacobi_theta_partial"] == 0
-    assert 0 < calls["theta_rows"] <= _ROW_CALL_BUDGETS[ids]
+    assert 0 < calls <= _ROW_CALL_BUDGETS[ids]
 
 
 def test_report_serialization(reports):

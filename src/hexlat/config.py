@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
+from ._record import Record
 from .errors import InvalidParameter, TruncationFailure
 
 #: The most indices one series may use, N - start + 1; a series whose rule
@@ -16,8 +16,7 @@ MAX_TERMS = 256
 DEFAULT_SEED = 1729
 
 
-@dataclass(frozen=True)
-class SeriesConfig:
+class SeriesConfig(Record):
     """Controls how exponential series are truncated.
 
     Every series in the package has Gaussian terms: up to a constant, the
@@ -30,11 +29,12 @@ class SeriesConfig:
     rel_tol: the relative cut-off of that rule, in (0, 1e-6).
     """
 
-    rel_tol: float = 1e-14
+    __slots__ = ("rel_tol",)
 
-    def __post_init__(self) -> None:
-        if not 0.0 < self.rel_tol < 1e-6:
-            raise InvalidParameter(f"rel_tol must lie in (0, 1e-6), got {self.rel_tol}")
+    def __init__(self, rel_tol: float = 1e-14) -> None:
+        if not 0.0 < rel_tol < 1e-6:
+            raise InvalidParameter(f"rel_tol must lie in (0, 1e-6), got {rel_tol}")
+        object.__setattr__(self, "rel_tol", rel_tol)
 
     def last_index(self, d: float, p: int, start: int, name: str) -> int:
         """Last index N of sum_{n >= start} n^p e^{-pi d n^2} under the rule above.

@@ -16,9 +16,9 @@ summing the row n = 0 without it wherever subtracting it would cancel.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Union
 
+from ._record import Record
 from .config import DEFAULT_CONFIG, SeriesConfig
 from .errors import InvalidParameter, NonPositiveAlpha, TailTooLarge
 from .moduli import UpperHalfPoint, lattice_norms
@@ -100,6 +100,8 @@ def w_b(alpha: float, b: float, z: UpperHalfPoint, cfg: SeriesConfig = DEFAULT_C
     _check_alpha(alpha)
     _check_a_b(b=b)
     c0 = 0.5 * (1.0 - 2.0 * _PI * b) * (alpha / z.y)
+    if math.isinf(c0) and b:  # 2 pi b overflows: W_0 - (b/alpha) theta stays finite
+        return w_b(alpha, 0.0, z, cfg) - b / alpha * theta_lattice(alpha, z, cfg)
     return _w_rows(alpha, c0, z, True, cfg)
 
 
@@ -134,9 +136,11 @@ def _w_b_minus_origin(alpha: float, b: float, z: UpperHalfPoint, cfg: SeriesConf
     if 4.0 * alpha < z.y:
         return w_b(alpha, b, z, cfg) + b / alpha
     d = alpha / z.y
+    c0 = 0.5 * (1.0 - 2.0 * _PI * b) * d
+    if math.isinf(c0) and b:  # as in w_b, with theta - 1 for theta
+        return _w_b_minus_origin(alpha, 0.0, z, cfg) - b / alpha * _theta_minus_one(alpha, z, cfg)
     last = cfg.last_index(d, 2, 1, "w_b")
     row0 = 2.0 * sum((k * k * d - b) * math.exp(-_PI * d * k * k) for k in range(1, last + 1)) / alpha
-    c0 = 0.5 * (1.0 - 2.0 * _PI * b) * d
     return row0 + _w_rows(alpha, c0, z, False, cfg)
 
 
@@ -300,48 +304,53 @@ def theta_difference_via_w_integral(
 # ---------------------------------------------------------------------------
 
 
-class _Family:
-    """Parameter check shared by the families: alpha > 0, finite a > 1, finite b."""
+class _Family(Record):
+    """Base of the families with parameters (alpha, a, b): alpha > 0, finite a > 1, finite b."""
 
-    def __post_init__(self) -> None:
-        _check_alpha(self.alpha)
-        _check_a_b(getattr(self, "a", 2.0), getattr(self, "b", 0.0))
+    __slots__ = ("alpha", "a", "b")
+
+    def __init__(self, alpha: float, a: float, b: float) -> None:
+        _check_alpha(alpha)
+        _check_a_b(a, b)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
 
 
-@dataclass(frozen=True)
-class Gaussian(_Family):
+class Gaussian(Record):
     """f(r^2) = e^{-pi alpha r^2}."""
 
-    alpha: float
+    __slots__ = ("alpha",)
+
+    def __init__(self, alpha: float) -> None:
+        _check_alpha(alpha)
+        object.__setattr__(self, "alpha", alpha)
 
 
-@dataclass(frozen=True)
 class GaussianDiff(_Family):
     """f(r^2) = e^{-pi alpha r^2} - b e^{-pi a alpha r^2}, a > 1."""
 
-    alpha: float
-    a: float
-    b: float
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class PolyGaussian(_Family):
+class PolyGaussian(Record):
     """f(r^2) = (r^2 - b/alpha) e^{-pi alpha r^2}."""
 
-    alpha: float
-    b: float
+    __slots__ = ("alpha", "b")
+
+    def __init__(self, alpha: float, b: float) -> None:
+        _check_alpha(alpha)
+        _check_a_b(b=b)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "b", b)
 
 
-@dataclass(frozen=True)
 class YukawaDiff(_Family):
     """f applied at r^2: h(q) = e^{-pi alpha q}/q - b e^{-pi a alpha q}/q, a > 1."""
 
-    alpha: float
-    a: float
-    b: float
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
 class LaplaceWeighted(_Family):
     """Laplace-transform family with nonnegative weight P on [1, inf).
 
@@ -349,16 +358,15 @@ class LaplaceWeighted(_Family):
     family "g": f(q) = int_1^inf (q x - b/alpha) e^{-pi alpha x q} P(x) dx
     """
 
-    alpha: float
-    a: float
-    b: float
-    weight: Callable[[float], float]
-    family: str = "f"
+    __slots__ = ("weight", "family")
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if self.family not in ("f", "g"):
-            raise InvalidParameter(f"family must be 'f' or 'g', got {self.family!r}")
+    def __init__(self, alpha: float, a: float, b: float, weight: Callable[[float], float],
+                 family: str = "f") -> None:
+        super().__init__(alpha, a, b)
+        if family not in ("f", "g"):
+            raise InvalidParameter(f"family must be 'f' or 'g', got {family!r}")
+        object.__setattr__(self, "weight", weight)
+        object.__setattr__(self, "family", family)
 
 
 PotentialSpec = Union[Gaussian, GaussianDiff, PolyGaussian, YukawaDiff, LaplaceWeighted]

@@ -14,9 +14,9 @@ hexagonal point ties or beats its candidate.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable, Union
 
+from ._record import Record
 from .config import DEFAULT_CONFIG, SeriesConfig
 from .energy import (
     GaussianDiff,
@@ -47,29 +47,33 @@ HEX_TOL = 1e-6
 _WITNESS_YS = tuple(RT3_2 * 2.0**k for k in range(64))
 
 
-@dataclass(frozen=True)
-class Minimizer:
+class Minimizer(Record):
     """A located minimizer over the moduli space."""
 
-    z_star: UpperHalfPoint
-    value: float
-    distance_to_hex: float
-    advisory: bool = False  # set when alpha < 1, outside the theorems' hypotheses
+    __slots__ = ("z_star", "value", "distance_to_hex", "advisory")
+
+    def __init__(self, z_star: UpperHalfPoint, value: float, distance_to_hex: float,
+                 advisory: bool = False) -> None:
+        object.__setattr__(self, "z_star", z_star)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "distance_to_hex", distance_to_hex)
+        object.__setattr__(self, "advisory", advisory)  # alpha < 1, outside the theorems' hypotheses
 
 
-@dataclass(frozen=True)
-class NoMinimizer:
+class NoMinimizer(Record):
     """Nonexistence evidence: strictly decreasing energies along x = 1/2."""
 
-    witness_y: tuple[float, ...]
-    witness_values: tuple[float, ...]
-    asymptotic_slope_sign: int
+    __slots__ = ("witness_y", "witness_values", "asymptotic_slope_sign")
 
-    def __post_init__(self) -> None:
-        if list(self.witness_y) != sorted(self.witness_y):
+    def __init__(self, witness_y: tuple[float, ...], witness_values: tuple[float, ...],
+                 asymptotic_slope_sign: int) -> None:
+        if list(witness_y) != sorted(witness_y):
             raise InvalidParameter("witness_y must be increasing")
-        if any(b >= a for a, b in zip(self.witness_values, self.witness_values[1:])):
+        if any(b >= a for a, b in zip(witness_values, witness_values[1:])):
             raise InvalidParameter("witness_values must be strictly decreasing")
+        object.__setattr__(self, "witness_y", witness_y)
+        object.__setattr__(self, "witness_values", witness_values)
+        object.__setattr__(self, "asymptotic_slope_sign", asymptotic_slope_sign)
 
 
 MinimizeOutcome = Union[Minimizer, NoMinimizer]
@@ -239,34 +243,41 @@ def minimize_generic(
     return _classify(p, lambda z: closed_form_energy(p, z, cfg), min_points=6)
 
 
-@dataclass(frozen=True)
-class WProblem:
+class WProblem(Record):
     """Phase-scan target: the polynomial-Gaussian energy W_b."""
 
+    __slots__ = ()
 
-@dataclass(frozen=True)
-class ThetaDiffProblem:
+
+class ThetaDiffProblem(Record):
     """Phase-scan target: theta(alpha;.) - b theta(a alpha;.)."""
 
-    a: float
+    __slots__ = ("a",)
 
-    def __post_init__(self) -> None:
-        if not self.a > 1.0:
-            raise InvalidParameter(f"theta-difference problem requires a > 1, got {self.a}")
-
-
-@dataclass(frozen=True)
-class PhaseCell:
-    alpha: float
-    b: float
-    classification: str  # "hexagonal" | "minimizer" | "no-minimizer"
-    distance_to_hex: float | None
+    def __init__(self, a: float) -> None:
+        if not a > 1.0:
+            raise InvalidParameter(f"theta-difference problem requires a > 1, got {a}")
+        object.__setattr__(self, "a", a)
 
 
-@dataclass(frozen=True)
-class PhaseScanResult:
-    rows: tuple[PhaseCell, ...]
-    boundaries: dict[float, float | None]  # per alpha: largest hexagonal b
+class PhaseCell(Record):
+    """One (alpha, b) cell: classification is "hexagonal", "minimizer" or "no-minimizer"."""
+
+    __slots__ = ("alpha", "b", "classification", "distance_to_hex")
+
+    def __init__(self, alpha: float, b: float, classification: str, distance_to_hex: float | None) -> None:
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "classification", classification)
+        object.__setattr__(self, "distance_to_hex", distance_to_hex)
+
+
+class PhaseScanResult(Record):
+    __slots__ = ("rows", "boundaries")
+
+    def __init__(self, rows: tuple[PhaseCell, ...], boundaries: dict[float, float | None]) -> None:
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "boundaries", boundaries)  # per alpha: largest hexagonal b
 
 
 def phase_scan(

@@ -10,9 +10,9 @@ D = { |z| > 1, 0 < x < 1/2 } (half of the classical modular domain).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 
+from ._record import Record
 from .errors import InvalidParameter, RadiusTooLarge, ReductionDivergence
 
 RT3_2 = math.sqrt(3.0) / 2.0
@@ -27,16 +27,16 @@ MAX_ENUMERATION = 10**8
 BOUNDARY_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class UpperHalfPoint:
+class UpperHalfPoint(Record):
     """Point z = x + iy with y > 0."""
 
-    x: float
-    y: float
+    __slots__ = ("x", "y")
 
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.x) and math.isfinite(self.y) and self.y > 0.0):
-            raise InvalidParameter(f"upper half-plane point needs finite x, y > 0; got ({self.x}, {self.y})")
+    def __init__(self, x: float, y: float) -> None:
+        if not (math.isfinite(x) and math.isfinite(y) and y > 0.0):
+            raise InvalidParameter(f"upper half-plane point needs finite x, y > 0; got ({x}, {y})")
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
 
     def abs2(self) -> float:
         return self.x * self.x + self.y * self.y

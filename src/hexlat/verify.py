@@ -15,11 +15,11 @@ another, only those a request needs, and sorts the reports by id.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
 from typing import Callable, Iterable
 
 import numpy as np
 
+from ._record import Record
 from .config import DEFAULT_CONFIG, DEFAULT_SEED, SeriesConfig
 from .energy import (
     B_CRITICAL,
@@ -50,21 +50,24 @@ from .theta1d import SUPPORTED_ORDERS, mu, nu, theta_envelope, theta_rows
 _PI = math.pi
 
 
-@dataclass(frozen=True)
-class LemmaReport:
+class LemmaReport(Record):
     """One verified claim: what was asserted, what was computed, verdict."""
 
-    lemma_id: str
-    claimed: float
-    computed: float
-    comparison: str  # "<=", ">=" or "~"
-    tolerance: float
-    grid: str
-    passed: bool
-    note: str = ""
+    __slots__ = ("lemma_id", "claimed", "computed", "comparison", "tolerance", "grid", "passed", "note")
+
+    def __init__(self, lemma_id: str, claimed: float, computed: float, comparison: str,
+                 tolerance: float, grid: str, passed: bool, note: str = "") -> None:
+        object.__setattr__(self, "lemma_id", lemma_id)
+        object.__setattr__(self, "claimed", claimed)
+        object.__setattr__(self, "computed", computed)
+        object.__setattr__(self, "comparison", comparison)  # "<=", ">=" or "~"
+        object.__setattr__(self, "tolerance", tolerance)
+        object.__setattr__(self, "grid", grid)
+        object.__setattr__(self, "passed", passed)
+        object.__setattr__(self, "note", note)
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        return dict(zip(self._fields, self._values()))
 
 
 def _mk(lemma_id, claimed, computed, comparison, tolerance, grid, note="") -> LemmaReport:
@@ -1396,10 +1399,12 @@ def _check_montgomery_spot(ctx) -> list[LemmaReport]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Ctx:
-    cfg: SeriesConfig
-    seed: int
+class _Ctx(Record):
+    __slots__ = ("cfg", "seed")
+
+    def __init__(self, cfg: SeriesConfig, seed: int) -> None:
+        object.__setattr__(self, "cfg", cfg)
+        object.__setattr__(self, "seed", seed)
 
 
 #: Printed claims that recomputation contradicts (documented failures).

@@ -219,7 +219,8 @@ def test_phase_scan_runaway_refinement_exit_3(capsys):
 
 
 #: Run in a fresh interpreter: the scalar commands, the modules they left
-#: loaded, then the two kinds of command that do load numpy.
+#: loaded, then the two kinds of command that do load numpy.  The records are
+#: built without dataclasses, and so without inspect; numpy imports inspect.
 _SCALAR_CHILD = """
 import contextlib, io, json, sys
 from hexlat.cli import main
@@ -242,9 +243,11 @@ array = [
 ]
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [main(argv) for argv in scalar]
-    loaded = sorted(m for m in ("numpy", "scipy", "hexlat.verify") if m in sys.modules)
+    loaded = sorted(m for m in ("numpy", "scipy", "hexlat.verify", "dataclasses", "inspect")
+                    if m in sys.modules)
     array_codes = [main(argv) for argv in array]
-print(json.dumps({"codes": codes, "loaded": loaded, "array_codes": array_codes}))
+print(json.dumps({"codes": codes, "loaded": loaded, "array_codes": array_codes,
+                  "array_dataclasses": "dataclasses" in sys.modules}))
 """
 
 
@@ -258,7 +261,8 @@ def test_scalar_commands_load_no_numpy(tmp_path):
     proc = subprocess.run([sys.executable, "-c", _SCALAR_CHILD, str(spec)], env=env,
                           capture_output=True, text=True, timeout=120, check=True)
     result = json.loads(proc.stdout)
-    assert result == {"codes": [0] * 9, "loaded": [], "array_codes": [0, 0]}
+    assert result == {"codes": [0] * 9, "loaded": [], "array_codes": [0, 0],
+                      "array_dataclasses": False}
 
 
 def test_phase_scan_contract(capsys):

@@ -94,6 +94,11 @@ def test_w_brute_force(sample_points):
     for alpha, b in ((1.0, 0.0), (1.7, 0.1), (2.0, B_CRITICAL)):
         for z in sample_points:
             assert abs(w_b(alpha, b, z) - brute_w(alpha, b, z)) < 1e-12
+    # 2 pi b overflows a double here, but W_b and the origin-free energy do not
+    for b in (1e308, -1e308):
+        assert w_b(1.0, b, HEX) == pytest.approx(brute_w(1.0, b, HEX), rel=1e-13)
+        assert closed_form_energy(PolyGaussian(1.0, b), HEX) == pytest.approx(
+            brute_energy(lambda q: (q - b) * math.exp(-PI * q), HEX), rel=1e-13)
 
 
 def test_w0_positive_at_hexagonal():

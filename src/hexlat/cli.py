@@ -53,13 +53,13 @@ from .moduli import UpperHalfPoint, reduce_to_fundamental
 _EVAL_ERRORS = (TailTooLarge, TruncationFailure, QuadratureDivergence, OptimizerDivergence,
                 OverflowError)
 
-#: Potential family -> (spec class, its numeric parameters).  Spec files name
-#: the families with "_", the energy command with "-".
+#: Potential family -> spec class, whose record fields are its numeric
+#: parameters.  Spec files name the families with "_", the energy command with "-".
 _FAMILIES = {
-    "gaussian": (Gaussian, ("alpha",)),
-    "gaussian_diff": (GaussianDiff, ("alpha", "a", "b")),
-    "poly_gaussian": (PolyGaussian, ("alpha", "b")),
-    "yukawa_diff": (YukawaDiff, ("alpha", "a", "b")),
+    "gaussian": Gaussian,
+    "gaussian_diff": GaussianDiff,
+    "poly_gaussian": PolyGaussian,
+    "yukawa_diff": YukawaDiff,
 }
 
 #: Most b values one phase scan accepts; each costs a minimization per alpha.
@@ -118,8 +118,8 @@ def _number(doc: dict, key: str, default: float | None = None) -> float:
 def _family_spec(family: Any, params: dict) -> PotentialSpec:
     if not isinstance(family, str) or family not in _FAMILIES:
         raise InvalidParameter(f"unknown potential family {family!r}")
-    cls, names = _FAMILIES[family]
-    return cls(**{name: _number(params, name) for name in names})
+    cls = _FAMILIES[family]
+    return cls(**{name: _number(params, name) for name in cls._fields})
 
 
 def _potential_from_file(path: str) -> PotentialSpec:

@@ -59,23 +59,26 @@ def theta_lattice(alpha: float, z: UpperHalfPoint, cfg: SeriesConfig = DEFAULT_C
     return _theta_rows(alpha, z, True, cfg)
 
 
-def _inner_rows(alpha: float, z: UpperHalfPoint, last: int, orders, origin: bool, cfg: SeriesConfig):
-    """theta1d.theta_rows at X0 = y/alpha for the rows n = 1..last, Y = n x,
-    led by the row n = 0, Y = 0.0, when origin is set: one list per order."""
-    ys = [n * z.x for n in range(1, last + 1)]
-    return theta_rows(z.y / alpha, [0.0] + ys if origin else ys, orders, cfg)
+def _rows(alpha: float, z: UpperHalfPoint, power: int, name: str, orders, origin: bool,
+          cfg: SeriesConfig):
+    """The rows of the expansion of a lattice sum whose n-th row is bounded by
+    n^power e^{-alpha pi y n^2}: (ns, ws, rows) for n = 0 (only when origin is
+    set) and n = 1..last_index, the weights w_0 = 1 and w_n = 2 e^{-alpha pi y n^2},
+    and theta_rows at X0 = y/alpha, Y = n x, one list per order.  Each sum is
+    sum_n w_n term(n, rows at n), with no special case for n = 0."""
+    y = z.y
+    ns = range(0 if origin else 1, cfg.last_index(alpha * y, power, 1, name) + 1)
+    ws = [2.0 * math.exp(-alpha * _PI * y * n * n) if n else 1.0 for n in ns]
+    return ns, ws, theta_rows(y / alpha, [n * z.x for n in ns], orders, cfg)
 
 
 def _theta_rows(alpha: float, z: UpperHalfPoint, origin: bool, cfg: SeriesConfig) -> float:
     """The expansion of :func:`theta_lattice`; its n = 0 term is 0 unless origin is set."""
-    y = z.y
-    last = cfg.last_index(alpha * y, 0, 1, "theta_lattice")
-    (th,) = _inner_rows(alpha, z, last, ((0, 0),), origin, cfg)
-    acc = th[0] if origin else 0.0
-    for n, th_n in zip(range(1, last + 1), th[origin:]):
-        w = 2.0 * math.exp(-alpha * _PI * y * n * n)
+    _, ws, (th,) = _rows(alpha, z, 0, "theta_lattice", ((0, 0),), origin, cfg)
+    acc = 0.0
+    for w, th_n in zip(ws, th):
         acc += w * th_n
-    return math.sqrt(y / alpha) * acc
+    return math.sqrt(z.y / alpha) * acc
 
 
 def w_b(alpha: float, b: float, z: UpperHalfPoint, cfg: SeriesConfig = DEFAULT_CONFIG) -> float:
@@ -107,15 +110,12 @@ def w_b(alpha: float, b: float, z: UpperHalfPoint, cfg: SeriesConfig = DEFAULT_C
 
 def _w_rows(alpha: float, c0: float, z: UpperHalfPoint, origin: bool, cfg: SeriesConfig) -> float:
     """The expansion of :func:`w_b`; its n = 0 term is 0 unless origin is set."""
-    y = z.y
     c2 = _PI * alpha * alpha
-    last = cfg.last_index(alpha * y, 2, 1, "w_b")
-    th, thx = _inner_rows(alpha, z, last, ((0, 0), (1, 0)), origin, cfg)
-    acc = c0 * th[0] + thx[0] if origin else 0.0
-    for n, th_n, thx_n in zip(range(1, last + 1), th[origin:], thx[origin:]):
-        w = 2.0 * math.exp(-alpha * _PI * y * n * n)
+    ns, ws, (th, thx) = _rows(alpha, z, 2, "w_b", ((0, 0), (1, 0)), origin, cfg)
+    acc = 0.0
+    for n, w, th_n, thx_n in zip(ns, ws, th, thx):
         acc += w * ((c0 + c2 * n * n) * th_n + thx_n)
-    return y**1.5 / (_PI * alpha**2.5) * acc
+    return z.y**1.5 / (_PI * alpha**2.5) * acc
 
 
 def _theta_minus_one(alpha: float, z: UpperHalfPoint, cfg: SeriesConfig) -> float:
@@ -133,12 +133,14 @@ def _w_b_minus_origin(alpha: float, b: float, z: UpperHalfPoint, cfg: SeriesConf
     """W_b(alpha; z) + b/alpha, summing the n = 0 row without the origin for
     alpha >= y/4.  Below, the nonzero points' theta mass sqrt(y/alpha) - 1 > 1
     keeps adding b/alpha to W_b from cancelling more than a few ulps."""
-    if 4.0 * alpha < z.y:
-        return w_b(alpha, b, z, cfg) + b / alpha
     d = alpha / z.y
     c0 = 0.5 * (1.0 - 2.0 * _PI * b) * d
-    if math.isinf(c0) and b:  # as in w_b, with theta - 1 for theta
+    # 2 pi b or b/alpha overflows: as in w_b, with theta - 1 for theta, and on
+    # both branches, since W_b + b/alpha would be -inf + inf
+    if b and (math.isinf(c0) or math.isinf(b / alpha)):
         return _w_b_minus_origin(alpha, 0.0, z, cfg) - b / alpha * _theta_minus_one(alpha, z, cfg)
+    if 4.0 * alpha < z.y:
+        return w_b(alpha, b, z, cfg) + b / alpha
     last = cfg.last_index(d, 2, 1, "w_b")
     row0 = 2.0 * sum((k * k * d - b) * math.exp(-_PI * d * k * k) for k in range(1, last + 1)) / alpha
     return row0 + _w_rows(alpha, c0, z, False, cfg)
@@ -174,10 +176,9 @@ def _w_b_minus_origin_batch(
     n = np.arange(cfg.last_index(alphas.min() * y, 2, 1, "w_b") + 1.0)
     nc = n[:, None]
     w = 2.0 * np.exp(-alphas * _PI * y * nc * nc)
+    w[0] = full  # the n = 0 term where 4 alpha < y
     th, thx = theta_array(X0, n * x, 0, cfg), theta_array(X0, n * x, 1, cfg)
-    terms = w * ((c0 + c2 * nc * nc) * th + thx)
-    terms[0] = np.where(full, c0 * th[0] + thx[0], 0.0)  # the n = 0 term where 4 alpha < y
-    rows = y**1.5 / (_PI * alphas**2.5) * terms.sum(axis=0)
+    rows = y**1.5 / (_PI * alphas**2.5) * (w * ((c0 + c2 * nc * nc) * th + thx)).sum(axis=0)
     return np.where(full, rows + b / alphas, _row0_batch(alphas, ~full, y, 2, b, cfg) + rows)
 
 
@@ -222,15 +223,12 @@ def w_b_via_theta_derivative(
 def dx_w(alpha: float, z: UpperHalfPoint, cfg: SeriesConfig = DEFAULT_CONFIG) -> float:
     """d/dx of W_{1/(2 pi)}(alpha; z), by the theta_Y / theta_XY series."""
     _check_alpha(alpha)
-    y = z.y
     c3 = _PI * alpha * alpha
-    last = cfg.last_index(alpha * y, 3, 1, "dx_w")
-    thy, thxy = _inner_rows(alpha, z, last, ((0, 1), (1, 1)), False, cfg)
+    ns, ws, (thy, thxy) = _rows(alpha, z, 3, "dx_w", ((0, 1), (1, 1)), False, cfg)
     acc = 0.0
-    for n, thy_n, thxy_n in zip(range(1, last + 1), thy, thxy):
-        w = 2.0 * math.exp(-alpha * _PI * y * n * n)
+    for n, w, thy_n, thxy_n in zip(ns, ws, thy, thxy):
         acc += w * (c3 * n**3 * thy_n + n * thxy_n)
-    return y**1.5 / (_PI * alpha**2.5) * acc
+    return z.y**1.5 / (_PI * alpha**2.5) * acc
 
 
 def coupling_coefficient(n: int, m: int, alpha: float, y: float) -> float:
@@ -264,12 +262,9 @@ def dy_w(alpha: float, z: UpperHalfPoint, cfg: SeriesConfig = DEFAULT_CONFIG) ->
     y = z.y
     c2 = _PI * alpha * alpha
     c4 = _PI * _PI * alpha**3
-    last = cfg.last_index(alpha * y, 4, 1, "dy_w")
-    th, thx, thxx = _inner_rows(alpha, z, last, ((0, 0), (1, 0), (2, 0)), True, cfg)
-    s_low = thx[0]  # pi a^2 S2 + SX, n = 0 part
-    s_high = thxx[0] / alpha  # -pi^2 a^3 S4 + SXX/alpha
-    for n, th_n, thx_n, thxx_n in zip(range(1, last + 1), th[1:], thx[1:], thxx[1:]):
-        w = 2.0 * math.exp(-alpha * _PI * y * n * n)
+    ns, ws, (th, thx, thxx) = _rows(alpha, z, 4, "dy_w", ((0, 0), (1, 0), (2, 0)), True, cfg)
+    s_low = s_high = 0.0  # pi a^2 S2 + SX and -pi^2 a^3 S4 + SXX/alpha
+    for n, w, th_n, thx_n, thxx_n in zip(ns, ws, th, thx, thxx):
         s_low += w * (c2 * n * n * th_n + thx_n)
         s_high += w * (-c4 * n**4 * th_n + thxx_n / alpha)
     return (1.5 * math.sqrt(y) * s_low + y**1.5 * s_high) / (_PI * alpha**2.5)

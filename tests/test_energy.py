@@ -101,6 +101,22 @@ def test_w_brute_force(sample_points):
             brute_energy(lambda q: (q - b) * math.exp(-PI * q), HEX), rel=1e-13)
 
 
+@pytest.mark.parametrize("alpha, b, z, expected", [
+    # b/alpha overflows (with 2 pi b, or alone): W_b + b/alpha would be -inf + inf
+    (0.1, 1e308, HEX, -math.inf),
+    (0.01, 1e307, HEX, -math.inf),
+    (0.1, -1e308, HEX, math.inf),
+    # 2 pi b overflows where 4 alpha < y; the energy itself is finite
+    (1.0, 1e308, UpperHalfPoint(0.0, 5.0), None),
+    (1.0, -1e308, UpperHalfPoint(0.0, 5.0), None),
+], ids=["b-over-alpha", "b-over-alpha-alone", "negative-b", "tall-z", "tall-z-negative-b"])
+def test_poly_gaussian_energy_at_the_float_range(alpha, b, z, expected):
+    val = closed_form_energy(PolyGaussian(alpha, b), z)
+    if expected is None:
+        expected = pytest.approx(brute_energy(lambda q: (q - b) * math.exp(-PI * q), z), rel=1e-13)
+    assert val == expected
+
+
 def test_w0_positive_at_hexagonal():
     val = w_b(2.0, 0.0, HEX)
     assert val > 0

@@ -6,7 +6,9 @@ computed values), and everything else must pass.
 """
 
 import inspect
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -60,6 +62,18 @@ def test_every_failure_carries_a_note(reports):
     for r in reports:
         if not r.passed:
             assert r.note, r.lemma_id
+
+
+def test_reports_match_the_snapshot(reports):
+    # "Same results" of the roadmap: the default run keeps every verdict of
+    # verify_snapshot.json, and every computed value to 1e-15 relative.  A
+    # change that rewrites the snapshot names the changed ids in CHANGES.md.
+    snapshot = json.loads((Path(__file__).parent / "verify_snapshot.json").read_text())
+    assert [r.lemma_id for r in reports] == list(snapshot)
+    for r in reports:
+        passed, computed = snapshot[r.lemma_id]
+        assert r.passed is passed, r.lemma_id
+        assert r.computed == pytest.approx(computed, rel=1e-15, abs=0.0), r.lemma_id
 
 
 def test_frozen_discrepancy_values(reports):

@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING, Callable, Union
 from ._record import Record
 from .config import DEFAULT_CONFIG, SeriesConfig
 from .errors import InvalidParameter, NonPositiveAlpha, TailTooLarge
-from .moduli import UpperHalfPoint, lattice_norms
+from .moduli import UpperHalfPoint, half_plane_norms
 from .quadrature import gauss_panel, integrate
 from .theta1d import theta_array, theta_rows
 
@@ -165,21 +165,29 @@ def _theta_minus_one_batch(alphas: np.ndarray, z: UpperHalfPoint, cfg: SeriesCon
 def _w_b_minus_origin_batch(
     alphas: np.ndarray, b: float, z: UpperHalfPoint, cfg: SeriesConfig
 ) -> np.ndarray:
-    """:func:`_w_b_minus_origin` at each alpha of an array, by the same expansion
-    and branch, with term counts as in :func:`_theta_minus_one_batch`."""
+    """:func:`_w_b_minus_origin` at each alpha of an array, by the same expansion,
+    branch and overflow split, with term counts as in :func:`_theta_minus_one_batch`."""
     import numpy as np
     x, y = z.x, z.y
     X0 = y / alphas
     full = 4.0 * alphas < y
     c0 = 0.5 * (1.0 - 2.0 * _PI * b) * (alphas / y)
     c2 = _PI * alphas * alphas
-    n = np.arange(cfg.last_index(alphas.min() * y, 2, 1, "w_b") + 1.0)
+    lo = alphas.min()
+    n = np.arange(cfg.last_index(lo * y, 2, 1, "w_b") + 1.0)
     nc = n[:, None]
     w = 2.0 * np.exp(-alphas * _PI * y * nc * nc)
     w[0] = full  # the n = 0 term where 4 alpha < y
     th, thx = theta_array(X0, n * x, 0, cfg), theta_array(X0, n * x, 1, cfg)
     rows = y**1.5 / (_PI * alphas**2.5) * (w * ((c0 + c2 * nc * nc) * th + thx)).sum(axis=0)
-    return np.where(full, rows + b / alphas, _row0_batch(alphas, ~full, y, 2, b, cfg) + rows)
+    out = np.where(full, rows + b / alphas, _row0_batch(alphas, ~full, y, 2, b, cfg) + rows)
+    # as in _w_b_minus_origin: where 2 pi b or b/alpha overflows, W_0 - (b/alpha)(theta - 1);
+    # |c0| is largest at the largest alpha, |b/alpha| at the smallest
+    if b and (math.isinf(c0[alphas.argmax()]) or math.isinf(b / lo)):
+        over = np.isinf(c0) | np.isinf(b / alphas)
+        a = alphas[over]
+        out[over] = _w_b_minus_origin_batch(a, 0.0, z, cfg) - b / a * _theta_minus_one_batch(a, z, cfg)
+    return out
 
 
 def _row0_batch(
@@ -396,29 +404,35 @@ def witness_y_max(p: PotentialSpec) -> float:
     The theta and W_b closed forms cost about the same at every y.  The direct
     sum behind YukawaDiff, cutoff radius r = 8/sqrt(min(alpha, 1)), visits
     ~2 r sqrt(y) points on the row through the origin, so its witness stops
-    where that row would pass 2.5e5 points (~0.5 s per energy).  The Laplace
-    integrand at x subtracts two energies of size ~sqrt(y); just above b_crit
-    the quadrature's levels stop agreeing on that noise from y ~ 6e10 on.
+    where that row would pass 2.5e5 points (~0.06 s per energy on a 2-CPU
+    VM).  The Laplace integrand at x subtracts two energies of size ~sqrt(y);
+    just above b_crit the quadrature's levels stop agreeing on that noise
+    from y ~ 6e10 on.
     """
     if isinstance(p, YukawaDiff):
         return (2.5e5 / 16.0) ** 2 * min(p.alpha, 1.0)
     return 2.0**32 if isinstance(p, LaplaceWeighted) else math.inf
 
 
-def potential_value(p: PotentialSpec, q: float) -> float:
-    """Pointwise potential at squared distance q > 0."""
+def _pointwise(p: PotentialSpec) -> Callable[[float], float]:
+    """The potential of p as a function of the squared distance q > 0."""
     if isinstance(p, Gaussian):
-        return math.exp(-_PI * p.alpha * q)
+        return lambda q: math.exp(-_PI * p.alpha * q)
     if isinstance(p, GaussianDiff):
-        return math.exp(-_PI * p.alpha * q) - p.b * math.exp(-_PI * p.a * p.alpha * q)
+        return lambda q: math.exp(-_PI * p.alpha * q) - p.b * math.exp(-_PI * p.a * p.alpha * q)
     if isinstance(p, PolyGaussian):
-        return (q - p.b / p.alpha) * math.exp(-_PI * p.alpha * q)
+        return lambda q: (q - p.b / p.alpha) * math.exp(-_PI * p.alpha * q)
     if isinstance(p, YukawaDiff):
-        return (math.exp(-_PI * p.alpha * q) - p.b * math.exp(-_PI * p.a * p.alpha * q)) / q
+        return lambda q: (math.exp(-_PI * p.alpha * q) - p.b * math.exp(-_PI * p.a * p.alpha * q)) / q
     import numpy as np
-    return _laplace_integral(
+    return lambda q: _laplace_integral(
         p, lambda A: np.exp(-_PI * A * q), lambda A, b: (q - b / A) * np.exp(-_PI * A * q)
     )
+
+
+def potential_value(p: PotentialSpec, q: float) -> float:
+    """Pointwise potential at squared distance q > 0."""
+    return _pointwise(p)(q)
 
 
 def _tail_majorant(p: PotentialSpec, t0: float) -> float:
@@ -455,14 +469,21 @@ def lattice_energy(p: PotentialSpec, z: UpperHalfPoint, cutoff_radius: float) ->
     """
     if not 0.0 < cutoff_radius < math.inf:
         raise InvalidParameter(f"cutoff_radius must be > 0 and finite, got {cutoff_radius}")
-    total = 0.0
-    total_abs = 0.0
-    for q, _mn in lattice_norms(z, cutoff_radius):
-        if q == 0.0:
-            continue
-        v = potential_value(p, q)
+    # Each norm^2 stands for the pair +-P and ties are adjacent, so the
+    # potential is evaluated once per distinct norm and added once per point,
+    # in ascending order.  Norms of 0 (y so small that m^2 y^2 underflows)
+    # come first and add v = 0.0 to 0.0, as if skipped.
+    f = _pointwise(p)
+    total = total_abs = last = v = av = 0.0
+    for q in half_plane_norms(z, cutoff_radius):
+        if q != last:
+            last = q
+            v = f(q)
+            av = abs(v)
         total += v
-        total_abs += abs(v)
+        total += v
+        total_abs += av
+        total_abs += av
     tail = _tail_majorant(p, cutoff_radius * cutoff_radius)
     if tail > 1e-12 * max(total_abs, 1e-300):
         raise TailTooLarge(

@@ -121,15 +121,17 @@ def reduce_to_fundamental(z: UpperHalfPoint) -> tuple[UpperHalfPoint, GroupWord]
     return current, tuple(word)
 
 
-def lattice_norms(
+def _half_plane(
     z: UpperHalfPoint, radius: float
-) -> list[tuple[float, tuple[int, int]]]:
-    """All (m, n) with |m z + n|^2 / y <= radius^2, with their norms.
+) -> list[tuple[int, range | list[int], list[float]]]:
+    """Half of the lattice points with |m z + n|^2 / y <= radius^2, by rows.
 
-    Returns (norm^2, (m, n)) pairs sorted by norm^2, origin included.  The
-    enumeration bound comes from |m z + n|^2 / y >= m^2 y, so |m| <=
-    radius / sqrt(y), and for each m the admissible n form the interval
-    |m x + n| <= sqrt(y (radius^2 - m^2 y)).
+    Returns (m, ns, qs) for m = 0, ..., radius / sqrt(y), where qs[i] is the
+    norm^2 of (m, ns[i]); row 0 keeps n >= 1 only.  Every other nonzero point
+    is (-m, -n) for one of these, with the same norm^2 bit for bit, since u^2
+    and m^2 do not depend on sign.  The enumeration bound comes from
+    |m z + n|^2 / y >= m^2 y, so |m| <= radius / sqrt(y), and for each m the
+    admissible n form the interval |m x + n| <= sqrt(y (radius^2 - m^2 y)).
     """
     if not 0.0 < radius < math.inf:
         raise InvalidParameter(f"radius must be > 0 and finite, got {radius}")
@@ -139,22 +141,51 @@ def lattice_norms(
     estimate = math.pi * r2 + 2.0 * (mmax + 1) + 4.0 * radius
     if estimate > MAX_ENUMERATION:
         raise RadiusTooLarge(f"enumeration would visit ~{estimate:.3g} points")
-    out: list[tuple[float, tuple[int, int]]] = []
+    limit = r2 * (1.0 + 1e-12)
+    rows: list[tuple[int, range | list[int], list[float]]] = []
     count = 0
-    for m in range(-mmax, mmax + 1):
+    for m in range(mmax + 1):
         rem = y * (r2 - m * m * y)
         if rem < 0.0:
             continue
         half = math.sqrt(rem)
         nlo = math.ceil(-m * x - half)
         nhi = math.floor(-m * x + half)
-        count += max(0, nhi - nlo + 1)
+        # rows m and -m hold the same number of points; row 0 is counted once
+        count += max(0, nhi - nlo + 1) * (2 if m else 1)
         if count > MAX_ENUMERATION:
             raise RadiusTooLarge(f"enumeration exceeded {MAX_ENUMERATION} points")
-        for n in range(nlo, nhi + 1):
-            u = m * x + n
-            q = (u * u + m * m * y * y) / y
-            if q <= r2 * (1.0 + 1e-12):
-                out.append((q, (m, n)))
-    out.sort(key=lambda item: (item[0], item[1]))
+        mx, c = m * x, m * m * y * y
+        ns = range(nlo if m else 1, nhi + 1)
+        qs = [((mx + n) * (mx + n) + c) / y for n in ns]
+        if qs and max(qs) > limit:  # rounding in m x + n, at |x| ~ 1e12 and beyond
+            ns = [n for n, q in zip(ns, qs) if q <= limit]
+            qs = [q for q in qs if q <= limit]
+        rows.append((m, ns, qs))
+    return rows
+
+
+def lattice_norms(
+    z: UpperHalfPoint, radius: float
+) -> list[tuple[float, tuple[int, int]]]:
+    """All (m, n) with |m z + n|^2 / y <= radius^2, with their norms.
+
+    Returns (norm^2, (m, n)) pairs in ascending tuple order (by norm^2, then
+    by (m, n)), origin included.
+    """
+    out = [(0.0, (0, 0))]
+    for m, ns, qs in _half_plane(z, radius):
+        for n, q in zip(ns, qs):
+            out += ((q, (m, n)), (q, (-m, -n)))
+    out.sort()
+    return out
+
+
+def half_plane_norms(z: UpperHalfPoint, radius: float) -> list[float]:
+    """The norms^2 of the nonzero lattice points within radius, one per pair
+    +-(m, n), in ascending order: each value stands for two points."""
+    out: list[float] = []
+    for _, _, qs in _half_plane(z, radius):
+        out += qs
+    out.sort()
     return out

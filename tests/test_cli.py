@@ -232,6 +232,8 @@ scalar = [
     ["energy", "gaussian-diff", "--a", "2", "--b", "1", "--x", "0.1", "--y", "1.2"],
     ["energy", "poly-gaussian", "--b", "0.1", "--x", "0.1", "--y", "1.2"],
     ["energy", "yukawa-diff", "--a", "2", "--b", "0.5", "--x", "0.1", "--y", "1.2"],
+    ["energy", "yukawa-diff", "--a", "2", "--b", "0.5", "--x", "0.1", "--y", "1.2", "--cutoff", "8"],
+    ["energy", "poly-gaussian", "--b", "0.1", "--x", "0.5", "--y", "1.2", "--cutoff", "8"],
     ["minimize", "w", "--alpha", "1", "--b", "0"],
     ["minimize", "thetadiff", "--alpha", "1", "--a", "2", "--b", "1"],
     ["phase-scan", "--problem", "w", "--alphas", "1", "--b-min", "0.1", "--b-max", "0.2",
@@ -261,7 +263,7 @@ def test_scalar_commands_load_no_numpy(tmp_path):
     proc = subprocess.run([sys.executable, "-c", _SCALAR_CHILD, str(spec)], env=env,
                           capture_output=True, text=True, timeout=120, check=True)
     result = json.loads(proc.stdout)
-    assert result == {"codes": [0] * 9, "loaded": [], "array_codes": [0, 0],
+    assert result == {"codes": [0] * 11, "loaded": [], "array_codes": [0, 0],
                       "array_dataclasses": False}
 
 

@@ -9,6 +9,7 @@ import pytest
 from conftest import brute_energy, brute_theta, brute_w
 from hexlat import (
     B_CRITICAL,
+    DEFAULT_CONFIG,
     Gaussian,
     GaussianDiff,
     LaplaceWeighted,
@@ -445,6 +446,37 @@ def test_exp_sinh_rule_ignores_values_past_its_stop():
     assert abs(quadrature.integrate(cut_at(1e100), 1.0) - math.exp(-1.0)) <= 1e-14 * math.exp(-1.0)
     with pytest.raises(QuadratureDivergence):
         quadrature.integrate(cut_at(10.0), 1.0)
+
+
+def test_exp_sinh_rule_near_the_float_limit():
+    # The level sums reach 2^9 times the integral; near the float limit they
+    # are carried scaled by a power of 2, which leaves every rounding as it is.
+    base = quadrature.integrate(lambda x: np.exp(1.0 - x), 1.0)
+    for k in (1000, 1023):
+        assert quadrature.integrate(lambda x: 2.0**k * np.exp(1.0 - x), 1.0) == 2.0**k * base
+
+
+@pytest.mark.parametrize("z", [HEX, UpperHalfPoint(0.0, 5.0)], ids=["hex", "tall-z"])
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_laplace_energy_at_the_float_range(z, sign):
+    # 2 pi b overflows at every node: W_b + b/alpha is W_0 - (b/alpha)(theta - 1)
+    # there, as in the scalar sum, and at this size the energy is linear in b.
+    def energy_at(b):
+        return laplace_energy(LaplaceWeighted(1.0, 2.0, b, weight=lambda x: math.exp(-x),
+                                              family="g"), z)
+
+    ref = 1e8 * energy_at(sign * 1e300)
+    assert abs(energy_at(sign * 1e308) - ref) <= 1e-12 * abs(ref)
+    # The batch splits node by node where the scalar sum does: at b = 3e306,
+    # b/alpha overflows at the first node and c0 at the last, and the nodes
+    # between keep the plain sum.
+    alphas = np.array([1e-2, 0.5, 1.0, 4.0, 30.0])
+    for b in (sign * 1e308, sign * 3e306):
+        with np.errstate(over="ignore", invalid="ignore"):
+            batch = energy._w_b_minus_origin_batch(alphas, b, z, DEFAULT_CONFIG)
+        for alpha, value in zip(alphas.tolist(), batch.tolist()):
+            scalar = energy._w_b_minus_origin(alpha, b, z, DEFAULT_CONFIG)
+            assert value == scalar or abs(value - scalar) <= 1e-14 * abs(scalar)
 
 
 @pytest.mark.parametrize("family, kernel", [("f", "_theta_minus_one_batch"),

@@ -21,7 +21,6 @@ from hexlat import (
     YukawaDiff,
     closed_form_energy,
     hexagonal_point,
-    lattice_norms,
     minimize_generic,
     minimize_theta_difference,
     minimize_w,
@@ -30,7 +29,7 @@ from hexlat import (
     w_b,
 )
 from hexlat.errors import InvalidParameter, NonPositiveAlpha, OptimizerDivergence
-from hexlat.moduli import in_fundamental_domain
+from hexlat.moduli import half_plane_norms, in_fundamental_domain
 
 RT3_2 = math.sqrt(3.0) / 2.0
 HEX = hexagonal_point()
@@ -257,11 +256,11 @@ def test_generic_near_critical_witness_stays_bounded(monkeypatch, spec):
     sizes = []
 
     def counting(z, radius):
-        pts = lattice_norms(z, radius)
-        sizes.append(len(pts))
-        return pts
+        qs = half_plane_norms(z, radius)
+        sizes.append(1 + 2 * len(qs))  # each norm stands for +-P, plus the origin
+        return qs
 
-    monkeypatch.setattr("hexlat.energy.lattice_norms", counting)
+    monkeypatch.setattr("hexlat.energy.half_plane_norms", counting)
     start = time.perf_counter()
     out = minimize_generic(spec)
     assert time.perf_counter() - start < 30.0

@@ -13,7 +13,8 @@ integrals.
 import math
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hexlat import (
@@ -24,22 +25,27 @@ from hexlat import (
     PolyGaussian,
     SeriesConfig,
     UpperHalfPoint,
+    YukawaDiff,
     apply_word,
     closed_form_energy,
     dy_w,
     jacobi_theta,
     jacobi_theta_partial,
+    lattice_energy,
     lattice_norms,
     theta_lattice,
     w_b,
 )
 from hexlat.config import MAX_TERMS
 from hexlat.energy import (
+    _tail_majorant,
     _theta_minus_one,
     _theta_minus_one_batch,
     _w_b_minus_origin,
     _w_b_minus_origin_batch,
+    potential_value,
 )
+from hexlat.errors import TailTooLarge
 from hexlat.moduli import Generator
 from hexlat.quadrature import integrate
 from hexlat.theta1d import (
@@ -217,6 +223,57 @@ def test_closed_form_energy_matches_direct_sum(alpha, a, b, z):
     ):
         error = abs(closed_form_energy(spec, z) - math.fsum(terms))
         assert error <= 1e-13 * math.fsum(map(abs, terms)), spec
+
+
+def _full_plane_norms(z, radius):
+    """(norm^2, (m, n)) for every lattice point within radius, walking all rows
+    m = -mmax..mmax and every admissible n, sorted."""
+    x, y = z.x, z.y
+    r2 = radius * radius
+    mmax = int(math.floor(radius / math.sqrt(y)))
+    out = []
+    for m in range(-mmax, mmax + 1):
+        rem = y * (r2 - m * m * y)
+        if rem >= 0.0:
+            half = math.sqrt(rem)
+            for n in range(math.ceil(-m * x - half), math.floor(-m * x + half) + 1):
+                u = m * x + n
+                q = (u * u + m * m * y * y) / y
+                if q <= r2 * (1.0 + 1e-12):
+                    out.append((q, (m, n)))
+    return sorted(out)
+
+
+@settings(max_examples=200, deadline=None)
+@given(x=st.one_of(st.just(0.0), st.just(0.5), st.floats(-10.0, 10.0)), y=st.floats(0.05, 100.0),
+       radius=st.floats(0.5, 10.0), alpha=st.floats(0.1, 10.0), a=st.floats(1.01, 4.0),
+       b=st.floats(-2.0, 2.0))
+# so far from the y axis that rounding puts one point of the walk past the radius
+@example(x=17087873257110.307, y=0.4844858734837559, radius=3.9313043798626492, alpha=1.0,
+         a=2.0, b=0.5)
+def test_lattice_energy_is_the_ascending_sum_over_lattice_norms(x, y, radius, alpha, a, b):
+    # lattice_norms walks half the plane and mirrors it; lattice_energy sums
+    # one potential value per distinct norm.  Both must give what a per-point
+    # walk over the full plane gives, bit for bit: x = 0 and x = 1/2 make ties.
+    z = UpperHalfPoint(x, y)
+    norms = lattice_norms(z, radius)
+    assert norms == _full_plane_norms(z, radius)
+    for spec in (Gaussian(alpha), GaussianDiff(alpha, a, b), PolyGaussian(alpha, b),
+                 YukawaDiff(alpha, a, b)):
+        total = total_abs = 0.0
+        for q, _ in norms:
+            if q > 0.0:
+                v = potential_value(spec, q)
+                total += v
+                total_abs += abs(v)
+        tail = _tail_majorant(spec, radius * radius)
+        if tail > 1e-12 * max(total_abs, 1e-300):
+            message = f"tail bound {tail:.3g} exceeds 1e-12 of the summed magnitude {total_abs:.3g}"
+            with pytest.raises(TailTooLarge) as raised:
+                lattice_energy(spec, z, radius)
+            assert str(raised.value) == message
+        else:
+            assert lattice_energy(spec, z, radius).hex() == total.hex(), spec
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,13 +1,16 @@
 """Lattice theta function, the polynomial-Gaussian energy W_b, their
 derivatives, and the generic potential energies.
 
-All two-dimensional sums are evaluated through the one-dimensional theta
+The two-dimensional sums are evaluated through the one-dimensional theta
 expansion
 
     theta(alpha; z) = sqrt(y/alpha) sum_n e^{-alpha pi y n^2} theta(y/alpha; n x)
 
 whose inner factors come from :mod:`hexlat.theta1d`: one theta_rows call at
-X = y/alpha per scalar sum, theta_array for the batched ones.  Conventions: theta and
+X = y/alpha per scalar sum, theta_array for the batched ones.  Where that
+call would take the Poisson comb (y/alpha < POISSON_SWITCH), theta_lattice
+and w_b sum the lattice points directly instead, over a radius fixed by a
+proven tail bound (:func:`_tail_bound`).  Conventions: theta and
 W_b sum over the full lattice including the origin (the origin contributes 1
 to theta and -b/alpha to W_b); the potential energies E_f exclude the origin,
 summing the row n = 0 without it wherever subtracting it would cancel.
@@ -19,11 +22,11 @@ import math
 from typing import TYPE_CHECKING, Callable, Union
 
 from ._record import Record
-from .config import DEFAULT_CONFIG, SeriesConfig
-from .errors import InvalidParameter, NonPositiveAlpha, TailTooLarge
-from .moduli import UpperHalfPoint, half_plane_norms
+from .config import DEFAULT_CONFIG, MAX_TERMS, SeriesConfig
+from .errors import InvalidParameter, NonPositiveAlpha, RadiusTooLarge, TailTooLarge
+from .moduli import MAX_ENUMERATION, UpperHalfPoint, enumeration_estimate, half_plane_norms
 from .quadrature import gauss_panel, integrate
-from .theta1d import theta_array, theta_rows
+from .theta1d import POISSON_SWITCH, theta_array, theta_rows
 
 # numpy is imported inside the functions that use it, not at module load.
 if TYPE_CHECKING:
@@ -33,6 +36,15 @@ _PI = math.pi
 
 #: Critical coupling of the polynomial-Gaussian problem, b_c = 1/(2 pi).
 B_CRITICAL = 1.0 / (2.0 * math.pi)
+
+#: A direct sum stops where its proven tail is below this share of the sum of
+#: its terms' moduli: half an ulp, so the tail cannot move the rounded sum.
+_DIRECT_TOL = 2.0**-54
+
+#: theta_lattice and w_b walk at most this many points, the most the row
+#: expansion accepts (MAX_TERMS rows of MAX_TERMS terms); past it they take
+#: the rows, which then raise TruncationFailure.
+_DIRECT_CAP = MAX_TERMS * MAX_TERMS
 
 
 def _check_alpha(alpha: float) -> None:
@@ -54,8 +66,15 @@ def _check_a_b(a: float = 2.0, b: float = 0.0) -> None:
 
 
 def theta_lattice(alpha: float, z: UpperHalfPoint, cfg: SeriesConfig = DEFAULT_CONFIG) -> float:
-    """theta(alpha; z) = sum over the full lattice of e^{-pi alpha |P|^2}."""
+    """theta(alpha; z) = sum over the full lattice of e^{-pi alpha |P|^2}.
+
+    Below y/alpha = POISSON_SWITCH a direct sum (:func:`_direct_sum`), from
+    there on the row expansion at cfg's rel_tol."""
     _check_alpha(alpha)
+    if z.y / alpha < POISSON_SWITCH:
+        total = _direct_sum(Gaussian(alpha), z, 1.0, _DIRECT_CAP)
+        if total is not None:
+            return 1.0 + total
     return _theta_rows(alpha, z, True, cfg)
 
 
@@ -84,7 +103,9 @@ def _theta_rows(alpha: float, z: UpperHalfPoint, origin: bool, cfg: SeriesConfig
 def w_b(alpha: float, b: float, z: UpperHalfPoint, cfg: SeriesConfig = DEFAULT_CONFIG) -> float:
     """W_b(alpha; z) = sum over the full lattice of (|P|^2 - b/alpha) e^{-pi alpha |P|^2}.
 
-    Evaluated through the exponential expansion
+    Below y/alpha = POISSON_SWITCH a direct sum (:func:`_direct_sum`), within
+    its proven tail (under 2^-54) plus a few ulps of sum |terms| at any z.
+    From there on the exponential expansion
 
         (1/pi) alpha^{-5/2} y^{3/2} [ (1/2)(1 - 2 pi b)(alpha/y) S0
                                       + pi alpha^2 S2 + SX ]
@@ -92,19 +113,24 @@ def w_b(alpha: float, b: float, z: UpperHalfPoint, cfg: SeriesConfig = DEFAULT_C
     with S0 = sum_n e^{-alpha pi y n^2} theta(y/alpha; n x), S2 the same sum
     weighted by n^2, and SX the sum with theta replaced by theta_X.
 
-    Accuracy domain: z in the fundamental domain.  There the row through the
-    origin dominates, and closed_form_energy(PolyGaussian), which sums these
-    rows, stayed within 4e-15 of sum |terms| in a seeded adversarial search.
-    Off it a row n >= 1 can cancel: where b/alpha equals the row's nearest
-    norm its pieces are ~(b/alpha) e^{-pi alpha q} while its sum is near 0, so
-    closed_form_energy(PolyGaussian(4, 2), (0, 1/2)) is off by 1.4e-10 of
-    sum |terms| against a 40-digit mpmath sum.  Reduce z first.
+    The expansion is accurate on the fundamental domain, where the row
+    through the origin dominates: closed_form_energy(PolyGaussian), which
+    sums these rows, stayed within 4e-15 of sum |terms| in a seeded
+    adversarial search.  Off it a row n >= 1 can cancel: where b/alpha equals
+    the row's nearest norm its pieces are ~(b/alpha) e^{-pi alpha q} while its
+    sum is near 0, so closed_form_energy(PolyGaussian(4, 2), (0, 1/2)), whose
+    origin-free rows take no direct sum, is off by 1.4e-10 of sum |terms|
+    against a 40-digit mpmath sum.  Reduce z first there.
     """
     _check_alpha(alpha)
     _check_a_b(b=b)
     c0 = 0.5 * (1.0 - 2.0 * _PI * b) * (alpha / z.y)
     if math.isinf(c0) and b:  # 2 pi b overflows: W_0 - (b/alpha) theta stays finite
         return w_b(alpha, 0.0, z, cfg) - b / alpha * theta_lattice(alpha, z, cfg)
+    if z.y / alpha < POISSON_SWITCH:
+        total = _direct_sum(PolyGaussian(alpha, b), z, abs(b) / alpha, _DIRECT_CAP)
+        if total is not None:
+            return total - b / alpha
     return _w_rows(alpha, c0, z, True, cfg)
 
 
@@ -402,12 +428,14 @@ def witness_y_max(p: PotentialSpec) -> float:
     """Largest y at which a divergence witness evaluates E_f along x = 1/2.
 
     The theta and W_b closed forms cost about the same at every y.  The direct
-    sum behind YukawaDiff, cutoff radius r = 8/sqrt(min(alpha, 1)), visits
-    ~2 r sqrt(y) points on the row through the origin, so its witness stops
-    where that row would pass 2.5e5 points (~0.06 s per energy on a 2-CPU
-    VM).  The Laplace integrand at x subtracts two energies of size ~sqrt(y);
-    just above b_crit the quadrature's levels stop agreeing on that noise
-    from y ~ 6e10 on.
+    sum behind YukawaDiff visits ~2 R sqrt(y) points on the row through the
+    origin.  Its witness stops at (2.5e5/16)^2 min(alpha, 1), where a radius
+    of 8/sqrt(min(alpha, 1)) would put 2.5e5 points on that row; the radius
+    the proven tail sets there (pi alpha R^2 ~ 11-15) puts ~1.2e5 (~0.04 s
+    per energy on a 2-CPU VM).  The cap keeps its value so that the witness
+    grids stay as they were.  The Laplace integrand at x subtracts two
+    energies of size ~sqrt(y); just above b_crit the quadrature's levels stop
+    agreeing on that noise from y ~ 6e10 on.
     """
     if isinstance(p, YukawaDiff):
         return (2.5e5 / 16.0) ** 2 * min(p.alpha, 1.0)
@@ -435,47 +463,68 @@ def potential_value(p: PotentialSpec, q: float) -> float:
     return _pointwise(p)(q)
 
 
-def _tail_majorant(p: PotentialSpec, t0: float) -> float:
-    """Estimate of the absolute lattice-sum tail over norms^2 > t0.
+def _gauss_tail(c: float, r2: float, d2: float) -> float:
+    """Bound on sum_{|P|^2 > r2} e^{-c |P|^2} over a unit-density lattice whose
+    cell diameter is sqrt(d2).  The cells of the points within r lie in the
+    disc of radius r + sqrt(d2), so there are at most M(u) = pi (sqrt(u) +
+    sqrt(d2))^2 <= 2 pi (u + d2) points with |P|^2 <= u; the sum is
+    int_{r2}^inf h dM <= int_{r2}^inf M (-h') du for h(u) = e^{-c u}, by parts."""
+    return 2.0 * _PI * math.exp(-c * r2) * (r2 + d2 + 1.0 / c)
 
-    A heuristic, not a proven bound: a unit-density lattice has ~pi dt
-    points with norm^2 in [t, t+dt], and the factor 2 in front is an
-    unproven margin for shell-count fluctuations.  For LaplaceWeighted the
-    decay is read off the potential sampled at t0, not bounded.
+
+def _q_gauss_tail(c: float, r2: float, d2: float) -> float:
+    """As :func:`_gauss_tail` for h(u) = u e^{-c u}, with -h' = (c u - 1) e^{-c u}
+    <= c u e^{-c u} in place of -h', so it holds at every r2 > 0."""
+    c1 = 1.0 / c
+    return (2.0 * _PI * math.exp(-c * r2)
+            * (r2 * r2 + 2.0 * c1 * r2 + 2.0 * c1 * c1 + d2 * (r2 + c1)))
+
+
+def _tail_bound(p: PotentialSpec, z: UpperHalfPoint, r2: float) -> float:
+    """Bound on sum_{|P|^2 > r2} |f(|P|^2)| over the lattice of z.
+
+    Proven for the closed families: |f| is at most a sum of the decreasing
+    terms of :func:`_gauss_tail` and :func:`_q_gauss_tail` (YukawaDiff's
+    1/q at most 1/r2), with the cell diameter sqrt(d2) = max |e1 +- e2| of
+    the basis e1 = (1/sqrt(y), 0), e2 = (x/sqrt(y), sqrt(y)).  For
+    LaplaceWeighted a heuristic: the decay is read off the potential sampled
+    at r2, with ~pi dt points per shell [t, t + dt] and a margin of 2.
     """
+    if isinstance(p, LaplaceWeighted):
+        g0 = abs(potential_value(p, r2))
+        return 4.0 * g0 * (r2 / (_PI * p.alpha) + 1.0 / (_PI * p.alpha) ** 2) / max(r2, 1.0) * _PI
+    x, y = z.x, z.y
+    d2 = ((abs(x) + 1.0) ** 2 + y * y) / y
+    c = _PI * p.alpha
+    tail = _gauss_tail(c, r2, d2)
     if isinstance(p, Gaussian):
-        return 2.0 * math.exp(-_PI * p.alpha * t0) / p.alpha
-    if isinstance(p, (GaussianDiff, YukawaDiff)):
-        # |f| <= (1 + |b|) e^{-pi alpha t} for t >= 1 in both cases
-        return 2.0 * (1.0 + abs(p.b)) * math.exp(-_PI * p.alpha * t0) / p.alpha
+        return tail
     if isinstance(p, PolyGaussian):
-        c = abs(p.b) / p.alpha
-        return (
-            2.0 * math.exp(-_PI * p.alpha * t0) * ((t0 + c) / p.alpha + 1.0 / (_PI * p.alpha) / p.alpha)
-        )
-    # LaplaceWeighted decays at least like the x = 1 endpoint of its integral;
-    # use the sampled potential at t0 and integrate the matching exponential.
-    g0 = abs(potential_value(p, t0))
-    return 4.0 * g0 * (t0 / (_PI * p.alpha) + 1.0 / (_PI * p.alpha) ** 2) / max(t0, 1.0) * _PI
+        return _q_gauss_tail(c, r2, d2) + abs(p.b) / p.alpha * tail
+    tail += abs(p.b) * _gauss_tail(p.a * c, r2, d2)
+    return tail / r2 if isinstance(p, YukawaDiff) else tail
 
 
-def lattice_energy(p: PotentialSpec, z: UpperHalfPoint, cutoff_radius: float) -> float:
-    """E_f(L) = sum over nonzero lattice points of f(|P|^2), by direct summation.
+def _direct_radius2(p: PotentialSpec, z: UpperHalfPoint, scale: float, cap: float) -> float | None:
+    """The first R^2 = max(1/y, 36/(pi alpha)) 1.25^k whose proven tail is at
+    most _DIRECT_TOL times scale, a lower bound on sum |terms|; None once the
+    walk of R would pass cap points (enumeration_estimate)."""
+    r2 = max(1.0 / z.y, 36.0 / (_PI * p.alpha))
+    while enumeration_estimate(z, math.sqrt(r2)) <= cap:
+        if _tail_bound(p, z, r2) <= _DIRECT_TOL * scale:
+            return r2
+        r2 *= 1.25
+    return None
 
-    Raises TailTooLarge when the tail estimate beyond the cutoff is not
-    below 1e-12 of the accumulated absolute sum.  That estimate
-    (:func:`_tail_majorant`) is heuristic: a shell-count margin of 2 and,
-    for LaplaceWeighted, a sampled potential stand in for a proof.
-    """
-    if not 0.0 < cutoff_radius < math.inf:
-        raise InvalidParameter(f"cutoff_radius must be > 0 and finite, got {cutoff_radius}")
-    # Each norm^2 stands for the pair +-P and ties are adjacent, so the
-    # potential is evaluated once per distinct norm and added once per point,
-    # in ascending order.  Norms of 0 (y so small that m^2 y^2 underflows)
-    # come first and add v = 0.0 to 0.0, as if skipped.
-    f = _pointwise(p)
+
+def _nonzero_sum(f: Callable[[float], float], qs) -> tuple[float, float]:
+    """(sum, sum of moduli) of f over the points whose half-plane norms^2 are
+    qs, added in the order of qs.  Each norm^2 stands for the pair +-P and
+    ties are adjacent, so f is evaluated once per distinct norm and added once
+    per point.  In ascending order, norms of 0 (y so small that m^2 y^2
+    underflows) come first and add v = 0.0 to 0.0, as if skipped."""
     total = total_abs = last = v = av = 0.0
-    for q in half_plane_norms(z, cutoff_radius):
+    for q in qs:
         if q != last:
             last = q
             v = f(q)
@@ -484,8 +533,46 @@ def lattice_energy(p: PotentialSpec, z: UpperHalfPoint, cutoff_radius: float) ->
         total += v
         total_abs += av
         total_abs += av
-    tail = _tail_majorant(p, cutoff_radius * cutoff_radius)
-    if tail > 1e-12 * max(total_abs, 1e-300):
+    return total, total_abs
+
+
+def _direct_sum(p: Gaussian | PolyGaussian | YukawaDiff, z: UpperHalfPoint, origin: float,
+                cap: float) -> float | None:
+    """The sum of f over the nonzero lattice points, walked to the radius that
+    :func:`_direct_radius2` takes, given |f(0)| as origin (0 where the value
+    excludes it), or None where that walk would pass cap points.
+
+    The lower bound on sum |terms| counts the origin and the pairs at the basis
+    norms 1/y and |z|^2/y; the tail past the radius is then below half an ulp
+    of the value returned, so cfg's rel_tol does not enter.  The points are
+    added from the largest norm down, the smallest terms first.  The walk
+    passes 2 R/sqrt(y) >= 2/y rows, so y >= 2/cap here and no norm underflows
+    to 0.
+    """
+    if abs(z.x) > 0.5:
+        # z - k for the integer k nearest x is exact and spans the same
+        # lattice; the walk then forms m x + n without the rounding of m k
+        z = UpperHalfPoint(z.x - round(z.x), z.y)
+    f = _pointwise(p)
+    scale = origin + 2.0 * (abs(f(1.0 / z.y)) + abs(f(z.abs2() / z.y)))
+    r2 = _direct_radius2(p, z, scale, cap)
+    if r2 is None:
+        return None
+    return _nonzero_sum(f, reversed(half_plane_norms(z, math.sqrt(r2))))[0]
+
+
+def lattice_energy(p: PotentialSpec, z: UpperHalfPoint, cutoff_radius: float) -> float:
+    """E_f(L) = sum over nonzero lattice points of f(|P|^2), by direct summation.
+
+    Raises TailTooLarge when the tail bound beyond the cutoff
+    (:func:`_tail_bound`: proven for the closed families, a sampled estimate
+    for LaplaceWeighted) is not at most 1e-12 of the accumulated absolute sum.
+    """
+    if not 0.0 < cutoff_radius < math.inf:
+        raise InvalidParameter(f"cutoff_radius must be > 0 and finite, got {cutoff_radius}")
+    total, total_abs = _nonzero_sum(_pointwise(p), half_plane_norms(z, cutoff_radius))
+    tail = _tail_bound(p, z, cutoff_radius * cutoff_radius)
+    if not tail <= 1e-12 * max(total_abs, 1e-300):
         raise TailTooLarge(
             f"tail bound {tail:.3g} exceeds 1e-12 of the summed magnitude {total_abs:.3g}"
         )
@@ -559,5 +646,8 @@ def closed_form_energy(
     if isinstance(p, PolyGaussian):
         return _w_b_minus_origin(p.alpha, p.b, z, cfg)
     if isinstance(p, YukawaDiff):
-        return lattice_energy(p, z, cutoff_radius=8.0 / math.sqrt(min(p.alpha, 1.0)))
+        total = _direct_sum(p, z, 0.0, MAX_ENUMERATION)
+        if total is None:
+            raise RadiusTooLarge(f"the proven tail needs more than {MAX_ENUMERATION} points")
+        return total
     return laplace_energy(p, z, cfg)

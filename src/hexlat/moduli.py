@@ -20,8 +20,9 @@ RT3_2 = math.sqrt(3.0) / 2.0
 #: Group words are capped at this many generators.
 MAX_WORD_LENGTH = 100
 
-#: Hard cap on lattice enumeration size.
-MAX_ENUMERATION = 10**8
+#: Most lattice points one enumeration may hold, sized for memory: about
+#: 200 MB for lattice_norms and 25 MB for half_plane_norms at the cap.
+MAX_ENUMERATION = 10**6
 
 #: Numerical slack for the closed-domain membership conditions.
 BOUNDARY_TOL = 1e-12
@@ -121,6 +122,13 @@ def reduce_to_fundamental(z: UpperHalfPoint) -> tuple[UpperHalfPoint, GroupWord]
     return current, tuple(word)
 
 
+def enumeration_estimate(z: UpperHalfPoint, radius: float) -> float:
+    """The area of the disc of the given radius plus two points per row and
+    four per unit of radius: about the number of lattice points within it,
+    and twice the rows a walk of it passes."""
+    return math.pi * radius * radius + 2.0 * (radius / math.sqrt(z.y) + 1.0) + 4.0 * radius
+
+
 def _half_plane(
     z: UpperHalfPoint, radius: float
 ) -> list[tuple[int, range | list[int], list[float]]]:
@@ -132,31 +140,36 @@ def _half_plane(
     and m^2 do not depend on sign.  The enumeration bound comes from
     |m z + n|^2 / y >= m^2 y, so |m| <= radius / sqrt(y), and for each m the
     admissible n form the interval |m x + n| <= sqrt(y (radius^2 - m^2 y)).
+
+    Raises RadiusTooLarge before building any row when the estimate, which
+    bounds the rows, or the exact count of the points, taken row by row,
+    passes MAX_ENUMERATION.
     """
     if not 0.0 < radius < math.inf:
         raise InvalidParameter(f"radius must be > 0 and finite, got {radius}")
-    x, y = z.x, z.y
-    r2 = radius * radius
-    mmax = int(math.floor(radius / math.sqrt(y)))
-    estimate = math.pi * r2 + 2.0 * (mmax + 1) + 4.0 * radius
+    estimate = enumeration_estimate(z, radius)
     if estimate > MAX_ENUMERATION:
         raise RadiusTooLarge(f"enumeration would visit ~{estimate:.3g} points")
+    x, y = z.x, z.y
+    r2 = radius * radius
+    bounds = []
+    count = 0
+    for m in range(int(radius / math.sqrt(y)) + 1):
+        rem = y * (r2 - m * m * y)
+        if rem >= 0.0:
+            half, mid = math.sqrt(rem), -m * x
+            nlo, nhi = math.ceil(mid - half), math.floor(mid + half)
+            if nhi >= nlo:
+                # rows m and -m hold the same number of points; row 0 is counted once
+                count += (nhi - nlo + 1) * (2 if m else 1)
+                bounds.append((m, nlo if m else 1, nhi))
+    if count > MAX_ENUMERATION:
+        raise RadiusTooLarge(f"enumeration would hold {count} points, above {MAX_ENUMERATION}")
     limit = r2 * (1.0 + 1e-12)
     rows: list[tuple[int, range | list[int], list[float]]] = []
-    count = 0
-    for m in range(mmax + 1):
-        rem = y * (r2 - m * m * y)
-        if rem < 0.0:
-            continue
-        half = math.sqrt(rem)
-        nlo = math.ceil(-m * x - half)
-        nhi = math.floor(-m * x + half)
-        # rows m and -m hold the same number of points; row 0 is counted once
-        count += max(0, nhi - nlo + 1) * (2 if m else 1)
-        if count > MAX_ENUMERATION:
-            raise RadiusTooLarge(f"enumeration exceeded {MAX_ENUMERATION} points")
+    for m, nlo, nhi in bounds:
         mx, c = m * x, m * m * y * y
-        ns = range(nlo if m else 1, nhi + 1)
+        ns = range(nlo, nhi + 1)
         qs = [((mx + n) * (mx + n) + c) / y for n in ns]
         if qs and max(qs) > limit:  # rounding in m x + n, at |x| ~ 1e12 and beyond
             ns = [n for n, q in zip(ns, qs) if q <= limit]

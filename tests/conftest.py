@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 
+import mpmath
 import pytest
 
 from hexlat import UpperHalfPoint, lattice_norms
@@ -28,6 +29,31 @@ def brute_w(alpha: float, b: float, z: UpperHalfPoint, radius: float = 8.0) -> f
 def brute_energy(f, z: UpperHalfPoint, radius: float = 8.0) -> float:
     """sum of f(norm^2) over nonzero lattice points."""
     return sum(f(q) for q, _ in lattice_norms(z, radius) if q > 0.0)
+
+
+def mp_lattice_sums(alpha: float, b: float, z: UpperHalfPoint, exponent: float = 100.0):
+    """(theta, W_b, sum |theta terms|, sum |W_b terms|) as 40-digit mpfs, over every
+    lattice point with pi alpha |P|^2 <= exponent, origin included.  Each
+    norm^2 is formed in mpmath from the exact float x and y; the rows and
+    their n ranges are found in floats, one n wider on each side."""
+    x, y = z.x, z.y
+    r2 = exponent / (math.pi * alpha)
+    mmax = int(math.sqrt(r2 / y)) + 1
+    with mpmath.workdps(40):
+        X, Y, A, B = (mpmath.mpf(v) for v in (x, y, alpha, b))
+        th, w = [mpmath.mpf(1)], [-B / A]
+        for m in range(-mmax, mmax + 1):
+            rem = y * (r2 - m * m * y)
+            if rem < 0.0:
+                continue
+            half, mid = math.sqrt(rem), -m * x
+            for n in range(math.ceil(mid - half) - 1, math.floor(mid + half) + 2):
+                if m or n:
+                    q = ((m * X + n) ** 2 + m * m * Y * Y) / Y
+                    e = mpmath.exp(-mpmath.pi * A * q)
+                    th.append(e)
+                    w.append((q - B / A) * e)
+        return mpmath.fsum(th), mpmath.fsum(w), mpmath.fsum(map(abs, th)), mpmath.fsum(map(abs, w))
 
 
 def domain_grid(nx: int, ny: int, y_max: float) -> list[UpperHalfPoint]:

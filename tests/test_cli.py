@@ -16,7 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import unconverged_nelder_mead
+from conftest import mp_lattice_sums, unconverged_nelder_mead
+from hexlat import UpperHalfPoint
 from hexlat.cli import _fmt, _round, main
 
 
@@ -199,6 +200,23 @@ def test_theta_truncation_failure_exit_3(capsys):
     code, _, err = run_cli(capsys, "theta", "0.0001", "0", "1")
     assert code == 3
     assert "energy evaluation failed" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("x", ["0.3", "1000000.3"])
+def test_theta_small_y_exit_0(capsys, x):
+    # alpha y = 1e-4 on the lattice of (0.3, 100): the rows would need more than
+    # 256, the direct sum walks ~16,000 point pairs
+    code, out, _ = run_cli(capsys, "theta", "1", x, "1e-4", "--precision", "17")
+    assert code == 0
+    ref = mp_lattice_sums(1.0, 0.0, UpperHalfPoint(float(x), 1e-4))[0]
+    assert abs(float(out) - ref) <= 1e-13 * ref
+
+
+def test_theta_past_both_routes_exit_3(capsys):
+    # the direct sum would pass MAX_TERMS^2 points and the rows MAX_TERMS rows
+    code, _, err = run_cli(capsys, "theta", "1e-8", "0.3", "1e-9")
+    assert code == 3
+    assert "theta_lattice not converged" in err
 
 
 def test_minimize_unconverged_exit_3(capsys, monkeypatch):

@@ -5,8 +5,10 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import brute_energy, brute_theta, brute_w
+from conftest import brute_energy, brute_theta, brute_w, mp_lattice_sums
 from hexlat import (
     B_CRITICAL,
     DEFAULT_CONFIG,
@@ -36,6 +38,7 @@ from hexlat.errors import (
     InvalidParameter,
     NonPositiveAlpha,
     QuadratureDivergence,
+    RadiusTooLarge,
     TailTooLarge,
     TruncationFailure,
 )
@@ -73,6 +76,36 @@ def test_theta_invalid_alpha():
         theta_lattice(0.0, HEX)
     with pytest.raises(NonPositiveAlpha):
         theta_lattice(-2.0, HEX)
+
+
+@settings(max_examples=150, deadline=None)
+@given(alpha=st.floats(math.log(0.5), math.log(4.0)).map(math.exp),
+       ratio=st.one_of(st.just(1.0), st.floats(math.log(0.25), math.log(4.0)).map(math.exp)),
+       x=st.floats(-1.0, 1.0), b=st.floats(-1.0, 1.0))
+def test_theta_and_w_b_match_40_digit_sums(alpha, ratio, x, b):
+    # y = ratio alpha: below y = alpha the sums walk the lattice to a radius
+    # whose proven tail is under 2^-54 of sum |terms|, and add up to 4 ulps of
+    # it in rounding; from y = alpha on they take the row expansion, whose
+    # truncation rule is rel_tol = 1e-14 of the largest term.
+    z = UpperHalfPoint(x, ratio * alpha)
+    theta, w, theta_abs, w_abs = mp_lattice_sums(alpha, b, z)
+    tol = 2.0**-54 + 4.0 * 2.0**-52 if z.y / alpha < 1.0 else 1e-14
+    assert abs(theta_lattice(alpha, z) - theta) <= tol * theta_abs
+    assert abs(w_b(alpha, b, z) - w) <= tol * w_abs
+
+
+@pytest.mark.parametrize("x", [0.3, 1e6 + 0.3], ids=["0.3", "1e6+0.3"])
+def test_theta_far_off_the_domain_matches_a_40_digit_sum(x):
+    # the row expansion would need more than MAX_TERMS rows at alpha y = 1e-4;
+    # the lattice is that of (0.3, 100), theta about 10
+    z = UpperHalfPoint(x, 1e-4)
+    assert abs(theta_lattice(1.0, z) - mp_lattice_sums(1.0, 0.0, z)[0]) <= 1e-13 * 10.0
+
+
+def test_yukawa_diff_radius_past_the_enumeration_cap():
+    # the proven tail asks for ~45/alpha points, above MAX_ENUMERATION
+    with pytest.raises(RadiusTooLarge):
+        closed_form_energy(YukawaDiff(1e-5, 2.0, 0.5), HEX)
 
 
 # --------------------------------- W_b --------------------------------------
@@ -317,7 +350,7 @@ def _yukawa_split_reference(alpha, a, b):
 @pytest.mark.parametrize("alpha, reference", [(1e-2, 6.8769903959486833), (1e-3, 10.493882602156416)])
 def test_yukawa_diff_small_alpha_matches_the_split_reference(alpha, reference):
     # The references are the split above; the direct sum behind closed_form_energy
-    # meets them to 1.7e-14 and 6.9e-14 (alpha = 1e-4, 4.1e-13, takes ~11 s).
+    # meets them to 4e-16 and 8e-16 (alpha = 1e-4: 3.5e-16 in ~0.15 s).
     assert _yukawa_split_reference(alpha, 2.0, 0.5) == pytest.approx(reference, rel=1e-15)
     value = closed_form_energy(YukawaDiff(alpha=alpha, a=2.0, b=0.5), HEX)
     assert abs(value - reference) <= 1e-13 * reference
@@ -528,6 +561,8 @@ def _laplace_at(alpha, family):
     "name, call",
     [
         ("theta_lattice", lambda z: theta_lattice(1e-5, z)),
+        # y/alpha < 1, but the direct sum would pass MAX_TERMS^2 points
+        ("theta_lattice", lambda z: theta_lattice(1e-8, UpperHalfPoint(z.x, 1e-9))),
         ("w_b", lambda z: w_b(1e-5, 0.0, z)),
         ("dx_w", lambda z: dx_w(1e-5, z)),
         ("dy_w", lambda z: dy_w(1e-5, z)),
@@ -535,7 +570,8 @@ def _laplace_at(alpha, family):
         ("theta_lattice", lambda z: laplace_energy(_laplace_at(1e-5, "f"), z)),
         ("w_b", lambda z: laplace_energy(_laplace_at(1e-5, "g"), z)),
     ],
-    ids=["theta_lattice", "w_b", "dx_w", "dy_w", "dx_w_double_sum", "laplace-f", "laplace-g"],
+    ids=["theta_lattice", "theta_lattice-direct-side", "w_b", "dx_w", "dy_w", "dx_w_double_sum",
+         "laplace-f", "laplace-g"],
 )
 def test_energy_truncation_failure_when_capped(name, call):
     # alpha y = 1e-5 needs ~1,000 outer terms against MAX_TERMS = 256

@@ -1,6 +1,7 @@
 """Tests for the moduli-space point, group words, reduction and enumeration."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -163,3 +164,16 @@ def test_lattice_norms_guard():
             lattice_norms(hexagonal_point(), radius)
     with pytest.raises(RadiusTooLarge):
         lattice_norms(UpperHalfPoint(0.0, 1.0), 1e5)
+
+
+def test_lattice_norms_counts_the_rows_before_building_them():
+    # ~300 points by area, but the row through the origin alone holds ~1.9e7:
+    # the count must refuse it before any row is built
+    tracemalloc.start()
+    try:
+        with pytest.raises(RadiusTooLarge, match="19400001 points"):
+            lattice_norms(UpperHalfPoint(0.0, 1e12), 9.7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6

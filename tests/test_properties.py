@@ -38,7 +38,7 @@ from hexlat import (
 )
 from hexlat.config import MAX_TERMS
 from hexlat.energy import (
-    _tail_majorant,
+    _tail_bound,
     _theta_minus_one,
     _theta_minus_one_batch,
     _w_b_minus_origin,
@@ -266,8 +266,8 @@ def test_lattice_energy_is_the_ascending_sum_over_lattice_norms(x, y, radius, al
                 v = potential_value(spec, q)
                 total += v
                 total_abs += abs(v)
-        tail = _tail_majorant(spec, radius * radius)
-        if tail > 1e-12 * max(total_abs, 1e-300):
+        tail = _tail_bound(spec, z, radius * radius)
+        if not tail <= 1e-12 * max(total_abs, 1e-300):
             message = f"tail bound {tail:.3g} exceeds 1e-12 of the summed magnitude {total_abs:.3g}"
             with pytest.raises(TailTooLarge) as raised:
                 lattice_energy(spec, z, radius)

@@ -1,11 +1,12 @@
 """Frozen reference for the theta row kernels.
 
-Every lattice sum in hexlat.energy gets its inner factors theta(y/alpha; n x)
+Every row expansion in hexlat.energy gets its inner factors theta(y/alpha; n x)
 for all rows n from one theta1d.theta_rows call.  The per-point series sums
 and the per-row lattice loops below add each term in the order those kernels
 must keep, with their own copy of the term table; jacobi_theta, its partials,
-theta_rows and the lattice sums must equal them under ==, not merely to a
-tolerance.
+theta_rows and the row expansions must equal them under ==, not merely to a
+tolerance.  theta_lattice and w_b take the expansion only from y/alpha = 1
+on, so their expansions are called through energy._theta_rows and _w_rows.
 """
 
 import math
@@ -24,6 +25,7 @@ from hexlat import (
     theta_lattice,
     w_b,
 )
+from hexlat.energy import _theta_rows, _w_rows
 from hexlat.theta1d import theta_rows
 
 _PI = math.pi
@@ -160,7 +162,8 @@ def test_theta_rows_equals_frozen_reference(X, Ys, orders):
        b=st.floats(-1.0, 1.0), cfg=st.sampled_from(CONFIGS))
 def test_lattice_sums_equal_frozen_reference(x, y, alpha, b, cfg):
     z = UpperHalfPoint(x, y)
-    assert theta_lattice(alpha, z, cfg) == ref_theta_lattice(alpha, z, cfg)
-    assert w_b(alpha, b, z, cfg) == ref_w_b(alpha, b, z, cfg)
+    c0 = 0.5 * (1.0 - 2.0 * _PI * b) * (alpha / z.y)
+    assert _theta_rows(alpha, z, True, cfg) == ref_theta_lattice(alpha, z, cfg)
+    assert _w_rows(alpha, c0, z, True, cfg) == ref_w_b(alpha, b, z, cfg)
     assert dx_w(alpha, z, cfg) == ref_dx_w(alpha, z, cfg)
     assert dy_w(alpha, z, cfg) == ref_dy_w(alpha, z, cfg)

@@ -6,14 +6,14 @@ expansion
 
     theta(alpha; z) = sqrt(y/alpha) sum_n e^{-alpha pi y n^2} theta(y/alpha; n x)
 
-whose inner factors come from :mod:`hexlat.theta1d`: one theta_rows call at
-X = y/alpha per scalar sum, theta_array for the batched ones.  Where that
-call would take the Poisson comb (y/alpha < POISSON_SWITCH), theta_lattice
-and w_b sum the lattice points directly instead, over a radius fixed by a
-proven tail bound (:func:`_tail_bound`).  Conventions: theta and
-W_b sum over the full lattice including the origin (the origin contributes 1
-to theta and -b/alpha to W_b); the potential energies E_f exclude the origin,
-summing the row n = 0 without it wherever subtracting it would cancel.
+and its kin for W_b, d/dx W and d/dy W, each written once in the term table
+_SUMS, read by a float loop over one theta1d.theta_rows call at X = y/alpha
+and by a numpy reduction over theta_array.  Where that call would take the
+Poisson comb (y/alpha < POISSON_SWITCH), theta_lattice and w_b sum the
+lattice points directly, over a radius fixed by a proven tail bound
+(:func:`_tail_bound`).  theta and W_b include the origin (1 to theta,
+-b/alpha to W_b); the energies E_f exclude it, summing the row n = 0
+without it where subtracting it would cancel.
 """
 
 from __future__ import annotations
@@ -65,6 +65,82 @@ def _check_a_b(a: float = 2.0, b: float = 0.0) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _dy_terms(alpha, c0, c2):
+    c4 = _PI * _PI * alpha**3  # for pi a^2 S2 + SX and -pi^2 a^3 S4 + SXX/alpha
+    return (lambda n, th, thx, thxx: c2 * n * n * th + thx,
+            lambda n, th, thx, thxx: -c4 * n**4 * th + thxx / alpha)
+
+
+#: One entry per lattice row sum, keyed by the name its term count carries:
+#: (power, orders, row0, terms).  Row n is bounded by n^power e^{-alpha pi y n^2}
+#: and takes the theta orders at X0 = y/alpha, Y = n x.  row0(k, d, b, exp) is
+#: the k-th term of half the row n = 0 without the origin, d = alpha/y.
+#: terms(alpha, c0, c2) binds the coefficients (c2 = pi alpha^2) into the row
+#: terms term(n, *rows), one per accumulator.  Arithmetic operators only, so
+#: the float loop and the numpy reduction share them.
+_SUMS = {
+    "theta_lattice": (0, ((0, 0),), lambda k, d, b, exp: exp(-_PI * d * k * k),
+                      lambda alpha, c0, c2: (lambda n, th: th,)),
+    "w_b": (2, ((0, 0), (1, 0)), lambda k, d, b, exp: (k * k * d - b) * exp(-_PI * d * k * k),
+            lambda alpha, c0, c2: (lambda n, th, thx: (c0 + c2 * n * n) * th + thx,)),
+    "dx_w": (3, ((0, 1), (1, 1)), None,
+             lambda alpha, c0, c3: (lambda n, thy, thxy: c3 * n**3 * thy + n * thxy,)),
+    "dy_w": (4, ((0, 0), (1, 0), (2, 0)), None, _dy_terms),
+}
+
+
+def _row_sums(name: str, alpha: float, c0: float, z: UpperHalfPoint, origin: bool,
+              cfg: SeriesConfig) -> list[float]:
+    """sum_n w_n term(n, rows at n) for each row term of the table entry name,
+    over n = 0 (only when origin is set) and n = 1..last_index, with w_0 = 1,
+    w_n = 2 e^{-alpha pi y n^2} and every row from one theta_rows call."""
+    power, orders, _, terms = _SUMS[name]
+    x, y = z.x, z.y
+    ns = range(0 if origin else 1, cfg.last_index(alpha * y, power, 1, name) + 1)
+    a = -alpha * _PI * y  # -alpha pi y n^2 multiplies left to right, so w_n keeps its bits
+    ws = [2.0 * math.exp(a * n * n) if n else 1.0 for n in ns]
+    rows = theta_rows(y / alpha, [n * x for n in ns], orders, cfg)
+    out = []
+    for term in terms(alpha, c0, _PI * alpha * alpha):
+        acc = 0.0
+        for w, t in zip(ws, map(term, ns, *rows)):
+            acc += w * t
+        out.append(acc)
+    return out
+
+
+def _row0_sum(name: str, d: float, b: float, cfg: SeriesConfig) -> float:
+    """sum_{k>=1} row0(k, d, b) of the table entry name at d = alpha/y, added
+    in order from 0.0 (the built-in sum compensates from Python 3.12 on)."""
+    power, _, row0, _ = _SUMS[name]
+    acc = 0.0
+    for k in range(1, cfg.last_index(d, power, 1, name) + 1):
+        acc += row0(k, d, b, math.exp)
+    return acc
+
+
+def _row_sums_batch(name: str, alphas: np.ndarray, b: float, c0, z: UpperHalfPoint,
+                    full: np.ndarray, cfg: SeriesConfig) -> tuple[list[np.ndarray], np.ndarray]:
+    """:func:`_row_sums` with the row n = 0 where full is set, and :func:`_row0_sum`
+    where not (0.0 where full), at each alpha of an array.  Each series takes
+    last_index at the smallest decay; the extra terms lie below rel_tol."""
+    import numpy as np
+    power, orders, row0, terms = _SUMS[name]
+    y = z.y
+    n = np.arange(cfg.last_index(alphas.min() * y, power, 1, name) + 1.0)
+    nc = n[:, None]
+    w = 2.0 * np.exp(-alphas * _PI * y * nc * nc)
+    w[0] = full
+    rows = [theta_array(y / alphas, n * z.x, xo, cfg) for xo, _ in orders]
+    sums = [(w * term(nc, *rows)).sum(axis=0) for term in terms(alphas, c0, _PI * alphas * alphas)]
+    row0_sum = np.zeros(alphas.shape)
+    if not full.all():
+        d = alphas[~full] / y
+        k = np.arange(1.0, cfg.last_index(d.min(), power, 1, name) + 1.0)[:, None]
+        row0_sum[~full] = row0(k, d, b, np.exp).sum(axis=0)
+    return sums, row0_sum
+
+
 def theta_lattice(alpha: float, z: UpperHalfPoint, cfg: SeriesConfig = DEFAULT_CONFIG) -> float:
     """theta(alpha; z) = sum over the full lattice of e^{-pi alpha |P|^2}.
 
@@ -78,25 +154,9 @@ def theta_lattice(alpha: float, z: UpperHalfPoint, cfg: SeriesConfig = DEFAULT_C
     return _theta_rows(alpha, z, True, cfg)
 
 
-def _rows(alpha: float, z: UpperHalfPoint, power: int, name: str, orders, origin: bool,
-          cfg: SeriesConfig):
-    """The rows of the expansion of a lattice sum whose n-th row is bounded by
-    n^power e^{-alpha pi y n^2}: (ns, ws, rows) for n = 0 (only when origin is
-    set) and n = 1..last_index, the weights w_0 = 1 and w_n = 2 e^{-alpha pi y n^2},
-    and theta_rows at X0 = y/alpha, Y = n x, one list per order.  Each sum is
-    sum_n w_n term(n, rows at n), with no special case for n = 0."""
-    y = z.y
-    ns = range(0 if origin else 1, cfg.last_index(alpha * y, power, 1, name) + 1)
-    ws = [2.0 * math.exp(-alpha * _PI * y * n * n) if n else 1.0 for n in ns]
-    return ns, ws, theta_rows(y / alpha, [n * z.x for n in ns], orders, cfg)
-
-
 def _theta_rows(alpha: float, z: UpperHalfPoint, origin: bool, cfg: SeriesConfig) -> float:
     """The expansion of :func:`theta_lattice`; its n = 0 term is 0 unless origin is set."""
-    _, ws, (th,) = _rows(alpha, z, 0, "theta_lattice", ((0, 0),), origin, cfg)
-    acc = 0.0
-    for w, th_n in zip(ws, th):
-        acc += w * th_n
+    (acc,) = _row_sums("theta_lattice", alpha, 0.0, z, origin, cfg)
     return math.sqrt(z.y / alpha) * acc
 
 
@@ -136,11 +196,7 @@ def w_b(alpha: float, b: float, z: UpperHalfPoint, cfg: SeriesConfig = DEFAULT_C
 
 def _w_rows(alpha: float, c0: float, z: UpperHalfPoint, origin: bool, cfg: SeriesConfig) -> float:
     """The expansion of :func:`w_b`; its n = 0 term is 0 unless origin is set."""
-    c2 = _PI * alpha * alpha
-    ns, ws, (th, thx) = _rows(alpha, z, 2, "w_b", ((0, 0), (1, 0)), origin, cfg)
-    acc = 0.0
-    for n, w, th_n, thx_n in zip(ns, ws, th, thx):
-        acc += w * ((c0 + c2 * n * n) * th_n + thx_n)
+    (acc,) = _row_sums("w_b", alpha, c0, z, origin, cfg)
     return z.y**1.5 / (_PI * alpha**2.5) * acc
 
 
@@ -149,88 +205,49 @@ def _theta_minus_one(alpha: float, z: UpperHalfPoint, cfg: SeriesConfig) -> floa
     Poisson, is summed without the origin; below, theta >= sqrt(y/alpha) > 1."""
     if alpha < z.y:
         return theta_lattice(alpha, z, cfg) - 1.0
-    d = alpha / z.y
-    last = cfg.last_index(d, 0, 1, "theta_lattice")
-    row0 = 2.0 * sum(math.exp(-_PI * d * k * k) for k in range(1, last + 1))
-    return row0 + _theta_rows(alpha, z, False, cfg)
+    return 2.0 * _row0_sum("theta_lattice", alpha / z.y, 0.0, cfg) + _theta_rows(alpha, z, False, cfg)
 
 
 def _w_b_minus_origin(alpha: float, b: float, z: UpperHalfPoint, cfg: SeriesConfig) -> float:
     """W_b(alpha; z) + b/alpha, summing the n = 0 row without the origin for
     alpha >= y/4.  Below, the nonzero points' theta mass sqrt(y/alpha) - 1 > 1
     keeps adding b/alpha to W_b from cancelling more than a few ulps."""
-    d = alpha / z.y
-    c0 = 0.5 * (1.0 - 2.0 * _PI * b) * d
+    c0 = 0.5 * (1.0 - 2.0 * _PI * b) * (alpha / z.y)
     # 2 pi b or b/alpha overflows: as in w_b, with theta - 1 for theta, and on
     # both branches, since W_b + b/alpha would be -inf + inf
     if b and (math.isinf(c0) or math.isinf(b / alpha)):
         return _w_b_minus_origin(alpha, 0.0, z, cfg) - b / alpha * _theta_minus_one(alpha, z, cfg)
     if 4.0 * alpha < z.y:
         return w_b(alpha, b, z, cfg) + b / alpha
-    last = cfg.last_index(d, 2, 1, "w_b")
-    row0 = 2.0 * sum((k * k * d - b) * math.exp(-_PI * d * k * k) for k in range(1, last + 1)) / alpha
-    return row0 + _w_rows(alpha, c0, z, False, cfg)
+    return 2.0 * _row0_sum("w_b", alpha / z.y, b, cfg) / alpha + _w_rows(alpha, c0, z, False, cfg)
 
 
 def _theta_minus_one_batch(alphas: np.ndarray, z: UpperHalfPoint, cfg: SeriesConfig) -> np.ndarray:
     """:func:`_theta_minus_one` at each alpha of an array, by the same expansion
-    and branch.  Each series sums as many terms as last_index gives at the
-    batch's smallest decay; a node's terms past its own cut lie below rel_tol."""
+    and branch (:func:`_row_sums_batch`)."""
     import numpy as np
-    x, y = z.x, z.y
-    X0 = y / alphas
-    full = alphas < y
-    n = np.arange(cfg.last_index(alphas.min() * y, 0, 1, "theta_lattice") + 1.0)
-    nc = n[:, None]
-    w = 2.0 * np.exp(-alphas * _PI * y * nc * nc)
-    w[0] = full  # the n = 0 term theta(X0; 0) where alpha < y
-    rows = np.sqrt(X0) * (w * theta_array(X0, n * x, 0, cfg)).sum(axis=0)
-    return np.where(full, rows - 1.0, _row0_batch(alphas, ~full, y, 0, 0.0, cfg) + rows)
+    full = alphas < z.y  # the n = 0 term theta(y/alpha; 0) where alpha < y
+    (acc,), row0 = _row_sums_batch("theta_lattice", alphas, 0.0, 0.0, z, full, cfg)
+    rows = np.sqrt(z.y / alphas) * acc
+    return np.where(full, rows - 1.0, 2.0 * row0 + rows)
 
 
-def _w_b_minus_origin_batch(
-    alphas: np.ndarray, b: float, z: UpperHalfPoint, cfg: SeriesConfig
-) -> np.ndarray:
+def _w_b_minus_origin_batch(alphas: np.ndarray, b: float, z: UpperHalfPoint,
+                            cfg: SeriesConfig) -> np.ndarray:
     """:func:`_w_b_minus_origin` at each alpha of an array, by the same expansion,
-    branch and overflow split, with term counts as in :func:`_theta_minus_one_batch`."""
+    branch and overflow split (:func:`_row_sums_batch`)."""
     import numpy as np
-    x, y = z.x, z.y
-    X0 = y / alphas
-    full = 4.0 * alphas < y
-    c0 = 0.5 * (1.0 - 2.0 * _PI * b) * (alphas / y)
-    c2 = _PI * alphas * alphas
-    lo = alphas.min()
-    n = np.arange(cfg.last_index(lo * y, 2, 1, "w_b") + 1.0)
-    nc = n[:, None]
-    w = 2.0 * np.exp(-alphas * _PI * y * nc * nc)
-    w[0] = full  # the n = 0 term where 4 alpha < y
-    th, thx = theta_array(X0, n * x, 0, cfg), theta_array(X0, n * x, 1, cfg)
-    rows = y**1.5 / (_PI * alphas**2.5) * (w * ((c0 + c2 * nc * nc) * th + thx)).sum(axis=0)
-    out = np.where(full, rows + b / alphas, _row0_batch(alphas, ~full, y, 2, b, cfg) + rows)
+    full = 4.0 * alphas < z.y  # the n = 0 term where 4 alpha < y
+    c0 = 0.5 * (1.0 - 2.0 * _PI * b) * (alphas / z.y)
+    (acc,), row0 = _row_sums_batch("w_b", alphas, b, c0, z, full, cfg)
+    rows = z.y**1.5 / (_PI * alphas**2.5) * acc
+    out = np.where(full, rows + b / alphas, 2.0 * row0 / alphas + rows)
     # as in _w_b_minus_origin: where 2 pi b or b/alpha overflows, W_0 - (b/alpha)(theta - 1);
     # |c0| is largest at the largest alpha, |b/alpha| at the smallest
-    if b and (math.isinf(c0[alphas.argmax()]) or math.isinf(b / lo)):
+    if b and (math.isinf(c0[alphas.argmax()]) or math.isinf(b / alphas.min())):
         over = np.isinf(c0) | np.isinf(b / alphas)
         a = alphas[over]
         out[over] = _w_b_minus_origin_batch(a, 0.0, z, cfg) - b / a * _theta_minus_one_batch(a, z, cfg)
-    return out
-
-
-def _row0_batch(
-    alphas: np.ndarray, use: np.ndarray, y: float, power: int, b: float, cfg: SeriesConfig
-) -> np.ndarray:
-    """The row n = 0 without the origin, 2 sum_{k>=1} e^{-pi d k^2} (power 0)
-    or 2 sum_{k>=1} (k^2 d - b) e^{-pi d k^2} / alpha (power 2) with
-    d = alpha/y, at the alphas where use is set and 0 elsewhere."""
-    import numpy as np
-    out = np.zeros(alphas.shape)
-    if use.any():
-        a = alphas[use]
-        d = a / y
-        name = "w_b" if power else "theta_lattice"
-        k = np.arange(1.0, cfg.last_index(d.min(), power, 1, name) + 1.0)[:, None]
-        e = np.exp(-_PI * d * k * k)
-        out[use] = 2.0 * ((k * k * d - b) * e).sum(axis=0) / a if power else 2.0 * e.sum(axis=0)
     return out
 
 
@@ -257,11 +274,7 @@ def w_b_via_theta_derivative(
 def dx_w(alpha: float, z: UpperHalfPoint, cfg: SeriesConfig = DEFAULT_CONFIG) -> float:
     """d/dx of W_{1/(2 pi)}(alpha; z), by the theta_Y / theta_XY series."""
     _check_alpha(alpha)
-    c3 = _PI * alpha * alpha
-    ns, ws, (thy, thxy) = _rows(alpha, z, 3, "dx_w", ((0, 1), (1, 1)), False, cfg)
-    acc = 0.0
-    for n, w, thy_n, thxy_n in zip(ns, ws, thy, thxy):
-        acc += w * (c3 * n**3 * thy_n + n * thxy_n)
+    (acc,) = _row_sums("dx_w", alpha, 0.0, z, False, cfg)
     return z.y**1.5 / (_PI * alpha**2.5) * acc
 
 
@@ -293,15 +306,8 @@ def dy_w(alpha: float, z: UpperHalfPoint, cfg: SeriesConfig = DEFAULT_CONFIG) ->
     """d/dy of W_{1/(2 pi)}(alpha; z), valid for every z (not only on the
     vertical line x = 1/2 where the minimization uses it)."""
     _check_alpha(alpha)
-    y = z.y
-    c2 = _PI * alpha * alpha
-    c4 = _PI * _PI * alpha**3
-    ns, ws, (th, thx, thxx) = _rows(alpha, z, 4, "dy_w", ((0, 0), (1, 0), (2, 0)), True, cfg)
-    s_low = s_high = 0.0  # pi a^2 S2 + SX and -pi^2 a^3 S4 + SXX/alpha
-    for n, w, th_n, thx_n, thxx_n in zip(ns, ws, th, thx, thxx):
-        s_low += w * (c2 * n * n * th_n + thx_n)
-        s_high += w * (-c4 * n**4 * th_n + thxx_n / alpha)
-    return (1.5 * math.sqrt(y) * s_low + y**1.5 * s_high) / (_PI * alpha**2.5)
+    s_low, s_high = _row_sums("dy_w", alpha, 0.0, z, True, cfg)
+    return (1.5 * math.sqrt(z.y) * s_low + z.y**1.5 * s_high) / (_PI * alpha**2.5)
 
 
 def theta_difference(
@@ -502,19 +508,9 @@ def _tail_bound(p: PotentialSpec, z: UpperHalfPoint, r2: float) -> float:
     if isinstance(p, PolyGaussian):
         return _q_gauss_tail(c, r2, d2) + abs(p.b) / p.alpha * tail
     tail += abs(p.b) * _gauss_tail(p.a * c, r2, d2)
-    return tail / r2 if isinstance(p, YukawaDiff) else tail
-
-
-def _direct_radius2(p: PotentialSpec, z: UpperHalfPoint, scale: float, cap: float) -> float | None:
-    """The first R^2 = max(1/y, 36/(pi alpha)) 1.25^k whose proven tail is at
-    most _DIRECT_TOL times scale, a lower bound on sum |terms|; None once the
-    walk of R would pass cap points (enumeration_estimate)."""
-    r2 = max(1.0 / z.y, 36.0 / (_PI * p.alpha))
-    while enumeration_estimate(z, math.sqrt(r2)) <= cap:
-        if _tail_bound(p, z, r2) <= _DIRECT_TOL * scale:
-            return r2
-        r2 *= 1.25
-    return None
+    if isinstance(p, YukawaDiff):
+        return tail / r2 if r2 else math.inf  # 1/q <= 1/r2 bounds nothing at r2 = 0
+    return tail
 
 
 def _nonzero_sum(f: Callable[[float], float], qs) -> tuple[float, float]:
@@ -538,26 +534,29 @@ def _nonzero_sum(f: Callable[[float], float], qs) -> tuple[float, float]:
 
 def _direct_sum(p: Gaussian | PolyGaussian | YukawaDiff, z: UpperHalfPoint, origin: float,
                 cap: float) -> float | None:
-    """The sum of f over the nonzero lattice points, walked to the radius that
-    :func:`_direct_radius2` takes, given |f(0)| as origin (0 where the value
-    excludes it), or None where that walk would pass cap points.
+    """The sum of f over the nonzero lattice points, given |f(0)| as origin (0
+    where the value excludes it), or None where the walk would pass cap points.
 
-    The lower bound on sum |terms| counts the origin and the pairs at the basis
-    norms 1/y and |z|^2/y; the tail past the radius is then below half an ulp
-    of the value returned, so cfg's rel_tol does not enter.  The points are
-    added from the largest norm down, the smallest terms first.  The walk
-    passes 2 R/sqrt(y) >= 2/y rows, so y >= 2/cap here and no norm underflows
-    to 0.
+    The radius is the first R^2 = max(1/y, 36/(pi alpha)) 1.25^k whose proven
+    tail is at most _DIRECT_TOL times a lower bound on sum |terms|: origin plus
+    the pairs at the basis norms 1/y and |z|^2/y, which f is evaluated at only
+    once the first walk fits in cap.  That walk passes 2 R/sqrt(y) >= 2/y rows,
+    so y >= 2/cap and neither norm underflows to 0, as |z|^2/y does at x = 0,
+    y = 1e-300.  The points are added from the largest norm down.
     """
     if abs(z.x) > 0.5:
         # z - k for the integer k nearest x is exact and spans the same
         # lattice; the walk then forms m x + n without the rounding of m k
         z = UpperHalfPoint(z.x - round(z.x), z.y)
+    r2 = max(1.0 / z.y, 36.0 / (_PI * p.alpha))
+    if enumeration_estimate(z, math.sqrt(r2)) > cap:
+        return None
     f = _pointwise(p)
     scale = origin + 2.0 * (abs(f(1.0 / z.y)) + abs(f(z.abs2() / z.y)))
-    r2 = _direct_radius2(p, z, scale, cap)
-    if r2 is None:
-        return None
+    while not _tail_bound(p, z, r2) <= _DIRECT_TOL * scale:
+        r2 *= 1.25
+        if enumeration_estimate(z, math.sqrt(r2)) > cap:
+            return None
     return _nonzero_sum(f, reversed(half_plane_norms(z, math.sqrt(r2))))[0]
 
 

@@ -418,12 +418,21 @@ def test_negative_spec_weight_exit_2(capsys, tmp_path, route):
     assert "weight must be nonnegative" in err
 
 
-def test_underflowing_alpha_tail_exit_3(capsys):
+@pytest.mark.parametrize("argv, message", [
     # alpha^2 underflows to 0 in the direct-sum tail estimate
-    code, _, err = run_cli(capsys, "energy", "poly-gaussian", "--alpha", "1e-300",
-                           "--x", "1", "--y", "1", "--cutoff", "1e-300")
+    (("poly-gaussian", "--alpha", "1e-300", "--x", "1", "--y", "1", "--cutoff", "1e-300"),
+     "energy evaluation failed"),
+    # cutoff^2 underflows to 0, where YukawaDiff's 1/q bounds nothing
+    (("--x=0.5", "--y=0.8660254037844386", "--cutoff=1e-200", "--", "yukawa-diff"),
+     "energy evaluation failed"),
+    (("--x=0.0", "--y=1e+300", "--cutoff=1e-300", "--", "yukawa-diff"), "energy evaluation failed"),
+    # |z|^2/y underflows to 0; the walk is refused before f is evaluated there
+    (("--x=0.0", "--y=1e-300", "--", "yukawa-diff"), "the proven tail needs more than"),
+], ids=["poly-gaussian-alpha", "yukawa-cutoff-1e-200", "yukawa-cutoff-1e-300", "yukawa-y-1e-300"])
+def test_underflowing_alpha_tail_exit_3(capsys, argv, message):
+    code, _, err = run_cli(capsys, "energy", *argv)
     assert code == 3
-    assert "energy evaluation failed" in err
+    assert message in err and "Traceback" not in err
 
 
 def test_out_directory_exit_2(capsys, tmp_path):

@@ -5,10 +5,14 @@ leading large-y coefficient of the energy along x = 1/2 changes sign at a
 critical coupling of the potential family (:func:`hexlat.energy.b_crit`), and for
 b > b_crit + BOUNDARY_MARGIN the energy is unbounded below and a numeric
 divergence witness is returned.  Otherwise the minimizer is located by Brent's
-bounded line search along x = 1/2 and Nelder-Mead refinement in the plane, in
-pure-Python ports of scipy's two methods that repeat its iterates bit for bit.
-A refinement that does not converge raises OptimizerDivergence, unless the
-hexagonal point ties or beats its candidate.
+bounded line search along x = 1/2, a pure-Python port of scipy's that repeats
+its iterates bit for bit, and a trust-region Newton refinement in the plane
+that takes each iterate's value, gradient and Hessian from one half-plane walk
+(:mod:`hexlat._newton`).  LaplaceWeighted has no walk and is refined by the
+port of scipy's Nelder-Mead.  The value of a located minimizer comes from the
+public energy (w_b, theta_difference, closed_form_energy); the walk only
+steers.  A refinement that does not converge raises OptimizerDivergence,
+unless the hexagonal point ties or beats its candidate.
 """
 
 from __future__ import annotations
@@ -16,10 +20,12 @@ from __future__ import annotations
 import math
 from typing import Callable, Union
 
+from . import _newton
 from ._record import Record
 from .config import DEFAULT_CONFIG, SeriesConfig
 from .energy import (
     GaussianDiff,
+    LaplaceWeighted,
     PolyGaussian,
     PotentialSpec,
     b_crit,
@@ -145,6 +151,8 @@ def _nelder_mead(f: Callable[[tuple[float, float]], float], x0: tuple[float, flo
     """Nelder-Mead from x0 (no zero coordinate), step for step scipy's non-adaptive
     minimize(method="Nelder-Mead") with xatol 1e-9, fatol 1e-15 and 4000 evaluations;
     like scipy, it abandons an iteration whose next evaluation would be the 4001st.
+    It refines LaplaceWeighted minimizers only, whose energy has no walk; fatol
+    is absolute, so it is met only where the three values agree to 1e-15.
     Returns (x, f(x), nfev, converged)."""
     sim = [x0, (1.05 * x0[0], x0[1]), (x0[0], 1.05 * x0[1])]
     fs, nfev, maxfev = [f(p) for p in sim], 3, 4000
@@ -175,12 +183,20 @@ def _nelder_mead(f: Callable[[tuple[float, float]], float], x0: tuple[float, flo
                     fs[j], nfev = f(sim[j]), nfev + 1
 
 
-def _locate_minimizer(energy: Callable[[UpperHalfPoint], float], advisory: bool) -> Minimizer:
-    """Bounded line search along x = 1/2, then Nelder-Mead in the plane."""
+def _locate_minimizer(
+    energy: Callable[[UpperHalfPoint], float], p: PotentialSpec, advisory: bool
+) -> Minimizer:
+    """Bounded line search along x = 1/2, then trust-region Newton steps in
+    the plane (Nelder-Mead for LaplaceWeighted, which has no walk)."""
     y = _brent_bounded(lambda y: energy(UpperHalfPoint(0.5, y)), RT3_2, GAMMA_Y_MAX)
-    xy, val, nfev, converged = _nelder_mead(
-        lambda v: math.inf if v[1] <= 1e-6 or v[1] > _WITNESS_YS[-1] else energy(UpperHalfPoint(*v)),
-        (0.5, y))
+    if isinstance(p, LaplaceWeighted):
+        method, unit = "Nelder-Mead", "evaluations"
+        xy, val, n, converged = _nelder_mead(
+            lambda v: math.inf if v[1] <= 1e-6 or v[1] > _WITNESS_YS[-1] else energy(UpperHalfPoint(*v)),
+            (0.5, y))
+    else:
+        method, unit = "Newton", "walks"
+        xy, val, n, converged = _newton.newton(energy, p, y)
     cand, val = UpperHalfPoint(*xy), float(val)
     # The theorems make the hexagonal point a minimizer whenever one exists;
     # prefer it on numerical ties (covers the exactly-flat case alpha = 1,
@@ -191,12 +207,14 @@ def _locate_minimizer(energy: Callable[[UpperHalfPoint], float], advisory: bool)
         cand, val = hex_pt, hex_val
     elif not converged:
         raise OptimizerDivergence(
-            f"Nelder-Mead did not converge from (0.5, {y}) in {nfev} evaluations")
+            f"{method} did not converge from (0.5, {y}) in {n} {unit}, ending at "
+            f"({cand.x:.6g}, {cand.y:.6g})")
     elif cand.y > _WITNESS_YS[-2]:
         # Where the energy falls toward y = inf the simplex can collapse
-        # against the y ceiling and count as converged there.
+        # against the y ceiling and count as converged there; Newton steps
+        # stop far below it, where one walk would pass its point cap.
         raise OptimizerDivergence(
-            f"Nelder-Mead ran from (0.5, {y}) to the y ceiling, y = {cand.y:.6g}")
+            f"{method} ran from (0.5, {y}) to the y ceiling, y = {cand.y:.6g}")
     reduced, _ = reduce_to_fundamental(cand)
     dist = math.hypot(reduced.x - 0.5, reduced.y - RT3_2)
     return Minimizer(z_star=reduced, value=val, distance_to_hex=dist, advisory=advisory)
@@ -208,7 +226,7 @@ def _classify(
     """The one existence rule and locate path behind every minimize_* function."""
     if getattr(p, "b", 0.0) > b_crit(p) + BOUNDARY_MARGIN:
         return _divergence_witness(energy, witness_y_max(p), min_points)
-    return _locate_minimizer(energy, advisory=p.alpha < 1.0 - 1e-12)
+    return _locate_minimizer(energy, p, advisory=p.alpha < 1.0 - 1e-12)
 
 
 def minimize_w(

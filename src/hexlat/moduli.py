@@ -130,7 +130,7 @@ def enumeration_estimate(z: UpperHalfPoint, radius: float) -> float:
 
 
 def _half_plane(
-    z: UpperHalfPoint, radius: float
+    z: UpperHalfPoint, radius: float, cap: int = MAX_ENUMERATION
 ) -> list[tuple[int, range | list[int], list[float]]]:
     """Half of the lattice points with |m z + n|^2 / y <= radius^2, by rows.
 
@@ -143,12 +143,12 @@ def _half_plane(
 
     Raises RadiusTooLarge before building any row when the estimate, which
     bounds the rows, or the exact count of the points, taken row by row,
-    passes MAX_ENUMERATION.
+    passes cap (MAX_ENUMERATION by default).
     """
     if not 0.0 < radius < math.inf:
         raise InvalidParameter(f"radius must be > 0 and finite, got {radius}")
     estimate = enumeration_estimate(z, radius)
-    if estimate > MAX_ENUMERATION:
+    if estimate > cap:
         raise RadiusTooLarge(f"enumeration would visit ~{estimate:.3g} points")
     x, y = z.x, z.y
     r2 = radius * radius
@@ -163,8 +163,8 @@ def _half_plane(
                 # rows m and -m hold the same number of points; row 0 is counted once
                 count += (nhi - nlo + 1) * (2 if m else 1)
                 bounds.append((m, nlo if m else 1, nhi))
-    if count > MAX_ENUMERATION:
-        raise RadiusTooLarge(f"enumeration would hold {count} points, above {MAX_ENUMERATION}")
+    if count > cap:
+        raise RadiusTooLarge(f"enumeration would hold {count} points, above {cap}")
     limit = r2 * (1.0 + 1e-12)
     rows: list[tuple[int, range | list[int], list[float]]] = []
     for m, nlo, nhi in bounds:

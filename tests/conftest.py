@@ -1,4 +1,4 @@
-"""Shared fixtures, brute-force oracles and an unconverged stand-in optimizer.
+"""Shared fixtures, brute-force oracles and an unconverged stand-in refinement.
 
 The oracles build on nothing but direct lattice enumeration, so they stay
 independent of the series expansions they are used to check.
@@ -78,9 +78,9 @@ def sample_points() -> list[UpperHalfPoint]:
     ]
 
 
-def unconverged_nelder_mead(fun):
-    """Stand-in for hexlat.minimize._nelder_mead that stops unconverged at
-    (0.2, 1.5) with value fun after 4000 evaluations."""
-    def fake(objective, x0):
-        return (0.2, 1.5), fun, 4000, False
+def unconverged_refinement(fun):
+    """Stand-in for hexlat._newton.newton that stops unconverged at
+    (0.2, 1.5) with value fun after 100 walks."""
+    def fake(energy, p, y0):
+        return (0.2, 1.5), fun, 100, False
     return fake

@@ -13,10 +13,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import mp_lattice_sums, unconverged_nelder_mead
+from conftest import mp_lattice_sums, unconverged_refinement
 from hexlat import UpperHalfPoint
 from hexlat.cli import _fmt, _round, main
 
@@ -220,7 +220,7 @@ def test_theta_past_both_routes_exit_3(capsys):
 
 
 def test_minimize_unconverged_exit_3(capsys, monkeypatch):
-    monkeypatch.setattr("hexlat.minimize._nelder_mead", unconverged_nelder_mead(-1e9))
+    monkeypatch.setattr("hexlat._newton.newton", unconverged_refinement(-1e9))
     code, _, err = run_cli(capsys, "minimize", "w", "--alpha", "1", "--b", "0")
     assert code == 3
     assert "energy evaluation failed" in err and "Traceback" not in err
@@ -233,7 +233,7 @@ def test_phase_scan_runaway_refinement_exit_3(capsys):
                              "--alphas", "0.3", "--b-min", "1.7320508075688772",
                              "--b-max", "1.7320508075688772", "--b-step", "0.1")
     assert code == 3 and out == ""
-    assert "Nelder-Mead" in err and "Traceback" not in err
+    assert "Newton did not converge" in err and "Traceback" not in err
 
 
 #: Run in a fresh interpreter: the scalar commands, the modules they left
@@ -418,7 +418,8 @@ def test_negative_spec_weight_exit_2(capsys, tmp_path, route):
     assert "weight must be nonnegative" in err
 
 
-@pytest.mark.parametrize("argv, message", [
+#: energy argvs whose tail estimates underflow; each once raised out of main()
+_UNDERFLOWING_TAILS = [
     # alpha^2 underflows to 0 in the direct-sum tail estimate
     (("poly-gaussian", "--alpha", "1e-300", "--x", "1", "--y", "1", "--cutoff", "1e-300"),
      "energy evaluation failed"),
@@ -428,7 +429,12 @@ def test_negative_spec_weight_exit_2(capsys, tmp_path, route):
     (("--x=0.0", "--y=1e+300", "--cutoff=1e-300", "--", "yukawa-diff"), "energy evaluation failed"),
     # |z|^2/y underflows to 0; the walk is refused before f is evaluated there
     (("--x=0.0", "--y=1e-300", "--", "yukawa-diff"), "the proven tail needs more than"),
-], ids=["poly-gaussian-alpha", "yukawa-cutoff-1e-200", "yukawa-cutoff-1e-300", "yukawa-y-1e-300"])
+]
+
+
+@pytest.mark.parametrize("argv, message", _UNDERFLOWING_TAILS,
+                         ids=["poly-gaussian-alpha", "yukawa-cutoff-1e-200", "yukawa-cutoff-1e-300",
+                              "yukawa-y-1e-300"])
 def test_underflowing_alpha_tail_exit_3(capsys, argv, message):
     code, _, err = run_cli(capsys, "energy", *argv)
     assert code == 3
@@ -506,7 +512,16 @@ _argv = st.one_of(
 )
 
 
+def _with_known_faults(test):
+    """The contract test with one explicit example per argv that once broke
+    it, so that its verdict on them does not hang on Hypothesis's draw."""
+    for argv, _ in _UNDERFLOWING_TAILS:
+        test = example(argv=["energy", *argv], spec="")(test)
+    return test
+
+
 @settings(max_examples=150, deadline=None)
+@_with_known_faults
 @given(argv=_argv, spec=_spec_text)
 def test_exit_code_contract(tmp_path_factory, argv, spec):
     """Any argv for theta, reduce or energy ends in exit code 0-3 or an

@@ -1,6 +1,7 @@
 """Tests for lattice theta, W_b, their derivatives and the potential energies."""
 
 import math
+import random
 
 import mpmath
 import numpy as np
@@ -32,6 +33,7 @@ from hexlat import (
     w_b,
     w_b_via_theta_derivative,
 )
+from hexlat._newton import hessian_walk
 from hexlat.energy import b_crit, potential_value, theta_difference_via_w_integral
 from hexlat import energy, quadrature
 from hexlat.errors import (
@@ -212,6 +214,102 @@ def test_dy_zero_at_hexagonal_point():
 
 def test_dy_nonnegative_on_gamma():
     assert dy_w(1.3, UpperHalfPoint(0.5, 1.5)) >= 0
+
+
+# The half-plane walk behind the Newton refinement: value, gradient and
+# Hessian in (x, y) at seeded points with alpha on both sides of 1, where the
+# Gaussian terms take the dual walk below alpha = 1.
+
+
+def _walk_points(seed, n=8):
+    rng = random.Random(seed)
+    return [(math.exp(rng.uniform(math.log(0.2), math.log(8.0))),
+             UpperHalfPoint(rng.uniform(0.0, 0.5), rng.uniform(0.8, 2.5))) for _ in range(n)]
+
+
+def _family_derivatives(p):
+    """q -> (f, f', f'') of the potential of p, written out directly."""
+    ca = PI * p.alpha
+    if isinstance(p, PolyGaussian):
+        s = p.b / p.alpha
+        return lambda q: ((q - s) * math.exp(-ca * q), (1.0 - ca * (q - s)) * math.exp(-ca * q),
+                          ca * (ca * (q - s) - 2.0) * math.exp(-ca * q))
+    cb = ca * p.a
+    if isinstance(p, GaussianDiff):
+        return lambda q: (math.exp(-ca * q) - p.b * math.exp(-cb * q),
+                          -ca * math.exp(-ca * q) + p.b * cb * math.exp(-cb * q),
+                          ca * ca * math.exp(-ca * q) - p.b * cb * cb * math.exp(-cb * q))
+    return lambda q: ((math.exp(-ca * q) - p.b * math.exp(-cb * q)) / q,
+                      -(math.exp(-ca * q) * (ca + 1 / q) - p.b * math.exp(-cb * q) * (cb + 1 / q)) / q,
+                      (math.exp(-ca * q) * (ca * ca + 2 * ca / q + 2 / q / q)
+                       - p.b * math.exp(-cb * q) * (cb * cb + 2 * cb / q + 2 / q / q)) / q)
+
+
+def _abs_terms(p, z):
+    """sum over the nonzero lattice points of |f| + |f'| |dq| + |f''| |dq|^2
+    + |f'| |d^2 q|, over both coordinates and every Hessian entry: the moduli
+    of the terms of the value, the gradient and the Hessian."""
+    derivs, x, y = _family_derivatives(p), z.x, z.y
+    total = 0.0
+    for q, (m, n) in lattice_norms(z, math.sqrt(60.0 / (PI * p.alpha))):
+        if q:
+            f0, f1, f2 = map(abs, derivs(q))
+            u = m * x + n
+            qx, qy = 2 * m * u / y, m * m - u * u / (y * y)
+            total += (f0 + f1 * (abs(qx) + abs(qy) + 2 * m * m / y + abs(qx) / y + 2 * u * u / y**3)
+                      + f2 * (qx * qx + abs(qx * qy) + qy * qy))
+    return total
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_walk_gradient_matches_dx_dy_w(seed):
+    points = _walk_points(seed)
+    assert min(a for a, _ in points) < 1.0 < max(a for a, _ in points)
+    for alpha, z in points:
+        p = PolyGaussian(alpha, B_CRITICAL)
+        _, (gx, gy), _, _ = hessian_walk(p, z)
+        scale = _abs_terms(p, z) + B_CRITICAL / alpha  # W_b's origin term
+        assert abs(gx - dx_w(alpha, z)) <= 1e-12 * scale
+        assert abs(gy - dy_w(alpha, z)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_walk_hessian_matches_central_differences_of_dx_dy_w(seed):
+    h = 1e-5
+    for alpha, z in _walk_points(seed):
+        p = PolyGaussian(alpha, B_CRITICAL)
+        _, _, (hxx, hxy, hyy), _ = hessian_walk(p, z)
+        scale = _abs_terms(p, z) + B_CRITICAL / alpha
+
+        def central(d, dx, dy):
+            return (d(alpha, UpperHalfPoint(z.x + dx, z.y + dy))
+                    - d(alpha, UpperHalfPoint(z.x - dx, z.y - dy))) / (2 * h)
+        for got, want in ((hxx, central(dx_w, h, 0)), (hxy, central(dx_w, 0, h)),
+                          (hxy, central(dy_w, h, 0)), (hyy, central(dy_w, 0, h))):
+            assert abs(got - want) <= 1e-8 * scale
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("family", [GaussianDiff, YukawaDiff])
+def test_walk_derivatives_match_central_differences_of_energy(family, seed):
+    rng = random.Random(100 + seed)
+    for alpha, z in _walk_points(seed, 5):
+        p = family(alpha, 2.0, rng.uniform(0.0, 1.2))
+        value, (gx, gy), (hxx, hxy, hyy), _ = hessian_walk(p, z)
+        scale = _abs_terms(p, z)
+
+        def e(dx, dy):
+            return closed_form_energy(p, UpperHalfPoint(z.x + dx, z.y + dy))
+        h = 1e-5
+        assert abs(gx - (e(h, 0) - e(-h, 0)) / (2 * h)) <= 1e-9 * scale
+        assert abs(gy - (e(0, h) - e(0, -h)) / (2 * h)) <= 1e-9 * scale
+        h, e0 = 1e-4, e(0, 0)
+        assert abs(hxx - (e(h, 0) - 2 * e0 + e(-h, 0)) / h**2) <= 1e-6 * scale
+        assert abs(hyy - (e(0, h) - 2 * e0 + e(0, -h)) / h**2) <= 1e-6 * scale
+        assert abs(hxy - (e(h, h) - e(h, -h) - e(-h, h) + e(-h, -h)) / (4 * h * h)) <= 1e-6 * scale
+        # the value is E_f up to a constant of p alone
+        at_hex = hessian_walk(p, HEX)[0]
+        assert abs((value - at_hex) - (e0 - closed_form_energy(p, HEX))) <= 1e-13 * scale
 
 
 def test_dy_matches_finite_difference():

@@ -6,7 +6,7 @@ import time
 
 import pytest
 
-from conftest import brute_energy, domain_grid, unconverged_nelder_mead
+from conftest import brute_energy, brute_w, domain_grid, mp_lattice_sums, unconverged_refinement
 from hexlat import (
     B_CRITICAL,
     Gaussian,
@@ -28,6 +28,7 @@ from hexlat import (
     theta_lattice,
     w_b,
 )
+from hexlat._newton import hessian_walk
 from hexlat.errors import InvalidParameter, NonPositiveAlpha, OptimizerDivergence
 from hexlat.moduli import half_plane_norms, in_fundamental_domain
 
@@ -319,6 +320,57 @@ def test_generic_energy_evaluation_budget(monkeypatch, spec, budget):
     assert 0 < len(calls) < budget
 
 
+@pytest.mark.parametrize("alpha", [1.0, 2.0, 4.0])
+def test_newton_walk_budget(monkeypatch, alpha):
+    # From Brent's point on x = 1/2 the Newton steps reach the hexagonal point
+    # in a few walks, where Nelder-Mead spent ~108 energies.
+    walks = []
+
+    def counting(p, z):
+        walks.append(z)
+        return hessian_walk(p, z)
+
+    monkeypatch.setattr("hexlat._newton.hessian_walk", counting)
+    cells = [lambda b=b: minimize_w(alpha, b) for b in (-0.5, 0.0, 0.1, 0.97 * B_CRITICAL)]
+    cells += [lambda a=a, b=b: minimize_theta_difference(alpha, a, b)
+              for a, b in ((2.0, 0.0), (2.0, 1.3), (4.0, 0.5), (4.0, 1.9))]
+    for cell in cells:
+        walks.clear()
+        out = cell()
+        assert isinstance(out, Minimizer) and out.distance_to_hex <= 1e-9
+        assert 1 <= len(walks) <= 10
+
+
+def test_nelder_mead_refines_laplace_weighted_only(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("Nelder-Mead called")
+
+    monkeypatch.setattr("hexlat.minimize._nelder_mead", refuse)
+    for out in (minimize_w(1.5, 0.0), minimize_w(0.5, 0.0), minimize_theta_difference(2.0, 2.0, 1.0),
+                *map(minimize_generic, (Gaussian(1.0), GaussianDiff(1.2, 2.0, 1.0),
+                                        PolyGaussian(2.0, 0.1), YukawaDiff(1.0, 4.0, 0.5)))):
+        assert isinstance(out, Minimizer)
+
+
+def test_w_minimizer_below_alpha_one_is_rectangular_at_b_minus_one():
+    # Nelder-Mead ran out of evaluations here: the energy varies with x by
+    # ~1e-20 of its value.  The Newton steps follow the x-curvature of the
+    # dual walk, whose x terms are exact, to the rectangular lattice x = 0.
+    out = minimize_w(0.2, -1.0)
+    assert isinstance(out, Minimizer) and out.advisory
+    x, y = out.z_star.x, out.z_star.y
+    assert x <= 1e-12 and y == pytest.approx(3.05508, abs=1e-5)
+    assert out.value == pytest.approx(32.864667, abs=1e-6)
+    assert out.value == pytest.approx(brute_w(0.2, -1.0, out.z_star), rel=1e-13)
+    # below the square (32.957692) and hexagonal (32.957738) lattices
+    for z in (UpperHalfPoint(0.0, 1.0), HEX):
+        assert out.value < brute_w(0.2, -1.0, z) - 0.09
+    # 40-digit sums put x = 0 below x = 0.49376, where a Nelder-Mead with a
+    # value-scaled fatol stops, by ~4e-19
+    at = lambda x: mp_lattice_sums(0.2, -1.0, UpperHalfPoint(x, y), exponent=200.0)[1]
+    assert at(0.0) < at(0.49376)
+
+
 def test_generic_laplace_weighted():
     p = LaplaceWeighted(alpha=1.0, a=2.0, b=0.5, weight=lambda x: 1.0, family="f")
     out = minimize_generic(p)
@@ -358,7 +410,7 @@ def test_phase_scan_validation():
 
 
 def test_unconverged_refinement_raises(monkeypatch):
-    monkeypatch.setattr("hexlat.minimize._nelder_mead", unconverged_nelder_mead(-1e9))
+    monkeypatch.setattr("hexlat._newton.newton", unconverged_refinement(-1e9))
     with pytest.raises(OptimizerDivergence):
         minimize_w(1.0, 0.0)
 
@@ -366,15 +418,15 @@ def test_unconverged_refinement_raises(monkeypatch):
 @pytest.mark.parametrize("alpha", [0.3, 0.5])
 def test_runaway_refinement_raises(alpha):
     # b = sqrt(3) + 2.3e-13 lies within BOUNDARY_MARGIN of b_crit, so the cell is
-    # refined, but the energy falls toward y = inf.  Nelder-Mead stops at the y
-    # ceiling (alpha = 0.3) or runs out of evaluations (0.5); before the ceiling
-    # it reached y/alpha = inf and raised NonPositiveX.
+    # refined, but the energy falls toward y = inf.  The Newton steps climb in
+    # y, at most 1/2 per walk, and run out of walks; Nelder-Mead once reached
+    # y/alpha = inf and raised NonPositiveX.
     with pytest.raises(OptimizerDivergence):
         minimize_theta_difference(alpha, 3.0, round(math.sqrt(3.0), 12))
 
 
 def test_unconverged_refinement_beaten_by_hexagonal_point(monkeypatch):
-    monkeypatch.setattr("hexlat.minimize._nelder_mead", unconverged_nelder_mead(1e9))
+    monkeypatch.setattr("hexlat._newton.newton", unconverged_refinement(1e9))
     out = minimize_w(1.0, 0.0)
     assert isinstance(out, Minimizer)
     assert out.z_star == HEX and out.distance_to_hex == 0.0

@@ -18,7 +18,6 @@ without it where subtracting it would cancel.
 
 from __future__ import annotations
 
-import bisect
 import math
 from typing import TYPE_CHECKING, Callable, Union
 
@@ -46,18 +45,6 @@ _DIRECT_TOL = 2.0**-54
 #: expansion accepts (MAX_TERMS rows of MAX_TERMS terms); past it they take
 #: the rows, which then raise TruncationFailure.
 _DIRECT_CAP = MAX_TERMS * MAX_TERMS
-
-#: The lead of a W_b direct sum, whose terms are carried in double-double
-#: (:func:`_lead_sum`): the points whose exponent pi alpha |P|^2 is within
-#: _LEAD_GAP of the smallest, and among the _LEAD_MAX smallest norms.
-_LEAD_GAP = 3.0
-_LEAD_MAX = 2
-
-#: pi - math.pi, so that math.pi + _PI_LO is pi to about 2^-106.
-_PI_LO = 1.2246467991473532e-16
-
-#: Veltkamp's splitter 2^27 + 1: _split cuts a double into two 26-bit halves.
-_SPLITTER = 134217729.0
 
 
 def _check_alpha(alpha: float) -> None:
@@ -176,9 +163,8 @@ def _theta_rows(alpha: float, z: UpperHalfPoint, origin: bool, cfg: SeriesConfig
 def w_b(alpha: float, b: float, z: UpperHalfPoint, cfg: SeriesConfig = DEFAULT_CONFIG) -> float:
     """W_b(alpha; z) = sum over the full lattice of (|P|^2 - b/alpha) e^{-pi alpha |P|^2}.
 
-    Below y/alpha = POISSON_SWITCH a direct sum (:func:`_direct_sum`), its
-    largest terms in double-double, within its proven tail (under 2^-54) plus
-    a few ulps of sum |terms| at any z.
+    Below y/alpha = POISSON_SWITCH a direct sum (:func:`_direct_sum`), within
+    its proven tail (under 2^-54) plus a few ulps of sum |terms| at any z.
     From there on the exponential expansion
 
         (1/pi) alpha^{-5/2} y^{3/2} [ (1/2)(1 - 2 pi b)(alpha/y) S0
@@ -527,85 +513,6 @@ def _tail_bound(p: PotentialSpec, z: UpperHalfPoint, r2: float) -> float:
     return tail
 
 
-def _split(a: float) -> tuple[float, float]:
-    """a = hi + lo with at most 26 significant bits in each, so that the
-    product of two halves is exact (Veltkamp)."""
-    t = _SPLITTER * a
-    hi = t - (t - a)
-    return hi, a - hi
-
-
-_PI_H, _PI_L = _split(_PI)
-
-
-def _lead_sum(p: PolyGaussian, z: UpperHalfPoint, cut: float) -> float:
-    """The sum of (|P|^2 - b/alpha) e^{-pi alpha |P|^2} over the nonzero points
-    whose norm^2, as half_plane_norms rounds it, is at most cut.
-
-    A term's exponent carries the rounding of |P|^2, of pi alpha and of their
-    product, each amplified by the exponent itself: at pi alpha |P|^2 ~ 10
-    some ulps of the term, which a direct sum's few largest terms do not
-    average away.  Here the exponent (pi alpha / y) ((m x + n)^2 + m^2 y^2)
-    is carried in double-double (Dekker's exact products on _split halves,
-    Knuth's exact sums; pi as math.pi + _PI_LO), and so is b/alpha, which
-    leaves each term within about an ulp of itself.  The rows are walked a
-    little wider than cut and filtered by the rounded norm^2, so the points
-    are those half_plane_norms gives below cut.
-    """
-    x, y, alpha, b = z.x, z.y, p.alpha, p.b
-    xh, xl = _split(x)
-    yh, yl = _split(y)
-    y2 = y * y
-    y2h, y2l = _split(y2)
-    y2e = ((yh * yh - y2) + 2.0 * yh * yl) + yl * yl  # y^2 = y2 + y2e
-    ah, al = _split(alpha)
-    c = _PI * alpha
-    ce = (((_PI_H * ah - c) + _PI_H * al + _PI_L * ah) + _PI_L * al) + _PI_LO * alpha  # pi alpha = c + ce
-    k = c / y
-    kh, kl = _split(k)
-    r = k * y
-    ke = ((c - r) - (((kh * yh - r) + kh * yl + kl * yh) + kl * yl) + ce) / y  # pi alpha / y = k + ke
-    s = se = 0.0
-    if b:
-        s = b / alpha
-        sh, sl = _split(s)
-        r = s * alpha
-        se = ((b - r) - (((sh * ah - r) + sh * al + sl * ah) + sl * al)) / alpha  # b/alpha = s + se
-    reach = cut * (1.0 + 1e-9)
-    total = 0.0
-    for m in range(int(math.sqrt(reach / y)) + 1):
-        rem = y * (reach - m * m * y)
-        if rem < 0.0:
-            continue
-        half, mx, mm = math.sqrt(rem), m * x, m * m
-        cc = mm * y * y
-        for n in range(math.ceil(-mx - half) - 1 if m else 1, math.floor(-mx + half) + 2):
-            u = mx + n
-            q = (u * u + cc) / y  # half_plane_norms' rounding of |P|^2
-            if q > cut:
-                continue
-            # u^2 + m^2 y^2 = t + te, from u = m x + n and m^2 y^2 taken exactly
-            v = u - mx
-            ue = ((mx - (u - v)) + (n - v)) + ((m * xh - mx) + m * xl)
-            uu = u * u
-            h = _SPLITTER * u
-            uh = h - (h - u)
-            ul = u - uh
-            a = mm * y2
-            t = uu + a
-            v = t - uu
-            te = (((uu - (t - v)) + (a - v)) + (((uh * uh - uu) + 2.0 * uh * ul) + ul * ul + 2.0 * u * ue)
-                  + ((mm * y2h - a) + mm * y2l + mm * y2e))
-            # pi alpha |P|^2 = g + ge
-            h = _SPLITTER * t
-            th = h - (h - t)
-            tl = t - th
-            g = k * t
-            ge = (((kh * th - g) + kh * tl + kl * th) + kl * tl) + k * te + ke * t
-            total += 2.0 * (((q - s) - se) * (math.exp(-g) * (1.0 - ge)))
-    return total
-
-
 def _nonzero_sum(f: Callable[[float], float], qs) -> tuple[float, float]:
     """(sum, sum of moduli) of f over the points whose half-plane norms^2 are
     qs, added in the order of qs.  Each norm^2 stands for the pair +-P and
@@ -635,9 +542,7 @@ def _direct_sum(p: Gaussian | PolyGaussian | YukawaDiff, z: UpperHalfPoint, orig
     the pairs at the basis norms 1/y and |z|^2/y, which f is evaluated at only
     once the first walk fits in cap.  That walk passes 2 R/sqrt(y) >= 2/y rows,
     so y >= 2/cap and neither norm underflows to 0, as |z|^2/y does at x = 0,
-    y = 1e-300.  The points are added from the largest norm down; for
-    PolyGaussian the lead, the terms next to the smallest norm, in
-    double-double last (:func:`_lead_sum`).
+    y = 1e-300.  The points are added from the largest norm down.
     """
     if abs(z.x) > 0.5:
         # z - k for the integer k nearest x is exact and spans the same
@@ -652,15 +557,7 @@ def _direct_sum(p: Gaussian | PolyGaussian | YukawaDiff, z: UpperHalfPoint, orig
         r2 *= 1.25
         if enumeration_estimate(z, math.sqrt(r2)) > cap:
             return None
-    qs = half_plane_norms(z, math.sqrt(r2))
-    c = _PI * p.alpha
-    # _lead_sum splits pi alpha, pi alpha / y, y^2 and b / alpha, which overflows past ~1e300
-    if (isinstance(p, PolyGaussian) and qs
-            and _SPLITTER * max(c, c / z.y, z.y * z.y, abs(p.b) / p.alpha) < math.inf):
-        cut = min(qs[0] + _LEAD_GAP / c, qs[min(len(qs), _LEAD_MAX) - 1])
-        rest = qs[bisect.bisect_right(qs, cut):]
-        return _nonzero_sum(f, reversed(rest))[0] + _lead_sum(p, z, cut)
-    return _nonzero_sum(f, reversed(qs))[0]
+    return _nonzero_sum(f, reversed(half_plane_norms(z, math.sqrt(r2))))[0]
 
 
 def lattice_energy(p: PotentialSpec, z: UpperHalfPoint, cutoff_radius: float) -> float:

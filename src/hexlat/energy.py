@@ -191,13 +191,27 @@ def w_b(alpha: float, b: float, z: UpperHalfPoint, cfg: SeriesConfig = DEFAULT_C
         total = _direct_sum(PolyGaussian(alpha, b), z, abs(b) / alpha, _DIRECT_CAP)
         if total is not None:
             return total - b / alpha
+    if math.isinf(_PI * alpha * alpha) and math.isinf(alpha * z.y):
+        # The expansion's c2 = pi alpha^2 overflows.  Every point off the row
+        # through the origin has |P|^2 >= y, where its term is below the float range.
+        return 2.0 * _row0_sum("w_b", alpha / z.y, b, cfg) / alpha - b / alpha
     return _w_rows(alpha, c0, z, True, cfg)
+
+
+def _w_scale(y: float, alpha: float) -> float:
+    """y^{3/2}/(pi alpha^{5/2}), the factor of the W row expansions; by way of
+    y/alpha where a power overflows (alpha^{5/2} does from alpha ~ 2e123)."""
+    try:
+        return y**1.5 / (_PI * alpha**2.5)
+    except OverflowError:
+        r = y / alpha
+        return r * math.sqrt(r) / (_PI * alpha)
 
 
 def _w_rows(alpha: float, c0: float, z: UpperHalfPoint, origin: bool, cfg: SeriesConfig) -> float:
     """The expansion of :func:`w_b`; its n = 0 term is 0 unless origin is set."""
     (acc,) = _row_sums("w_b", alpha, c0, z, origin, cfg)
-    return z.y**1.5 / (_PI * alpha**2.5) * acc
+    return _w_scale(z.y, alpha) * acc
 
 
 def _theta_minus_one(alpha: float, z: UpperHalfPoint, cfg: SeriesConfig) -> float:
@@ -275,7 +289,7 @@ def dx_w(alpha: float, z: UpperHalfPoint, cfg: SeriesConfig = DEFAULT_CONFIG) ->
     """d/dx of W_{1/(2 pi)}(alpha; z), by the theta_Y / theta_XY series."""
     _check_alpha(alpha)
     (acc,) = _row_sums("dx_w", alpha, 0.0, z, False, cfg)
-    return z.y**1.5 / (_PI * alpha**2.5) * acc
+    return _w_scale(z.y, alpha) * acc
 
 
 def coupling_coefficient(n: int, m: int, alpha: float, y: float) -> float:

@@ -4,15 +4,16 @@ Every entry point takes one path.  Existence is decided analytically: the
 leading large-y coefficient of the energy along x = 1/2 changes sign at a
 critical coupling of the potential family (:func:`hexlat.energy.b_crit`), and for
 b > b_crit + BOUNDARY_MARGIN the energy is unbounded below and a numeric
-divergence witness is returned.  Otherwise the minimizer is located by Brent's
-bounded line search along x = 1/2, a pure-Python port of scipy's that repeats
-its iterates bit for bit, and a trust-region Newton refinement in the plane
-that takes each iterate's value, gradient and Hessian from one half-plane walk
-(:mod:`hexlat._newton`).  LaplaceWeighted has no walk and is refined by the
-port of scipy's Nelder-Mead.  The value of a located minimizer comes from the
-public energy (w_b, theta_difference, closed_form_energy); the walk only
-steers.  A refinement that does not converge raises OptimizerDivergence,
-unless the hexagonal point ties or beats its candidate.
+divergence witness is returned.  Otherwise the minimizer is located by a
+safeguarded Newton line search on E_y along x = 1/2 and a trust-region Newton
+refinement in the plane, each iterate's value, gradient and Hessian from one
+half-plane walk (:mod:`hexlat._newton`); a hexagonal cell takes one walk.
+LaplaceWeighted has no walk and is located by pure-Python ports of scipy's
+bounded Brent search and Nelder-Mead, which repeat their iterates bit for bit.
+The value of a located minimizer comes from the public energy (w_b,
+theta_difference, closed_form_energy); the walk only steers.  A refinement
+that does not converge raises OptimizerDivergence, unless the hexagonal point
+ties or beats its candidate.
 """
 
 from __future__ import annotations
@@ -186,17 +187,20 @@ def _nelder_mead(f: Callable[[tuple[float, float]], float], x0: tuple[float, flo
 def _locate_minimizer(
     energy: Callable[[UpperHalfPoint], float], p: PotentialSpec, advisory: bool
 ) -> Minimizer:
-    """Bounded line search along x = 1/2, then trust-region Newton steps in
-    the plane (Nelder-Mead for LaplaceWeighted, which has no walk)."""
-    y = _brent_bounded(lambda y: energy(UpperHalfPoint(0.5, y)), RT3_2, GAMMA_Y_MAX)
+    """A line search along x = 1/2, then a refinement in the plane: Newton
+    steps on E_y and trust-region Newton steps, the second starting from the
+    first's last walk; Brent's bounded search and Nelder-Mead for
+    LaplaceWeighted, which has no walk."""
     if isinstance(p, LaplaceWeighted):
         method, unit = "Nelder-Mead", "evaluations"
+        y = _brent_bounded(lambda y: energy(UpperHalfPoint(0.5, y)), RT3_2, GAMMA_Y_MAX)
         xy, val, n, converged = _nelder_mead(
             lambda v: math.inf if v[1] <= 1e-6 or v[1] > _WITNESS_YS[-1] else energy(UpperHalfPoint(*v)),
             (0.5, y))
     else:
         method, unit = "Newton", "walks"
-        xy, val, n, converged = _newton.newton(energy, p, y)
+        y, walk = _newton.line_search(p, GAMMA_Y_MAX)
+        xy, val, n, converged = _newton.newton(energy, p, y, walk)
     cand, val = UpperHalfPoint(*xy), float(val)
     # The theorems make the hexagonal point a minimizer whenever one exists;
     # prefer it on numerical ties (covers the exactly-flat case alpha = 1,

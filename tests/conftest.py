@@ -81,6 +81,6 @@ def sample_points() -> list[UpperHalfPoint]:
 def unconverged_refinement(fun):
     """Stand-in for hexlat._newton.newton that stops unconverged at
     (0.2, 1.5) with value fun after 100 walks."""
-    def fake(energy, p, y0):
+    def fake(energy, p, y0, first):
         return (0.2, 1.5), fun, 100, False
     return fake

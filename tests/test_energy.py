@@ -137,6 +137,22 @@ def test_w_brute_force(sample_points):
             brute_energy(lambda q: (q - b) * math.exp(-PI * q), HEX), rel=1e-13)
 
 
+def _origin_row_w(alpha, b, y):
+    """W_b where only the points n (on the row through the origin), |P|^2 = n^2/y,
+    have terms within the float range: alpha y beyond it."""
+    return 2.0 * sum((n * n / y - b / alpha) * math.exp(-PI * alpha * n * n / y)
+                     for n in range(1, 6)) - b / alpha
+
+
+@pytest.mark.parametrize("alpha, b, z", [
+    (1e160, 0.5, UpperHalfPoint(0.2, 1e155)),  # alpha^{5/2}, pi alpha^2 and y^2 overflow
+    (1e200, 0.0, UpperHalfPoint(0.3, 1e199)),
+    (1e130, 0.5, UpperHalfPoint(0.2, 1e131)),  # alpha^{5/2} alone overflows
+])
+def test_w_b_where_powers_of_alpha_overflow(alpha, b, z):
+    assert w_b(alpha, b, z) == pytest.approx(_origin_row_w(alpha, b, z.y), rel=1e-14)
+
+
 @pytest.mark.parametrize("alpha, b, z, expected", [
     # b/alpha overflows (with 2 pi b, or alone): W_b + b/alpha would be -inf + inf
     (0.1, 1e308, HEX, -math.inf),

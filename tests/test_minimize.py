@@ -327,8 +327,7 @@ def test_generic_energy_evaluation_budget(monkeypatch, spec, budget):
 @pytest.mark.parametrize("alpha", [1.0, 2.0, 4.0])
 def test_newton_walk_budget(monkeypatch, alpha):
     # E_yy > 0 at the hexagonal point ends the line search there, and the
-    # plane refinement converges on the same walk, where Brent spent ~35
-    # energies and Nelder-Mead ~108.
+    # plane refinement converges on the same walk.
     walks = []
 
     def counting(p, z):

@@ -191,11 +191,17 @@ def w_b(alpha: float, b: float, z: UpperHalfPoint, cfg: SeriesConfig = DEFAULT_C
         total = _direct_sum(PolyGaussian(alpha, b), z, abs(b) / alpha, _DIRECT_CAP)
         if total is not None:
             return total - b / alpha
-    if math.isinf(_PI * alpha * alpha) and math.isinf(alpha * z.y):
-        # The expansion's c2 = pi alpha^2 overflows.  Every point off the row
-        # through the origin has |P|^2 >= y, where its term is below the float range.
+    if _off_row_underflows(alpha, z.y):
         return 2.0 * _row0_sum("w_b", alpha / z.y, b, cfg) / alpha - b / alpha
     return _w_rows(alpha, c0, z, True, cfg)
+
+
+def _off_row_underflows(alpha: float, y: float) -> bool:
+    """Whether the W row expansions' c2 = pi alpha^2 overflows where every
+    point off the row through the origin has a term below the float range:
+    such a point has |P|^2 >= y, and pi alpha y > 800 puts |P|^2 e^{-pi alpha
+    |P|^2} under 2^-1074 and e^{-pi alpha |P|^2} under e^-800 of b/alpha."""
+    return math.isinf(_PI * alpha * alpha) and _PI * alpha * y > 800.0
 
 
 def _w_scale(y: float, alpha: float) -> float:
@@ -288,6 +294,8 @@ def w_b_via_theta_derivative(
 def dx_w(alpha: float, z: UpperHalfPoint, cfg: SeriesConfig = DEFAULT_CONFIG) -> float:
     """d/dx of W_{1/(2 pi)}(alpha; z), by the theta_Y / theta_XY series."""
     _check_alpha(alpha)
+    if _off_row_underflows(alpha, z.y):
+        return 0.0  # x moves only the points off the row through the origin
     (acc,) = _row_sums("dx_w", alpha, 0.0, z, False, cfg)
     return _w_scale(z.y, alpha) * acc
 

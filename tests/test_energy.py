@@ -148,9 +148,18 @@ def _origin_row_w(alpha, b, y):
     (1e160, 0.5, UpperHalfPoint(0.2, 1e155)),  # alpha^{5/2}, pi alpha^2 and y^2 overflow
     (1e200, 0.0, UpperHalfPoint(0.3, 1e199)),
     (1e130, 0.5, UpperHalfPoint(0.2, 1e131)),  # alpha^{5/2} alone overflows
+    (1e154, 0.5, UpperHalfPoint(0.2, 1.5e154)),  # pi alpha^2 overflows, alpha y does not
+    (1e160, 0.5, UpperHalfPoint(0.2, 1e-140)),  # y below the direct sum's reach
 ])
 def test_w_b_where_powers_of_alpha_overflow(alpha, b, z):
     assert w_b(alpha, b, z) == pytest.approx(_origin_row_w(alpha, b, z.y), rel=1e-14)
+
+
+@pytest.mark.parametrize("alpha, y", [(1e130, 1e131), (1e154, 1.5e154), (1e160, 1e161)])
+def test_dx_w_where_powers_of_alpha_overflow(alpha, y):
+    # x moves only the points off the row through the origin, whose terms,
+    # at |P|^2 >= y, are below the float range
+    assert dx_w(alpha, UpperHalfPoint(0.2, y)) == 0.0
 
 
 @pytest.mark.parametrize("alpha, b, z, expected", [

@@ -32,7 +32,7 @@ from hexlat._newton import hessian_walk, line_search, newton
 from hexlat.energy import _DIRECT_CAP
 from hexlat.errors import InvalidParameter, NonPositiveAlpha, OptimizerDivergence, RadiusTooLarge
 from hexlat.minimize import GAMMA_Y_MAX
-from hexlat.moduli import enumeration_estimate, half_plane_norms, in_fundamental_domain
+from hexlat.moduli import MAX_ENUMERATION, enumeration_estimate, half_plane_norms, in_fundamental_domain
 
 RT3_2 = math.sqrt(3.0) / 2.0
 HEX = hexagonal_point()
@@ -388,7 +388,12 @@ def test_newton_walk_takes_the_point_cap_of_its_energy():
                                              hessian_walk(p, HEX))
     assert converged and walks == 1 and (x, y) == pytest.approx((0.5, RT3_2), abs=1e-12)
     assert hessian_walk(p, HEX)[0] == pytest.approx(value, rel=1e-12)
-    # a walk past its cap says so
+    # a walk past its cap says so: the line search's first walk, at the
+    # hexagonal point, and through it the minimizer
+    p = YukawaDiff(1e-5, 2.0, 0.5)
+    for locate in (lambda: line_search(p, GAMMA_Y_MAX), lambda: minimize_generic(p)):
+        with pytest.raises(RadiusTooLarge, match=rf"at \(0\.5, 0\.866025\).* above {MAX_ENUMERATION}$"):
+            locate()
     with pytest.raises(RadiusTooLarge, match=f"above {_DIRECT_CAP}$"):
         hessian_walk(Gaussian(1.0), UpperHalfPoint(0.5, 1e12))
 

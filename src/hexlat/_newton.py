@@ -2,9 +2,9 @@
 x = 1/2, then a trust-region refinement in the plane, with the half-plane
 walk that gives each of their iterates a value, gradient and Hessian.
 
-The walk covers the closed families (Gaussian, GaussianDiff, PolyGaussian,
-YukawaDiff); :mod:`hexlat.minimize` locates LaplaceWeighted minimizers by
-Brent's bounded search and Nelder-Mead instead.
+The walk covers every family.  A LaplaceWeighted potential is a nonnegative
+mixture of Gaussian families over its transform variable, which the walk
+takes on one exp-sinh rule (:func:`walk_terms`).
 """
 
 from __future__ import annotations
@@ -17,12 +17,16 @@ from .energy import (
     _DIRECT_TOL,
     Gaussian,
     GaussianDiff,
+    LaplaceWeighted,
     PolyGaussian,
     PotentialSpec,
     YukawaDiff,
+    _moment_tails,
+    _weight,
 )
 from .errors import RadiusTooLarge
 from .moduli import MAX_ENUMERATION, RT3_2, UpperHalfPoint, _half_plane, enumeration_estimate
+from .quadrature import exp_sinh_rule
 
 _PI = math.pi
 
@@ -67,16 +71,39 @@ def _walk_terms(p: Gaussian | GaussianDiff | PolyGaussian | YukawaDiff):
     return [_gauss_term(1.0, p.alpha), _gauss_term(-p.b, p.a * p.alpha)], []
 
 
-def _moment_tails(c: float, r2: float, d2: float) -> list[float]:
-    """T_j, j = 0..3: bounds on sum_{|P|^2 > r2} |P|^{2j} e^{-c |P|^2}, as
-    :func:`hexlat.energy._gauss_tail` bounds j = 0: the count M(u) <= 2 pi (u + d2) against
-    -h' <= c u^j e^{-c u}, integrated by I_j = int_{r2}^inf c u^j e^{-c u} du
-    = r2^j e^{-c r2} + (j/c) I_{j-1}."""
-    e = math.exp(-c * r2)
-    moments = [e]
-    for j in range(1, 5):
-        moments.append(r2**j * e + j / c * moments[-1])
-    return [2.0 * _PI * (moments[j + 1] + d2 * moments[j]) for j in range(4)]
+def walk_terms(p: PotentialSpec, y_max: float):
+    """(gauss, yukawa, cap): the terms of :func:`_walk_terms` and the point
+    cap of the energy the walk steers: MAX_ENUMERATION for YukawaDiff, whose
+    public energy walks as far, and _DIRECT_CAP for the others, whose public
+    energies leave the walk there for the row expansion.
+
+    A LaplaceWeighted f is int_1^inf P(x) f_x dx, with f_x = GaussianDiff(alpha
+    x, a, b) for family f and x PolyGaussian(alpha x, b) for family g.  Its
+    terms are those of f_x at the nodes x_j of the exp-sinh rule that
+    :func:`hexlat.quadrature.integrate` picks for P(x) x^3 e^{-pi alpha x/y_max},
+    which is positive and decays as slowly as the x-integrands of E, E_y and
+    E_yy at y <= y_max, each scaled by its weight w_j P(x_j).  The walk is
+    then exact for that discretized potential, so its tail bound holds
+    unchanged; every walk given these terms steers on the same potential.
+    """
+    if not isinstance(p, LaplaceWeighted):
+        gauss, yukawa = _walk_terms(p)
+        return gauss, yukawa, MAX_ENUMERATION if yukawa else _DIRECT_CAP
+    import numpy as np
+
+    rate = _PI * p.alpha / y_max
+    xs, ws = exp_sinh_rule(lambda x: np.array(
+        [_weight(p, t) * math.exp(3.0 * math.log(t) - rate * t) for t in x.tolist()]), 1.0)
+    gauss = []
+    for x, w in zip(xs, ws):
+        s = w * _weight(p, x)
+        if p.family == "f":
+            terms, _ = _walk_terms(GaussianDiff(p.alpha * x, p.a, p.b))
+        else:
+            s *= x
+            terms, _ = _walk_terms(PolyGaussian(p.alpha * x, p.b))
+        gauss += [(s * A, s * B, c) for A, B, c in terms]
+    return gauss, [], _DIRECT_CAP
 
 
 def _walk_tail(gauss, yukawa, y: float, r2: float, d2: float) -> float:
@@ -120,10 +147,11 @@ def _walk_derivatives(gauss, yukawa) -> Callable[[float], tuple[float, float, fl
     return derivs
 
 
-def hessian_walk(p: Gaussian | GaussianDiff | PolyGaussian | YukawaDiff, z: UpperHalfPoint):
+def hessian_walk(p, z: UpperHalfPoint):
     """E_f at z, up to a constant that depends on p alone, with its gradient
     and Hessian in (x, y), from one walk of the half plane; or None where a
-    sum is not finite.
+    sum is not finite.  p is a potential spec or its :func:`walk_terms`; a
+    LaplaceWeighted spec takes the rule chosen for y_max = z.y.
 
     Returns (value, (E_x, E_y), (E_xx, E_xy, E_yy), sum |f|), the last a
     scale for the rounding of the value.  With u = m x + n and q = u^2/y +
@@ -135,12 +163,9 @@ def hessian_walk(p: Gaussian | GaussianDiff | PolyGaussian | YukawaDiff, z: Uppe
     sum |f|.
 
     Raises RadiusTooLarge where the walk would pass the point cap of the
-    energy it steers: MAX_ENUMERATION for YukawaDiff, whose public energy
-    walks as far, and _DIRECT_CAP for the Gaussian families, whose public
-    energies leave the walk there for the row expansion.
+    energy it steers (:func:`walk_terms`).
     """
-    gauss, yukawa = _walk_terms(p)
-    cap = MAX_ENUMERATION if yukawa else _DIRECT_CAP
+    gauss, yukawa, cap = p if isinstance(p, tuple) else walk_terms(p, z.y)
     derivs = _walk_derivatives(gauss, yukawa)
     x, y = z.x, z.y
     d2 = ((abs(x) + 1.0) ** 2 + y * y) / y
@@ -239,11 +264,11 @@ def _fold(x: float) -> float:
     return abs(x - round(x))
 
 
-def line_search(p: Gaussian | GaussianDiff | PolyGaussian | YukawaDiff, hi: float):
+def line_search(p, hi: float):
     """The minimum of E_f on x = 1/2 over [lo, hi], lo = sqrt(3)/2, by
     safeguarded Newton steps on E_y (Nocedal & Wright, Numerical
     Optimization, 2nd ed., ch. 3), each iterate's E_y and E_yy from one walk
-    (:func:`hessian_walk`).
+    (:func:`hessian_walk`) with p, a potential spec or its walk terms.
 
     E_y vanishes at lo by symmetry, so lo is the minimum where E_yy > 0
     there, and hi where E_y <= 0 there, under the unimodality that a bounded
@@ -286,7 +311,7 @@ def line_search(p: Gaussian | GaussianDiff | PolyGaussian | YukawaDiff, hi: floa
     return y, cur
 
 
-def newton(energy: Callable[[UpperHalfPoint], float], p: PotentialSpec, y0: float, first):
+def newton(energy: Callable[[UpperHalfPoint], float], p, y0: float, first):
     """Trust-region Newton steps from (1/2, y0), each iterate's value,
     gradient and Hessian from one walk (:func:`hessian_walk`), the first
     handed over by :func:`line_search`, which ended at y0.  The region
@@ -303,8 +328,7 @@ def newton(energy: Callable[[UpperHalfPoint], float], p: PotentialSpec, y0: floa
     trial point whose walk would pass its point cap, or at once where the
     first walk is None.
 
-    Returns (x, energy(x), walks, converged), as
-    :func:`hexlat.minimize._nelder_mead` does, with x the last iterate, its
+    Returns (x, energy(x), walks, converged), with x the last iterate, its
     value from the public energy, and the first walk among the walks."""
     x, y, cur = 0.5, y0, first
     walks, converged, delta = 1, False, 0.5 * y

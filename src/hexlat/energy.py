@@ -65,8 +65,16 @@ def _check_a_b(a: float = 2.0, b: float = 0.0) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _dy_c4(alpha: float) -> float:
+    """pi^2 alpha^3, the d/dy W rows' largest coefficient; inf where it overflows."""
+    try:
+        return _PI * _PI * alpha**3
+    except OverflowError:
+        return math.inf
+
+
 def _dy_terms(alpha, c0, c2):
-    c4 = _PI * _PI * alpha**3  # for pi a^2 S2 + SX and -pi^2 a^3 S4 + SXX/alpha
+    c4 = _dy_c4(alpha)  # for pi a^2 S2 + SX and -pi^2 a^3 S4 + SXX/alpha
     return (lambda n, th, thx, thxx: c2 * n * n * th + thx,
             lambda n, th, thx, thxx: -c4 * n**4 * th + thxx / alpha)
 
@@ -74,7 +82,8 @@ def _dy_terms(alpha, c0, c2):
 #: One entry per lattice row sum, keyed by the name its term count carries:
 #: (power, orders, row0, terms).  Row n is bounded by n^power e^{-alpha pi y n^2}
 #: and takes the theta orders at X0 = y/alpha, Y = n x.  row0(k, d, b, exp) is
-#: the k-th term of half the row n = 0 without the origin, d = alpha/y.
+#: the k-th term of half the row n = 0 without the origin, d = alpha/y (times
+#: alpha for W_b; for d/dy W, y^2 times the y-derivative of W_b's over alpha).
 #: terms(alpha, c0, c2) binds the coefficients (c2 = pi alpha^2) into the row
 #: terms term(n, *rows), one per accumulator.  Arithmetic operators only, so
 #: the float loop and the numpy reduction share them.
@@ -85,7 +94,8 @@ _SUMS = {
             lambda alpha, c0, c2: (lambda n, th, thx: (c0 + c2 * n * n) * th + thx,)),
     "dx_w": (3, ((0, 1), (1, 1)), None,
              lambda alpha, c0, c3: (lambda n, thy, thxy: c3 * n**3 * thy + n * thxy,)),
-    "dy_w": (4, ((0, 0), (1, 0), (2, 0)), None, _dy_terms),
+    "dy_w": (4, ((0, 0), (1, 0), (2, 0)),
+             lambda k, d, b, exp: k * k * (_PI * (k * k * d - b) - 1.0) * exp(-_PI * d * k * k), _dy_terms),
 }
 
 
@@ -191,17 +201,20 @@ def w_b(alpha: float, b: float, z: UpperHalfPoint, cfg: SeriesConfig = DEFAULT_C
         total = _direct_sum(PolyGaussian(alpha, b), z, abs(b) / alpha, _DIRECT_CAP)
         if total is not None:
             return total - b / alpha
-    if _off_row_underflows(alpha, z.y):
+    if _off_row_underflows(_PI * alpha * alpha, alpha, z.y):
         return 2.0 * _row0_sum("w_b", alpha / z.y, b, cfg) / alpha - b / alpha
     return _w_rows(alpha, c0, z, True, cfg)
 
 
-def _off_row_underflows(alpha: float, y: float) -> bool:
-    """Whether the W row expansions' c2 = pi alpha^2 overflows where every
-    point off the row through the origin has a term below the float range:
-    such a point has |P|^2 >= y, and pi alpha y > 800 puts |P|^2 e^{-pi alpha
-    |P|^2} under 2^-1074 and e^{-pi alpha |P|^2} under e^-800 of b/alpha."""
-    return math.isinf(_PI * alpha * alpha) and _PI * alpha * y > 800.0
+def _off_row_underflows(c: float, alpha: float, y: float) -> bool:
+    """Whether c, the largest coefficient of a W row expansion (pi alpha^2,
+    or :func:`_dy_c4` for d/dy W), overflows where every point off the row
+    through the origin has a term below the float range: such a point has
+    |P|^2 >= y, and pi alpha y > 800 puts |P|^2 e^{-pi alpha |P|^2} under
+    2^-1074, e^{-pi alpha |P|^2} under e^-800 of b/alpha, and the
+    y-derivative's (1 + pi alpha q + pi b)(q/y) e^{-pi alpha q}, q = |P|^2,
+    under 2^-1074 too."""
+    return math.isinf(c) and _PI * alpha * y > 800.0
 
 
 def _w_scale(y: float, alpha: float) -> float:
@@ -237,6 +250,8 @@ def _w_b_minus_origin(alpha: float, b: float, z: UpperHalfPoint, cfg: SeriesConf
     # both branches, since W_b + b/alpha would be -inf + inf
     if b and (math.isinf(c0) or math.isinf(b / alpha)):
         return _w_b_minus_origin(alpha, 0.0, z, cfg) - b / alpha * _theta_minus_one(alpha, z, cfg)
+    if _off_row_underflows(_PI * alpha * alpha, alpha, z.y):  # as in w_b
+        return 2.0 * _row0_sum("w_b", alpha / z.y, b, cfg) / alpha
     if 4.0 * alpha < z.y:
         return w_b(alpha, b, z, cfg) + b / alpha
     return 2.0 * _row0_sum("w_b", alpha / z.y, b, cfg) / alpha + _w_rows(alpha, c0, z, False, cfg)
@@ -294,7 +309,7 @@ def w_b_via_theta_derivative(
 def dx_w(alpha: float, z: UpperHalfPoint, cfg: SeriesConfig = DEFAULT_CONFIG) -> float:
     """d/dx of W_{1/(2 pi)}(alpha; z), by the theta_Y / theta_XY series."""
     _check_alpha(alpha)
-    if _off_row_underflows(alpha, z.y):
+    if _off_row_underflows(_PI * alpha * alpha, alpha, z.y):
         return 0.0  # x moves only the points off the row through the origin
     (acc,) = _row_sums("dx_w", alpha, 0.0, z, False, cfg)
     return _w_scale(z.y, alpha) * acc
@@ -328,6 +343,8 @@ def dy_w(alpha: float, z: UpperHalfPoint, cfg: SeriesConfig = DEFAULT_CONFIG) ->
     """d/dy of W_{1/(2 pi)}(alpha; z), valid for every z (not only on the
     vertical line x = 1/2 where the minimization uses it)."""
     _check_alpha(alpha)
+    if _off_row_underflows(_dy_c4(alpha), alpha, z.y):
+        return 2.0 * _row0_sum("dy_w", alpha / z.y, B_CRITICAL, cfg) / (z.y * z.y)
     s_low, s_high = _row_sums("dy_w", alpha, 0.0, z, True, cfg)
     return (1.5 * math.sqrt(z.y) * s_low + z.y**1.5 * s_high) / (_PI * alpha**2.5)
 
@@ -491,29 +508,28 @@ def potential_value(p: PotentialSpec, q: float) -> float:
     return _pointwise(p)(q)
 
 
-def _gauss_tail(c: float, r2: float, d2: float) -> float:
-    """Bound on sum_{|P|^2 > r2} e^{-c |P|^2} over a unit-density lattice whose
-    cell diameter is sqrt(d2).  The cells of the points within r lie in the
-    disc of radius r + sqrt(d2), so there are at most M(u) = pi (sqrt(u) +
-    sqrt(d2))^2 <= 2 pi (u + d2) points with |P|^2 <= u; the sum is
-    int_{r2}^inf h dM <= int_{r2}^inf M (-h') du for h(u) = e^{-c u}, by parts."""
-    return 2.0 * _PI * math.exp(-c * r2) * (r2 + d2 + 1.0 / c)
-
-
-def _q_gauss_tail(c: float, r2: float, d2: float) -> float:
-    """As :func:`_gauss_tail` for h(u) = u e^{-c u}, with -h' = (c u - 1) e^{-c u}
-    <= c u e^{-c u} in place of -h', so it holds at every r2 > 0."""
-    c1 = 1.0 / c
-    return (2.0 * _PI * math.exp(-c * r2)
-            * (r2 * r2 + 2.0 * c1 * r2 + 2.0 * c1 * c1 + d2 * (r2 + c1)))
+def _moment_tails(c: float, r2: float, d2: float, k: int = 4) -> list[float]:
+    """T_j, j < k: bounds on sum_{|P|^2 > r2} |P|^{2j} e^{-c |P|^2} over a
+    unit-density lattice whose cell diameter is sqrt(d2).  The cells of the
+    points within r lie in the disc of radius r + sqrt(d2), so there are at
+    most M(u) = pi (sqrt(u) + sqrt(d2))^2 <= 2 pi (u + d2) points with |P|^2
+    <= u; the sum is int_{r2}^inf h dM <= int_{r2}^inf M (-h') du for h(u) =
+    u^j e^{-c u}, by parts, and -h' <= c u^j e^{-c u} at every u > 0.  With
+    I_j = int_{r2}^inf c u^j e^{-c u} du = r2^j e^{-c r2} + (j/c) I_{j-1},
+    T_j = 2 pi (I_{j+1} + d2 I_j)."""
+    e = math.exp(-c * r2)
+    moments = [e]
+    for j in range(1, k + 1):
+        moments.append(r2**j * e + j / c * moments[-1])
+    return [2.0 * _PI * (moments[j + 1] + d2 * moments[j]) for j in range(k)]
 
 
 def _tail_bound(p: PotentialSpec, z: UpperHalfPoint, r2: float) -> float:
     """Bound on sum_{|P|^2 > r2} |f(|P|^2)| over the lattice of z.
 
-    Proven for the closed families: |f| is at most a sum of the decreasing
-    terms of :func:`_gauss_tail` and :func:`_q_gauss_tail` (YukawaDiff's
-    1/q at most 1/r2), with the cell diameter sqrt(d2) = max |e1 +- e2| of
+    Proven for the closed families: |f| is at most a sum of the terms
+    e^{-c q} and q e^{-c q} of :func:`_moment_tails` (YukawaDiff's 1/q at
+    most 1/r2), with the cell diameter sqrt(d2) = max |e1 +- e2| of
     the basis e1 = (1/sqrt(y), 0), e2 = (x/sqrt(y), sqrt(y)).  For
     LaplaceWeighted a heuristic: the decay is read off the potential sampled
     at r2, with ~pi dt points per shell [t, t + dt] and a margin of 2.
@@ -524,12 +540,13 @@ def _tail_bound(p: PotentialSpec, z: UpperHalfPoint, r2: float) -> float:
     x, y = z.x, z.y
     d2 = ((abs(x) + 1.0) ** 2 + y * y) / y
     c = _PI * p.alpha
-    tail = _gauss_tail(c, r2, d2)
+    if isinstance(p, PolyGaussian):
+        t0, t1 = _moment_tails(c, r2, d2, 2)
+        return t1 + abs(p.b) / p.alpha * t0
+    (tail,) = _moment_tails(c, r2, d2, 1)
     if isinstance(p, Gaussian):
         return tail
-    if isinstance(p, PolyGaussian):
-        return _q_gauss_tail(c, r2, d2) + abs(p.b) / p.alpha * tail
-    tail += abs(p.b) * _gauss_tail(p.a * c, r2, d2)
+    tail += abs(p.b) * _moment_tails(p.a * c, r2, d2, 1)[0]
     if isinstance(p, YukawaDiff):
         return tail / r2 if r2 else math.inf  # 1/q <= 1/r2 bounds nothing at r2 = 0
     return tail

@@ -46,5 +46,5 @@ class QuadratureDivergence(HexlatError, ArithmeticError):
 
 
 class OptimizerDivergence(HexlatError, ArithmeticError):
-    """The refinement of a minimizer (Newton steps, or Nelder-Mead for
-    LaplaceWeighted) did not converge, or ran to the y ceiling."""
+    """The Newton refinement of a minimizer did not converge, or ran to the
+    y ceiling."""

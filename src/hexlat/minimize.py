@@ -8,12 +8,12 @@ divergence witness is returned.  Otherwise the minimizer is located by a
 safeguarded Newton line search on E_y along x = 1/2 and a trust-region Newton
 refinement in the plane, each iterate's value, gradient and Hessian from one
 half-plane walk (:mod:`hexlat._newton`); a hexagonal cell takes one walk.
-LaplaceWeighted has no walk and is located by pure-Python ports of scipy's
-bounded Brent search and Nelder-Mead, which repeat their iterates bit for bit.
-The value of a located minimizer comes from the public energy (w_b,
-theta_difference, closed_form_energy); the walk only steers.  A refinement
-that does not converge raises OptimizerDivergence, unless the hexagonal point
-ties or beats its candidate.
+A LaplaceWeighted potential walks as a Gaussian mixture on one exp-sinh rule
+in its transform variable, chosen once per cell.  The value of a located
+minimizer comes from the public energy (w_b, theta_difference,
+closed_form_energy); the walk only steers.  A refinement that does not
+converge raises OptimizerDivergence, unless the hexagonal point ties or
+beats its candidate.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from ._record import Record
 from .config import DEFAULT_CONFIG, SeriesConfig
 from .energy import (
     GaussianDiff,
-    LaplaceWeighted,
     PolyGaussian,
     PotentialSpec,
     b_crit,
@@ -48,9 +47,8 @@ GAMMA_Y_MAX = 50.0
 #: Largest distance_to_hex at which phase_scan labels a minimizer "hexagonal".
 HEX_TOL = 1e-6
 
-#: The divergence witness's y grid on x = 1/2.  Its top also bounds the y that
-#: the Nelder-Mead refinement may try, so that a run toward y = inf ends in
-#: OptimizerDivergence, not at X = y/alpha = inf.
+#: The divergence witness's y grid on x = 1/2.  A located minimizer in its top
+#: octave raises OptimizerDivergence: the run went toward y = inf.
 _WITNESS_YS = tuple(RT3_2 * 2.0**k for k in range(64))
 
 
@@ -112,95 +110,15 @@ def _divergence_witness(
     return NoMinimizer(tuple(wy), tuple(wv), asymptotic_slope_sign=-1)
 
 
-def _brent_bounded(f: Callable[[float], float], a: float, b: float) -> float:
-    """Brent's minimization on [a, b], step for step scipy's
-    minimize_scalar(method="bounded") with xatol 1e-10 and 500 evaluations."""
-    sqrt_eps, golden = math.sqrt(2.2e-16), 0.5 * (3.0 - math.sqrt(5.0))
-    fulc = nfc = xf = a + golden * (b - a)
-    ffulc = fnfc = fx = f(xf)
-    nfev, rat, e, xm, tol1 = 1, 0.0, 0.0, 0.5 * (a + b), sqrt_eps * abs(xf) + 1e-10 / 3.0
-    while abs(xf - xm) > 2.0 * tol1 - 0.5 * (b - a) and nfev < 500:
-        parabolic = False
-        if abs(e) > tol1:
-            r, q = (xf - nfc) * (fx - ffulc), (xf - fulc) * (fx - fnfc)
-            p, q = (xf - fulc) * q - (xf - nfc) * r, 2.0 * (q - r)
-            p, q, r, e = (-p if q > 0.0 else p), abs(q), e, rat
-            parabolic = abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf)
-        if parabolic:
-            rat = p / q
-            if xf + rat - a < 2.0 * tol1 or b - (xf + rat) < 2.0 * tol1:
-                rat = tol1 if xm >= xf else -tol1
-        else:
-            e = a - xf if xf >= xm else b - xf
-            rat = golden * e
-        x = xf + (-1.0 if rat < 0 else 1.0) * max(abs(rat), tol1)
-        fu, nfev = f(x), nfev + 1
-        if fu <= fx:
-            a, b = (xf, b) if x >= xf else (a, xf)
-            fulc, ffulc, nfc, fnfc, xf, fx = nfc, fnfc, xf, fx, x, fu
-        else:
-            a, b = (x, b) if x < xf else (a, x)
-            if fu <= fnfc or nfc == xf:
-                fulc, ffulc, nfc, fnfc = nfc, fnfc, x, fu
-            elif fu <= ffulc or fulc == xf or fulc == nfc:
-                fulc, ffulc = x, fu
-        xm, tol1 = 0.5 * (a + b), sqrt_eps * abs(xf) + 1e-10 / 3.0
-    return float(xf)
-
-
-def _nelder_mead(f: Callable[[tuple[float, float]], float], x0: tuple[float, float]):
-    """Nelder-Mead from x0 (no zero coordinate), step for step scipy's non-adaptive
-    minimize(method="Nelder-Mead") with xatol 1e-9, fatol 1e-15 and 4000 evaluations;
-    like scipy, it abandons an iteration whose next evaluation would be the 4001st.
-    It refines LaplaceWeighted minimizers only, whose energy has no walk; fatol
-    is absolute, so it is met only where the three values agree to 1e-15.
-    Returns (x, f(x), nfev, converged)."""
-    sim = [x0, (1.05 * x0[0], x0[1]), (x0[0], 1.05 * x0[1])]
-    fs, nfev, maxfev = [f(p) for p in sim], 3, 4000
-    towards = lambda s, t: tuple(s * ((u + v) / 2) + t * w for u, v, w in zip(*sim))
-    while True:
-        # stable with nan last, as np.argsort orders three values; scipy returns nan if any is
-        sim, fs = map(list, zip(*sorted(zip(sim, fs), key=lambda t: (t[1] != t[1], t[1]))))
-        if nfev == maxfev or (all(abs(c - c0) <= 1e-9 for p in sim[1:] for c, c0 in zip(p, sim[0]))
-                              and all(abs(fs[0] - v) <= 1e-15 for v in fs[1:])):
-            return sim[0], (fs[0] if fs[2] == fs[2] else math.nan), nfev, nfev < maxfev
-        fr, nfev = f(xr := towards(2, -1)), nfev + 1
-        if fr < fs[0]:
-            if nfev < maxfev:
-                fe, nfev = f(xe := towards(3, -2)), nfev + 1
-                sim[2], fs[2] = (xe, fe) if fe < fr else (xr, fr)
-        elif fr < fs[1]:
-            sim[2], fs[2] = xr, fr
-        elif nfev < maxfev:
-            outside = fr < fs[2]
-            fc, nfev = f(xc := towards(1.5, -0.5) if outside else towards(0.5, 0.5)), nfev + 1
-            if (fc <= fr) if outside else (fc < fs[2]):
-                sim[2], fs[2] = xc, fc
-            else:
-                for j in (1, 2):
-                    sim[j] = tuple(u + 0.5 * (v - u) for u, v in zip(sim[0], sim[j]))
-                    if nfev == maxfev:
-                        break
-                    fs[j], nfev = f(sim[j]), nfev + 1
-
-
 def _locate_minimizer(
     energy: Callable[[UpperHalfPoint], float], p: PotentialSpec, advisory: bool
 ) -> Minimizer:
     """A line search along x = 1/2, then a refinement in the plane: Newton
     steps on E_y and trust-region Newton steps, the second starting from the
-    first's last walk; Brent's bounded search and Nelder-Mead for
-    LaplaceWeighted, which has no walk."""
-    if isinstance(p, LaplaceWeighted):
-        method, unit = "Nelder-Mead", "evaluations"
-        y = _brent_bounded(lambda y: energy(UpperHalfPoint(0.5, y)), RT3_2, GAMMA_Y_MAX)
-        xy, val, n, converged = _nelder_mead(
-            lambda v: math.inf if v[1] <= 1e-6 or v[1] > _WITNESS_YS[-1] else energy(UpperHalfPoint(*v)),
-            (0.5, y))
-    else:
-        method, unit = "Newton", "walks"
-        y, walk = _newton.line_search(p, GAMMA_Y_MAX)
-        xy, val, n, converged = _newton.newton(energy, p, y, walk)
+    first's last walk, every walk on the terms chosen once for the cell."""
+    terms = _newton.walk_terms(p, GAMMA_Y_MAX)
+    y, walk = _newton.line_search(terms, GAMMA_Y_MAX)
+    xy, val, walks, converged = _newton.newton(energy, terms, y, walk)
     cand, val = UpperHalfPoint(*xy), float(val)
     # The theorems make the hexagonal point a minimizer whenever one exists;
     # prefer it on numerical ties (covers the exactly-flat case alpha = 1,
@@ -211,14 +129,15 @@ def _locate_minimizer(
         cand, val = hex_pt, hex_val
     elif not converged:
         raise OptimizerDivergence(
-            f"{method} did not converge from (0.5, {y}) in {n} {unit}, ending at "
+            f"Newton did not converge from (0.5, {y}) in {walks} walks, ending at "
             f"({cand.x:.6g}, {cand.y:.6g})")
     elif cand.y > _WITNESS_YS[-2]:
-        # Where the energy falls toward y = inf the simplex can collapse
-        # against the y ceiling and count as converged there; Newton steps
-        # stop far below it, where one walk would pass its point cap.
+        # Where the energy falls toward y = inf the Newton steps climb until a
+        # walk would pass its point cap.  A walk's radius shrinks as alpha
+        # grows, so at huge alpha that cap need not be met below the witness
+        # grid's top.
         raise OptimizerDivergence(
-            f"{method} ran from (0.5, {y}) to the y ceiling, y = {cand.y:.6g}")
+            f"Newton ran from (0.5, {y}) to the y ceiling, y = {cand.y:.6g}")
     reduced, _ = reduce_to_fundamental(cand)
     dist = math.hypot(reduced.x - 0.5, reduced.y - RT3_2)
     return Minimizer(z_star=reduced, value=val, distance_to_hex=dist, advisory=advisory)

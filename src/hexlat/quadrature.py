@@ -42,13 +42,33 @@ def integrate(f: Callable[[np.ndarray], np.ndarray], a: float) -> float:
     whose terms have not decayed by |t| = 6.5 (e^{(pi/2) sinh t} ~ 1e227), or
     that is not finite at a node the sum uses, raises QuadratureDivergence.
     """
+    return _exp_sinh(f, a)[0]
+
+
+def exp_sinh_rule(f: Callable[[np.ndarray], np.ndarray], a: float) -> tuple[list[float], list[float]]:
+    """The nodes x_j and weights w_j of the level at which integrate(f, a)
+    stops, so that sum_j w_j g(x_j) applies the rule chosen for f to another
+    integrand g.  Raises as integrate does."""
+    _, h, (t_lo, t_hi) = _exp_sinh(f, a)
+    nodes = [_node(t_lo + h * k) for k in range(round((t_hi - t_lo) / h) + 1)]
+    return [a + u for u, _ in nodes], [h * du for _, du in nodes]
+
+
+def _node(t: float) -> tuple[float, float]:
+    """(u, du/dt) for u = e^{(pi/2) sinh t}, placed by math: numpy's exp and
+    sinh may differ in the last bit."""
+    u = math.exp(_HALF_PI * math.sinh(t))
+    return u, _HALF_PI * math.cosh(t) * u
+
+
+def _exp_sinh(f: Callable[[np.ndarray], np.ndarray], a: float) -> tuple[float, float, list[int]]:
+    """The stops and levels of :func:`integrate`: (the integral, the step h
+    and the ends [t_lo, t_hi] of the level that stopped)."""
     import numpy as np
 
     def terms(ts: list[float]) -> list[float]:
-        # math places the nodes: numpy's exp and sinh may differ in the last bit.
-        u = np.array([math.exp(_HALF_PI * math.sinh(t)) for t in ts])
-        c = np.array([_HALF_PI * math.cosh(t) for t in ts])
-        return (c * u * f(a + u)).tolist()
+        u, du = zip(*map(_node, ts))
+        return (np.array(du) * f(a + np.array(u))).tolist()
 
     def used(v: float) -> float:
         if not math.isfinite(v):
@@ -85,5 +105,5 @@ def integrate(f: Callable[[np.ndarray], np.ndarray], a: float) -> float:
         s_abs += math.fsum(map(abs, mids))
         prev, estimate = estimate, h * total
         if abs(estimate - prev) <= max(1e-12 * abs(estimate), 1e-14 * h * s_abs):
-            return estimate / scale
+            return estimate / scale, h, ends
     raise QuadratureDivergence(f"exp-sinh levels did not agree on [{a}, inf)")

@@ -137,11 +137,14 @@ def test_w_brute_force(sample_points):
             brute_energy(lambda q: (q - b) * math.exp(-PI * q), HEX), rel=1e-13)
 
 
+def _origin_row(alpha, b, y):
+    """W_b + b/alpha where only the points n (on the row through the origin),
+    |P|^2 = n^2/y, have terms within the float range: alpha y beyond it."""
+    return 2.0 * sum((n * n / y - b / alpha) * math.exp(-PI * alpha * n * n / y) for n in range(1, 6))
+
+
 def _origin_row_w(alpha, b, y):
-    """W_b where only the points n (on the row through the origin), |P|^2 = n^2/y,
-    have terms within the float range: alpha y beyond it."""
-    return 2.0 * sum((n * n / y - b / alpha) * math.exp(-PI * alpha * n * n / y)
-                     for n in range(1, 6)) - b / alpha
+    return _origin_row(alpha, b, y) - b / alpha
 
 
 @pytest.mark.parametrize("alpha, b, z", [
@@ -153,6 +156,28 @@ def _origin_row_w(alpha, b, y):
 ])
 def test_w_b_where_powers_of_alpha_overflow(alpha, b, z):
     assert w_b(alpha, b, z) == pytest.approx(_origin_row_w(alpha, b, z.y), rel=1e-14)
+    # the origin-free sum takes the same row, without the origin's -b/alpha
+    assert closed_form_energy(PolyGaussian(alpha, b), z) == pytest.approx(
+        _origin_row(alpha, b, z.y), rel=1e-14)
+
+
+@pytest.mark.parametrize("alpha, y", [
+    (1e110, 1e111),  # alpha^3 overflows
+    (3e102, 1e103),  # pi^2 alpha^3 overflows, alpha^3 does not
+    (1e150, 1e151),
+])
+def test_dy_w_where_powers_of_alpha_overflow(alpha, y):
+    # d/dy of the row through the origin, by a central difference of its
+    # 50-digit sum; the other points' terms are below the float range
+    with mpmath.workdps(50):
+        a, b = mpmath.mpf(alpha), mpmath.mpf(1) / (2 * mpmath.pi)
+
+        def row(t):
+            return 2 * sum((n * n / t - b / a) * mpmath.exp(-mpmath.pi * a * n * n / t) for n in range(1, 8))
+        h = mpmath.mpf(y) * mpmath.mpf("1e-15")
+        want = float((row(y + h) - row(y - h)) / (2 * h))
+    assert want != 0.0
+    assert dy_w(alpha, UpperHalfPoint(0.2, y)) == pytest.approx(want, rel=1e-13)
 
 
 @pytest.mark.parametrize("alpha, y", [(1e130, 1e131), (1e154, 1.5e154), (1e160, 1e161)])
@@ -335,6 +360,23 @@ def test_walk_derivatives_match_central_differences_of_energy(family, seed):
         # the value is E_f up to a constant of p alone
         at_hex = hessian_walk(p, HEX)[0]
         assert abs((value - at_hex) - (e0 - closed_form_energy(p, HEX))) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("p", [
+    LaplaceWeighted(0.6, 2.0, 0.5, weight=lambda x: math.exp(-x / 2), family="f"),
+    LaplaceWeighted(1.7, 2.0, 0.1, weight=lambda x: math.exp(-x / 2), family="g"),
+], ids=["f", "g"])
+def test_laplace_walk_gradient_matches_central_differences_of_energy(p):
+    # the walk of the exp-sinh mixture against the public Fubini energy, at a
+    # point off every mirror line of the lattice
+    z, h = UpperHalfPoint(0.31, 1.17), 1e-5
+    _, (gx, gy), _, scale = hessian_walk(p, z)
+
+    def e(dx, dy):
+        return laplace_energy(p, UpperHalfPoint(z.x + dx, z.y + dy))
+    assert abs(gx - (e(h, 0) - e(-h, 0)) / (2 * h)) <= 1e-8 * scale
+    assert abs(gy - (e(0, h) - e(0, -h)) / (2 * h)) <= 1e-8 * scale
+    assert abs(gx) > 1e-3 * scale and abs(gy) > 1e-3 * scale
 
 
 def test_dy_matches_finite_difference():

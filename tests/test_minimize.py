@@ -1,7 +1,6 @@
 """Tests for minimizer location and phase classification."""
 
 import math
-import random
 import time
 
 import pytest
@@ -21,6 +20,7 @@ from hexlat import (
     YukawaDiff,
     closed_form_energy,
     hexagonal_point,
+    lattice_energy,
     minimize_generic,
     minimize_theta_difference,
     minimize_w,
@@ -114,62 +114,6 @@ def test_gamma_line_matches_2d_optimum(alpha):
     out = minimize_w(alpha, B_CRITICAL)
     assert isinstance(out, Minimizer)
     assert abs(float(res.fun) - out.value) < 1e-7
-
-
-def _counted(f):
-    calls = []
-
-    def g(v):
-        calls.append(v)
-        return f(v)
-    return g, calls
-
-
-def _plane_objective(case, rng):
-    """A seeded objective in the plane, guarded by the y <= 1e-6 barrier that
-    hexlat's refinement puts in front of every energy."""
-    if case == "bowl":  # cy above 50 puts the line search's minimum on its upper bound
-        cx, cy, k = rng.uniform(0.1, 0.9), rng.uniform(1.0, 60.0), rng.uniform(0.5, 5.0)
-        f = lambda v: (v[0] - cx) ** 2 + k * (v[1] - cy) ** 2 + (v[0] - cx) * (v[1] - cy)
-    elif case == "barrier":  # decreasing toward y = 0, so the simplex runs into the barrier
-        cx = rng.uniform(0.1, 0.9)
-        f = lambda v: (v[0] - cx) ** 2 + v[1]
-    elif case == "terraces":  # piecewise constant: vertices tie, so the sort order matters
-        cx, cy = rng.uniform(0.1, 0.9), rng.uniform(1.0, 40.0)
-        f = lambda v: float(math.floor(4.0 * abs(v[0] - cx)) + math.floor(abs(v[1] - cy)))
-    else:  # a curved flat-bottomed valley too stiff for 4000 evaluations
-        k = 10.0 ** rng.uniform(9.0, 12.0)
-        f = lambda v: (1.0 - v[0]) ** 2 + k * (v[1] - v[0] ** 2) ** 2
-    return lambda v: math.inf if v[1] <= 1e-6 else f(v)
-
-
-@pytest.mark.parametrize("seed", [0, 1])
-@pytest.mark.parametrize("case", ["bowl", "barrier", "terraces", "ridge"])
-def test_optimizer_ports_match_scipy(case, seed):
-    # The line search and the refinement repeat scipy's iterates: same x, same
-    # value, same number of evaluations, run as hexlat runs them.
-    from scipy.optimize import minimize, minimize_scalar
-
-    from hexlat.minimize import _brent_bounded, _nelder_mead
-
-    objective = _plane_objective(case, random.Random(seed))
-    line, line_calls = _counted(lambda y: objective((0.5, y)))
-    y = _brent_bounded(line, RT3_2, 50.0)
-    ref_line, ref_line_calls = _counted(lambda y: objective((0.5, y)))
-    ref = minimize_scalar(ref_line, bounds=(RT3_2, 50.0), method="bounded",
-                          options={"xatol": 1e-10})
-    assert y == float(ref.x) and len(line_calls) == len(ref_line_calls) == ref.nfev
-    assert objective((0.5, y)) == ref.fun
-
-    xy, fun, nfev, converged = _nelder_mead(objective, (0.5, y))
-    ref = minimize(lambda v: objective((float(v[0]), float(v[1]))), x0=[0.5, y],
-                   method="Nelder-Mead",
-                   options={"xatol": 1e-9, "fatol": 1e-15, "maxiter": 4000, "maxfev": 4000})
-    assert xy == tuple(ref.x.tolist()) and fun == ref.fun
-    assert (nfev, converged) == (ref.nfev, ref.success)
-    if case == "barrier":
-        assert 1e-6 < xy[1] < 1e-5
-    assert (nfev == 4000) == (case == "ridge")
 
 
 def test_thetadiff_boundary_cases():
@@ -306,22 +250,31 @@ def test_generic_advisory_matches_brute_force_oracle():
 
 
 @pytest.mark.parametrize(
-    "spec, budget",
-    [(GaussianDiff(alpha=1.0, a=2.0, b=1.0), 2), (PolyGaussian(alpha=1.0, b=0.3), 39)],
-    ids=["minimizer", "no-minimizer"],
+    "spec, budget, walks",
+    [(GaussianDiff(alpha=1.0, a=2.0, b=1.0), 2, 1),
+     (LaplaceWeighted(alpha=1.0, a=2.0, b=0.5, weight=lambda x: math.exp(-x), family="f"), 2, 1),
+     (LaplaceWeighted(alpha=1.5, a=2.0, b=0.1, weight=lambda x: math.exp(-x / 2), family="g"), 2, 1),
+     (PolyGaussian(alpha=1.0, b=0.3), 39, 0)],
+    ids=["minimizer", "laplace-f", "laplace-g", "no-minimizer"],
 )
-def test_generic_energy_evaluation_budget(monkeypatch, spec, budget):
+def test_generic_energy_evaluation_budget(monkeypatch, spec, budget, walks):
     # a hexagonal cell evaluates the public energy at its candidate and at the
-    # hexagonal point (the tie rule); the walks steer
-    calls = []
+    # hexagonal point (the tie rule); one walk steers, for every family
+    calls, walked = [], []
 
     def counting(p, z, cfg):
         calls.append(z)
         return closed_form_energy(p, z, cfg)
 
+    def counting_walks(p, z):
+        walked.append(z)
+        return hessian_walk(p, z)
+
     monkeypatch.setattr("hexlat.minimize.closed_form_energy", counting)
-    minimize_generic(spec)
-    assert 0 < len(calls) <= budget
+    monkeypatch.setattr("hexlat._newton.hessian_walk", counting_walks)
+    out = minimize_generic(spec)
+    assert 0 < len(calls) <= budget and len(walked) == walks
+    assert isinstance(out, Minimizer if walks else NoMinimizer)
 
 
 @pytest.mark.parametrize("alpha", [1.0, 2.0, 4.0])
@@ -398,15 +351,27 @@ def test_newton_walk_takes_the_point_cap_of_its_energy():
         hessian_walk(Gaussian(1.0), UpperHalfPoint(0.5, 1e12))
 
 
-def test_nelder_mead_refines_laplace_weighted_only(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("Nelder-Mead called")
+def test_laplace_weighted_rectangular_minimizer():
+    # Below alpha = 1 the walk on the exp-sinh mixture follows the x-curvature
+    # to the rectangular lattice x = 0, where the value is the public energy's
+    p = LaplaceWeighted(alpha=0.337, a=3.0, b=0.065, weight=lambda x: math.exp(-x / 2), family="g")
+    out = minimize_generic(p)
+    assert isinstance(out, Minimizer) and out.advisory
+    assert out.z_star.x <= 1e-12 and out.z_star.y == pytest.approx(2.967934, abs=1e-6)
+    assert out.value == pytest.approx(lattice_energy(p, out.z_star, 8.0), rel=1e-12)
+    # below its neighbours along both axes
+    for dx, dy in ((1e-3, 0.0), (0.0, 1e-3), (0.0, -1e-3)):
+        z = UpperHalfPoint(out.z_star.x + dx, out.z_star.y + dy)
+        assert out.value < closed_form_energy(p, z)
 
-    monkeypatch.setattr("hexlat.minimize._nelder_mead", refuse)
-    for out in (minimize_w(1.5, 0.0), minimize_w(0.5, 0.0), minimize_theta_difference(2.0, 2.0, 1.0),
-                *map(minimize_generic, (Gaussian(1.0), GaussianDiff(1.2, 2.0, 1.0),
-                                        PolyGaussian(2.0, 0.1), YukawaDiff(1.0, 4.0, 0.5)))):
-        assert isinstance(out, Minimizer)
+
+def test_laplace_weighted_boundary_cell_raises():
+    # At b = b_crit the energy on x = 1/2 is flat to rounding from y ~ 36 up:
+    # an infimum at y = inf, which the Newton steps do not converge to
+    p = LaplaceWeighted(alpha=0.3, a=2.0, b=1.0 / (2.0 * math.pi), weight=lambda x: math.exp(-x),
+                        family="g")
+    with pytest.raises(OptimizerDivergence, match="did not converge"):
+        minimize_generic(p)
 
 
 def test_w_minimizer_below_alpha_one_is_rectangular_at_b_minus_one():

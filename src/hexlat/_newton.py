@@ -81,8 +81,8 @@ def walk_terms(p: PotentialSpec, y_max: float):
     x, a, b) for family f and x PolyGaussian(alpha x, b) for family g.  Its
     terms are those of f_x at the nodes x_j of the exp-sinh rule that
     :func:`hexlat.quadrature.integrate` picks for P(x) x^3 e^{-pi alpha x/y_max},
-    which is positive and decays as slowly as the x-integrands of E, E_y and
-    E_yy at y <= y_max, each scaled by its weight w_j P(x_j).  The walk is
+    which is nonnegative and decays no faster than the x-integrands of E,
+    E_y and E_yy at y <= y_max, each scaled by its weight w_j P(x_j).  The walk is
     then exact for that discretized potential, so its tail bound holds
     unchanged; every walk given these terms steers on the same potential.
     """

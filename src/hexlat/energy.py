@@ -518,10 +518,12 @@ def _moment_tails(c: float, r2: float, d2: float, k: int = 4) -> list[float]:
     I_j = int_{r2}^inf c u^j e^{-c u} du = r2^j e^{-c r2} + (j/c) I_{j-1},
     T_j = 2 pi (I_{j+1} + d2 I_j)."""
     e = math.exp(-c * r2)
-    moments = [e]
-    for j in range(1, k + 1):
-        moments.append(r2**j * e + j / c * moments[-1])
-    return [2.0 * _PI * (moments[j + 1] + d2 * moments[j]) for j in range(k)]
+    prev, cur = e, r2 * e + 1 / c * e  # I_0, I_1
+    tails = [2.0 * _PI * (cur + d2 * prev)]
+    for j in range(2, k + 1):
+        prev, cur = cur, r2**j * e + j / c * cur
+        tails.append(2.0 * _PI * (cur + d2 * prev))
+    return tails
 
 
 def _tail_bound(p: PotentialSpec, z: UpperHalfPoint, r2: float) -> float:

@@ -50,15 +50,15 @@ def exp_sinh_rule(f: Callable[[np.ndarray], np.ndarray], a: float) -> tuple[list
     stops, so that sum_j w_j g(x_j) applies the rule chosen for f to another
     integrand g.  Raises as integrate does."""
     _, h, (t_lo, t_hi) = _exp_sinh(f, a)
-    nodes = [_node(t_lo + h * k) for k in range(round((t_hi - t_lo) / h) + 1)]
-    return [a + u for u, _ in nodes], [h * du for _, du in nodes]
+    u, du = _exp_sinh_nodes([t_lo + h * k for k in range(round((t_hi - t_lo) / h) + 1)])
+    return [a + v for v in u], [h * d for d in du]
 
 
-def _node(t: float) -> tuple[float, float]:
-    """(u, du/dt) for u = e^{(pi/2) sinh t}, placed by math: numpy's exp and
-    sinh may differ in the last bit."""
-    u = math.exp(_HALF_PI * math.sinh(t))
-    return u, _HALF_PI * math.cosh(t) * u
+def _exp_sinh_nodes(ts: list[float]) -> tuple[list[float], list[float]]:
+    """u = e^{(pi/2) sinh t} and du/dt at each t, placed by math: numpy's exp
+    and sinh may differ in the last bit."""
+    u = [math.exp(_HALF_PI * math.sinh(t)) for t in ts]
+    return u, [_HALF_PI * math.cosh(t) * v for t, v in zip(ts, u)]
 
 
 def _exp_sinh(f: Callable[[np.ndarray], np.ndarray], a: float) -> tuple[float, float, list[int]]:
@@ -67,7 +67,7 @@ def _exp_sinh(f: Callable[[np.ndarray], np.ndarray], a: float) -> tuple[float, f
     import numpy as np
 
     def terms(ts: list[float]) -> list[float]:
-        u, du = zip(*map(_node, ts))
+        u, du = _exp_sinh_nodes(ts)
         return (np.array(du) * f(a + np.array(u))).tolist()
 
     def used(v: float) -> float:

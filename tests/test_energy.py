@@ -654,6 +654,17 @@ def test_exp_sinh_rule_near_the_float_limit():
         assert quadrature.integrate(lambda x: 2.0**k * np.exp(1.0 - x), 1.0) == 2.0**k * base
 
 
+def test_exp_sinh_nodes_and_weights_are_the_rule_integrate_stops_at():
+    # the rule chosen for f gives integrate(f) up to the order of summation,
+    # and serves an integrand that decays faster, as the Laplace walk uses it
+    f = lambda x: np.exp(3.0 * np.log(x) - 0.1 * x)
+    xs, ws = quadrature.exp_sinh_rule(f, 1.0)
+    assert xs == sorted(xs) and xs[0] >= 1.0 and min(ws) > 0.0
+    assert math.fsum(w * f(x) for x, w in zip(xs, ws)) == pytest.approx(quadrature.integrate(f, 1.0), rel=1e-14)
+    assert math.fsum(w * math.exp(-2.0 * x) for x, w in zip(xs, ws)) == pytest.approx(
+        math.exp(-2.0) / 2.0, rel=1e-12)
+
+
 @pytest.mark.parametrize("z", [HEX, UpperHalfPoint(0.0, 5.0)], ids=["hex", "tall-z"])
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 def test_laplace_energy_at_the_float_range(z, sign):

@@ -12,20 +12,9 @@ from __future__ import annotations
 import math
 from typing import Callable
 
-from .energy import (
-    _DIRECT_CAP,
-    _DIRECT_TOL,
-    Gaussian,
-    GaussianDiff,
-    LaplaceWeighted,
-    PolyGaussian,
-    PotentialSpec,
-    YukawaDiff,
-    _moment_tails,
-    _weight,
-)
+from .energy import GaussianDiff, LaplaceWeighted, PolyGaussian, PotentialSpec, _radius, _terms, _weight
 from .errors import RadiusTooLarge
-from .moduli import MAX_ENUMERATION, RT3_2, UpperHalfPoint, _half_plane, enumeration_estimate
+from .moduli import RT3_2, UpperHalfPoint, _half_plane
 from .quadrature import exp_sinh_rule
 
 _PI = math.pi
@@ -47,35 +36,9 @@ _LINE_TOL = 1e-6
 _VALUE_NOISE = 16.0 * 2.0**-52
 
 
-def _gauss_term(w: float, alpha: float) -> tuple[float, float, float]:
-    """w e^{-pi alpha q} summed over the nonzero points as the term (A, B, c)
-    of (A + B q) e^{-c q}: itself for alpha >= 1, and below by theta(alpha; z)
-    = theta(1/alpha; z)/alpha, whose rate pi/alpha keeps the walk short."""
-    return (w, 0.0, _PI * alpha) if alpha >= 1.0 else (w / alpha, 0.0, _PI / alpha)
-
-
-def _walk_terms(p: Gaussian | GaussianDiff | PolyGaussian | YukawaDiff):
-    """The terms (A, B, c), read as (A + B q) e^{-c q}, and (w, c), read as
-    w e^{-c q}/q, whose sum over the nonzero points of the lattice of z is E_f
-    up to a constant that depends on p alone.  Below alpha = 1, W_b(alpha; z)
-    = -alpha^{-3} sum_P (|P|^2 - alpha/pi + b alpha) e^{-pi |P|^2/alpha}."""
-    if isinstance(p, Gaussian):
-        return [_gauss_term(1.0, p.alpha)], []
-    if isinstance(p, PolyGaussian):
-        al = p.alpha
-        if al >= 1.0:
-            return [(-p.b / al, 1.0, _PI * al)], []
-        return [((1.0 / _PI - p.b) / (al * al), -1.0 / al**3, _PI / al)], []
-    if isinstance(p, YukawaDiff):
-        return [], [(1.0, _PI * p.alpha), (-p.b, _PI * p.a * p.alpha)]
-    return [_gauss_term(1.0, p.alpha), _gauss_term(-p.b, p.a * p.alpha)], []
-
-
 def walk_terms(p: PotentialSpec, y_max: float):
-    """(gauss, yukawa, cap): the terms of :func:`_walk_terms` and the point
-    cap of the energy the walk steers: MAX_ENUMERATION for YukawaDiff, whose
-    public energy walks as far, and _DIRECT_CAP for the others, whose public
-    energies leave the walk there for the row expansion.
+    """(gauss, yukawa): the dual terms of :func:`hexlat.energy._terms`, whose
+    sum over the nonzero points is E_f up to a constant of p alone.
 
     A LaplaceWeighted f is int_1^inf P(x) f_x dx, with f_x = GaussianDiff(alpha
     x, a, b) for family f and x PolyGaussian(alpha x, b) for family g.  Its
@@ -87,46 +50,22 @@ def walk_terms(p: PotentialSpec, y_max: float):
     unchanged; every walk given these terms steers on the same potential.
     """
     if not isinstance(p, LaplaceWeighted):
-        gauss, yukawa = _walk_terms(p)
-        return gauss, yukawa, MAX_ENUMERATION if yukawa else _DIRECT_CAP
+        return _terms(p, True)
     import numpy as np
 
     rate = _PI * p.alpha / y_max
     xs, ws = exp_sinh_rule(lambda x: np.array(
         [_weight(p, t) * math.exp(3.0 * math.log(t) - rate * t) for t in x.tolist()]), 1.0)
-    gauss = []
+    gauss, f = [], p.family == "f"
     for x, w in zip(xs, ws):
-        s = w * _weight(p, x)
-        if p.family == "f":
-            terms, _ = _walk_terms(GaussianDiff(p.alpha * x, p.a, p.b))
-        else:
-            s *= x
-            terms, _ = _walk_terms(PolyGaussian(p.alpha * x, p.b))
+        s = w * _weight(p, x) * (1.0 if f else x)
+        terms, _ = _terms(GaussianDiff(p.alpha * x, p.a, p.b) if f else PolyGaussian(p.alpha * x, p.b), True)
         gauss += [(s * A, s * B, c) for A, B, c in terms]
-    return gauss, [], _DIRECT_CAP
-
-
-def _walk_tail(gauss, yukawa, y: float, r2: float, d2: float) -> float:
-    """Bound on the tail beyond r2 of sum |f| + |f'| |dq| + |f''| |dq|^2 + |f'|
-    |d^2 q|, which bounds the tails of the value, each gradient component and
-    each Hessian entry: |dq| <= q/y and |d^2 q| <= 2q/y^2 for both
-    coordinates, so every term is a sum of q^j e^{-c q}, j <= 3."""
-    k1, k2 = 1.0 / y + 2.0 / (y * y), 1.0 / (y * y)
-    tail = 0.0
-    for A, B, c in gauss:
-        A, B = abs(A), abs(B)
-        t = _moment_tails(c, r2, d2)
-        tail += (A * t[0] + (B + k1 * (B + c * A)) * t[1]
-                 + (k1 * c * B + k2 * c * (c * A + 2.0 * B)) * t[2] + k2 * c * c * B * t[3])
-    for w, c in yukawa:  # 1/q <= s = 1/r2 beyond r2
-        s, w = 1.0 / r2, abs(w)
-        t = _moment_tails(c, r2, d2)
-        tail += w * s * (t[0] + k1 * (c + s) * t[1] + k2 * (c * c + 2.0 * c * s + 2.0 * s * s) * t[2])
-    return tail
+    return gauss, []
 
 
 def _walk_derivatives(gauss, yukawa) -> Callable[[float], tuple[float, float, float]]:
-    """q -> (f(q), f'(q), f''(q)) for the terms of :func:`_walk_terms`."""
+    """q -> (f(q), f'(q), f''(q)) for the terms of :func:`walk_terms`."""
     exp = math.exp
 
     def derivs(q: float) -> tuple[float, float, float]:
@@ -157,32 +96,17 @@ def hessian_walk(p, z: UpperHalfPoint):
     scale for the rounding of the value.  With u = m x + n and q = u^2/y +
     m^2 y, q_x = 2 m u/y, q_y = m^2 - u^2/y^2, q_xx = 2 m^2/y, q_xy = -2 m
     u/y^2 and q_yy = 2 u^2/y^3; f, f' and f'' are taken once per distinct
-    norm and a pair +-P shares every term.  The radius starts where
-    :func:`hexlat.energy._direct_sum`'s does and grows until the proven tail of
-    :func:`_walk_tail` is at most _DIRECT_TOL of the same lower bound on
-    sum |f|.
-
-    Raises RadiusTooLarge where the walk would pass the point cap of the
-    energy it steers (:func:`walk_terms`).
+    norm and a pair +-P shares every term.  The radius and the point cap are
+    :func:`hexlat.energy._radius`'s, for the proven tail of the value, the
+    gradient and the Hessian; a walk past the cap raises RadiusTooLarge.
     """
-    gauss, yukawa, cap = p if isinstance(p, tuple) else walk_terms(p, z.y)
+    gauss, yukawa = p if isinstance(p, tuple) else walk_terms(p, z.y)
     derivs = _walk_derivatives(gauss, yukawa)
-    x, y = z.x, z.y
-    d2 = ((abs(x) + 1.0) ** 2 + y * y) / y
-    c = min(c for *_, c in gauss + yukawa)
-    r2 = max(1.0 / y, 36.0 / c)
-    target = _DIRECT_TOL * 2.0 * (abs(derivs(1.0 / y)[0]) + abs(derivs(z.abs2() / y)[0]))
-    while True:
-        if not (estimate := enumeration_estimate(z, math.sqrt(r2))) <= cap:  # nan too
-            raise RadiusTooLarge(
-                f"a Newton walk at ({x:.6g}, {y:.6g}) would visit ~{estimate:.3g} points, above {cap}")
-        if (tail := _walk_tail(gauss, yukawa, y, r2, d2)) <= target:
-            break
-        # the tail falls as e^{-c r2} times a cubic: step past the exponential's share
-        r2 += math.log(tail / target) / c + 1.0 / c if target > 0.0 else 0.25 * r2
+    r2, cap = _radius(gauss, yukawa, z, lambda q: derivs(q)[0], 0.0, True)
     # the estimate counts a disc's area; at large y the row m = 0 alone can
     # pass the cap, which _half_plane's exact count catches
     rows = _half_plane(z, math.sqrt(r2), cap)
+    x, y = z.x, z.y
     iy = 1.0 / y
     iy2 = iy * iy
     f = fs = gx = gy = hxx = hxy = hyy = 0.0

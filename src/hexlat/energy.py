@@ -10,8 +10,8 @@ and its kin for W_b, d/dx W and d/dy W, each written once in the term table
 _SUMS, read by a float loop over one theta1d.theta_rows call at X = y/alpha
 and by a numpy reduction over theta_array.  Where that call would take the
 Poisson comb (y/alpha < POISSON_SWITCH), theta_lattice and w_b sum the
-lattice points directly, over a radius fixed by a proven tail bound
-(:func:`_tail_bound`).  theta and W_b include the origin (1 to theta,
+lattice points directly, to the radius that the Newton walks take too
+(:func:`_radius`).  theta and W_b include the origin (1 to theta,
 -b/alpha to W_b); the energies E_f exclude it, summing the row n = 0
 without it where subtracting it would cancel.
 """
@@ -19,6 +19,7 @@ without it where subtracting it would cancel.
 from __future__ import annotations
 
 import math
+from operator import itemgetter
 from typing import TYPE_CHECKING, Callable, Union
 
 from ._record import Record
@@ -135,7 +136,7 @@ def _row_sums_batch(name: str, alphas: np.ndarray, b: float, c0, z: UpperHalfPoi
     where not (0.0 where full), at each alpha of an array.  Each series takes
     last_index at the smallest decay; the extra terms lie below rel_tol."""
     import numpy as np
-    power, orders, row0, terms = _SUMS[name]
+    power, orders, _, terms = _SUMS[name]
     y = z.y
     n = np.arange(cfg.last_index(alphas.min() * y, power, 1, name) + 1.0)
     nc = n[:, None]
@@ -145,10 +146,16 @@ def _row_sums_batch(name: str, alphas: np.ndarray, b: float, c0, z: UpperHalfPoi
     sums = [(w * term(nc, *rows)).sum(axis=0) for term in terms(alphas, c0, _PI * alphas * alphas)]
     row0_sum = np.zeros(alphas.shape)
     if not full.all():
-        d = alphas[~full] / y
-        k = np.arange(1.0, cfg.last_index(d.min(), power, 1, name) + 1.0)[:, None]
-        row0_sum[~full] = row0(k, d, b, np.exp).sum(axis=0)
+        row0_sum[~full] = _row0_sum_batch(name, alphas[~full] / y, b, cfg)
     return sums, row0_sum
+
+
+def _row0_sum_batch(name: str, d: np.ndarray, b: float, cfg: SeriesConfig) -> np.ndarray:
+    """:func:`_row0_sum` at each d of an array, to the last_index of the smallest."""
+    import numpy as np
+    power, _, row0, _ = _SUMS[name]
+    k = np.arange(1.0, cfg.last_index(d.min(), power, 1, name) + 1.0)[:, None]
+    return row0(k, d, b, np.exp).sum(axis=0)
 
 
 def theta_lattice(alpha: float, z: UpperHalfPoint, cfg: SeriesConfig = DEFAULT_CONFIG) -> float:
@@ -158,7 +165,7 @@ def theta_lattice(alpha: float, z: UpperHalfPoint, cfg: SeriesConfig = DEFAULT_C
     there on the row expansion at cfg's rel_tol."""
     _check_alpha(alpha)
     if z.y / alpha < POISSON_SWITCH:
-        total = _direct_sum(Gaussian(alpha), z, 1.0, _DIRECT_CAP)
+        total = _direct_sum(Gaussian(alpha), z, 1.0)
         if total is not None:
             return 1.0 + total
     return _theta_rows(alpha, z, True, cfg)
@@ -198,7 +205,7 @@ def w_b(alpha: float, b: float, z: UpperHalfPoint, cfg: SeriesConfig = DEFAULT_C
     if math.isinf(c0) and b:  # 2 pi b overflows: W_0 - (b/alpha) theta stays finite
         return w_b(alpha, 0.0, z, cfg) - b / alpha * theta_lattice(alpha, z, cfg)
     if z.y / alpha < POISSON_SWITCH:
-        total = _direct_sum(PolyGaussian(alpha, b), z, abs(b) / alpha, _DIRECT_CAP)
+        total = _direct_sum(PolyGaussian(alpha, b), z, abs(b) / alpha)
         if total is not None:
             return total - b / alpha
     if _off_row_underflows(_PI * alpha * alpha, alpha, z.y):
@@ -270,8 +277,17 @@ def _theta_minus_one_batch(alphas: np.ndarray, z: UpperHalfPoint, cfg: SeriesCon
 def _w_b_minus_origin_batch(alphas: np.ndarray, b: float, z: UpperHalfPoint,
                             cfg: SeriesConfig) -> np.ndarray:
     """:func:`_w_b_minus_origin` at each alpha of an array, by the same expansion,
-    branch and overflow split (:func:`_row_sums_batch`)."""
+    branch and overflow splits (:func:`_row_sums_batch`)."""
     import numpy as np
+    top = float(alphas.max())
+    if _off_row_underflows(_PI * top * top, top, z.y):  # as in _w_b_minus_origin: row n = 0 alone
+        with np.errstate(over="ignore"):
+            huge = np.isinf(_PI * alphas * alphas) & (_PI * alphas * z.y > 800.0)
+        out = np.empty(alphas.shape)
+        out[huge] = 2.0 * _row0_sum_batch("w_b", alphas[huge] / z.y, b, cfg) / alphas[huge]
+        if not huge.all():
+            out[~huge] = _w_b_minus_origin_batch(alphas[~huge], b, z, cfg)
+        return out
     full = 4.0 * alphas < z.y  # the n = 0 term where 4 alpha < y
     c0 = 0.5 * (1.0 - 2.0 * _PI * b) * (alphas / z.y)
     (acc,), row0 = _row_sums_batch("w_b", alphas, b, c0, z, full, cfg)
@@ -519,39 +535,101 @@ def _moment_tails(c: float, r2: float, d2: float, k: int = 4) -> list[float]:
     T_j = 2 pi (I_{j+1} + d2 I_j)."""
     e = math.exp(-c * r2)
     prev, cur = e, r2 * e + 1 / c * e  # I_0, I_1
-    tails = [2.0 * _PI * (cur + d2 * prev)]
-    for j in range(2, k + 1):
+    tails, j = [2.0 * _PI * (cur + d2 * prev)], 2
+    while j <= k:  # not a range: setting one up costs about as much as a moment
         prev, cur = cur, r2**j * e + j / c * cur
         tails.append(2.0 * _PI * (cur + d2 * prev))
+        j += 1
     return tails
 
 
-def _tail_bound(p: PotentialSpec, z: UpperHalfPoint, r2: float) -> float:
-    """Bound on sum_{|P|^2 > r2} |f(|P|^2)| over the lattice of z.
+def _terms(p: Gaussian | GaussianDiff | PolyGaussian | YukawaDiff, dual: bool):
+    """The terms (A, B, c), read as (A + B q) e^{-c q}, and (w, c), read as
+    w e^{-c q}/q, whose sum is f(q).  With dual set, a Gaussian of alpha < 1
+    takes theta(alpha; z) = theta(1/alpha; z)/alpha, whose rate pi/alpha keeps
+    a walk short; the terms then sum over the nonzero points of the lattice
+    of z to E_f up to a constant that depends on p alone, W_b(alpha; z) being
+    -alpha^{-3} sum_P (|P|^2 - alpha/pi + b alpha) e^{-pi |P|^2/alpha}."""
+    if isinstance(p, YukawaDiff):
+        return [], [(1.0, _PI * p.alpha), (-p.b, _PI * p.a * p.alpha)]
+    al, flip = p.alpha, dual and p.alpha < 1.0
+    if isinstance(p, PolyGaussian):
+        if flip:
+            return [((1.0 / _PI - p.b) / (al * al), -1.0 / al**3, _PI / al)], []
+        return [(-p.b / al, 1.0, _PI * al)], []
+    gauss = [(1.0 / al, 0.0, _PI / al) if flip else (1.0, 0.0, _PI * al)]
+    if isinstance(p, GaussianDiff):
+        aa = p.a * al
+        gauss.append((-p.b / aa, 0.0, _PI / aa) if dual and aa < 1.0 else (-p.b, 0.0, _PI * aa))
+    return gauss, []
 
-    Proven for the closed families: |f| is at most a sum of the terms
-    e^{-c q} and q e^{-c q} of :func:`_moment_tails` (YukawaDiff's 1/q at
-    most 1/r2), with the cell diameter sqrt(d2) = max |e1 +- e2| of
-    the basis e1 = (1/sqrt(y), 0), e2 = (x/sqrt(y), sqrt(y)).  For
-    LaplaceWeighted a heuristic: the decay is read off the potential sampled
-    at r2, with ~pi dt points per shell [t, t + dt] and a margin of 2.
-    """
+
+def _tail(gauss, yukawa, z: UpperHalfPoint, r2: float, derivatives: bool = False) -> float:
+    """Proven bound on sum_{|P|^2 > r2} |f| over the lattice of z, f the sum of
+    the terms of :func:`_terms`; with derivatives, on that of |f| + |f'| |dq| +
+    |f''| |dq|^2 + |f'| |d^2 q|, which bounds each gradient and Hessian entry
+    in (x, y) too, as |dq| <= q/y and |d^2 q| <= 2q/y^2.  Each is a sum of
+    q^j e^{-c q}, j <= 3 (1/q at most s = 1/r2), bounded by :func:`_moment_tails`
+    for the cell diameter sqrt(d2) = max |e1 +- e2| of the basis
+    e1 = (1/sqrt(y), 0), e2 = (x/sqrt(y), sqrt(y))."""
+    y = z.y
+    d2 = ((abs(z.x) + 1.0) ** 2 + y * y) / y
+    tail = 0.0
+    if not derivatives:
+        for A, B, c in gauss:
+            t = _moment_tails(c, r2, d2, 2 if B else 1)
+            tail += abs(A) * t[0] + (abs(B) * t[1] if B else 0.0)
+        for w, c in yukawa:  # 1/q <= 1/r2 bounds nothing at r2 = 0
+            tail += abs(w) * _moment_tails(c, r2, d2, 1)[0] / r2 if r2 else math.inf
+        return tail
+    s, k1, k2 = 1.0 / r2, 1.0 / y + 2.0 / (y * y), 1.0 / (y * y)
+    for A, B, c in gauss:
+        A, B = abs(A), abs(B)
+        t = _moment_tails(c, r2, d2)
+        tail += (A * t[0] + (B + k1 * (B + c * A)) * t[1]
+                 + (k1 * c * B + k2 * c * (c * A + 2.0 * B)) * t[2] + k2 * c * c * B * t[3])
+    for w, c in yukawa:
+        t = _moment_tails(c, r2, d2, 3)
+        tail += abs(w) * s * (t[0] + k1 * (c + s) * t[1] + k2 * (c * c + 2.0 * c * s + 2.0 * s * s) * t[2])
+    return tail
+
+
+def _radius(gauss, yukawa, z: UpperHalfPoint, f: Callable[[float], float], origin: float = 0.0,
+            derivatives: bool = False) -> tuple[float, int]:
+    """(R^2, cap) for a half-plane walk of the terms of :func:`_terms`, f(q)
+    their sum, over the lattice of z; RadiusTooLarge past cap, MAX_ENUMERATION
+    for YukawaDiff terms, whose energy has no other route, else _DIRECT_CAP.
+    R^2 starts at max(1/y, 36/c), c the slowest rate, and steps until the
+    proven tail (:func:`_tail`, in its mode) is at most _DIRECT_TOL times a
+    lower bound on sum |f|: origin (|f(0)| where the sum counts it) plus the
+    pairs at the basis norms 1/y and |z|^2/y, where f is evaluated only once
+    the first walk fits in cap.  That walk passes 2 R/sqrt(y) >= 2/y rows, so
+    neither norm underflows to 0, as |z|^2/y does at x = 0, y = 1e-300."""
+    cap = MAX_ENUMERATION if yukawa else _DIRECT_CAP
+    c = min(map(itemgetter(-1), gauss + yukawa))
+    iy = 1.0 / z.y
+    r2 = max(iy, 36.0 / c)
+    target = None
+    while True:
+        if not (estimate := enumeration_estimate(z, math.sqrt(r2))) <= cap:  # nan too
+            raise RadiusTooLarge(f"a Newton walk at ({z.x:.6g}, {z.y:.6g}) would visit "  # direct sums catch it
+                                 f"~{estimate:.3g} points, above {cap}")
+        if target is None:
+            target = _DIRECT_TOL * (origin + 2.0 * (abs(f(iy)) + abs(f(z.abs2() / z.y))))
+        if (tail := _tail(gauss, yukawa, z, r2, derivatives)) <= target:
+            return r2, cap
+        # the tail falls as e^{-c r2} times a cubic: step past the exponential's share
+        r2 += math.log(tail / target) / c + 1.0 / c if target > 0.0 else 0.25 * r2
+
+
+def _tail_bound(p: PotentialSpec, z: UpperHalfPoint, r2: float) -> float:
+    """Bound on sum_{|P|^2 > r2} |f(|P|^2)| over the lattice of z: proven for the
+    closed families (:func:`_tail`); for LaplaceWeighted a heuristic, the potential
+    sampled at r2 with ~pi dt points per shell [t, t + dt] and a margin of 2."""
     if isinstance(p, LaplaceWeighted):
         g0 = abs(potential_value(p, r2))
         return 4.0 * g0 * (r2 / (_PI * p.alpha) + 1.0 / (_PI * p.alpha) ** 2) / max(r2, 1.0) * _PI
-    x, y = z.x, z.y
-    d2 = ((abs(x) + 1.0) ** 2 + y * y) / y
-    c = _PI * p.alpha
-    if isinstance(p, PolyGaussian):
-        t0, t1 = _moment_tails(c, r2, d2, 2)
-        return t1 + abs(p.b) / p.alpha * t0
-    (tail,) = _moment_tails(c, r2, d2, 1)
-    if isinstance(p, Gaussian):
-        return tail
-    tail += abs(p.b) * _moment_tails(p.a * c, r2, d2, 1)[0]
-    if isinstance(p, YukawaDiff):
-        return tail / r2 if r2 else math.inf  # 1/q <= 1/r2 bounds nothing at r2 = 0
-    return tail
+    return _tail(*_terms(p, False), z, r2)
 
 
 def _nonzero_sum(f: Callable[[float], float], qs) -> tuple[float, float]:
@@ -573,31 +651,20 @@ def _nonzero_sum(f: Callable[[float], float], qs) -> tuple[float, float]:
     return total, total_abs
 
 
-def _direct_sum(p: Gaussian | PolyGaussian | YukawaDiff, z: UpperHalfPoint, origin: float,
-                cap: float) -> float | None:
-    """The sum of f over the nonzero lattice points, given |f(0)| as origin (0
-    where the value excludes it), or None where the walk would pass cap points.
-
-    The radius is the first R^2 = max(1/y, 36/(pi alpha)) 1.25^k whose proven
-    tail is at most _DIRECT_TOL times a lower bound on sum |terms|: origin plus
-    the pairs at the basis norms 1/y and |z|^2/y, which f is evaluated at only
-    once the first walk fits in cap.  That walk passes 2 R/sqrt(y) >= 2/y rows,
-    so y >= 2/cap and neither norm underflows to 0, as |z|^2/y does at x = 0,
-    y = 1e-300.  The points are added from the largest norm down.
-    """
+def _direct_sum(p: Gaussian | PolyGaussian | YukawaDiff, z: UpperHalfPoint,
+                origin: float) -> float | None:
+    """The sum of f over the nonzero lattice points within :func:`_radius`,
+    given |f(0)| as origin (0 where the value excludes it), added from the
+    largest norm down; None where the walk would pass its point cap."""
     if abs(z.x) > 0.5:
         # z - k for the integer k nearest x is exact and spans the same
         # lattice; the walk then forms m x + n without the rounding of m k
         z = UpperHalfPoint(z.x - round(z.x), z.y)
-    r2 = max(1.0 / z.y, 36.0 / (_PI * p.alpha))
-    if enumeration_estimate(z, math.sqrt(r2)) > cap:
-        return None
     f = _pointwise(p)
-    scale = origin + 2.0 * (abs(f(1.0 / z.y)) + abs(f(z.abs2() / z.y)))
-    while not _tail_bound(p, z, r2) <= _DIRECT_TOL * scale:
-        r2 *= 1.25
-        if enumeration_estimate(z, math.sqrt(r2)) > cap:
-            return None
+    try:
+        r2, _ = _radius(*_terms(p, False), z, f, origin)
+    except RadiusTooLarge:
+        return None
     return _nonzero_sum(f, reversed(half_plane_norms(z, math.sqrt(r2))))[0]
 
 
@@ -638,9 +705,9 @@ def _laplace_integral(
 
     def integrand(x: np.ndarray) -> np.ndarray:
         w = np.array([_weight(p, t) for t in x.tolist()])
-        A = x * p.alpha
         # Nodes far past the walk's stop may overflow; integrate ignores them.
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            A = x * p.alpha
             if p.family == "f":
                 e = gauss(np.concatenate((A, p.a * A)))
                 return w * (e[: len(A)] - p.b * e[len(A) :])
@@ -686,7 +753,7 @@ def closed_form_energy(
     if isinstance(p, PolyGaussian):
         return _w_b_minus_origin(p.alpha, p.b, z, cfg)
     if isinstance(p, YukawaDiff):
-        total = _direct_sum(p, z, 0.0, MAX_ENUMERATION)
+        total = _direct_sum(p, z, 0.0)
         if total is None:
             raise RadiusTooLarge(f"the proven tail needs more than {MAX_ENUMERATION} points")
         return total

@@ -29,6 +29,10 @@ class TruncationFailure(HexlatError, ArithmeticError):
     """A series failed to meet its tail bound within the term cap."""
 
 
+class ThetaOverflow(HexlatError, ArithmeticError):
+    """A Poisson prefactor X^{-k/2} of theta passes the float range."""
+
+
 class RadiusTooLarge(HexlatError):
     """Lattice enumeration would exceed the hard point-count cap."""
 

@@ -20,7 +20,7 @@ import math
 from typing import TYPE_CHECKING
 
 from .config import DEFAULT_CONFIG, SeriesConfig
-from .errors import NonPositiveX, UnsupportedOrder
+from .errors import NonPositiveX, ThetaOverflow, UnsupportedOrder
 
 # numpy is imported inside the functions that use it, not at module load:
 # a process that only calls the scalar row kernels never loads it.
@@ -115,7 +115,10 @@ def _poisson_rows(X: float, Ys: list[float], xo: int, yo: int, cfg: SeriesConfig
     outward in pairs (1 + j, -j), both at distance >= j from Y."""
     last = cfg.last_index(1.0 / X, 2 * xo + yo, 0, "Poisson theta series")
     prefactor, poly = _TERMS[xo, yo][2:]
-    pre = prefactor(X)
+    try:
+        pre = prefactor(X)
+    except OverflowError:
+        raise ThetaOverflow(f"theta's Poisson prefactor overflows at X = y/alpha = {X:.3g}") from None
     out = []
     for Y in Ys:
         acc = 0.0

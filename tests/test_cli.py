@@ -441,6 +441,14 @@ def test_underflowing_alpha_tail_exit_3(capsys, argv, message):
     assert message in err and "Traceback" not in err
 
 
+def test_theta_prefactor_overflow_exit_3(capsys):
+    # y/alpha = 1e-220: the row expansion's theta prefactor X^{-5/2} overflows
+    code, _, err = run_cli(capsys, "energy", "poly-gaussian", "--alpha", "1e110", "--b", "0.5",
+                           "--x", "0.2", "--y", "1e-110")
+    assert code == 3
+    assert err == "hexlat: error: theta's Poisson prefactor overflows at X = y/alpha = 1e-220\n"
+
+
 def test_out_directory_exit_2(capsys, tmp_path):
     code, out, err = run_cli(capsys, "theta", "1", "0", "1", "--out", str(tmp_path))
     assert code == 2

@@ -2,6 +2,7 @@
 
 import math
 import random
+import warnings
 
 import mpmath
 import numpy as np
@@ -42,6 +43,7 @@ from hexlat.errors import (
     QuadratureDivergence,
     RadiusTooLarge,
     TailTooLarge,
+    ThetaOverflow,
     TruncationFailure,
 )
 from hexlat.moduli import Generator
@@ -185,6 +187,44 @@ def test_dx_w_where_powers_of_alpha_overflow(alpha, y):
     # x moves only the points off the row through the origin, whose terms,
     # at |P|^2 >= y, are below the float range
     assert dx_w(alpha, UpperHalfPoint(0.2, y)) == 0.0
+
+
+@pytest.mark.parametrize("call", [
+    lambda: w_b(1e110, 0.5, UpperHalfPoint(0.2, 1e-110)),
+    lambda: closed_form_energy(PolyGaussian(1e110, 0.5), UpperHalfPoint(0.2, 1e-110)),
+    lambda: dy_w(3e102, UpperHalfPoint(0.2, 1e-101)),
+], ids=["w_b", "poly-gaussian-energy", "dy_w"])
+def test_theta_prefactor_overflow_names_x(call):
+    # past the direct sum's point cap the rows take theta at X = y/alpha below
+    # ~1e-123, where the Poisson prefactor X^{-5/2} passes the float range
+    with pytest.raises(ThetaOverflow, match=r"overflows at X = y/alpha = \d"):
+        call()
+
+
+def _first_point_laplace(family, alpha, b):
+    """int_1^inf e^{-x} v(x) dx where alpha/y = 10 leaves the first point of
+    the row through the origin alone: v(x) = 2 e^{-10 pi x} - 2 b e^{-20 pi x}
+    (family f, a = 2) or 2 (10 x - b) e^{-10 pi x}/alpha (family g)."""
+    r = 1.0 + 10.0 * PI
+    if family == "f":
+        return 2.0 * math.exp(-r) / r - 2.0 * b * math.exp(-2.0 * r + 1.0) / (2.0 * r - 1.0)
+    return 2.0 * math.exp(-r) * (10.0 * (1.0 / r + 1.0 / r**2) - b / r) / alpha
+
+
+@pytest.mark.parametrize("family", ["f", "g"])
+@pytest.mark.parametrize("alpha, z, first_point", [(1e160, UpperHalfPoint(0.2, 1e155), False),
+                                                   (1e200, UpperHalfPoint(0.3, 1e199), True)])
+def test_laplace_energy_where_powers_of_alpha_overflow(family, alpha, z, first_point):
+    # pi alpha^2 overflows at every node and the batched origin-free sums take
+    # the row through the origin alone, as the scalar sums do, with no warning
+    p = LaplaceWeighted(alpha, 2.0, 0.05, weight=lambda x: math.exp(-x), family=family)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        value = laplace_energy(p, z)
+    if first_point:
+        assert value == pytest.approx(_first_point_laplace(family, alpha, 0.05), rel=1e-12)
+    else:
+        assert value == 0.0
 
 
 @pytest.mark.parametrize("alpha, b, z, expected", [

@@ -38,7 +38,9 @@ from hexlat import (
 )
 from hexlat.config import MAX_TERMS
 from hexlat.energy import (
+    _tail,
     _tail_bound,
+    _terms,
     _theta_minus_one,
     _theta_minus_one_batch,
     _w_b_minus_origin,
@@ -274,6 +276,50 @@ def test_lattice_energy_is_the_ascending_sum_over_lattice_norms(x, y, radius, al
             assert str(raised.value) == message
         else:
             assert lattice_energy(spec, z, radius).hex() == total.hex(), spec
+
+
+def _term_derivatives(gauss, yukawa, q):
+    """(f, f', f'') at q of the sum of the terms (A + B q) e^{-c q} and w e^{-c q}/q."""
+    f0 = f1 = f2 = 0.0
+    for A, B, c in gauss:
+        e, v = math.exp(-c * q), A + B * q
+        f0, f1, f2 = f0 + v * e, f1 + (B - c * v) * e, f2 + c * (c * v - 2.0 * B) * e
+    for w, c in yukawa:
+        e = w * math.exp(-c * q)
+        f0, f1, f2 = f0 + e / q, f1 - e * (c / q + 1 / q**2), f2 + e * (c * c / q + 2 * c / q**2 + 2 / q**3)
+    return f0, f1, f2
+
+
+@settings(max_examples=150, deadline=None)
+@given(family=st.sampled_from([Gaussian, GaussianDiff, PolyGaussian, YukawaDiff]), dual=st.booleans(),
+       alpha=st.floats(0.3, 3.0), a=st.floats(1.5, 4.0), b=st.floats(-1.5, 1.5),
+       x=st.floats(0.0, 0.5), y=st.floats(0.5, 3.0), t=st.floats(0.5, 20.0))
+@example(family=GaussianDiff, dual=True, alpha=0.4, a=2.0, b=1.0, x=0.5, y=0.5, t=0.5)
+@example(family=PolyGaussian, dual=True, alpha=0.5, a=2.0, b=0.1, x=0.0, y=3.0, t=1.0)
+@example(family=YukawaDiff, dual=False, alpha=2.5, a=2.0, b=0.5, x=0.25, y=1.0, t=2.0)
+def test_tail_bounds_the_lattice_sum_beyond_its_radius(family, dual, alpha, a, b, x, y, t):
+    # The tail of the terms of each closed family beyond r2 = t/c, c the
+    # slowest rate, summed over lattice_norms out to where the terms fell by
+    # e^-60 more: in value mode of |f|, in derivative mode of |f| + |f'| |dq|
+    # + |f''| |dq|^2 + |f'| |d^2 q|, dq and d^2 q the largest first and second
+    # partials of q over x and y.
+    spec = family(alpha) if family is Gaussian else (
+        family(alpha, b) if family is PolyGaussian else family(alpha, a, b))
+    gauss, yukawa = _terms(spec, dual)
+    c = min(term[-1] for term in gauss + yukawa)
+    r2 = t / c
+    z = UpperHalfPoint(x, y)
+    value = derivs = 0.0
+    for q, (m, n) in lattice_norms(z, math.sqrt(r2 + 60.0 / c)):
+        if q > r2:
+            f0, f1, f2 = map(abs, _term_derivatives(gauss, yukawa, q))
+            u = m * x + n
+            dq = max(abs(2 * m * u / y), abs(m * m - u * u / (y * y)))
+            d2q = max(2 * m * m / y, abs(2 * m * u / (y * y)), 2 * u * u / y**3)
+            value += f0
+            derivs += f0 + f1 * dq + f2 * dq * dq + f1 * d2q
+    assert 0.0 < value <= _tail(gauss, yukawa, z, r2)
+    assert derivs <= _tail(gauss, yukawa, z, r2, derivatives=True)
 
 
 @settings(max_examples=200, deadline=None)

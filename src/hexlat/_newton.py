@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from typing import Callable
 
-from .energy import GaussianDiff, LaplaceWeighted, PolyGaussian, PotentialSpec, _radius, _terms, _weight
+from .energy import LaplaceWeighted, PotentialSpec, _radius, _slice, _terms, _weight
 from .errors import RadiusTooLarge
 from .moduli import RT3_2, UpperHalfPoint, _half_plane
 from .quadrature import exp_sinh_rule
@@ -59,7 +59,7 @@ def walk_terms(p: PotentialSpec, y_max: float):
     gauss, f = [], p.family == "f"
     for x, w in zip(xs, ws):
         s = w * _weight(p, x) * (1.0 if f else x)
-        terms, _ = _terms(GaussianDiff(p.alpha * x, p.a, p.b) if f else PolyGaussian(p.alpha * x, p.b), True)
+        terms, _ = _terms(_slice(p, p.alpha * x), True)
         gauss += [(s * A, s * B, c) for A, B, c in terms]
     return gauss, []
 

@@ -7,13 +7,15 @@ expansion
     theta(alpha; z) = sqrt(y/alpha) sum_n e^{-alpha pi y n^2} theta(y/alpha; n x)
 
 and its kin for W_b, d/dx W and d/dy W, each written once in the term table
-_SUMS, read by a float loop over one theta1d.theta_rows call at X = y/alpha
-and by a numpy reduction over theta_array.  Where that call would take the
-Poisson comb (y/alpha < POISSON_SWITCH), theta_lattice and w_b sum the
-lattice points directly, to the radius that the Newton walks take too
-(:func:`_radius`).  theta and W_b include the origin (1 to theta,
--b/alpha to W_b); the energies E_f exclude it, summing the row n = 0
-without it where subtracting it would cancel.
+_SUMS, read by a float loop over one theta1d.theta_rows call at X = y/alpha.
+Where that call would take the Poisson comb (y/alpha < POISSON_SWITCH),
+theta_lattice and w_b sum the lattice points directly, to the radius that
+the Newton walks take too (:func:`_radius`).  theta and W_b include the
+origin (1 to theta, -b/alpha to W_b); the energies E_f exclude it, summing
+the row n = 0 without it where subtracting it would cancel.  A Laplace
+energy integrates the Gaussian-family energies over its transform variable,
+from one walk of the half plane where that walk is short and from the
+origin-free row sums at each node past it (:func:`laplace_energy`).
 """
 
 from __future__ import annotations
@@ -24,10 +26,11 @@ from typing import TYPE_CHECKING, Callable, Union
 
 from ._record import Record
 from .config import DEFAULT_CONFIG, MAX_TERMS, SeriesConfig
-from .errors import InvalidParameter, NonPositiveAlpha, RadiusTooLarge, TailTooLarge
-from .moduli import MAX_ENUMERATION, UpperHalfPoint, enumeration_estimate, half_plane_norms
+from .errors import (InvalidParameter, NonPositiveAlpha, NonPositiveX, RadiusTooLarge, TailTooLarge,
+                     ThetaOverflow)
+from .moduli import MAX_ENUMERATION, UpperHalfPoint, _half_plane, enumeration_estimate, half_plane_norms
 from .quadrature import gauss_panel, integrate
-from .theta1d import POISSON_SWITCH, theta_array, theta_rows
+from .theta1d import POISSON_SWITCH, theta_rows
 
 # numpy is imported inside the functions that use it, not at module load.
 if TYPE_CHECKING:
@@ -82,21 +85,20 @@ def _dy_terms(alpha, c0, c2):
 
 #: One entry per lattice row sum, keyed by the name its term count carries:
 #: (power, orders, row0, terms).  Row n is bounded by n^power e^{-alpha pi y n^2}
-#: and takes the theta orders at X0 = y/alpha, Y = n x.  row0(k, d, b, exp) is
+#: and takes the theta orders at X0 = y/alpha, Y = n x.  row0(k, d, b) is
 #: the k-th term of half the row n = 0 without the origin, d = alpha/y (times
 #: alpha for W_b; for d/dy W, y^2 times the y-derivative of W_b's over alpha).
 #: terms(alpha, c0, c2) binds the coefficients (c2 = pi alpha^2) into the row
-#: terms term(n, *rows), one per accumulator.  Arithmetic operators only, so
-#: the float loop and the numpy reduction share them.
+#: terms term(n, *rows), one per accumulator.
 _SUMS = {
-    "theta_lattice": (0, ((0, 0),), lambda k, d, b, exp: exp(-_PI * d * k * k),
+    "theta_lattice": (0, ((0, 0),), lambda k, d, b: math.exp(-_PI * d * k * k),
                       lambda alpha, c0, c2: (lambda n, th: th,)),
-    "w_b": (2, ((0, 0), (1, 0)), lambda k, d, b, exp: (k * k * d - b) * exp(-_PI * d * k * k),
+    "w_b": (2, ((0, 0), (1, 0)), lambda k, d, b: (k * k * d - b) * math.exp(-_PI * d * k * k),
             lambda alpha, c0, c2: (lambda n, th, thx: (c0 + c2 * n * n) * th + thx,)),
     "dx_w": (3, ((0, 1), (1, 1)), None,
              lambda alpha, c0, c3: (lambda n, thy, thxy: c3 * n**3 * thy + n * thxy,)),
     "dy_w": (4, ((0, 0), (1, 0), (2, 0)),
-             lambda k, d, b, exp: k * k * (_PI * (k * k * d - b) - 1.0) * exp(-_PI * d * k * k), _dy_terms),
+             lambda k, d, b: k * k * (_PI * (k * k * d - b) - 1.0) * math.exp(-_PI * d * k * k), _dy_terms),
 }
 
 
@@ -126,36 +128,8 @@ def _row0_sum(name: str, d: float, b: float, cfg: SeriesConfig) -> float:
     power, _, row0, _ = _SUMS[name]
     acc = 0.0
     for k in range(1, cfg.last_index(d, power, 1, name) + 1):
-        acc += row0(k, d, b, math.exp)
+        acc += row0(k, d, b)
     return acc
-
-
-def _row_sums_batch(name: str, alphas: np.ndarray, b: float, c0, z: UpperHalfPoint,
-                    full: np.ndarray, cfg: SeriesConfig) -> tuple[list[np.ndarray], np.ndarray]:
-    """:func:`_row_sums` with the row n = 0 where full is set, and :func:`_row0_sum`
-    where not (0.0 where full), at each alpha of an array.  Each series takes
-    last_index at the smallest decay; the extra terms lie below rel_tol."""
-    import numpy as np
-    power, orders, _, terms = _SUMS[name]
-    y = z.y
-    n = np.arange(cfg.last_index(alphas.min() * y, power, 1, name) + 1.0)
-    nc = n[:, None]
-    w = 2.0 * np.exp(-alphas * _PI * y * nc * nc)
-    w[0] = full
-    rows = [theta_array(y / alphas, n * z.x, xo, cfg) for xo, _ in orders]
-    sums = [(w * term(nc, *rows)).sum(axis=0) for term in terms(alphas, c0, _PI * alphas * alphas)]
-    row0_sum = np.zeros(alphas.shape)
-    if not full.all():
-        row0_sum[~full] = _row0_sum_batch(name, alphas[~full] / y, b, cfg)
-    return sums, row0_sum
-
-
-def _row0_sum_batch(name: str, d: np.ndarray, b: float, cfg: SeriesConfig) -> np.ndarray:
-    """:func:`_row0_sum` at each d of an array, to the last_index of the smallest."""
-    import numpy as np
-    power, _, row0, _ = _SUMS[name]
-    k = np.arange(1.0, cfg.last_index(d.min(), power, 1, name) + 1.0)[:, None]
-    return row0(k, d, b, np.exp).sum(axis=0)
 
 
 def theta_lattice(alpha: float, z: UpperHalfPoint, cfg: SeriesConfig = DEFAULT_CONFIG) -> float:
@@ -262,44 +236,6 @@ def _w_b_minus_origin(alpha: float, b: float, z: UpperHalfPoint, cfg: SeriesConf
     if 4.0 * alpha < z.y:
         return w_b(alpha, b, z, cfg) + b / alpha
     return 2.0 * _row0_sum("w_b", alpha / z.y, b, cfg) / alpha + _w_rows(alpha, c0, z, False, cfg)
-
-
-def _theta_minus_one_batch(alphas: np.ndarray, z: UpperHalfPoint, cfg: SeriesConfig) -> np.ndarray:
-    """:func:`_theta_minus_one` at each alpha of an array, by the same expansion
-    and branch (:func:`_row_sums_batch`)."""
-    import numpy as np
-    full = alphas < z.y  # the n = 0 term theta(y/alpha; 0) where alpha < y
-    (acc,), row0 = _row_sums_batch("theta_lattice", alphas, 0.0, 0.0, z, full, cfg)
-    rows = np.sqrt(z.y / alphas) * acc
-    return np.where(full, rows - 1.0, 2.0 * row0 + rows)
-
-
-def _w_b_minus_origin_batch(alphas: np.ndarray, b: float, z: UpperHalfPoint,
-                            cfg: SeriesConfig) -> np.ndarray:
-    """:func:`_w_b_minus_origin` at each alpha of an array, by the same expansion,
-    branch and overflow splits (:func:`_row_sums_batch`)."""
-    import numpy as np
-    top = float(alphas.max())
-    if _off_row_underflows(_PI * top * top, top, z.y):  # as in _w_b_minus_origin: row n = 0 alone
-        with np.errstate(over="ignore"):
-            huge = np.isinf(_PI * alphas * alphas) & (_PI * alphas * z.y > 800.0)
-        out = np.empty(alphas.shape)
-        out[huge] = 2.0 * _row0_sum_batch("w_b", alphas[huge] / z.y, b, cfg) / alphas[huge]
-        if not huge.all():
-            out[~huge] = _w_b_minus_origin_batch(alphas[~huge], b, z, cfg)
-        return out
-    full = 4.0 * alphas < z.y  # the n = 0 term where 4 alpha < y
-    c0 = 0.5 * (1.0 - 2.0 * _PI * b) * (alphas / z.y)
-    (acc,), row0 = _row_sums_batch("w_b", alphas, b, c0, z, full, cfg)
-    rows = z.y**1.5 / (_PI * alphas**2.5) * acc
-    out = np.where(full, rows + b / alphas, 2.0 * row0 / alphas + rows)
-    # as in _w_b_minus_origin: where 2 pi b or b/alpha overflows, W_0 - (b/alpha)(theta - 1);
-    # |c0| is largest at the largest alpha, |b/alpha| at the smallest
-    if b and (math.isinf(c0[alphas.argmax()]) or math.isinf(b / alphas.min())):
-        over = np.isinf(c0) | np.isinf(b / alphas)
-        a = alphas[over]
-        out[over] = _w_b_minus_origin_batch(a, 0.0, z, cfg) - b / a * _theta_minus_one_batch(a, z, cfg)
-    return out
 
 
 def w_b_via_theta_derivative(
@@ -513,10 +449,7 @@ def _pointwise(p: PotentialSpec) -> Callable[[float], float]:
         return lambda q: (q - p.b / p.alpha) * math.exp(-_PI * p.alpha * q)
     if isinstance(p, YukawaDiff):
         return lambda q: (math.exp(-_PI * p.alpha * q) - p.b * math.exp(-_PI * p.a * p.alpha * q)) / q
-    import numpy as np
-    return lambda q: _laplace_integral(
-        p, lambda A: np.exp(-_PI * A * q), lambda A, b: (q - b / A) * np.exp(-_PI * A * q)
-    )
+    return lambda q: integrate(_slice_integrand(p, (q,), (1.0,), False), 1.0)
 
 
 def potential_value(p: PotentialSpec, q: float) -> float:
@@ -651,15 +584,18 @@ def _nonzero_sum(f: Callable[[float], float], qs) -> tuple[float, float]:
     return total, total_abs
 
 
+def _near_origin(z: UpperHalfPoint) -> UpperHalfPoint:
+    """z - k for the integer k nearest x where |x| > 1/2: exact, and it spans
+    the same lattice, so a walk forms m x + n without the rounding of m k."""
+    return UpperHalfPoint(z.x - round(z.x), z.y) if abs(z.x) > 0.5 else z
+
+
 def _direct_sum(p: Gaussian | PolyGaussian | YukawaDiff, z: UpperHalfPoint,
                 origin: float) -> float | None:
     """The sum of f over the nonzero lattice points within :func:`_radius`,
     given |f(0)| as origin (0 where the value excludes it), added from the
     largest norm down; None where the walk would pass its point cap."""
-    if abs(z.x) > 0.5:
-        # z - k for the integer k nearest x is exact and spans the same
-        # lattice; the walk then forms m x + n without the rounding of m k
-        z = UpperHalfPoint(z.x - round(z.x), z.y)
+    z = _near_origin(z)
     f = _pointwise(p)
     try:
         r2, _ = _radius(*_terms(p, False), z, f, origin)
@@ -686,34 +622,53 @@ def lattice_energy(p: PotentialSpec, z: UpperHalfPoint, cutoff_radius: float) ->
     return total
 
 
-def _laplace_integral(
-    p: LaplaceWeighted,
-    gauss: Callable[[np.ndarray], np.ndarray],
-    poly: Callable[[np.ndarray, float], np.ndarray],
-) -> float:
-    """int_1^inf P(x) v(x) dx, where v(x) is gauss(alpha x) - b gauss(a alpha x)
-    for family f and x poly(alpha x, b) for family g: the defining x-integral of
-    p when gauss(A) and poly(A, b) give the Gaussian(A) and PolyGaussian(A, b)
-    quantity at each element of an array A.
+def _slice(p: LaplaceWeighted, A: float) -> GaussianDiff | PolyGaussian:
+    """The potential that p integrates at A = alpha x: GaussianDiff(A, a, b)
+    for family f, PolyGaussian(A, b) for family g (times x)."""
+    return GaussianDiff(A, p.a, p.b) if p.family == "f" else PolyGaussian(A, p.b)
 
-    Each quadrature call passes all its nodes through one call of gauss (at
-    alpha x and a alpha x together) or poly.  The weight P is called once per
-    node and checked to be nonnegative; where it overflows, the node's value
-    is inf.
-    """
+
+def _slice_integrand(p: LaplaceWeighted, qs, ks, dual: bool) -> Callable[[np.ndarray], np.ndarray]:
+    """x -> P(x) v(x) at an array of nodes x, with v(x) = sum_i ks[i] f_x(qs[i])
+    for f_x the :func:`_terms` of :func:`_slice` at A = alpha x (times x for
+    family g), dual as given.  The dual terms of a Gaussian of A < 1 sum over
+    every point of the lattice, the origin too; with dual set, v(x) adds the
+    dual terms' value at q = 0 less f_x(0), so that the ks of the nonzero
+    points give their energy.  E.g. theta(A) - 1 = 1/A - 1 + (1/A) sum_{P != 0}
+    e^{-pi |P|^2/A}.
+
+    Each call takes the terms of every node, then one numpy pass over terms x
+    norms.  The weight P is called once per node and checked to be
+    nonnegative; where it or A = alpha x overflows, the node's value is not
+    finite, which integrate ignores past its rule's stop."""
     import numpy as np
+    q = np.array(qs, dtype=float)
+    ks = np.array(ks, dtype=float)
+    f = p.family == "f"
+    blank = [(math.nan, 0.0, 0.0)] * (2 if f else 1)
 
     def integrand(x: np.ndarray) -> np.ndarray:
-        w = np.array([_weight(p, t) for t in x.tolist()])
-        # Nodes far past the walk's stop may overflow; integrate ignores them.
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            A = x * p.alpha
-            if p.family == "f":
-                e = gauss(np.concatenate((A, p.a * A)))
-                return w * (e[: len(A)] - p.b * e[len(A) :])
-            return w * x * poly(A, p.b)
+        ts = x.tolist()
+        terms, const = [], []
+        for t in ts:
+            A = p.alpha * t
+            try:
+                gauss, _ = _terms(_slice(p, A), dual)
+            except (NonPositiveAlpha, ZeroDivisionError):  # A = inf, or A^3 = 0 in a dual W_b term
+                terms += blank
+                const.append(math.nan)
+                continue
+            terms += gauss
+            if dual:
+                const.append(sum(map(itemgetter(0), gauss)) - (1.0 - p.b if f else -p.b / A))
+        w = np.array([_weight(p, t) * (1.0 if f else t) for t in ts])
+        k0, k1, rates = np.array(terms).T
+        with np.errstate(over="ignore", invalid="ignore"):
+            e = (k0[:, None] + np.multiply.outer(k1, q)) * np.exp(np.multiply.outer(-rates, q))
+            v = (e @ ks).reshape(len(ts), -1).sum(axis=1)
+            return w * (v + const if dual else v)
 
-    return integrate(integrand, 1.0)
+    return integrand
 
 
 def _weight(p: LaplaceWeighted, x: float) -> float:
@@ -726,18 +681,82 @@ def _weight(p: LaplaceWeighted, x: float) -> float:
     return w
 
 
+#: laplace_energy walks the lattice where the walk's points (as
+#: moduli._half_plane counts them, both halves) times the terms of a slice (2
+#: for family f, 1 for g) are at most this; past it each node takes the
+#: origin-free row sums, whose cost does not grow with the walk.  Measured on a
+#: 2-CPU VM at alpha in {0.5, 1, 2}, P in {1, e^-x}: the walk costs 0.3-0.5 ms
+#: per energy at 10-50 points and as much as the row sums (4-19 ms, by the
+#: node count) at 1,800-2,000 points for family f and ~4,000 for family g.
+_LAPLACE_WALK_CAP = 3600
+
+
+def _walk_integrand(p: LaplaceWeighted, z: UpperHalfPoint) -> Callable[[np.ndarray], np.ndarray] | None:
+    """:func:`_slice_integrand` over the distinct norms of the nonzero points
+    within the radius of :func:`_radius`, each with its count of points, on
+    the dual terms; None where that walk passes _LAPLACE_WALK_CAP.
+
+    The radius is that of the slowest slice's lone q-moment term q e^{-c q}
+    (family g; e^{-c q} for family f), c = pi alpha at x = 1 for alpha >= 1
+    and c = pi at A = alpha x = 1 below, as every other slice decays at pi A >
+    c or, dual, at pi/A > pi.  So each term of each slice, k q^j e^{-c' q}
+    with c' >= c and j <= 1, has a tail within _DIRECT_TOL of its own moduli
+    at the basis norms.  Each moment tail T_j of :func:`_moment_tails` is
+    e^{-c' R^2} times a polynomial in 1/c' with nonnegative coefficients, so
+    T_j(c') <= e^{-(c' - c) R^2} T_j(c), while the term at a basis norm q_b <=
+    R^2 shrinks by e^{-(c' - c) q_b} >= e^{-(c' - c) R^2}; and T_0/S_0 <=
+    T_1/S_1 for S_j the sum of q_b^j e^{-c q_b}, since T_1 >= R^2 T_0 and S_1 <=
+    R^2 S_0.  Integrated against P >= 0, the truncation stays within
+    _DIRECT_TOL of the moduli of the slices' terms."""
+    import numpy as np
+    c = _PI * max(p.alpha, 1.0)
+    j = 0.0 if p.family == "f" else 1.0
+    z = _near_origin(z)
+    try:
+        r2, _ = _radius([(1.0 - j, j, c)], [], z, lambda q: q**j * math.exp(-c * q))
+        rows = _half_plane(z, math.sqrt(r2), _LAPLACE_WALK_CAP // (2 if p.family == "f" else 1))
+    except RadiusTooLarge:
+        return None
+    norms, counts = np.unique(np.concatenate([qs for _, _, qs in rows]), return_counts=True)
+    return _slice_integrand(p, norms, 2.0 * counts, True)
+
+
+def _node_integrand(p: LaplaceWeighted, z: UpperHalfPoint,
+                    cfg: SeriesConfig) -> Callable[[np.ndarray], np.ndarray]:
+    """x -> P(x) v(x) as in :func:`_slice_integrand`, with v(x) the origin-free
+    row sums of the closed forms at each node (:func:`_theta_minus_one`,
+    :func:`_w_b_minus_origin`).  A node whose X = y/A leaves the float range,
+    far past the rule's stop, has the value nan: theta's Poisson prefactor
+    overflows from A ~ 1e123 y on (ThetaOverflow), and X underflows to 0 where
+    A or alpha x passes the float range (NonPositiveX)."""
+    import numpy as np
+    f = p.family == "f"
+
+    def v(t: float) -> float:
+        A = p.alpha * t
+        try:
+            if f:
+                return _theta_minus_one(A, z, cfg) - p.b * _theta_minus_one(p.a * A, z, cfg)
+            return t * _w_b_minus_origin(A, p.b, z, cfg)
+        except (ThetaOverflow, NonPositiveX):
+            return math.nan
+
+    return lambda x: np.array([_weight(p, t) * v(t) for t in x.tolist()])
+
+
 def laplace_energy(
     p: LaplaceWeighted, z: UpperHalfPoint, cfg: SeriesConfig = DEFAULT_CONFIG
 ) -> float:
-    """E for a LaplaceWeighted potential by integrating the origin-free
-    closed-form energies over the transform variable (Fubini)."""
+    """E for a LaplaceWeighted potential, int_1^inf P(x) E_x dx (Fubini), E_x
+    the energy of :func:`_slice` at A = alpha x, by quadrature.integrate.
+
+    Where the walk of :func:`_walk_integrand` is within _LAPLACE_WALK_CAP,
+    every node sums its slice's terms over the walk's norms, cut at a proven
+    tail; past it, each node takes the origin-free row sums
+    (:func:`_node_integrand`), which cfg truncates."""
     if not isinstance(p, LaplaceWeighted):
         raise InvalidParameter("laplace_energy requires a LaplaceWeighted spec")
-    return _laplace_integral(
-        p,
-        lambda A: _theta_minus_one_batch(A, z, cfg),
-        lambda A, b: _w_b_minus_origin_batch(A, b, z, cfg),
-    )
+    return integrate(_walk_integrand(p, z) or _node_integrand(p, z, cfg), 1.0)
 
 
 def closed_form_energy(

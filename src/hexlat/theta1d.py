@@ -10,22 +10,19 @@ X > 0, which the consistency checks exploit.
 
 Only the four partial derivatives the two-dimensional expansions actually
 need are implemented: theta_X, theta_Y, theta_XY and theta_XX.  The lattice
-sums evaluate them at one X and many Y with :func:`theta_rows`; the Laplace
-quadrature evaluates theta and theta_X over arrays with :func:`theta_array`.
+sums evaluate them at one X and many Y with :func:`theta_rows`, the one entry
+point into the row kernels.
 """
 
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING
 
 from .config import DEFAULT_CONFIG, SeriesConfig
 from .errors import NonPositiveX, ThetaOverflow, UnsupportedOrder
 
 # numpy is imported inside the functions that use it, not at module load:
 # a process that only calls the scalar row kernels never loads it.
-if TYPE_CHECKING:
-    import numpy as np
 
 _TWO_PI = 2.0 * math.pi
 _PI = math.pi
@@ -41,7 +38,6 @@ POISSON_SWITCH = 1.0
 #: c(n) e^{-pi n^2 X} trig(2 pi n Y); c pairs n with -n, so the n = 0 term is
 #: c(0)/2.  Poisson: (prefactor, poly), the comb term at d = n - Y being
 #: prefactor(X) poly(X, d) e^{-pi d^2 / X}, multiplied left to right.
-#: Arithmetic operators only, so the float rows and the array kernel share them.
 _TERMS = {
     (0, 0): (lambda n: 2.0, "cos", lambda X: X**-0.5, lambda X, d: 1.0),
     (1, 0): (
@@ -130,13 +126,6 @@ def _poisson_rows(X: float, Ys: list[float], xo: int, yo: int, cfg: SeriesConfig
     return out
 
 
-def _comb(order, X, d, exp):
-    """Poisson comb term of the given order at d = n - Y, on floats (math.exp)
-    or arrays (np.exp)."""
-    prefactor, poly = _TERMS[order][2:]
-    return prefactor(X) * poly(X, d) * exp(-_PI * d * d / X)
-
-
 def jacobi_theta(X: float, Y: float, cfg: SeriesConfig = DEFAULT_CONFIG) -> float:
     """theta(X; Y), real cosine form; X > 0, Y arbitrary (period 1)."""
     return theta_rows(X, [Y], [(0, 0)], cfg)[0][0]
@@ -157,42 +146,10 @@ def jacobi_theta_partial(
     return theta_rows(X, [Y], [order], cfg)[0][0]
 
 
-def theta_array(X: np.ndarray, Y: np.ndarray, x_order: int, cfg: SeriesConfig) -> np.ndarray:
-    """theta(X; Y) (x_order 0) or theta_X (x_order 1) at every pair of the 1-d
-    arrays X > 0 and Y: out[k, i] is the value at (X[i], Y[k]), by the branch
-    :func:`jacobi_theta` takes at X[i].
-
-    Each branch sums as many terms as last_index gives at its smallest decay,
-    so a pair may add terms past its own cut; they lie below rel_tol.
-    """
-    import numpy as np
-    Y = (Y - np.floor(Y))[:, None]
-    out = np.empty((len(Y), len(X)))
-    low = X < POISSON_SWITCH
-    for mask, series in ((low, _poisson_array), (~low, _fourier_array)):
-        if mask.any():
-            out[:, mask] = series(X[mask], Y, x_order, 0, cfg)
-    return out
-
-
-def _fourier_array(X: np.ndarray, Y: np.ndarray, xo: int, yo: int, cfg: SeriesConfig) -> np.ndarray:
-    import numpy as np
-    coef, trig_name = _TERMS[xo, yo][:2]
-    n = np.arange(cfg.last_index(X.min(), 2 * xo + yo, 1, "Fourier theta series") + 1.0)[:, None, None]
-    terms = coef(n) * np.exp(-_PI * n * n * X) * getattr(np, trig_name)(_TWO_PI * n * Y)
-    terms[0] *= 0.5  # the n = 0 term, so the rows add up in the order of _fourier_rows
-    return terms.sum(axis=0)
-
-
-def _poisson_array(X: np.ndarray, Y: np.ndarray, xo: int, yo: int, cfg: SeriesConfig) -> np.ndarray:
-    import numpy as np
-    j = np.arange(cfg.last_index(1.0 / X.max(), 2 * xo + yo, 0, "Poisson theta series") + 1.0)[:, None, None]
-    return (_comb((xo, yo), X, 1.0 + j - Y, np.exp) + _comb((xo, yo), X, -j - Y, np.exp)).sum(axis=0)
-
-
 def _power_tail(X, power: int, cfg: SeriesConfig, name: str):
     """sum_{n>=2} n^power exp(-pi (n^2 - 1) X) at a float X or at each X of an array,
-    to last_index's term count at the smallest X (as theta_array does)."""
+    each X to last_index's term count at the smallest X, which covers the
+    others because that count does not grow with X."""
     import numpy as np
     X = np.asarray(X, dtype=float)
     _check_x(X.min())

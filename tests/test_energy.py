@@ -215,8 +215,9 @@ def _first_point_laplace(family, alpha, b):
 @pytest.mark.parametrize("alpha, z, first_point", [(1e160, UpperHalfPoint(0.2, 1e155), False),
                                                    (1e200, UpperHalfPoint(0.3, 1e199), True)])
 def test_laplace_energy_where_powers_of_alpha_overflow(family, alpha, z, first_point):
-    # pi alpha^2 overflows at every node and the batched origin-free sums take
-    # the row through the origin alone, as the scalar sums do, with no warning
+    # pi alpha^2 overflows at every node; the walk's radius holds only the
+    # first points of the row through the origin, and nodes far past the
+    # rule's stop overflow alpha x, with no warning
     p = LaplaceWeighted(alpha, 2.0, 0.05, weight=lambda x: math.exp(-x), family=family)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -708,42 +709,34 @@ def test_exp_sinh_nodes_and_weights_are_the_rule_integrate_stops_at():
 @pytest.mark.parametrize("z", [HEX, UpperHalfPoint(0.0, 5.0)], ids=["hex", "tall-z"])
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 def test_laplace_energy_at_the_float_range(z, sign):
-    # 2 pi b overflows at every node: W_b + b/alpha is W_0 - (b/alpha)(theta - 1)
-    # there, as in the scalar sum, and at this size the energy is linear in b.
-    def energy_at(b):
-        return laplace_energy(LaplaceWeighted(1.0, 2.0, b, weight=lambda x: math.exp(-x),
-                                              family="g"), z)
+    # b/(alpha x) is near the float limit at every node, where the energy is
+    # linear in b; the row sums at each node, where 2 pi b overflows, take W_b +
+    # b/alpha as W_0 - (b/alpha)(theta - 1) and agree with the walk.
+    def spec(b):
+        return LaplaceWeighted(1.0, 2.0, b, weight=lambda x: math.exp(-x), family="g")
 
-    ref = 1e8 * energy_at(sign * 1e300)
-    assert abs(energy_at(sign * 1e308) - ref) <= 1e-12 * abs(ref)
-    # The batch splits node by node where the scalar sum does: at b = 3e306,
-    # b/alpha overflows at the first node and c0 at the last, and the nodes
-    # between keep the plain sum.
-    alphas = np.array([1e-2, 0.5, 1.0, 4.0, 30.0])
-    for b in (sign * 1e308, sign * 3e306):
-        with np.errstate(over="ignore", invalid="ignore"):
-            batch = energy._w_b_minus_origin_batch(alphas, b, z, DEFAULT_CONFIG)
-        for alpha, value in zip(alphas.tolist(), batch.tolist()):
-            scalar = energy._w_b_minus_origin(alpha, b, z, DEFAULT_CONFIG)
-            assert value == scalar or abs(value - scalar) <= 1e-14 * abs(scalar)
+    ref = 1e8 * laplace_energy(spec(sign * 1e300), z)
+    value = laplace_energy(spec(sign * 1e308), z)
+    assert abs(value - ref) <= 1e-12 * abs(ref)
+    rows = quadrature.integrate(energy._node_integrand(spec(sign * 1e308), z, DEFAULT_CONFIG), 1.0)
+    assert abs(rows - value) <= 1e-14 * abs(value)
 
 
-@pytest.mark.parametrize("family, kernel", [("f", "_theta_minus_one_batch"),
-                                            ("g", "_w_b_minus_origin_batch")])
-def test_laplace_energy_batches_each_quadrature_level(monkeypatch, family, kernel):
-    # One kernel call for the unit walk and one per halving level (at most
-    # nine); evaluating the nodes one at a time would make ~100.
-    calls = []
-    batch = getattr(energy, kernel)
+@pytest.mark.parametrize("family", ["f", "g"])
+def test_laplace_energy_walks_once_below_its_point_cap(monkeypatch, family):
+    # One half-plane walk serves every node of every quadrature level; past
+    # the walk's point cap each node takes the origin-free row sums instead.
+    walks, rows = [], []
+    half_plane = energy._half_plane
+    row_sums = energy._theta_minus_one if family == "f" else energy._w_b_minus_origin
 
-    def counting(alphas, *args):
-        calls.append(len(alphas))
-        return batch(alphas, *args)
-
-    monkeypatch.setattr(energy, kernel, counting)
+    monkeypatch.setattr(energy, "_half_plane", lambda *args: walks.append(args) or half_plane(*args))
+    monkeypatch.setattr(energy, row_sums.__name__, lambda *args: rows.append(args) or row_sums(*args))
     p = LaplaceWeighted(alpha=1.0, a=2.0, b=0.3, weight=lambda x: math.exp(-x), family=family)
     laplace_energy(p, HEX)
-    assert 0 < len(calls) <= 12
+    assert len(walks) == 1 and not rows
+    laplace_energy(p, UpperHalfPoint(0.5, 1e6))
+    assert len(walks) == 2 and len(rows) >= 13  # at least the unit steps t = -6..6
 
 
 def test_group_invariance_of_energies():
@@ -769,10 +762,6 @@ def test_potential_value_laplace_flat_closed_form():
     assert abs(potential_value(p, q) - ref) <= 1e-10 * ref
 
 
-def _laplace_at(alpha, family):
-    return LaplaceWeighted(alpha=alpha, a=2.0, b=0.1, weight=lambda x: math.exp(-x), family=family)
-
-
 @pytest.mark.parametrize(
     "name, call",
     [
@@ -783,13 +772,27 @@ def _laplace_at(alpha, family):
         ("dx_w", lambda z: dx_w(1e-5, z)),
         ("dy_w", lambda z: dy_w(1e-5, z)),
         ("dx_w_double_sum", lambda z: dx_w_double_sum(1e-5, z)),
-        ("theta_lattice", lambda z: laplace_energy(_laplace_at(1e-5, "f"), z)),
-        ("w_b", lambda z: laplace_energy(_laplace_at(1e-5, "g"), z)),
     ],
-    ids=["theta_lattice", "theta_lattice-direct-side", "w_b", "dx_w", "dy_w", "dx_w_double_sum",
-         "laplace-f", "laplace-g"],
+    ids=["theta_lattice", "theta_lattice-direct-side", "w_b", "dx_w", "dy_w", "dx_w_double_sum"],
 )
 def test_energy_truncation_failure_when_capped(name, call):
     # alpha y = 1e-5 needs ~1,000 outer terms against MAX_TERMS = 256
     with pytest.raises(TruncationFailure, match=rf"^{name} "):
         call(UpperHalfPoint(0.3, 1.0))
+
+
+@pytest.mark.parametrize("family", ["f", "g"])
+def test_laplace_energy_at_small_alpha(family):
+    # Below A = alpha x = 1 the walk takes the dual slices, whose rate pi/A
+    # keeps it short where the row sums need more than MAX_TERMS terms (the
+    # family f case) or many rows of them (family g).  With P = 1, E_f(alpha,
+    # a, b) = E_Yukawa(alpha, a, b/a)/(pi alpha), here the split reference of
+    # test_yukawa_diff_small_alpha_matches_the_split_reference at alpha = 1e-4.
+    if family == "f":
+        p = LaplaceWeighted(1e-4, 2.0, 1.0, weight=lambda x: 1.0, family="f")
+        expected = 14.110774808364148 / (PI * 1e-4)
+        assert abs(laplace_energy(p, HEX) - expected) <= 1e-13 * expected
+    else:
+        p = LaplaceWeighted(1e-3, 2.0, 0.1, weight=lambda x: math.exp(-x), family="g")
+        rows = quadrature.integrate(energy._node_integrand(p, HEX, DEFAULT_CONFIG), 1.0)
+        assert abs(laplace_energy(p, HEX) - rows) <= 1e-14 * rows

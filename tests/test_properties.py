@@ -1,13 +1,13 @@
 """Property tests for the series truncation rule (SeriesConfig.last_index),
-the origin-free closed-form energies, their batched forms and the exp-sinh
-quadrature.
+the origin-free closed-form energies, the two routes of the Laplace energies
+and the exp-sinh quadrature.
 
 The truncation properties compare two evaluations that the rule truncates
 differently: the Fourier and Poisson representations of theta(X; Y), the two
-sides of alpha-duality, a tighter rel_tol against the default, and the
-batched origin-free sums against the scalar ones.  The energies are checked
-against direct lattice sums, the quadrature against exact exponential
-integrals.
+sides of alpha-duality and a tighter rel_tol against the default.  The
+energies are checked against direct lattice sums, the Laplace walk against
+the origin-free row sums at each node, the quadrature against exact
+exponential integrals.
 """
 
 import math
@@ -22,6 +22,7 @@ from hexlat import (
     DEFAULT_CONFIG,
     Gaussian,
     GaussianDiff,
+    LaplaceWeighted,
     PolyGaussian,
     SeriesConfig,
     UpperHalfPoint,
@@ -31,41 +32,23 @@ from hexlat import (
     dy_w,
     jacobi_theta,
     jacobi_theta_partial,
+    laplace_energy,
     lattice_energy,
     lattice_norms,
     theta_lattice,
     w_b,
 )
+from hexlat import energy
 from hexlat.config import MAX_TERMS
-from hexlat.energy import (
-    _tail,
-    _tail_bound,
-    _terms,
-    _theta_minus_one,
-    _theta_minus_one_batch,
-    _w_b_minus_origin,
-    _w_b_minus_origin_batch,
-    potential_value,
-)
+from hexlat.energy import _tail, _tail_bound, _terms, potential_value
 from hexlat.errors import TailTooLarge
-from hexlat.moduli import Generator
+from hexlat.moduli import MAX_ENUMERATION, Generator
 from hexlat.quadrature import integrate
-from hexlat.theta1d import (
-    POISSON_SWITCH,
-    SUPPORTED_ORDERS,
-    _comb,
-    _fourier_array,
-    _fourier_rows,
-    _poisson_array,
-    _poisson_rows,
-    _reduce_y,
-    theta_array,
-)
+from hexlat.theta1d import _TERMS, SUPPORTED_ORDERS, _fourier_rows, _poisson_rows, _reduce_y
 
 # Each branch's row kernel, at reduced Ys: FOURIER(X, Ys, xo, yo, cfg)[i] is
 # the Fourier series of order (xo, yo) at Ys[i].
 FOURIER, POISSON = _fourier_rows, _poisson_rows
-BRANCHES = {"fourier": (FOURIER, _fourier_array), "poisson": (POISSON, _poisson_array)}
 TIGHT = SeriesConfig(rel_tol=1e-15)
 ORDERS = ((0, 0),) + SUPPORTED_ORDERS
 
@@ -95,10 +78,12 @@ def abs_term_sum(X, Y, order, branch):
             for n in range(-80, 81)
         )
     Y = Y - math.floor(Y)
-    return sum(
-        abs(_comb(order, X, 1 + j - Y, math.exp)) + abs(_comb(order, X, -j - Y, math.exp))
-        for j in range(80)
-    )
+    prefactor, poly = _TERMS[order][2:]
+
+    def comb(d):  # the comb term at d = n - Y
+        return abs(prefactor(X) * poly(X, d) * math.exp(-math.pi * d * d / X))
+
+    return sum(comb(1 + j - Y) + comb(-j - Y) for j in range(80))
 
 
 @settings(max_examples=200, deadline=None)
@@ -135,29 +120,6 @@ def test_forced_fourier_equals_forced_poisson(X, Y):
         assert abs(f - p) <= 4.0 * DEFAULT_CONFIG.rel_tol * scale, order
 
 
-@settings(max_examples=100, deadline=None)
-@given(log_xs=st.lists(st.floats(-1.3, 1.3), min_size=1, max_size=6),
-       ys=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=4))
-def test_theta_array_matches_scalar(log_xs, ys):
-    # The X draws straddle the switch at 1, so a batch can mix branches; each
-    # branch's array kernel is also held to its scalar sum at every X.
-    X = np.array([10.0**e for e in log_xs])
-    Yr = np.array(ys) - np.floor(ys)
-    cfg = DEFAULT_CONFIG
-    for order in ((0, 0), (1, 0)):
-        out = theta_array(X, np.array(ys), order[0], cfg)
-        forced = {name: array(X, Yr[:, None], *order, cfg) for name, (_, array) in BRANCHES.items()}
-        for i, x in enumerate(X):
-            rows = {name: scalar(float(x), Yr.tolist(), *order, cfg) for name, (scalar, _) in BRANCHES.items()}
-            for k, Y in enumerate(ys):
-                branch = "poisson" if x < POISSON_SWITCH else "fourier"
-                scale = abs_term_sum(x, Y, order, branch)
-                assert abs(out[k, i] - theta_of_order(x, Y, order, cfg)) <= 1e-14 * scale
-                for name in BRANCHES:
-                    scale = abs_term_sum(x, Y, order, name)
-                    assert abs(forced[name][k, i] - rows[name][k]) <= 1e-14 * scale, name
-
-
 @settings(max_examples=200, deadline=None)
 @given(log_x=st.floats(-6.0, 6.0), Y=st.floats(allow_nan=False, allow_infinity=False),
        cfg=st.sampled_from((DEFAULT_CONFIG, SeriesConfig(rel_tol=1e-300))))
@@ -189,21 +151,34 @@ def test_tighter_rel_tol_agrees_with_default(alpha, b, z):
         assert abs(value(TIGHT) - v) <= 1e-13 * abs(v)
 
 
-@settings(max_examples=100, deadline=None)
-@given(exponents=st.lists(st.floats(-2.0, 8.0), min_size=1, max_size=16), b=st.floats(-2.0, 2.0),
-       x=st.floats(-1.0, 1.0), log2_y=st.floats(math.log2(0.2), 32.0))
-def test_batched_origin_free_sums_match_scalar(exponents, b, x, log2_y):
-    # The alphas straddle y and y/4, where the scalar sums switch branch.  W_b +
-    # b/alpha is held to its terms' magnitudes, which the b -> -|b| sum bounds.
-    z = UpperHalfPoint(x, 2.0**log2_y)
-    near = [z.y * r for r in (0.24, 0.26, 0.99, 1.01)]
-    alphas = np.array([10.0**e for e in exponents] + [a for a in near if 1e-2 <= a <= 1e8])
-    cfg = DEFAULT_CONFIG
-    for alpha, value in zip(alphas, _theta_minus_one_batch(alphas, z, cfg)):
-        assert abs(value - _theta_minus_one(alpha, z, cfg)) <= 1e-14 * _theta_minus_one(alpha, z, cfg)
-    for alpha, value in zip(alphas, _w_b_minus_origin_batch(alphas, b, z, cfg)):
-        scale = _w_b_minus_origin(alpha, -abs(b), z, cfg)
-        assert abs(value - _w_b_minus_origin(alpha, b, z, cfg)) <= 1e-14 * scale
+def test_laplace_walk_matches_the_per_node_row_sums(monkeypatch):
+    # The walk against the origin-free row sums at each node, on both families
+    # and both sides of alpha = 1, up to y = 1e4 and just past the walk's
+    # point cap, where laplace_energy takes the row sums.  Each is held to the
+    # size of its terms: the energy with b -> -|b|, whose terms are all >= 0.
+    rng = np.random.default_rng(27)
+    cases = []
+    for family in "fgfgfgfgfg":
+        x = rng.uniform(0.0, 0.5)
+        y = math.exp(rng.uniform(math.log(math.sqrt(1.0 - x * x)), math.log(1e4)))
+        cases.append((family, math.exp(rng.uniform(math.log(0.3), math.log(3.0))), x, y))
+    cases += [("f", 1.5, 0.5, 8e4), ("g", 3.0, 0.2, 5e5)]  # 1,859 and 3,775 points
+    for family, alpha, x, y in cases:
+        a, b, rate = rng.uniform(1.01, 4.0), rng.uniform(-1.0, 1.0), -rng.uniform(0.25, 2.0)
+        z = UpperHalfPoint(x, y)
+
+        def spec(b):
+            return LaplaceWeighted(alpha, a, b, weight=lambda t: math.exp(rate * t), family=family)
+
+        rows = integrate(energy._node_integrand(spec(b), z, DEFAULT_CONFIG), 1.0)
+        past = y > 1e4
+        assert (energy._walk_integrand(spec(b), z) is None) == past
+        with monkeypatch.context() as m:
+            m.setattr(energy, "_LAPLACE_WALK_CAP", MAX_ENUMERATION)
+            walk = integrate(energy._walk_integrand(spec(b), z), 1.0)
+            scale = integrate(energy._walk_integrand(spec(-abs(b)), z), 1.0)
+        assert laplace_energy(spec(b), z) == (rows if past else walk)
+        assert abs(walk - rows) <= 1e-14 * scale, (family, alpha, x, y)
 
 
 @settings(max_examples=200, deadline=None)

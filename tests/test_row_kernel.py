@@ -2,21 +2,18 @@
 
 The lattice sums in hexlat.energy read one term table: a float loop takes
 the inner factors theta(y/alpha; n x) for all rows n from one
-theta1d.theta_rows call, and a numpy reduction takes them from
-theta1d.theta_array.  The per-point series sums and the per-row lattice
+theta1d.theta_rows call.  The per-point series sums and the per-row lattice
 loops below add each term in the order those kernels must keep, with their
 own copy of the term table; jacobi_theta, its partials, theta_rows and the
 row expansions must equal them under ==, not merely to a tolerance.
 theta_lattice and w_b take the expansion only from y/alpha = 1 on, so their
 expansions are called through energy._theta_rows and _w_rows.  The
 origin-free sums add the row n = 0 without the origin (alpha >= y for theta,
-alpha >= y/4 for W_b) to the rows n >= 1; their batched forms are pinned to
-a numpy reference that takes its inner factors from theta_array.
+alpha >= y/4 for W_b) to the rows n >= 1.
 """
 
 import math
 
-import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -31,15 +28,8 @@ from hexlat import (
     theta_lattice,
     w_b,
 )
-from hexlat.energy import (
-    _theta_minus_one,
-    _theta_minus_one_batch,
-    _theta_rows,
-    _w_b_minus_origin,
-    _w_b_minus_origin_batch,
-    _w_rows,
-)
-from hexlat.theta1d import theta_array, theta_rows
+from hexlat.energy import _theta_minus_one, _theta_rows, _w_b_minus_origin, _w_rows
+from hexlat.theta1d import theta_rows
 
 _PI = math.pi
 _TWO_PI = 2.0 * math.pi
@@ -132,46 +122,6 @@ def ref_w_b_minus_origin(alpha, b, z, cfg):
     return 2.0 * acc / alpha + ref_w_b(alpha, b, z, cfg, origin=False)
 
 
-def ref_rows_batch(alphas, z, full, power, name, cfg):
-    # the weights and inner factors of the rows n = 0..last at every alpha,
-    # the row n = 0 only where full is set
-    x, y = z.x, z.y
-    n = np.arange(cfg.last_index(alphas.min() * y, power, 1, name) + 1.0)
-    nc = n[:, None]
-    w = 2.0 * np.exp(-alphas * _PI * y * nc * nc)
-    w[0] = full
-    return nc, w, theta_array(y / alphas, n * x, 0, cfg), theta_array(y / alphas, n * x, 1, cfg)
-
-
-def ref_theta_minus_one_batch(alphas, z, cfg):
-    y = z.y
-    full = alphas < y
-    _, w, th, _ = ref_rows_batch(alphas, z, full, 0, "theta_lattice", cfg)
-    out = np.sqrt(y / alphas) * (w * th).sum(axis=0)
-    out[full] -= 1.0
-    if not full.all():
-        d = alphas[~full] / y
-        k = np.arange(1.0, cfg.last_index(d.min(), 0, 1, "theta_lattice") + 1.0)[:, None]
-        out[~full] = 2.0 * np.exp(-_PI * d * k * k).sum(axis=0) + out[~full]
-    return out
-
-
-def ref_w_b_minus_origin_batch(alphas, b, z, cfg):
-    y = z.y
-    full = 4.0 * alphas < y
-    c0 = 0.5 * (1.0 - 2.0 * _PI * b) * (alphas / y)
-    c2 = _PI * alphas * alphas
-    nc, w, th, thx = ref_rows_batch(alphas, z, full, 2, "w_b", cfg)
-    out = y**1.5 / (_PI * alphas**2.5) * (w * ((c0 + c2 * nc * nc) * th + thx)).sum(axis=0)
-    out[full] += b / alphas[full]
-    if not full.all():
-        a = alphas[~full]
-        d = a / y
-        k = np.arange(1.0, cfg.last_index(d.min(), 2, 1, "w_b") + 1.0)[:, None]
-        out[~full] = 2.0 * ((k * k * d - b) * np.exp(-_PI * d * k * k)).sum(axis=0) / a + out[~full]
-    return out
-
-
 def ref_dx_w(alpha, z, cfg):
     x, y = z.x, z.y
     X0 = y / alpha
@@ -248,17 +198,3 @@ def test_origin_free_sums_equal_frozen_reference(x, y, t, b, cfg):
     z = UpperHalfPoint(x, y)
     assert _theta_minus_one(t * y, z, cfg) == ref_theta_minus_one(t * y, z, cfg)
     assert _w_b_minus_origin(t * y / 4.0, b, z, cfg) == ref_w_b_minus_origin(t * y / 4.0, b, z, cfg)
-
-
-@settings(max_examples=100, deadline=None)
-@given(x=st.floats(-1.0, 1.0), y=log_uniform(0.2, 6.0),
-       alphas=st.lists(log_uniform(0.05, 30.0), min_size=1, max_size=12),
-       b=st.floats(-1.0, 1.0), cfg=st.sampled_from(CONFIGS))
-def test_origin_free_batches_equal_frozen_reference(x, y, alphas, b, cfg):
-    # alphas on both sides of y and y/4, so both branches share one batch
-    z = UpperHalfPoint(x, y)
-    alphas = np.array(alphas)
-    assert (_theta_minus_one_batch(alphas, z, cfg).tolist()
-            == ref_theta_minus_one_batch(alphas, z, cfg).tolist())
-    assert (_w_b_minus_origin_batch(alphas, b, z, cfg).tolist()
-            == ref_w_b_minus_origin_batch(alphas, b, z, cfg).tolist())

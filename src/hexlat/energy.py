@@ -7,15 +7,16 @@ expansion
     theta(alpha; z) = sqrt(y/alpha) sum_n e^{-alpha pi y n^2} theta(y/alpha; n x)
 
 and its kin for W_b, d/dx W and d/dy W, each written once in the term table
-_SUMS, read by a float loop over one theta1d.theta_rows call at X = y/alpha.
-Where that call would take the Poisson comb (y/alpha < POISSON_SWITCH),
-theta_lattice and w_b sum the lattice points directly, to the radius that
-the Newton walks take too (:func:`_radius`).  theta and W_b include the
-origin (1 to theta, -b/alpha to W_b); the energies E_f exclude it, summing
-the row n = 0 without it where subtracting it would cancel.  A Laplace
-energy integrates the Gaussian-family energies over its transform variable,
-from one walk of the half plane where that walk is short and from the
-origin-free row sums at each node past it (:func:`laplace_energy`).
+_SUMS, read by a float loop over one theta1d.theta_rows call at X = y/alpha;
+past e^{-alpha pi y} = 0.0 that call takes the row n = 0 alone.  Where it
+would take the Poisson comb (y/alpha < POISSON_SWITCH), theta_lattice and
+w_b sum the lattice points directly, to the radius that the Newton walks
+take too (:func:`_radius`).  theta and W_b include the origin (1 to theta,
+-b/alpha to W_b); the energies E_f exclude it, summing the row n = 0
+without it where subtracting it would cancel.  A Laplace energy integrates
+the Gaussian-family energies over its transform variable, from one walk of
+the half plane where that walk is short and from the origin-free row sums
+at each node past it (:func:`laplace_energy`).
 """
 
 from __future__ import annotations
@@ -106,13 +107,16 @@ def _row_sums(name: str, alpha: float, c0: float, z: UpperHalfPoint, origin: boo
               cfg: SeriesConfig) -> list[float]:
     """sum_n w_n term(n, rows at n) for each row term of the table entry name,
     over n = 0 (only when origin is set) and n = 1..last_index, with w_0 = 1,
-    w_n = 2 e^{-alpha pi y n^2} and every row from one theta_rows call."""
+    w_n = 2 e^{-alpha pi y n^2} and every row from one theta_rows call.  Where
+    w_1 underflows to 0 so does every w_n, and only the row n = 0 is taken:
+    the others would add 0.0 t for a finite t."""
     power, orders, _, terms = _SUMS[name]
     x, y = z.x, z.y
-    ns = range(0 if origin else 1, cfg.last_index(alpha * y, power, 1, name) + 1)
     a = -alpha * _PI * y  # -alpha pi y n^2 multiplies left to right, so w_n keeps its bits
+    last = cfg.last_index(alpha * y, power, 1, name) if math.exp(a) else 0
+    ns = range(0 if origin else 1, last + 1)
     ws = [2.0 * math.exp(a * n * n) if n else 1.0 for n in ns]
-    rows = theta_rows(y / alpha, [n * x for n in ns], orders, cfg)
+    rows = theta_rows(y / alpha, [n * x for n in ns], orders, cfg) if ns else ()
     out = []
     for term in terms(alpha, c0, _PI * alpha * alpha):
         acc = 0.0
@@ -124,7 +128,10 @@ def _row_sums(name: str, alpha: float, c0: float, z: UpperHalfPoint, origin: boo
 
 def _row0_sum(name: str, d: float, b: float, cfg: SeriesConfig) -> float:
     """sum_{k>=1} row0(k, d, b) of the table entry name at d = alpha/y, added
-    in order from 0.0 (the built-in sum compensates from Python 3.12 on)."""
+    in order from 0.0 (the built-in sum compensates from Python 3.12 on); 0.0
+    where d = inf, at which every exponential is 0 and a term would be inf 0."""
+    if d == math.inf:
+        return 0.0
     power, _, row0, _ = _SUMS[name]
     acc = 0.0
     for k in range(1, cfg.last_index(d, power, 1, name) + 1):
@@ -261,8 +268,6 @@ def w_b_via_theta_derivative(
 def dx_w(alpha: float, z: UpperHalfPoint, cfg: SeriesConfig = DEFAULT_CONFIG) -> float:
     """d/dx of W_{1/(2 pi)}(alpha; z), by the theta_Y / theta_XY series."""
     _check_alpha(alpha)
-    if _off_row_underflows(_PI * alpha * alpha, alpha, z.y):
-        return 0.0  # x moves only the points off the row through the origin
     (acc,) = _row_sums("dx_w", alpha, 0.0, z, False, cfg)
     return _w_scale(z.y, alpha) * acc
 
@@ -296,7 +301,8 @@ def dy_w(alpha: float, z: UpperHalfPoint, cfg: SeriesConfig = DEFAULT_CONFIG) ->
     vertical line x = 1/2 where the minimization uses it)."""
     _check_alpha(alpha)
     if _off_row_underflows(_dy_c4(alpha), alpha, z.y):
-        return 2.0 * _row0_sum("dy_w", alpha / z.y, B_CRITICAL, cfg) / (z.y * z.y)
+        s = 2.0 * _row0_sum("dy_w", alpha / z.y, B_CRITICAL, cfg)
+        return s / (z.y * z.y) if s else 0.0  # y^2 may underflow where s is 0
     s_low, s_high = _row_sums("dy_w", alpha, 0.0, z, True, cfg)
     return (1.5 * math.sqrt(z.y) * s_low + z.y**1.5 * s_high) / (_PI * alpha**2.5)
 
@@ -488,7 +494,9 @@ def _terms(p: Gaussian | GaussianDiff | PolyGaussian | YukawaDiff, dual: bool):
     al, flip = p.alpha, dual and p.alpha < 1.0
     if isinstance(p, PolyGaussian):
         if flip:
-            return [((1.0 / _PI - p.b) / (al * al), -1.0 / al**3, _PI / al)], []
+            if not (c3 := al**3):
+                raise ThetaOverflow(f"the dual W_b terms' factor 1/alpha^3 overflows at alpha = {al:.3g}")
+            return [((1.0 / _PI - p.b) / (al * al), -1.0 / c3, _PI / al)], []
         return [(-p.b / al, 1.0, _PI * al)], []
     gauss = [(1.0 / al, 0.0, _PI / al) if flip else (1.0, 0.0, _PI * al)]
     if isinstance(p, GaussianDiff):
@@ -654,7 +662,7 @@ def _slice_integrand(p: LaplaceWeighted, qs, ks, dual: bool) -> Callable[[np.nda
             A = p.alpha * t
             try:
                 gauss, _ = _terms(_slice(p, A), dual)
-            except (NonPositiveAlpha, ZeroDivisionError):  # A = inf, or A^3 = 0 in a dual W_b term
+            except (NonPositiveAlpha, ThetaOverflow):  # A = inf, or A^3 = 0 in a dual W_b term
                 terms += blank
                 const.append(math.nan)
                 continue

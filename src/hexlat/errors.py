@@ -30,7 +30,8 @@ class TruncationFailure(HexlatError, ArithmeticError):
 
 
 class ThetaOverflow(HexlatError, ArithmeticError):
-    """A Poisson prefactor X^{-k/2} of theta passes the float range."""
+    """A Poisson prefactor passes the float range: theta's X^{-k/2}, or the
+    1/alpha^3 of W_b's dual terms."""
 
 
 class RadiusTooLarge(HexlatError):

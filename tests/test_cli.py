@@ -449,6 +449,13 @@ def test_theta_prefactor_overflow_exit_3(capsys):
     assert err == "hexlat: error: theta's Poisson prefactor overflows at X = y/alpha = 1e-220\n"
 
 
+def test_minimize_underflowing_alpha_cube_exit_3(capsys):
+    # alpha^3 underflows to 0: the Newton walk's dual W_b terms would divide by it
+    code, out, err = run_cli(capsys, "minimize", "w", "--alpha", "1e-110", "--b", "0.1")
+    assert code == 3 and out == ""
+    assert err == "hexlat: error: the dual W_b terms' factor 1/alpha^3 overflows at alpha = 1e-110\n"
+
+
 def test_out_directory_exit_2(capsys, tmp_path):
     code, out, err = run_cli(capsys, "theta", "1", "0", "1", "--out", str(tmp_path))
     assert code == 2

@@ -190,6 +190,20 @@ def test_dx_w_where_powers_of_alpha_overflow(alpha, y):
 
 
 @pytest.mark.parametrize("call", [
+    lambda: dy_w(1e160, UpperHalfPoint(0.3, 3e-157)),
+    lambda: dy_w(1e165, UpperHalfPoint(0.3, 1e-162)),  # y^2 underflows too
+    lambda: w_b(1e160, 0.0, UpperHalfPoint(0.3, 3e-157)),
+    lambda: closed_form_energy(PolyGaussian(1e160, 0.0), UpperHalfPoint(0.3, 3e-157)),
+], ids=["dy_w", "dy_w-y-squared", "w_b", "poly-gaussian-energy"])
+def test_origin_row_where_alpha_over_y_overflows(call):
+    # alpha/y = inf: every exponential of the row through the origin is 0,
+    # where its terms would be inf * 0 = nan, and the other rows underflow
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert call() == 0.0
+
+
+@pytest.mark.parametrize("call", [
     lambda: w_b(1e110, 0.5, UpperHalfPoint(0.2, 1e-110)),
     lambda: closed_form_energy(PolyGaussian(1e110, 0.5), UpperHalfPoint(0.2, 1e-110)),
     lambda: dy_w(3e102, UpperHalfPoint(0.2, 1e-101)),

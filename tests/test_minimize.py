@@ -29,8 +29,8 @@ from hexlat import (
     w_b,
 )
 from hexlat._newton import hessian_walk, line_search, newton
-from hexlat.energy import _DIRECT_CAP
-from hexlat.errors import InvalidParameter, NonPositiveAlpha, OptimizerDivergence, RadiusTooLarge
+from hexlat.energy import _DIRECT_CAP, _terms
+from hexlat.errors import InvalidParameter, NonPositiveAlpha, OptimizerDivergence, RadiusTooLarge, ThetaOverflow
 from hexlat.minimize import GAMMA_Y_MAX
 from hexlat.moduli import MAX_ENUMERATION, enumeration_estimate, half_plane_norms, in_fundamental_domain
 
@@ -78,6 +78,54 @@ def test_w_witness_adaptive_start():
     assert out.witness_values[-1] < w_b(4.0, B_CRITICAL + 0.01, HEX)
 
 
+#: Supercritical cells like those of the benchmark's classify pool, at alpha
+#: near 1 and 4: (alpha, a (None for W_b), b, k0, values), the witness taking
+#: y = (sqrt(3)/2) 2^k for k = k0..k0 + 12.  Recorded before the lattice sums
+#: took the row through the origin alone where every other row's weight
+#: underflows, so that a change to any witness point or value fails.
+_WITNESS_CELLS = [
+    (1.1, None, 0.1989436788648692, 1, (
+        -0.06088470919555451, -0.06463256995344539, -0.09077824204663233, -0.12837971870300424,
+        -0.18155633932343077, -0.25675943740600743, -0.36311267864686153, -0.5135188748120149,
+        -0.7262253572937231, -1.0270377496240297, -1.4524507145874461, -2.0540754992480594,
+        -2.9049014291748922)),
+    (3.9, None, 0.17507043740108488, 4, (
+        -0.0077411709810850625, -0.010878364449265451, -0.015384327762007677, -0.021756724969024182,
+        -0.03076865552401535, -0.043513449938048364, -0.0615373110480307, -0.08702689987609673,
+        -0.1230746220960614, -0.17405379975219346, -0.2461492441921228, -0.3481075995043869,
+        -0.4922984883842456)),
+    (1.05, 2.0, 1.8384776310850237, 2, (
+        -0.5712700411852263, -0.770824608113887, -1.0898128292505653, -1.5412280702952081,
+        -2.1796256397215963, -3.0824561405904163, -4.359251279443193, -6.164912281180833,
+        -8.718502558886385, -12.329824562361665, -17.43700511777277, -24.65964912472333,
+        -34.87401023554554)),
+    (3.8, 2.0, 1.48492424049175, 4, (
+        -0.10848747275256998, -0.13508640264441052, -0.1909560888562929, -0.27005268940621985,
+        -0.3819121759136035, -0.5401053788124397, -0.763824351827207, -1.0802107576248794,
+        -1.527648703654414, -2.160421515249759, -3.055297407308828, -4.320843030499518,
+        -6.110594814617656)),
+    (1.2, 4.0, 3.0, 3, (
+        -1.2787687390217175, -1.7002184410268013, -2.4028116054019044, -3.39808848969425,
+        -4.805622828269508, -6.796176979388489, -9.611245656539015, -13.592353958776979,
+        -19.22249131307803, -27.184707917553958, -38.44498262615606, -54.369415835107915,
+        -76.88996525231212)),
+    (4.0, 4.0, 2.4, 5, (
+        -0.5538044957301138, -0.7446516510674486, -1.052859214817274, -1.488967774563359,
+        -2.1057184207239867, -2.977935549126718, -4.2114368414479735, -5.955871098253436,
+        -8.422873682895947, -11.911742196506871, -16.845747365791894, -23.823484393013743,
+        -33.69149473158379)),
+]
+
+
+@pytest.mark.parametrize("alpha, a, b, k0, values", _WITNESS_CELLS,
+                         ids=["w-1.1", "w-3.9", "td2-1.05", "td2-3.8", "td4-1.2", "td4-4.0"])
+def test_witness_cells_keep_their_points_and_values(alpha, a, b, k0, values):
+    out = minimize_w(alpha, b) if a is None else minimize_theta_difference(alpha, a, b)
+    want = NoMinimizer(witness_y=tuple(RT3_2 * 2.0**k for k in range(k0, k0 + 13)),
+                       witness_values=values, asymptotic_slope_sign=-1)
+    assert repr(out) == repr(want)
+
+
 def test_w_advisory_flag_below_alpha_one():
     out = minimize_w(0.5, 0.0)
     assert isinstance(out, Minimizer)
@@ -85,6 +133,19 @@ def test_w_advisory_flag_below_alpha_one():
     # outside the theorem hypotheses the minimizer is genuinely not hexagonal
     assert out.distance_to_hex > 0.1
     assert out.value < w_b(0.5, 0.0, HEX)
+
+
+@pytest.mark.parametrize("alpha", [1e-110, 1e-170])  # alpha^3 underflows; alpha^2 too at 1e-170
+def test_w_alpha_cube_underflow_raises(alpha):
+    # the Newton walk takes W_b's dual terms below alpha = 1, whose factor is
+    # 1/alpha^3; they were a bare ZeroDivisionError
+    with pytest.raises(ThetaOverflow, match=f"overflows at alpha = {alpha:.3g}$"):
+        hessian_walk(PolyGaussian(alpha, 0.3), HEX)
+    with pytest.raises(ThetaOverflow, match=f"overflows at alpha = {alpha:.3g}$"):
+        minimize_w(alpha, 0.1)
+    # where alpha^3 is subnormal but not 0 the terms stand as they were
+    (((_, coeff, _),), _) = _terms(PolyGaussian(2e-108, 0.3), True)
+    assert coeff == -1.0 / 2e-108**3
 
 
 def test_w_invalid_alpha():

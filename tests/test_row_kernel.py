@@ -14,6 +14,7 @@ alpha >= y/4 for W_b) to the rows n >= 1.
 
 import math
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -198,3 +199,115 @@ def test_origin_free_sums_equal_frozen_reference(x, y, t, b, cfg):
     z = UpperHalfPoint(x, y)
     assert _theta_minus_one(t * y, z, cfg) == ref_theta_minus_one(t * y, z, cfg)
     assert _w_b_minus_origin(t * y / 4.0, b, z, cfg) == ref_w_b_minus_origin(t * y / 4.0, b, z, cfg)
+
+
+#: Past alpha pi y ~ 745 every row n >= 1 has weight 2 e^{-alpha pi y n^2} =
+#: 0.0, and the row sums take the row n = 0 alone; the last six points lie in
+#: the subnormal band alpha pi y in (708, 745), where they take every row.
+#: (alpha, x, y, b, theta_lattice, w_b, dx_w, dy_w, theta - 1, W_b + b/alpha),
+#: seeded, alpha in [0.05, 50], recorded before that route existed.  Six
+#: points have alpha >= y, where the origin-free sums drop the origin from
+#: the row n = 0.
+_LARGE_Y = [
+    (0.10910421146919157, 0.927374, 5580.887430105445, -0.969778,
+     226.16785225134078, 2340.224411474508, 0.0, 0.0, 225.16785225134078, 2331.3358636637404),
+    (3.095655862336644, -0.18578, 276.3067427353202, 0.105141,
+     9.44755445956249, 0.16484379776995273, 0.0, 9.144042659123913e-120, 8.44755445956249, 0.19880784438094717),
+    (0.12487058961306548, -0.120291, 53744.01941857846, 0.65901,
+     656.0470553641654, -2626.1463104290287, 0.0, 0.0, 655.0470553641654, -2620.8687666771966),
+    (0.8946927418308177, 0.347051, 1232.599337184069, 0.008525,
+     37.11709751175776, 6.249012677236656, 0.0, 0.0, 36.11709751175776, 6.258541088054603),
+    (0.7481723132266574, -0.992885, 136622.01888254008, 0.9693,
+     427.3262119190441, -462.72257360130254, 0.0, 0.0, 426.3262119190441, -461.42701643771323),
+    (0.12367352590852847, -0.269039, 7408.097819009776, -0.280355,
+     244.7456507015386, 869.7750486339477, 0.0, 0.0, 243.7456507015386, 867.5081528052692),
+    (0.060584184424734955, -0.560821, 22039.3084038106, -0.607098,
+     603.1416894564678, 7628.378578267182, 0.0, 0.0, 602.1416894564678, 7618.357844213162),
+    (0.09636637174705737, -0.794748, 2959362.597090067, -0.737271,
+     5541.614823513599, 51549.593539324, 0.0, 0.0, 5540.614823513599, 51541.94283102572),
+    (0.43917282315038997, 0.344998, 669644.3565500142, -0.407463,
+     1234.822055475848, 1593.159449483139, 0.0, 0.0, 1233.822055475848, 1592.2316530018425),
+    (0.12226016725131428, 0.021706, 1304128.0964764801, 0.305163,
+     3266.0109239114113, -3900.4028831460846, 0.0, 0.0, 3265.0109239114113, -3897.9068698748715),
+    (1.6532194784195213, -0.855791, 20738.286210363243, 0.520025,
+     112.00081300235034, -24.44789714221824, 0.0, 0.0, 111.00081300235034, -24.133344230890856),
+    (4.8486707521136525, -0.611512, 343.767257683164, 0.60968,
+     8.420170926579662, -0.7823789611244675, 0.0, 2.9286238466518097e-95, 7.420170926579662, -0.6566372823903059),
+    (0.24924758712092293, 0.775769, 126973.09106578951, -0.097904,
+     713.7405394576039, 736.1089863862892, 0.0, 0.0, 712.7405394576039, 735.7161882006342),
+    (0.12394999356466739, -0.360979, 2105.914334188096, 0.011873,
+     130.345816256014, 154.8816949479639, 0.0, 0.0, 129.345816256014, 154.97748357738246),
+    (10.283178696999757, 0.800168, 2203.100077822798, 0.95735,
+     14.637045453355213, -1.1361484296695241, 0.0, 9.143181478588885e-291, 13.637045453355213, -1.0430497849596623),
+    (0.30151557185294625, 0.431891, 33372.01397022246, -0.198189,
+     332.68738638537525, 394.2875047457528, 0.0, 0.0, 331.68738638537525, 393.63019541084174),
+    (26.83553540220448, -0.199735, 65.90087910369039, 0.394164,
+     1.5684757161607505, -0.013863694772651756, 0.0, 1.2066803791598382e-05, 0.5684757161607505, 0.0008244414650780167),
+    (0.11760541285255557, -0.340225, 40719.46970053129, 0.578706,
+     588.4199669668873, -2099.156944045583, 0.0, 0.0, 587.4199669668873, -2094.2362011480977),
+    (0.15907000941857968, -0.315958, 21134.198349698625, 0.151701,
+     364.5010100778207, 17.080339631520125, 0.0, 0.0, 363.5010100778207, 18.034014057984834),
+    (0.0626375573138611, 0.039978, 927051.2902594404, 0.050662,
+     3847.108853364753, 6663.480821977484, 0.0, 0.0, 3846.108853364753, 6664.289633849668),
+    (13.133886762977356, 0.683179, 266.3859266157322, 0.780796,
+     4.503591644247065, -0.21315986045379925, 0.0, 6.902118969909308e-28, 3.5035916442470647, -0.15371089351120631),
+    (0.6785205387617631, 0.561611, 2234.0364100681395, 0.288145,
+     57.38040699406541, -10.908294651009024, 0.0, 0.0, 56.38040699406541, -10.483628066080236),
+    (36.358904274131994, -0.20666, 3629.6331923301473, -0.216083,
+     9.991391476660953, 0.10311502123554177, 0.0, 2.9574872453002664e-136, 8.991391476660953, 0.09717196535105146),
+    (4.854606296859747, -0.078086, 172.31295849394897, 0.698861,
+     5.957745702723262, -0.6623464900455288, 0.0, 2.0752026400712126e-47, 4.957745702723262, -0.5183881631978778),
+    (21.86038507890001, 0.47146, 13.35403144725445, -0.817878,
+     1.011683226267799, 0.03872570220902616, 0.0, 0.00023865410706468615, 0.01168322626779917, 0.0013119971417065173),
+    (22.451650690136734, -0.512591, 12.7526286612604, -0.876244,
+     1.0079245777528296, 0.03995873178580223, 0.0, 0.00019641871290036284, 0.007924577752829622, 0.0009306882760684936),
+    (30.31526620773075, -0.391604, 7.900665063586035, 0.654824,
+     1.0000116371429664, -0.02159924849301318, 0.0, 1.967681998310817e-06, 1.1637142966294035e-05, 1.2215643143110574e-06),
+    (22.720886335430293, 0.253184, 13.3058568519325, -0.956148,
+     1.0093592480065903, 0.04317958954374179, 0.0, 0.00020429308921236246, 0.009359248006590168, 0.0010972523547646826),
+    (26.960406319794906, 0.500245, 10.58321185581269, 0.233153,
+     1.0006688415532101, -0.00859056374765664, 0.0, 3.883375656362703e-05, 0.0006688415532102009, 5.741422546515622e-05),
+    (41.89522715263743, -0.047681, 6.341413113997175, -0.938322,
+     1.0000000019370061, 0.022396871395301762, 0.0, 9.274884550609945e-10, 1.937006175282925e-09, 3.4883627418216137e-10),
+    (1.5716184288061765, -0.96643, 149.7830033428575, -0.857741,
+     9.762425010655342, 6.316654352046025, 0.0, 2.1886088990346466e-127, 8.762425010655342, 5.770885109156991),
+    (7.586122157968137, 0.752393, 30.525278243586474, -0.182064,
+     2.005962039832352, 0.09022000924517104, 5.53304e-319, 2.5131767697302104e-06, 1.0059620398323519, 0.06622039571287802),
+    (2.1525689367881182, -0.884617, 107.19603957644725, 0.625964,
+     7.056849181094206, -1.530358008364018, 0.0, 5.360088305450127e-66, 6.056849181094206, -1.2395594237974255),
+    (0.9518176635619322, -0.032889, 245.07252244513614, -0.315389,
+     16.04613458210924, 8.000057434825994, 0.0, -1.2886547562e-314, 15.04613458210924, 7.668703004167775),
+    (0.2690377969079003, -0.21408, 875.2000357126279, -0.585819,
+     57.0357313021128, 157.9336960591097, 0.0, -4.654224e-317, 56.0357313021128, 155.75623621245276),
+    (0.3819847124656145, -0.930364, 597.6565836623658, 0.576563,
+     39.555134252523736, -43.223278812686516, 0.0, -1.869588663824707e-307, 38.555134252523736, -41.713891182279966),
+]
+
+
+@pytest.mark.parametrize("row", _LARGE_Y)
+def test_large_y_sums_equal_recorded_values(row):
+    alpha, x, y, b, *want = row
+    z = UpperHalfPoint(x, y)
+    got = [theta_lattice(alpha, z), w_b(alpha, b, z), dx_w(alpha, z), dy_w(alpha, z),
+           _theta_minus_one(alpha, z, DEFAULT_CONFIG), _w_b_minus_origin(alpha, b, z, DEFAULT_CONFIG)]
+    assert list(map(repr, got)) == list(map(repr, want))
+
+
+def test_origin_row_route_takes_one_theta_row(monkeypatch):
+    calls = []
+
+    def spy(X, Ys, orders, cfg=DEFAULT_CONFIG):
+        calls.append(list(Ys))
+        return theta_rows(X, Ys, orders, cfg)
+
+    monkeypatch.setattr("hexlat.energy.theta_rows", spy)
+    # alpha pi y = 2e4 pi: the row through the origin alone, whose theta is 1 to rounding
+    assert theta_lattice(2.0, UpperHalfPoint(0.5, 1e4)) == math.sqrt(5e3)
+    assert calls == [[0.0]]
+    # d/dx W has no row n = 0, so it takes none
+    calls.clear()
+    assert dx_w(2.0, UpperHalfPoint(0.5, 1e4)) == 0.0
+    assert calls == []
+    # in the subnormal band w_1 is not 0 and every row is taken
+    theta_lattice(2.0, UpperHalfPoint(0.5, 740.0 / (2.0 * _PI)))
+    assert len(calls) == 1 and len(calls[0]) > 1

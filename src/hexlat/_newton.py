@@ -1,6 +1,7 @@
 """Newton steps that locate a minimizer: a safeguarded line search on
-x = 1/2, then a trust-region refinement in the plane, with the half-plane
-walk that gives each of their iterates a value, gradient and Hessian.
+x = 1/2, then a trust-region refinement in the plane, each iterate's value,
+gradient and Hessian from one half-plane walk (:func:`hexlat.energy._walk`,
+which dx_w and dy_w take too).
 
 The walk covers every family.  A LaplaceWeighted potential is a nonnegative
 mixture of Gaussian families over its transform variable, which the walk
@@ -12,9 +13,9 @@ from __future__ import annotations
 import math
 from typing import Callable
 
-from .energy import LaplaceWeighted, PotentialSpec, _radius, _slice, _terms, _weight
+from .energy import LaplaceWeighted, PotentialSpec, _slice, _terms, _walk, _weight
 from .errors import RadiusTooLarge
-from .moduli import RT3_2, UpperHalfPoint, _half_plane
+from .moduli import RT3_2, UpperHalfPoint
 from .quadrature import exp_sinh_rule
 
 _PI = math.pi
@@ -64,74 +65,13 @@ def walk_terms(p: PotentialSpec, y_max: float):
     return gauss, []
 
 
-def _walk_derivatives(gauss, yukawa) -> Callable[[float], tuple[float, float, float]]:
-    """q -> (f(q), f'(q), f''(q)) for the terms of :func:`walk_terms`."""
-    exp = math.exp
-
-    def derivs(q: float) -> tuple[float, float, float]:
-        f0 = f1 = f2 = 0.0
-        for A, B, c in gauss:
-            e = exp(-c * q)
-            t = (A + B * q) * e
-            be = B * e
-            f0 += t
-            f1 += be - c * t
-            f2 += c * (c * t - 2.0 * be)
-        for w, c in yukawa:
-            t, s = w * exp(-c * q) / q, 1.0 / q
-            f0 += t
-            f1 -= t * (c + s)
-            f2 += t * (c * c + 2.0 * s * (c + s))
-        return f0, f1, f2
-    return derivs
-
-
 def hessian_walk(p, z: UpperHalfPoint):
-    """E_f at z, up to a constant that depends on p alone, with its gradient
-    and Hessian in (x, y), from one walk of the half plane; or None where a
-    sum is not finite.  p is a potential spec or its :func:`walk_terms`; a
-    LaplaceWeighted spec takes the rule chosen for y_max = z.y.
-
-    Returns (value, (E_x, E_y), (E_xx, E_xy, E_yy), sum |f|), the last a
-    scale for the rounding of the value.  With u = m x + n and q = u^2/y +
-    m^2 y, q_x = 2 m u/y, q_y = m^2 - u^2/y^2, q_xx = 2 m^2/y, q_xy = -2 m
-    u/y^2 and q_yy = 2 u^2/y^3; f, f' and f'' are taken once per distinct
-    norm and a pair +-P shares every term.  The radius and the point cap are
-    :func:`hexlat.energy._radius`'s, for the proven tail of the value, the
-    gradient and the Hessian; a walk past the cap raises RadiusTooLarge.
-    """
-    gauss, yukawa = p if isinstance(p, tuple) else walk_terms(p, z.y)
-    derivs = _walk_derivatives(gauss, yukawa)
-    r2, cap = _radius(gauss, yukawa, z, lambda q: derivs(q)[0], 0.0, True)
-    # the estimate counts a disc's area; at large y the row m = 0 alone can
-    # pass the cap, which _half_plane's exact count catches
-    rows = _half_plane(z, math.sqrt(r2), cap)
-    x, y = z.x, z.y
-    iy = 1.0 / y
-    iy2 = iy * iy
-    f = fs = gx = gy = hxx = hxy = hyy = 0.0
-    seen: dict[float, tuple[float, float, float]] = {}
-    for m, ns, qs in rows:
-        mx, kx, mm = m * x, 2.0 * m * iy, m * m
-        cxx = 2.0 * mm * iy
-        for n, q in zip(ns, qs):
-            v = seen.get(q)
-            if v is None:
-                v = seen[q] = derivs(q)
-            f0, f1, f2 = v
-            u = mx + n
-            qx, w = kx * u, u * u * iy2
-            qy = mm - w
-            f += f0
-            fs += abs(f0)
-            gx += f1 * qx
-            gy += f1 * qy
-            hxx += f2 * qx * qx + f1 * cxx
-            hxy += (f2 * qy - f1 * iy) * qx
-            hyy += f2 * qy * qy + 2.0 * f1 * w * iy
-    if not all(map(math.isfinite, (f, fs, gx, gy, hxx, hxy, hyy))):
-        return None
-    return 2.0 * f, (2.0 * gx, 2.0 * gy), (2.0 * hxx, 2.0 * hxy, 2.0 * hyy), 2.0 * fs
+    """The walk of :func:`hexlat.energy._walk` at z for p, a potential spec or
+    its :func:`walk_terms` (a LaplaceWeighted spec takes the rule chosen for
+    y_max = z.y): (E_f up to a constant of p alone, (E_x, E_y), (E_xx, E_xy,
+    E_yy), sum |f|), or None where a sum is not finite.  A walk past its
+    point cap raises RadiusTooLarge."""
+    return _walk(*(p if isinstance(p, tuple) else walk_terms(p, z.y)), z)
 
 
 def _trust_step(g: tuple[float, float], h: tuple[float, float, float],

@@ -40,8 +40,10 @@ class SeriesConfig(Record):
         """Last index N of sum_{n >= start} n^p e^{-pi d n^2} under the rule above.
 
         Raises TruncationFailure, naming the series `name`, when N - start + 1
-        would exceed MAX_TERMS.
+        would exceed MAX_TERMS.  At d = inf every term past start is 0.0.
         """
+        if d == math.inf:  # the first bound would be 0^0 e^{-pi inf 0} = nan
+            return start
         peak = start**p * math.exp(-math.pi * d * start * start)
         for n in range(start + 1, start + MAX_TERMS - 2):
             bound = n**p * math.exp(-math.pi * d * n * n)

@@ -9,9 +9,12 @@ expansion
 and its kin for W_b, d/dx W and d/dy W, each written once in the term table
 _SUMS, read by a float loop over one theta1d.theta_rows call at X = y/alpha;
 past e^{-alpha pi y} = 0.0 that call takes the row n = 0 alone.  Where it
-would take the Poisson comb (y/alpha < POISSON_SWITCH), theta_lattice and
-w_b sum the lattice points directly, to the radius that the Newton walks
-take too (:func:`_radius`).  theta and W_b include the origin (1 to theta,
+would take the Poisson comb (y/alpha < POISSON_SWITCH), the lattice is
+walked instead: theta_lattice and w_b sum its points directly, and dx_w and
+dy_w take the gradient of the half-plane walk that gives the Newton steps
+their values, gradients and Hessians (:func:`_walk`), each to a radius that
+one proven tail sets (:func:`_radius`); they take the rows only where the
+walk would pass its point cap.  theta and W_b include the origin (1 to theta,
 -b/alpha to W_b); the energies E_f exclude it, summing the row n = 0
 without it where subtracting it would cancel.  A Laplace energy integrates
 the Gaussian-family energies over its transform variable, from one walk of
@@ -111,7 +114,8 @@ def _row_sums(name: str, alpha: float, c0: float, z: UpperHalfPoint, origin: boo
     w_1 underflows to 0 so does every w_n, and only the row n = 0 is taken:
     the others would add 0.0 t for a finite t."""
     power, orders, _, terms = _SUMS[name]
-    x, y = z.x, z.y
+    # from 2^53 on x is an integer: the lattice of x = 0, where n x cannot overflow
+    x, y = (z.x if abs(z.x) < 2.0**53 else 0.0), z.y
     a = -alpha * _PI * y  # -alpha pi y n^2 multiplies left to right, so w_n keeps its bits
     last = cfg.last_index(alpha * y, power, 1, name) if math.exp(a) else 0
     ns = range(0 if origin else 1, last + 1)
@@ -266,8 +270,24 @@ def w_b_via_theta_derivative(
 
 
 def dx_w(alpha: float, z: UpperHalfPoint, cfg: SeriesConfig = DEFAULT_CONFIG) -> float:
-    """d/dx of W_{1/(2 pi)}(alpha; z), by the theta_Y / theta_XY series."""
+    """d/dx of W_{1/(2 pi)}(alpha; z).
+
+    Below y/alpha = POISSON_SWITCH from one walk of the half plane
+    (:func:`_critical_gradient`), as theta_lattice and w_b sum directly
+    there; from there on, and where the walk would pass its point cap, by
+    the theta_Y / theta_XY row series (:func:`_dx_rows`).  Against 40-digit
+    sums the walk stayed within 1.6 ulps of sum |f'(q) q_x| (1 + pi alpha
+    q), a term's exponential carrying the rounding of q pi alpha q times
+    over (README, "Direct lattice sums"; for d/dy W with |q_y| taken as m^2
+    + u^2/y^2, whose two parts may cancel)."""
     _check_alpha(alpha)
+    if z.y / alpha < POISSON_SWITCH and (g := _critical_gradient(alpha, z, 0)) is not None:
+        return g
+    return _dx_rows(alpha, z, cfg)
+
+
+def _dx_rows(alpha: float, z: UpperHalfPoint, cfg: SeriesConfig) -> float:
+    """The row expansion of :func:`dx_w`."""
     (acc,) = _row_sums("dx_w", alpha, 0.0, z, False, cfg)
     return _w_scale(z.y, alpha) * acc
 
@@ -298,11 +318,24 @@ def dx_w_double_sum(
 
 def dy_w(alpha: float, z: UpperHalfPoint, cfg: SeriesConfig = DEFAULT_CONFIG) -> float:
     """d/dy of W_{1/(2 pi)}(alpha; z), valid for every z (not only on the
-    vertical line x = 1/2 where the minimization uses it)."""
+    vertical line x = 1/2 where the minimization uses it).
+
+    Where pi^2 alpha^3 overflows, from the row through the origin alone
+    (:func:`_off_row_underflows`); else below y/alpha = POISSON_SWITCH from
+    one walk of the half plane, to the accuracy :func:`dx_w` states, and
+    from there on, and where the walk would pass its point cap, by the
+    theta, theta_X and theta_XX row series (:func:`_dy_rows`)."""
     _check_alpha(alpha)
     if _off_row_underflows(_dy_c4(alpha), alpha, z.y):
         s = 2.0 * _row0_sum("dy_w", alpha / z.y, B_CRITICAL, cfg)
         return s / (z.y * z.y) if s else 0.0  # y^2 may underflow where s is 0
+    if z.y / alpha < POISSON_SWITCH and (g := _critical_gradient(alpha, z, 1)) is not None:
+        return g
+    return _dy_rows(alpha, z, cfg)
+
+
+def _dy_rows(alpha: float, z: UpperHalfPoint, cfg: SeriesConfig) -> float:
+    """The row expansion of :func:`dy_w`."""
     s_low, s_high = _row_sums("dy_w", alpha, 0.0, z, True, cfg)
     return (1.5 * math.sqrt(z.y) * s_low + z.y**1.5 * s_high) / (_PI * alpha**2.5)
 
@@ -514,7 +547,7 @@ def _tail(gauss, yukawa, z: UpperHalfPoint, r2: float, derivatives: bool = False
     for the cell diameter sqrt(d2) = max |e1 +- e2| of the basis
     e1 = (1/sqrt(y), 0), e2 = (x/sqrt(y), sqrt(y))."""
     y = z.y
-    d2 = ((abs(z.x) + 1.0) ** 2 + y * y) / y
+    d2 = (abs(z.x) + 1.0) ** 2 / y + y  # not over y^2, which overflows from y ~ 1.3e154
     tail = 0.0
     if not derivatives:
         for A, B, c in gauss:
@@ -535,32 +568,137 @@ def _tail(gauss, yukawa, z: UpperHalfPoint, r2: float, derivatives: bool = False
     return tail
 
 
-def _radius(gauss, yukawa, z: UpperHalfPoint, f: Callable[[float], float], origin: float = 0.0,
+def _radius(gauss, yukawa, z: UpperHalfPoint, bound: Callable[[], float],
             derivatives: bool = False) -> tuple[float, int]:
-    """(R^2, cap) for a half-plane walk of the terms of :func:`_terms`, f(q)
-    their sum, over the lattice of z; RadiusTooLarge past cap, MAX_ENUMERATION
-    for YukawaDiff terms, whose energy has no other route, else _DIRECT_CAP.
-    R^2 starts at max(1/y, 36/c), c the slowest rate, and steps until the
-    proven tail (:func:`_tail`, in its mode) is at most _DIRECT_TOL times a
-    lower bound on sum |f|: origin (|f(0)| where the sum counts it) plus the
-    pairs at the basis norms 1/y and |z|^2/y, where f is evaluated only once
-    the first walk fits in cap.  That walk passes 2 R/sqrt(y) >= 2/y rows, so
-    neither norm underflows to 0, as |z|^2/y does at x = 0, y = 1e-300."""
+    """(R^2, cap) for a half-plane walk of the terms of :func:`_terms` over
+    the lattice of z; RadiusTooLarge past cap, MAX_ENUMERATION for YukawaDiff
+    terms, whose energy has no other route, else _DIRECT_CAP.  R^2 starts at
+    max(1/y, 36/c), c the slowest rate, and steps until the proven tail
+    (:func:`_tail`, in its mode) is at most _DIRECT_TOL times bound(), a lower
+    bound on the sum of the moduli of what the walk adds
+    (:func:`_value_bound`, :func:`_gradient_bound`), called only once the
+    first walk fits in cap."""
     cap = MAX_ENUMERATION if yukawa else _DIRECT_CAP
     c = min(map(itemgetter(-1), gauss + yukawa))
-    iy = 1.0 / z.y
-    r2 = max(iy, 36.0 / c)
+    r2 = max(1.0 / z.y, 36.0 / c)
     target = None
     while True:
         if not (estimate := enumeration_estimate(z, math.sqrt(r2))) <= cap:  # nan too
             raise RadiusTooLarge(f"a Newton walk at ({z.x:.6g}, {z.y:.6g}) would visit "  # direct sums catch it
                                  f"~{estimate:.3g} points, above {cap}")
         if target is None:
-            target = _DIRECT_TOL * (origin + 2.0 * (abs(f(iy)) + abs(f(z.abs2() / z.y))))
+            target = _DIRECT_TOL * bound()
         if (tail := _tail(gauss, yukawa, z, r2, derivatives)) <= target:
             return r2, cap
         # the tail falls as e^{-c r2} times a cubic: step past the exponential's share
         r2 += math.log(tail / target) / c + 1.0 / c if target > 0.0 else 0.25 * r2
+
+
+def _value_bound(f: Callable[[float], float], z: UpperHalfPoint, origin: float = 0.0) -> float:
+    """origin (|f(0)| where the sum counts it) plus the pairs at the basis
+    norms 1/y and |z|^2/y = x^2/y + y (not over y^2, which overflows from y
+    ~ 1.3e154): a lower bound on sum |f| over the lattice of z.  A walk
+    passes 2 R/sqrt(y) >= 2/y rows, so once its first radius fits in its
+    cap 1/y is far inside the float range."""
+    return origin + 2.0 * (abs(f(1.0 / z.y)) + abs(f(z.x * z.x / z.y + z.y)))
+
+
+def _gradient_bound(derivs, z: UpperHalfPoint, entry: int) -> float:
+    """2 max |f'(q) dq| over the points (m, n) = (1, 0), (1, +-1), (0, 1), f'
+    from derivs (:func:`_walk_derivatives`), dq = q_x (entry 0) or q_y (entry
+    1): a lower bound on the sum of the moduli of that gradient entry's terms
+    over the lattice of z, which far up the cusp is orders below sum |f|."""
+    x, y = z.x, z.y
+    top = 0.0
+    for m, n in ((1, 0), (1, 1), (1, -1), (0, 1)):
+        u = m * x + n
+        dq = 2.0 * m * u / y if entry == 0 else m * m - u * u / (y * y)
+        top = max(top, abs(derivs(u * u / y + m * m * y)[1] * dq))
+    return 2.0 * top
+
+
+def _walk_derivatives(gauss, yukawa) -> Callable[[float], tuple[float, float, float]]:
+    """q -> (f(q), f'(q), f''(q)) for the terms of :func:`_terms`."""
+    exp = math.exp
+
+    def derivs(q: float) -> tuple[float, float, float]:
+        f0 = f1 = f2 = 0.0
+        for A, B, c in gauss:
+            e = exp(-c * q)
+            t = (A + B * q) * e
+            be = B * e
+            f0 += t
+            f1 += be - c * t
+            f2 += c * (c * t - 2.0 * be)
+        for w, c in yukawa:
+            t, s = w * exp(-c * q) / q, 1.0 / q
+            f0 += t
+            f1 -= t * (c + s)
+            f2 += t * (c * c + 2.0 * s * (c + s))
+        return f0, f1, f2
+    return derivs
+
+
+def _walk(gauss, yukawa, z: UpperHalfPoint, entry: int | None = None):
+    """The sum of the terms of :func:`_terms` over the nonzero points of the
+    lattice of z, with its gradient and Hessian in (x, y), from one walk of
+    the half plane; or None where a sum is not finite.
+
+    Returns (value, (E_x, E_y), (E_xx, E_xy, E_yy), sum |f|), the last a
+    scale for the rounding of the value.  With u = m x + n and q = u^2/y +
+    m^2 y, q_x = 2 m u/y, q_y = m^2 - u^2/y^2, q_xx = 2 m^2/y, q_xy = -2 m
+    u/y^2 and q_yy = 2 u^2/y^3; f, f' and f'' are taken once per distinct
+    norm and a pair +-P shares every term.  The radius and the point cap are
+    :func:`_radius`'s, for the proven tail of the value, the gradient and the
+    Hessian, against sum |f| (:func:`_value_bound`) or, given an entry k, the
+    moduli of the terms of the k-th gradient entry (:func:`_gradient_bound`);
+    a walk past the cap raises RadiusTooLarge."""
+    derivs = _walk_derivatives(gauss, yukawa)
+    bound = ((lambda: _value_bound(lambda q: derivs(q)[0], z)) if entry is None
+             else (lambda: _gradient_bound(derivs, z, entry)))
+    r2, cap = _radius(gauss, yukawa, z, bound, True)
+    # the estimate counts a disc's area; at large y the row m = 0 alone can
+    # pass the cap, which _half_plane's exact count catches
+    rows = _half_plane(z, math.sqrt(r2), cap)
+    x, y = z.x, z.y
+    iy = 1.0 / y
+    iy2 = iy * iy
+    f = fs = gx = gy = hxx = hxy = hyy = 0.0
+    seen: dict[float, tuple[float, float, float]] = {}
+    for m, ns, qs in rows:
+        mx, kx, mm = m * x, 2.0 * m * iy, m * m
+        cxx = 2.0 * mm * iy
+        for n, q in zip(ns, qs):
+            v = seen.get(q)
+            if v is None:
+                v = seen[q] = derivs(q)
+            f0, f1, f2 = v
+            u = mx + n
+            qx, w = kx * u, u * u * iy2
+            qy = mm - w
+            f += f0
+            fs += abs(f0)
+            gx += f1 * qx
+            gy += f1 * qy
+            hxx += f2 * qx * qx + f1 * cxx
+            hxy += (f2 * qy - f1 * iy) * qx
+            hyy += f2 * qy * qy + 2.0 * f1 * w * iy
+    if not all(map(math.isfinite, (f, fs, gx, gy, hxx, hxy, hyy))):
+        return None
+    return 2.0 * f, (2.0 * gx, 2.0 * gy), (2.0 * hxx, 2.0 * hxy, 2.0 * hyy), 2.0 * fs
+
+
+def _critical_gradient(alpha: float, z: UpperHalfPoint, entry: int) -> float | None:
+    """d/dx (entry 0) or d/dy (entry 1) of W_{1/(2 pi)}(alpha; z) from one
+    walk (:func:`_walk`) of the dual terms of PolyGaussian(alpha, 1/(2 pi)) on
+    :func:`_near_origin` of z, cut against that entry's own terms; None where
+    the walk would pass its cap, a sum is not finite or, below alpha ~ 2e-108,
+    the dual terms' 1/alpha^3 overflows."""
+    try:
+        walk = _walk(*_terms(PolyGaussian(alpha, B_CRITICAL), True), _near_origin(z), entry)
+    except (RadiusTooLarge, ThetaOverflow):
+        return None
+    return None if walk is None else walk[1][entry]
 
 
 def _tail_bound(p: PotentialSpec, z: UpperHalfPoint, r2: float) -> float:
@@ -606,7 +744,7 @@ def _direct_sum(p: Gaussian | PolyGaussian | YukawaDiff, z: UpperHalfPoint,
     z = _near_origin(z)
     f = _pointwise(p)
     try:
-        r2, _ = _radius(*_terms(p, False), z, f, origin)
+        r2, _ = _radius(*_terms(p, False), z, lambda: _value_bound(f, z, origin))
     except RadiusTooLarge:
         return None
     return _nonzero_sum(f, reversed(half_plane_norms(z, math.sqrt(r2))))[0]
@@ -721,7 +859,7 @@ def _walk_integrand(p: LaplaceWeighted, z: UpperHalfPoint) -> Callable[[np.ndarr
     j = 0.0 if p.family == "f" else 1.0
     z = _near_origin(z)
     try:
-        r2, _ = _radius([(1.0 - j, j, c)], [], z, lambda q: q**j * math.exp(-c * q))
+        r2, _ = _radius([(1.0 - j, j, c)], [], z, lambda: _value_bound(lambda q: q**j * math.exp(-c * q), z))
         rows = _half_plane(z, math.sqrt(r2), _LAPLACE_WALK_CAP // (2 if p.family == "f" else 1))
     except RadiusTooLarge:
         return None

@@ -84,3 +84,39 @@ def unconverged_refinement(fun):
     def fake(energy, p, y0, first):
         return (0.2, 1.5), fun, 100, False
     return fake
+
+
+def mp_critical_gradient(alpha: float, z: UpperHalfPoint, exponent: float = 60.0):
+    """(d/dx W, d/dy W, sum |d/dx terms|, sum |d/dy terms|, kx, ky) at b =
+    1/(2 pi), as 40-digit mpfs, summed over every lattice point with pi alpha
+    (|P|^2 - y) <= exponent.  The terms are f'(q) q_x and f'(q) q_y, f(q) =
+    (q - b/alpha) e^{-pi alpha q}, u = m x + n, q_x = 2 m u/y and q_y = m^2 -
+    u^2/y^2; kx and ky are the rounding scales sum |f'(q)| |q_x| (1 + pi alpha
+    q) and sum |f'(q)| (m^2 + u^2/y^2) (1 + pi alpha q): the rounding of q
+    moves e^{-pi alpha q} by pi alpha q times as much, and q_y's two parts
+    may cancel.  The cut lies above y, so the points off the row through the
+    origin, which alone move d/dx W, keep their leading terms."""
+    x, y = z.x, z.y
+    r2 = y + exponent / (math.pi * alpha)
+    mmax = int(math.sqrt(r2 / y)) + 1
+    with mpmath.workdps(40):
+        X, Y, A = (mpmath.mpf(v) for v in (x, y, alpha))
+        S = 1 / (2 * mpmath.pi * A)
+        gx, gy, kx, ky = [], [], [], []
+        for m in range(-mmax, mmax + 1):
+            rem = y * (r2 - m * m * y)
+            if rem < 0.0:
+                continue
+            half, mid = math.sqrt(rem), -m * x
+            for n in range(math.ceil(mid - half) - 1, math.floor(mid + half) + 2):
+                if m or n:
+                    u = m * X + n
+                    q = (u * u + m * m * Y * Y) / Y
+                    f1 = (1 - mpmath.pi * A * (q - S)) * mpmath.exp(-mpmath.pi * A * q)
+                    gx.append(f1 * 2 * m * u / Y)
+                    gy.append(f1 * (m * m - u * u / (Y * Y)))
+                    k = abs(f1) * (1 + mpmath.pi * A * q)
+                    kx.append(k * abs(2 * m * u / Y))
+                    ky.append(k * (m * m + u * u / (Y * Y)))
+        return (mpmath.fsum(gx), mpmath.fsum(gy), mpmath.fsum(map(abs, gx)), mpmath.fsum(map(abs, gy)),
+                mpmath.fsum(kx), mpmath.fsum(ky))

@@ -212,6 +212,16 @@ def test_theta_small_y_exit_0(capsys, x):
     assert abs(float(out) - ref) <= 1e-13 * ref
 
 
+@pytest.mark.parametrize("argv", [
+    lambda x: ["theta", "2", x, "3"],
+    lambda x: ["energy", "poly-gaussian", "--alpha", "2", "--b", "0.1", "--x", x, "--y", "3"],
+], ids=["theta", "energy"])
+def test_x_past_2_53_exit_0(capsys, argv):
+    # x = 1e308 is an integer, whose lattice is that of x = 0
+    code, out, _ = run_cli(capsys, *argv("1e308"), "--precision", "17")
+    assert code == 0 and out == run_cli(capsys, *argv("0"), "--precision", "17")[1]
+
+
 def test_theta_past_both_routes_exit_3(capsys):
     # the direct sum would pass MAX_TERMS^2 points and the rows MAX_TERMS rows
     code, _, err = run_cli(capsys, "theta", "1e-8", "0.3", "1e-9")

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_energy, brute_theta, brute_w, mp_lattice_sums
+from conftest import brute_energy, brute_theta, brute_w, mp_critical_gradient, mp_lattice_sums
 from hexlat import (
     B_CRITICAL,
     DEFAULT_CONFIG,
@@ -47,6 +47,7 @@ from hexlat.errors import (
     TruncationFailure,
 )
 from hexlat.moduli import Generator
+from hexlat.theta1d import theta_rows
 
 PI = math.pi
 RT3_2 = math.sqrt(3.0) / 2.0
@@ -203,6 +204,29 @@ def test_origin_row_where_alpha_over_y_overflows(call):
         assert call() == 0.0
 
 
+@pytest.mark.parametrize("x", [2.0**53, -2.0**53, 1e308, -1e308])
+@pytest.mark.parametrize("y", [3.0, 1e4])
+def test_row_sums_where_x_is_an_integer(x, y):
+    # from 2^53 on x is an integer, whose lattice is that of x = 0: the rows
+    # take x = 0, where n x cannot overflow
+    z, z0 = UpperHalfPoint(x, y), UpperHalfPoint(0.0, y)
+    for f in (lambda z: theta_lattice(2.0, z), lambda z: w_b(2.0, 0.1, z), lambda z: dx_w(2.0, z),
+              lambda z: dy_w(2.0, z), lambda z: closed_form_energy(PolyGaussian(2.0, 0.1), z)):
+        assert repr(f(z)) == repr(f(z0))
+
+
+def test_theta_where_y_over_alpha_is_subnormal():
+    # X = y/alpha = 3e-317: the Poisson comb's decay 1/X is inf, where every
+    # term past the first is 0.0, and theta is 1 to rounding
+    z = UpperHalfPoint(0.3, 3e-157)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert DEFAULT_CONFIG.last_index(math.inf, 4, 0, "comb") == 0
+        assert DEFAULT_CONFIG.last_index(math.inf, 2, 1, "rows") == 1
+        assert theta_lattice(1e160, z) == pytest.approx(1.0, rel=2.0**-52, abs=0.0)
+        assert w_b(1e160, 0.3, z) == pytest.approx(-0.3 / 1e160, rel=2.0**-51)
+
+
 @pytest.mark.parametrize("call", [
     lambda: w_b(1e110, 0.5, UpperHalfPoint(0.2, 1e-110)),
     lambda: closed_form_energy(PolyGaussian(1e110, 0.5), UpperHalfPoint(0.2, 1e-110)),
@@ -240,6 +264,20 @@ def test_laplace_energy_where_powers_of_alpha_overflow(family, alpha, z, first_p
         assert value == pytest.approx(_first_point_laplace(family, alpha, 0.05), rel=1e-12)
     else:
         assert value == 0.0
+
+
+def test_direct_sums_where_y_squared_overflows(monkeypatch):
+    # y = 1e199: the proven tail and the basis norm |z|^2/y are formed
+    # without y^2, so the walks hold the first points of the row through the
+    # origin, pi alpha |P|^2 = 10 pi n^2, and the rows are not taken
+    z = UpperHalfPoint(0.3, 1e199)
+    monkeypatch.setattr("hexlat.energy.theta_rows", None)
+    monkeypatch.setattr("hexlat.energy._node_integrand", None)
+    e1, e2 = math.exp(-10.0 * PI), math.exp(-40.0 * PI)
+    assert theta_lattice(1e200, z) == pytest.approx(1.0 + 2.0 * (e1 + e2), rel=2.0**-52, abs=0.0)
+    assert w_b(1e200, 0.5, z) == pytest.approx(_origin_row_w(1e200, 0.5, z.y), rel=1e-14)
+    p = LaplaceWeighted(1e200, 2.0, 0.05, weight=lambda x: math.exp(-x), family="g")
+    assert laplace_energy(p, z) == pytest.approx(_first_point_laplace("g", 1e200, 0.05), rel=1e-12)
 
 
 @pytest.mark.parametrize("alpha, b, z, expected", [
@@ -368,14 +406,79 @@ def _abs_terms(p, z):
 
 @pytest.mark.parametrize("seed", range(3))
 def test_walk_gradient_matches_dx_dy_w(seed):
+    # against the row expansions, which dx_w and dy_w take from y/alpha = 1 on
     points = _walk_points(seed)
     assert min(a for a, _ in points) < 1.0 < max(a for a, _ in points)
     for alpha, z in points:
         p = PolyGaussian(alpha, B_CRITICAL)
         _, (gx, gy), _, _ = hessian_walk(p, z)
         scale = _abs_terms(p, z) + B_CRITICAL / alpha  # W_b's origin term
-        assert abs(gx - dx_w(alpha, z)) <= 1e-12 * scale
-        assert abs(gy - dy_w(alpha, z)) <= 1e-12 * scale
+        assert abs(gx - energy._dx_rows(alpha, z, DEFAULT_CONFIG)) <= 1e-12 * scale
+        assert abs(gy - energy._dy_rows(alpha, z, DEFAULT_CONFIG)) <= 1e-12 * scale
+
+
+def test_dx_dy_w_below_the_switch_match_40_digit_sums():
+    # Below y/alpha = 1 dx_w and dy_w walk the lattice to a radius cut against
+    # their own terms.  A term's exponential carries the rounding of its norm
+    # q, pi alpha q times over, and q_y's two parts may cancel, so the error
+    # is held to 8 ulps of sum |f'(q)| |dq| (1 + pi alpha q), |dq| = |q_x| or
+    # m^2 + u^2/y^2 (conftest.mp_critical_gradient).  A fifth of the points
+    # lie far up the cusp, alpha in [5, 8] and y/alpha in [0.8, 1), where
+    # d/dx W, carried by points with |P|^2 >= y alone, is below 1e-20.
+    rng = random.Random(29)
+    far = 0
+    for i in range(120):
+        if i % 5 == 4:
+            alpha = rng.uniform(5.0, 8.0)
+            y = alpha * rng.uniform(0.8, 0.99)
+        else:
+            alpha = math.exp(rng.uniform(math.log(0.25), math.log(8.0)))
+            y = alpha * math.exp(rng.uniform(math.log(0.05), 0.0))
+        z = UpperHalfPoint((0.0, 0.5, -0.7, rng.uniform(-1.0, 1.0))[i % 4], y)
+        gx, gy, _, _, kx, ky = mp_critical_gradient(alpha, z)
+        assert abs(dx_w(alpha, z) - gx) <= 8.0 * 2.0**-52 * kx
+        assert abs(dy_w(alpha, z) - gy) <= 8.0 * 2.0**-52 * ky
+        far += 0.0 < abs(gx) < 1e-20
+    assert far >= 12
+
+
+def _theta_rows_spy(monkeypatch):
+    """The X of each theta_rows call the lattice sums make from here on."""
+    calls = []
+
+    def spy(X, Ys, orders, cfg=DEFAULT_CONFIG):
+        calls.append(X)
+        return theta_rows(X, Ys, orders, cfg)
+
+    monkeypatch.setattr("hexlat.energy.theta_rows", spy)
+    return calls
+
+
+def test_dx_dy_w_take_the_rows_from_the_switch_on(monkeypatch):
+    calls = _theta_rows_spy(monkeypatch)
+    for y in (0.1, 1.0, 1.999):
+        dx_w(2.0, UpperHalfPoint(0.3, y))
+        dy_w(2.0, UpperHalfPoint(0.3, y))
+    assert calls == []
+    for y in (2.0, 4.0):
+        dx_w(2.0, UpperHalfPoint(0.3, y))
+        dy_w(2.0, UpperHalfPoint(0.3, y))
+    assert calls == [1.0, 1.0, 2.0, 2.0]
+
+
+@pytest.mark.parametrize("name", ["dx_w", "dy_w"])
+def test_dx_dy_w_take_the_rows_past_the_walk_cap(name, monkeypatch):
+    # y/alpha = 1e-8, but the walk would visit ~5e5 points: the rows answer,
+    # and raise where they would need more than MAX_TERMS rows too
+    public, rows = getattr(energy, name), getattr(energy, "_" + name[:2] + "_rows")
+    z = UpperHalfPoint(0.3, 1e-5)
+    with pytest.raises(RadiusTooLarge):
+        energy._walk(*energy._terms(PolyGaussian(1e3, B_CRITICAL), True), z, 0)
+    calls = _theta_rows_spy(monkeypatch)
+    assert public(1e3, z) == rows(1e3, z, DEFAULT_CONFIG)
+    assert calls == [1e-8, 1e-8]
+    with pytest.raises(TruncationFailure, match=rf"^{name} "):
+        public(1e-8, UpperHalfPoint(0.3, 1e-9))
 
 
 @pytest.mark.parametrize("seed", range(3))

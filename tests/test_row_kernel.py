@@ -6,8 +6,9 @@ theta1d.theta_rows call.  The per-point series sums and the per-row lattice
 loops below add each term in the order those kernels must keep, with their
 own copy of the term table; jacobi_theta, its partials, theta_rows and the
 row expansions must equal them under ==, not merely to a tolerance.
-theta_lattice and w_b take the expansion only from y/alpha = 1 on, so their
-expansions are called through energy._theta_rows and _w_rows.  The
+theta_lattice, w_b, dx_w and dy_w take the expansion only from y/alpha = 1
+on, so their expansions are called through energy._theta_rows, _w_rows,
+_dx_rows and _dy_rows.  The
 origin-free sums add the row n = 0 without the origin (alpha >= y for theta,
 alpha >= y/4 for W_b) to the rows n >= 1.
 """
@@ -29,7 +30,7 @@ from hexlat import (
     theta_lattice,
     w_b,
 )
-from hexlat.energy import _theta_minus_one, _theta_rows, _w_b_minus_origin, _w_rows
+from hexlat.energy import _dx_rows, _dy_rows, _theta_minus_one, _theta_rows, _w_b_minus_origin, _w_rows
 from hexlat.theta1d import theta_rows
 
 _PI = math.pi
@@ -187,8 +188,8 @@ def test_lattice_sums_equal_frozen_reference(x, y, alpha, b, cfg):
     c0 = 0.5 * (1.0 - 2.0 * _PI * b) * (alpha / z.y)
     assert _theta_rows(alpha, z, True, cfg) == ref_theta_lattice(alpha, z, cfg)
     assert _w_rows(alpha, c0, z, True, cfg) == ref_w_b(alpha, b, z, cfg)
-    assert dx_w(alpha, z, cfg) == ref_dx_w(alpha, z, cfg)
-    assert dy_w(alpha, z, cfg) == ref_dy_w(alpha, z, cfg)
+    assert _dx_rows(alpha, z, cfg) == ref_dx_w(alpha, z, cfg)
+    assert _dy_rows(alpha, z, cfg) == ref_dy_w(alpha, z, cfg)
 
 
 @settings(max_examples=200, deadline=None)
@@ -207,7 +208,8 @@ def test_origin_free_sums_equal_frozen_reference(x, y, t, b, cfg):
 #: (alpha, x, y, b, theta_lattice, w_b, dx_w, dy_w, theta - 1, W_b + b/alpha),
 #: seeded, alpha in [0.05, 50], recorded before that route existed.  Six
 #: points have alpha >= y, where the origin-free sums drop the origin from
-#: the row n = 0.
+#: the row n = 0, and where the public dx_w and dy_w walk the lattice, so
+#: the recorded d/dx W and d/dy W are read from their row expansions.
 _LARGE_Y = [
     (0.10910421146919157, 0.927374, 5580.887430105445, -0.969778,
      226.16785225134078, 2340.224411474508, 0.0, 0.0, 225.16785225134078, 2331.3358636637404),
@@ -288,9 +290,12 @@ _LARGE_Y = [
 def test_large_y_sums_equal_recorded_values(row):
     alpha, x, y, b, *want = row
     z = UpperHalfPoint(x, y)
-    got = [theta_lattice(alpha, z), w_b(alpha, b, z), dx_w(alpha, z), dy_w(alpha, z),
-           _theta_minus_one(alpha, z, DEFAULT_CONFIG), _w_b_minus_origin(alpha, b, z, DEFAULT_CONFIG)]
+    cfg = DEFAULT_CONFIG
+    got = [theta_lattice(alpha, z), w_b(alpha, b, z), _dx_rows(alpha, z, cfg), _dy_rows(alpha, z, cfg),
+           _theta_minus_one(alpha, z, cfg), _w_b_minus_origin(alpha, b, z, cfg)]
     assert list(map(repr, got)) == list(map(repr, want))
+    if y >= alpha:  # the public derivatives take the rows here
+        assert [repr(dx_w(alpha, z)), repr(dy_w(alpha, z))] == list(map(repr, want[2:4]))
 
 
 def test_origin_row_route_takes_one_theta_row(monkeypatch):

@@ -13,8 +13,8 @@ from __future__ import annotations
 import math
 from typing import Callable
 
-from .energy import LaplaceWeighted, PotentialSpec, _slice, _terms, _walk, _weight
-from .errors import RadiusTooLarge
+from .energy import LaplaceWeighted, PotentialSpec, _slice_terms, _terms, _walk, _weight
+from .errors import RadiusTooLarge, ThetaOverflow
 from .moduli import RT3_2, UpperHalfPoint
 from .quadrature import exp_sinh_rule
 
@@ -49,6 +49,10 @@ def walk_terms(p: PotentialSpec, y_max: float):
     E_y and E_yy at y <= y_max, each scaled by its weight w_j P(x_j).  The walk is
     then exact for that discretized potential, so its tail bound holds
     unchanged; every walk given these terms steers on the same potential.
+    The terms of all nodes come from the one array pass that laplace_energy
+    reads (:func:`hexlat.energy._slice_terms`); where a node's is blank
+    (alpha x_j overflows, or a dual g slice's A^3 is 0.0) ThetaOverflow is
+    raised.
     """
     if not isinstance(p, LaplaceWeighted):
         return _terms(p, True)
@@ -57,12 +61,13 @@ def walk_terms(p: PotentialSpec, y_max: float):
     rate = _PI * p.alpha / y_max
     xs, ws = exp_sinh_rule(lambda x: np.array(
         [_weight(p, t) * math.exp(3.0 * math.log(t) - rate * t) for t in x.tolist()]), 1.0)
-    gauss, f = [], p.family == "f"
-    for x, w in zip(xs, ws):
-        s = w * _weight(p, x) * (1.0 if f else x)
-        terms, _ = _terms(_slice(p, p.alpha * x), True)
-        gauss += [(s * A, s * B, c) for A, B, c in terms]
-    return gauss, []
+    k0, k1, rates, _ = _slice_terms(p, np.array(xs), True)
+    if not rates.all():
+        raise ThetaOverflow(f"a slice of the walk terms overflows at alpha = {p.alpha:.3g}")
+    f = p.family == "f"
+    s = np.repeat([w * _weight(p, x) * (1.0 if f else x) for x, w in zip(xs, ws)], 2 if f else 1)
+    with np.errstate(over="ignore", invalid="ignore"):  # as Python's floats: inf, and inf 0 = nan
+        return list(zip((s * k0).tolist(), (s * k1).tolist(), rates.tolist())), []
 
 
 def hessian_walk(p, z: UpperHalfPoint):

@@ -19,7 +19,9 @@ walk would pass its point cap.  theta and W_b include the origin (1 to theta,
 without it where subtracting it would cancel.  A Laplace energy integrates
 the Gaussian-family energies over its transform variable, from one walk of
 the half plane where that walk is short and from the origin-free row sums
-at each node past it (:func:`laplace_energy`).
+at each node past it (:func:`laplace_energy`); every node's slice terms
+come from one array pass (:func:`_slice_terms`), which the Newton walks'
+mixture terms read too.
 """
 
 from __future__ import annotations
@@ -209,20 +211,41 @@ def _off_row_underflows(c: float, alpha: float, y: float) -> bool:
     return math.isinf(c) and _PI * alpha * y > 800.0
 
 
-def _w_scale(y: float, alpha: float) -> float:
-    """y^{3/2}/(pi alpha^{5/2}), the factor of the W row expansions; by way of
-    y/alpha where a power overflows (alpha^{5/2} does from alpha ~ 2e123)."""
+def _w_scaled(acc: float, y: float, alpha: float) -> float:
+    """acc y^{3/2}/(pi alpha^{5/2}): a sum of W rows times their factor, by
+    way of y/alpha where a power overflows (alpha^{5/2} does from alpha ~
+    2e123).  Where the factor or the product is not finite (at tiny alpha
+    and huge y the factor passes the float range, alpha^{5/2} may be 0.0)
+    the powers of 2 of acc, y and alpha are taken apart, and ThetaOverflow
+    is raised where the product itself passes the float range."""
     try:
-        return y**1.5 / (_PI * alpha**2.5)
+        v = y**1.5 / (_PI * alpha**2.5) * acc
     except OverflowError:
         r = y / alpha
-        return r * math.sqrt(r) / (_PI * alpha)
+        v = r * math.sqrt(r) / (_PI * alpha) * acc
+    except ZeroDivisionError:
+        v = math.nan
+    if math.isfinite(v):
+        return v
+    (mc, ec), (my, ey), (ma, ea) = math.frexp(acc), math.frexp(y), math.frexp(alpha)
+    if ey % 2:  # even exponents, whose 3/2 and 5/2 powers are whole
+        my, ey = 2.0 * my, ey - 1
+    if ea % 2:
+        ma, ea = 2.0 * ma, ea - 1
+    try:
+        v = math.ldexp(mc * my * math.sqrt(my) / (_PI * ma * ma * math.sqrt(ma)), ec + 3 * ey // 2 - 5 * ea // 2)
+    except OverflowError:
+        v = math.inf
+    if not math.isfinite(v):
+        raise ThetaOverflow(f"a W row sum times y^1.5/alpha^2.5 leaves the float range at alpha = {alpha:.3g}, "
+                            f"y = {y:.3g}")
+    return v
 
 
 def _w_rows(alpha: float, c0: float, z: UpperHalfPoint, origin: bool, cfg: SeriesConfig) -> float:
     """The expansion of :func:`w_b`; its n = 0 term is 0 unless origin is set."""
     (acc,) = _row_sums("w_b", alpha, c0, z, origin, cfg)
-    return _w_scale(z.y, alpha) * acc
+    return _w_scaled(acc, z.y, alpha)
 
 
 def _theta_minus_one(alpha: float, z: UpperHalfPoint, cfg: SeriesConfig) -> float:
@@ -289,7 +312,7 @@ def dx_w(alpha: float, z: UpperHalfPoint, cfg: SeriesConfig = DEFAULT_CONFIG) ->
 def _dx_rows(alpha: float, z: UpperHalfPoint, cfg: SeriesConfig) -> float:
     """The row expansion of :func:`dx_w`."""
     (acc,) = _row_sums("dx_w", alpha, 0.0, z, False, cfg)
-    return _w_scale(z.y, alpha) * acc
+    return _w_scaled(acc, z.y, alpha)
 
 
 def coupling_coefficient(n: int, m: int, alpha: float, y: float) -> float:
@@ -305,8 +328,11 @@ def coupling_coefficient(n: int, m: int, alpha: float, y: float) -> float:
 def dx_w_double_sum(
     alpha: float, z: UpperHalfPoint, cfg: SeriesConfig = DEFAULT_CONFIG
 ) -> float:
-    """d/dx of W_{1/(2 pi)} by the A_{n,m} sin(2 m n pi x) double sum."""
+    """d/dx of W_{1/(2 pi)} by the A_{n,m} sin(2 m n pi x) double sum, on z
+    moved by its nearest integer (:func:`_near_origin`), the same lattice:
+    2 m n pi x is then formed without the rounding of a large x."""
     _check_alpha(alpha)
+    z = _near_origin(z)
     x, y = z.x, z.y
     nmax = cfg.last_index(y * min(alpha, 1.0 / alpha), 4, 1, "dx_w_double_sum")
     s = 0.0
@@ -768,50 +794,69 @@ def lattice_energy(p: PotentialSpec, z: UpperHalfPoint, cutoff_radius: float) ->
     return total
 
 
-def _slice(p: LaplaceWeighted, A: float) -> GaussianDiff | PolyGaussian:
-    """The potential that p integrates at A = alpha x: GaussianDiff(A, a, b)
-    for family f, PolyGaussian(A, b) for family g (times x)."""
-    return GaussianDiff(A, p.a, p.b) if p.family == "f" else PolyGaussian(A, p.b)
+def _slice_terms(p: LaplaceWeighted, x: np.ndarray, dual: bool):
+    """(k0, k1, rates, const) at the nodes x: the terms (k0 + k1 q) e^{-rates
+    q} of :func:`_terms` for the slice that p integrates at A = alpha x,
+    GaussianDiff(A, a, b) for family f and PolyGaussian(A, b) for family g,
+    node-major (two per node for family f, one for g), dual as given; and
+    per node the dual terms' value at q = 0 less the slice's f(0), which the
+    origin adds (0 where no term is dual).  A node is blank, (nan, 0, 0) with
+    const nan, where A is not finite or a dual g slice's A^3 is 0.0; a blank
+    node's rate is 0, no other's is.  Each term keeps the bits of _terms:
+    A^3 is taken by Python's ** on the dual g nodes only."""
+    import numpy as np
+    b = p.b
+    with np.errstate(all="ignore"):  # alpha x may overflow; blank nodes are set below
+        A = p.alpha * x
+        bad = ~np.isfinite(A)
+        if p.family == "f":
+            s = np.stack([A, p.a * A], axis=1)  # each Gaussian's scale
+            k0, k1, rates = np.full(s.shape, (1.0, -b)), np.zeros(s.shape), _PI * s
+            if dual and (flip := s < 1.0).any():  # c e^{-pi s q} -> (c/s) e^{-pi q/s}
+                k0[flip] /= s[flip]
+                rates[flip] = _PI / s[flip]
+            const = k0[:, 0] + k0[:, 1] - (1.0 - b)
+        else:
+            origin = -b / A  # the slice's f(0), and its primal k0
+            k0, k1, rates = origin.copy(), np.ones(A.shape), _PI * A
+            if dual and (flip := A < 1.0).any():
+                a = A[flip]
+                c3 = np.array([t**3 for t in a.tolist()])
+                bad[flip] |= c3 == 0.0
+                k0[flip] = (1.0 / _PI - b) / (a * a)
+                k1[flip] = -1.0 / c3
+                rates[flip] = _PI / a
+            const = k0 - origin
+            k0, k1, rates = k0[:, None], k1[:, None], rates[:, None]
+    if bad.any():
+        k0[bad], k1[bad], rates[bad], const[bad] = math.nan, 0.0, 0.0, math.nan
+    return k0.ravel(), k1.ravel(), rates.ravel(), const
 
 
 def _slice_integrand(p: LaplaceWeighted, qs, ks, dual: bool) -> Callable[[np.ndarray], np.ndarray]:
     """x -> P(x) v(x) at an array of nodes x, with v(x) = sum_i ks[i] f_x(qs[i])
-    for f_x the :func:`_terms` of :func:`_slice` at A = alpha x (times x for
-    family g), dual as given.  The dual terms of a Gaussian of A < 1 sum over
-    every point of the lattice, the origin too; with dual set, v(x) adds the
-    dual terms' value at q = 0 less f_x(0), so that the ks of the nonzero
-    points give their energy.  E.g. theta(A) - 1 = 1/A - 1 + (1/A) sum_{P != 0}
-    e^{-pi |P|^2/A}.
+    for f_x the slice at A = alpha x (times x for family g) in the terms of
+    :func:`_slice_terms`, dual as given.  The dual terms of a Gaussian of A < 1
+    sum over every point of the lattice, the origin too; with dual set, v(x)
+    adds the dual terms' value at q = 0 less f_x(0), so that the ks of the
+    nonzero points give their energy.  E.g. theta(A) - 1 = 1/A - 1 + (1/A)
+    sum_{P != 0} e^{-pi |P|^2/A}.
 
-    Each call takes the terms of every node, then one numpy pass over terms x
-    norms.  The weight P is called once per node and checked to be
-    nonnegative; where it or A = alpha x overflows, the node's value is not
-    finite, which integrate ignores past its rule's stop."""
+    Each call takes the terms of every node from one array pass, then one
+    numpy pass over terms x norms.  The weight P is called once per node and
+    checked to be nonnegative; where it or A = alpha x overflows, the node's
+    value is not finite, which integrate ignores past its rule's stop."""
     import numpy as np
     q = np.array(qs, dtype=float)
     ks = np.array(ks, dtype=float)
     f = p.family == "f"
-    blank = [(math.nan, 0.0, 0.0)] * (2 if f else 1)
 
     def integrand(x: np.ndarray) -> np.ndarray:
-        ts = x.tolist()
-        terms, const = [], []
-        for t in ts:
-            A = p.alpha * t
-            try:
-                gauss, _ = _terms(_slice(p, A), dual)
-            except (NonPositiveAlpha, ThetaOverflow):  # A = inf, or A^3 = 0 in a dual W_b term
-                terms += blank
-                const.append(math.nan)
-                continue
-            terms += gauss
-            if dual:
-                const.append(sum(map(itemgetter(0), gauss)) - (1.0 - p.b if f else -p.b / A))
-        w = np.array([_weight(p, t) * (1.0 if f else t) for t in ts])
-        k0, k1, rates = np.array(terms).T
+        k0, k1, rates, const = _slice_terms(p, x, dual)
+        w = np.array([_weight(p, t) * (1.0 if f else t) for t in x.tolist()])
         with np.errstate(over="ignore", invalid="ignore"):
             e = (k0[:, None] + np.multiply.outer(k1, q)) * np.exp(np.multiply.outer(-rates, q))
-            v = (e @ ks).reshape(len(ts), -1).sum(axis=1)
+            v = (e @ ks).reshape(len(w), -1).sum(axis=1)
             return w * (v + const if dual else v)
 
     return integrand
@@ -831,9 +876,10 @@ def _weight(p: LaplaceWeighted, x: float) -> float:
 #: moduli._half_plane counts them, both halves) times the terms of a slice (2
 #: for family f, 1 for g) are at most this; past it each node takes the
 #: origin-free row sums, whose cost does not grow with the walk.  Measured on a
-#: 2-CPU VM at alpha in {0.5, 1, 2}, P in {1, e^-x}: the walk costs 0.3-0.5 ms
-#: per energy at 10-50 points and as much as the row sums (4-19 ms, by the
-#: node count) at 1,800-2,000 points for family f and ~4,000 for family g.
+#: 2-CPU VM at alpha in {0.5, 1, 2}, P in {1, e^-x}, x = 1/2: the walk costs
+#: 0.25-0.45 ms per energy at 20-90 points x terms and as much as the row sums
+#: (2.8-3.4 ms with P = e^-x, 11-13 ms with P = 1, by the node count) at
+#: 2,700-3,300 for either family, 2,000 for family f at alpha = 0.5, P = 1.
 _LAPLACE_WALK_CAP = 3600
 
 
@@ -894,7 +940,8 @@ def laplace_energy(
     p: LaplaceWeighted, z: UpperHalfPoint, cfg: SeriesConfig = DEFAULT_CONFIG
 ) -> float:
     """E for a LaplaceWeighted potential, int_1^inf P(x) E_x dx (Fubini), E_x
-    the energy of :func:`_slice` at A = alpha x, by quadrature.integrate.
+    the energy of the slice at A = alpha x (GaussianDiff(A, a, b) for family
+    f, x PolyGaussian(A, b) for family g), by quadrature.integrate.
 
     Where the walk of :func:`_walk_integrand` is within _LAPLACE_WALK_CAP,
     every node sums its slice's terms over the walk's norms, cut at a proven

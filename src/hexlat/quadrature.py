@@ -61,21 +61,38 @@ def _exp_sinh_nodes(ts: list[float]) -> tuple[list[float], list[float]]:
     return u, [_HALF_PI * math.cosh(t) * v for t, v in zip(ts, u)]
 
 
+@cache
+def _level_nodes(t_lo: int, t_hi: int, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`_exp_sinh_nodes` as read-only arrays at the points that the
+    level of step h adds on [t_lo, t_hi]: every integer for h = 1, else the
+    midpoints t_lo + h (2k + 1).  Every energy takes the same few levels, so
+    each is computed once; the keys are bounded, as -6 <= t_lo, t_hi <= 6 and
+    h is 1 or 2^-1..2^-9."""
+    import numpy as np
+    if h == 1.0:
+        ts = list(range(t_lo, t_hi + 1))
+    else:
+        ts = [t_lo + h * (2 * k + 1) for k in range(round((t_hi - t_lo) / (2 * h)))]
+    out = tuple(map(np.array, _exp_sinh_nodes(ts)))
+    for v in out:
+        v.flags.writeable = False
+    return out
+
+
 def _exp_sinh(f: Callable[[np.ndarray], np.ndarray], a: float) -> tuple[float, float, list[int]]:
     """The stops and levels of :func:`integrate`: (the integral, the step h
     and the ends [t_lo, t_hi] of the level that stopped)."""
-    import numpy as np
 
-    def terms(ts: list[float]) -> list[float]:
-        u, du = _exp_sinh_nodes(ts)
-        return (np.array(du) * f(a + np.array(u))).tolist()
+    def terms(t_lo: int, t_hi: int, h: float) -> list[float]:
+        u, du = _level_nodes(t_lo, t_hi, h)
+        return (du * f(a + u)).tolist()
 
     def used(v: float) -> float:
         if not math.isfinite(v):
             raise QuadratureDivergence(f"integrand does not decay on [{a}, inf)")
         return v
 
-    unit = terms(list(range(-6, 7)))  # unit[6 + k] is the term at t = k
+    unit = terms(-6, 6, 1.0)  # unit[6 + k] is the term at t = k
     total = used(unit[6])
     s_abs = abs(total)
     ends = []
@@ -97,8 +114,7 @@ def _exp_sinh(f: Callable[[np.ndarray], np.ndarray], a: float) -> tuple[float, f
     estimate = total
     while h > 2.0**-9:
         h *= 0.5
-        ts = [t_lo + h * (2 * k + 1) for k in range(round((t_hi - t_lo) / (2 * h)))]
-        mids = [used(v) for v in terms(ts)]
+        mids = [used(v) for v in terms(t_lo, t_hi, h)]
         if scale != 1.0:
             mids = [v * scale for v in mids]
         total += math.fsum(mids)

@@ -1,5 +1,6 @@
 """Tests for lattice theta, W_b, their derivatives and the potential energies."""
 
+import hashlib
 import math
 import random
 import warnings
@@ -34,7 +35,7 @@ from hexlat import (
     w_b,
     w_b_via_theta_derivative,
 )
-from hexlat._newton import hessian_walk
+from hexlat._newton import hessian_walk, walk_terms
 from hexlat.energy import b_crit, potential_value, theta_difference_via_w_integral
 from hexlat import energy, quadrature
 from hexlat.errors import (
@@ -204,6 +205,28 @@ def test_origin_row_where_alpha_over_y_overflows(call):
         assert call() == 0.0
 
 
+@pytest.mark.parametrize("alpha, y", [(1e-110, 1e110), (1e-140, 1e140), (1e-20, 1e250)])
+def test_w_rows_at_tiny_alpha_and_huge_y(alpha, y):
+    # the rows' factor y^{3/2}/(pi alpha^{5/2}) passes the float range, or
+    # alpha^{5/2} is 0.0, where W_b does not: it is applied by powers of 2
+    z = UpperHalfPoint(0.3, y)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        w = w_b(alpha, 0.1, z)
+        assert w == pytest.approx(w_b(alpha, 0.0, z) - 0.1 / alpha * theta_lattice(alpha, z), rel=1e-14)
+        assert w == pytest.approx(w_b_via_theta_derivative(alpha, 0.1, z), rel=1e-8)
+        assert closed_form_energy(PolyGaussian(alpha, 0.1), z) == pytest.approx(w + 0.1 / alpha, rel=1e-15)
+        # theta_Y at X = y/alpha is below the float range, so the rows sum to 0
+        assert dx_w(alpha, z) == 0.0
+
+
+def test_w_rows_raise_where_w_b_passes_the_float_range():
+    z = UpperHalfPoint(0.3, 1e153)
+    assert math.isfinite(w_b(1e-154, 0.0, z))  # 3.2e307
+    with pytest.raises(ThetaOverflow, match="leaves the float range"):
+        w_b(1e-154, -100.0, z)
+
+
 @pytest.mark.parametrize("x", [2.0**53, -2.0**53, 1e308, -1e308])
 @pytest.mark.parametrize("y", [3.0, 1e4])
 def test_row_sums_where_x_is_an_integer(x, y):
@@ -338,6 +361,14 @@ def test_dx_matches_finite_difference():
         ) / (2 * h)
         v = dx_w(alpha, z)
         assert abs(v - fd) <= 1e-6 * abs(v)
+
+
+@pytest.mark.parametrize("x", [1e300, 1e308])
+def test_dx_double_sum_where_x_is_an_integer(x):
+    # the lattice of x = 0, where d/dx W is 0; sin(2 m n pi x) at x = 1e300
+    # was rounding noise and at 1e308 its argument overflowed
+    z = UpperHalfPoint(x, 3.0)
+    assert dx_w_double_sum(2.0, z) == 0.0 == dx_w(2.0, z)
 
 
 def test_dx_double_sum_path(sample_points):
@@ -913,3 +944,113 @@ def test_laplace_energy_at_small_alpha(family):
         p = LaplaceWeighted(1e-3, 2.0, 0.1, weight=lambda x: math.exp(-x), family="g")
         rows = quadrature.integrate(energy._node_integrand(p, HEX, DEFAULT_CONFIG), 1.0)
         assert abs(laplace_energy(p, HEX) - rows) <= 1e-14 * rows
+
+
+def _recorded_laplace_inputs():
+    """(family, alpha, a, b, rate, x, y): 22 seeded inputs with alpha on both
+    sides of 1, so that the walk takes dual slices at the nodes x < 1/alpha
+    and, for family f, dual second terms at x < 1/(a alpha); then one input
+    per family past the walk's point cap, where each node takes the rows."""
+    rng = np.random.default_rng(30)
+    cases = []
+    for family in "fg" * 11:
+        alpha = math.exp(rng.uniform(math.log(0.15), math.log(3.0)))
+        a, b, rate = rng.uniform(1.2, 4.0), rng.uniform(-1.0, 1.0), -rng.uniform(0.25, 2.0)
+        x = rng.uniform(0.0, 0.5)
+        y = math.exp(rng.uniform(math.log(math.sqrt(1.0 - x * x)), math.log(3.0)))
+        cases.append((family, alpha, a, b, rate, x, y))
+    return cases + [("f", 1.5, 2.0, 0.3, -1.0, 0.5, 8e4), ("g", 0.5, 3.0, -0.4, -0.5, 0.2, 3e5)]
+
+
+#: laplace_energy at _recorded_laplace_inputs(), recorded when each node's
+#: slice terms were built one node at a time.
+_RECORDED_LAPLACE = [
+    0.39927247063912563, 0.315667188815529, 0.0036934993394062525, 0.21308102169856,
+    0.02718361365506759, 1.563793322867935, 0.76678971120793, 0.053852206222011825,
+    0.0009754720536099575, 1.5028251907278392, 0.015074273642814521, 0.12433560297971524,
+    0.0033262265047495163, 0.0001740689550213331, 0.18922583027379164, 1.9985772825756971,
+    0.012879895905759078, 0.006178974462205456, 0.0007431547276749202, 0.00035231689907531754,
+    0.00025504957135167596, 1.0967283839956349e-05, 50.47124784901169, 688.0183756080464,
+]
+
+#: potential_value of LaplaceWeighted(0.7, 2.5, 0.4, e^{-x/2}) at q = 0.3, 1,
+#: 2.7, families f then g, recorded likewise.
+_RECORDED_POTENTIAL = [
+    0.2486878129052872, 0.024755465001877655, 0.00024856896415384396,
+    -0.003446989012764536, 0.019913569170419552, 0.0006333635836278889,
+]
+
+#: md5 of the repr of walk_terms(p, 64) for the four specs of the test,
+#: 193-449 terms each, recorded likewise.
+_RECORDED_WALK_TERMS = [
+    "b70d910072222f9cb51f7f8c4370f8c7", "24a68182f20be45c234da7e23c5d9672",
+    "0e9c26f06e95d671531d0a68ac6337b6", "9ae6617422408e7c977ef39e3ea7b405",
+]
+
+
+def _slice_terms_per_node(p, x, dual):
+    """The slice terms of _slice_terms, node by node from _terms of each
+    node's GaussianDiff or PolyGaussian, with the blank node where that
+    raises, as laplace_energy and the Newton walks once built them."""
+    f = p.family == "f"
+    terms, const = [], []
+    for t in x.tolist():
+        A = p.alpha * t
+        try:
+            gauss, _ = energy._terms(GaussianDiff(A, p.a, p.b) if f else PolyGaussian(A, p.b), dual)
+        except (NonPositiveAlpha, ThetaOverflow):
+            terms += [(math.nan, 0.0, 0.0)] * (2 if f else 1)
+            const.append(math.nan)
+            continue
+        terms += gauss
+        const.append(sum(k0 for k0, _, _ in gauss) - (1.0 - p.b if f else -p.b / A))
+    return [list(c) for c in zip(*terms)], const
+
+
+@pytest.mark.parametrize("family", ["f", "g"])
+@pytest.mark.parametrize("alpha, x", [
+    (0.3, [1.0, 1.5, 2.0, 3.3, 3.4, 17.0, 1e300]),  # A < 1, then a A < 1 (a = 2.5), on both sides
+    (1e-110, [1.0, 2.0, 1e90, 1e150]),  # a dual g slice's A^3 is 0.0 below A ~ 2e-108
+    (1e10, [1.0, 1e290, 1e300]),  # A = alpha x overflows
+])
+@pytest.mark.parametrize("dual", [False, True])
+def test_slice_terms_equal_the_terms_of_each_slice(family, alpha, x, dual):
+    p = LaplaceWeighted(alpha, 2.5, 0.4, weight=lambda t: 1.0, family=family)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        k0, k1, rates, const = energy._slice_terms(p, np.array(x), dual)
+    (r0, r1, rr), rc = _slice_terms_per_node(p, np.array(x), dual)
+    assert repr((k0.tolist(), k1.tolist(), rates.tolist())) == repr((r0, r1, rr))
+    if dual:
+        assert repr(const.tolist()) == repr(rc)
+
+
+def test_laplace_walk_terms_raise_where_a_dual_slice_overflows():
+    # below A = alpha x ~ 2e-108 the dual g slice's factor 1/A^3 overflows
+    p = LaplaceWeighted(1e-110, 2.0, 0.1, weight=lambda t: math.exp(-t), family="g")
+    with pytest.raises(ThetaOverflow, match="overflows at alpha = 1e-110$"):
+        walk_terms(p, 64.0)
+
+
+def test_laplace_energy_equals_recorded_values():
+    # the slice terms of every node come from one array pass, read by the
+    # energy, the pointwise potential and the Newton walks' terms alike; each
+    # keeps the bits it had when the terms were built node by node
+    inputs = _recorded_laplace_inputs()
+    assert any(alpha * a < 1.0 for family, alpha, a, *_ in inputs if family == "f")
+    values = []
+    for family, alpha, a, b, rate, x, y in inputs:
+        p = LaplaceWeighted(alpha, a, b, weight=lambda t, r=rate: math.exp(r * t), family=family)
+        values.append(laplace_energy(p, UpperHalfPoint(x, y)))
+    assert values == _RECORDED_LAPLACE
+    potentials = []
+    for family in "fg":
+        p = LaplaceWeighted(0.7, 2.5, 0.4, weight=lambda t: math.exp(-0.5 * t), family=family)
+        potentials += [potential_value(p, q) for q in (0.3, 1.0, 2.7)]
+    assert potentials == _RECORDED_POTENTIAL
+    specs = [LaplaceWeighted(1.5, 2.0, 0.3, lambda t: math.exp(-t), "f"),
+             LaplaceWeighted(0.4, 3.0, 0.05, lambda t: 1.0, "g"),
+             LaplaceWeighted(0.3, 2.0, 0.5, lambda t: math.exp(-0.5 * t), "f"),
+             LaplaceWeighted(2.0, 2.0, 0.1, lambda t: math.exp(-t), "g")]
+    digests = [hashlib.md5(repr(walk_terms(p, 64.0)).encode()).hexdigest() for p in specs]
+    assert digests == _RECORDED_WALK_TERMS

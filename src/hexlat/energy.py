@@ -8,7 +8,9 @@ expansion
 
 and its kin for W_b, d/dx W and d/dy W, each written once in the term table
 _SUMS, read by a float loop over one theta1d.theta_rows call at X = y/alpha;
-past e^{-alpha pi y} = 0.0 that call takes the row n = 0 alone.  Where it
+past e^{-alpha pi y} = 0.0 that call takes the row n = 0 alone, and where
+also 2 e^{-pi X} <= 2^-53 theta_lattice and w_b take that row in closed
+form, with no call (:func:`_origin_row_alone`).  Where it
 would take the Poisson comb (y/alpha < POISSON_SWITCH), the lattice is
 walked instead: theta_lattice and w_b sum its points directly, and dx_w and
 dy_w take the gradient of the half-plane walk that gives the Newton steps
@@ -109,20 +111,29 @@ _SUMS = {
 
 
 def _row_sums(name: str, alpha: float, c0: float, z: UpperHalfPoint, origin: bool,
-              cfg: SeriesConfig) -> list[float]:
+              cfg: SeriesConfig, e1: float | None = None, scale: int = 0) -> list[float]:
     """sum_n w_n term(n, rows at n) for each row term of the table entry name,
     over n = 0 (only when origin is set) and n = 1..last_index, with w_0 = 1,
     w_n = 2 e^{-alpha pi y n^2} and every row from one theta_rows call.  Where
     w_1 underflows to 0 so does every w_n, and only the row n = 0 is taken:
-    the others would add 0.0 t for a finite t."""
+    the others would add 0.0 t for a finite t.  e1 is e^{-alpha pi y} where
+    the caller has it.  A nonzero scale k takes the terms at alpha 2^k and
+    each theta partial of X-order j times 4^{j k}, which multiplies the W
+    row sums by 4^k (for d/dy W's second, 8^k) exactly where no term leaves
+    the normal range (:func:`_dy_rows`)."""
     power, orders, _, terms = _SUMS[name]
     # from 2^53 on x is an integer: the lattice of x = 0, where n x cannot overflow
     x, y = (z.x if abs(z.x) < 2.0**53 else 0.0), z.y
     a = -alpha * _PI * y  # -alpha pi y n^2 multiplies left to right, so w_n keeps its bits
-    last = cfg.last_index(alpha * y, power, 1, name) if math.exp(a) else 0
+    if e1 is None:
+        e1 = math.exp(a)
+    last = cfg.last_index(alpha * y, power, 1, name) if e1 else 0
     ns = range(0 if origin else 1, last + 1)
     ws = [2.0 * math.exp(a * n * n) if n else 1.0 for n in ns]
     rows = theta_rows(y / alpha, [n * x for n in ns], orders, cfg) if ns else ()
+    if scale:
+        rows = [[math.ldexp(t, 2 * xo * scale) for t in row] for row, (xo, _) in zip(rows, orders)]
+        alpha = math.ldexp(alpha, scale)
     out = []
     for term in terms(alpha, c0, _PI * alpha * alpha):
         acc = 0.0
@@ -149,18 +160,37 @@ def theta_lattice(alpha: float, z: UpperHalfPoint, cfg: SeriesConfig = DEFAULT_C
     """theta(alpha; z) = sum over the full lattice of e^{-pi alpha |P|^2}.
 
     Below y/alpha = POISSON_SWITCH a direct sum (:func:`_direct_sum`), from
-    there on the row expansion at cfg's rel_tol."""
+    there on the row expansion at cfg's rel_tol.  Where e^{-alpha pi y} is
+    0.0 and 2 e^{-pi y/alpha} <= 2^-53 that expansion is its origin row,
+    sqrt(y/alpha) theta(y/alpha; 0), and theta(y/alpha; 0) rounds to 1.0
+    under any cfg: sqrt(y/alpha) is returned (:func:`_origin_row_alone`)."""
     _check_alpha(alpha)
-    if z.y / alpha < POISSON_SWITCH:
+    X = z.y / alpha
+    if X < POISSON_SWITCH:
         total = _direct_sum(Gaussian(alpha), z, 1.0)
         if total is not None:
             return 1.0 + total
-    return _theta_rows(alpha, z, True, cfg)
+    e1 = math.exp(-alpha * _PI * z.y)
+    if _origin_row_alone(e1, X):
+        return math.sqrt(X)
+    return _theta_rows(alpha, z, True, cfg, e1)
 
 
-def _theta_rows(alpha: float, z: UpperHalfPoint, origin: bool, cfg: SeriesConfig) -> float:
+def _origin_row_alone(e1: float, X: float) -> bool:
+    """Whether the row expansions of theta and W_b at X = y/alpha, e1 =
+    e^{-alpha pi y}, are their origin row in closed form, bit for bit: e1 is
+    0.0, so every w_n, n >= 1, is 0.0, and 2 e^{-pi X} <= 2^-53 (X >= ~11.9),
+    so the Fourier series theta(X; 0) = 1 + 2 e^{-pi X} + ... rounds to 1.0
+    and theta_X(X; 0) to its n = 1 term -2 pi e^{-pi X}, the n = 0 term being
+    -0.0 and the next at most 4 e^{-3 pi X} <= 2^-160 of it.  X = inf is left to
+    theta_rows, which rejects it."""
+    return not e1 and X < math.inf and 2.0 * math.exp(-_PI * X) <= 2.0**-53
+
+
+def _theta_rows(alpha: float, z: UpperHalfPoint, origin: bool, cfg: SeriesConfig,
+                e1: float | None = None) -> float:
     """The expansion of :func:`theta_lattice`; its n = 0 term is 0 unless origin is set."""
-    (acc,) = _row_sums("theta_lattice", alpha, 0.0, z, origin, cfg)
+    (acc,) = _row_sums("theta_lattice", alpha, 0.0, z, origin, cfg, e1)
     return math.sqrt(z.y / alpha) * acc
 
 
@@ -175,7 +205,10 @@ def w_b(alpha: float, b: float, z: UpperHalfPoint, cfg: SeriesConfig = DEFAULT_C
                                       + pi alpha^2 S2 + SX ]
 
     with S0 = sum_n e^{-alpha pi y n^2} theta(y/alpha; n x), S2 the same sum
-    weighted by n^2, and SX the sum with theta replaced by theta_X.
+    weighted by n^2, and SX the sum with theta replaced by theta_X.  Where
+    only the origin row is left and theta(X; 0) rounds to 1.0, as in
+    :func:`theta_lattice`, S0 = 1, S2 = 0 and SX = -2 pi e^{-pi X}, and that
+    closed form is returned (:func:`_origin_row_alone`).
 
     The expansion is accurate on the fundamental domain, where the row
     through the origin dominates: closed_form_energy(PolyGaussian), which
@@ -197,7 +230,11 @@ def w_b(alpha: float, b: float, z: UpperHalfPoint, cfg: SeriesConfig = DEFAULT_C
             return total - b / alpha
     if _off_row_underflows(_PI * alpha * alpha, alpha, z.y):
         return 2.0 * _row0_sum("w_b", alpha / z.y, b, cfg) / alpha - b / alpha
-    return _w_rows(alpha, c0, z, True, cfg)
+    e1 = math.exp(-alpha * _PI * z.y)
+    if _origin_row_alone(e1, X := z.y / alpha):
+        # the origin row's term (c0 + 0.0) 1.0 + theta_X, added to 0.0 as the row loop adds it
+        return _w_scaled(0.0 + (c0 + -2.0 * _PI * math.exp(-_PI * X)), z.y, alpha)
+    return _w_rows(alpha, c0, z, True, cfg, e1)
 
 
 def _off_row_underflows(c: float, alpha: float, y: float) -> bool:
@@ -211,20 +248,22 @@ def _off_row_underflows(c: float, alpha: float, y: float) -> bool:
     return math.isinf(c) and _PI * alpha * y > 800.0
 
 
-def _w_scaled(acc: float, y: float, alpha: float) -> float:
-    """acc y^{3/2}/(pi alpha^{5/2}): a sum of W rows times their factor, by
+def _w_scaled(acc: float, y: float, alpha: float, e2: int = 0) -> float:
+    """acc 2^e2 y^{3/2}/(pi alpha^{5/2}): a sum of W rows times their factor, by
     way of y/alpha where a power overflows (alpha^{5/2} does from alpha ~
     2e123).  Where the factor or the product is not finite (at tiny alpha
-    and huge y the factor passes the float range, alpha^{5/2} may be 0.0)
-    the powers of 2 of acc, y and alpha are taken apart, and ThetaOverflow
-    is raised where the product itself passes the float range."""
-    try:
-        v = y**1.5 / (_PI * alpha**2.5) * acc
-    except OverflowError:
-        r = y / alpha
-        v = r * math.sqrt(r) / (_PI * alpha) * acc
-    except ZeroDivisionError:
-        v = math.nan
+    and huge y the factor passes the float range, alpha^{5/2} may be 0.0),
+    or e2 is not 0, the powers of 2 of acc, y and alpha are taken apart, and
+    ThetaOverflow is raised where the product itself passes the float range."""
+    v = math.nan
+    if not e2:
+        try:
+            v = y**1.5 / (_PI * alpha**2.5) * acc
+        except OverflowError:
+            r = y / alpha
+            v = r * math.sqrt(r) / (_PI * alpha) * acc
+        except ZeroDivisionError:
+            pass
     if math.isfinite(v):
         return v
     (mc, ec), (my, ey), (ma, ea) = math.frexp(acc), math.frexp(y), math.frexp(alpha)
@@ -233,7 +272,7 @@ def _w_scaled(acc: float, y: float, alpha: float) -> float:
     if ea % 2:
         ma, ea = 2.0 * ma, ea - 1
     try:
-        v = math.ldexp(mc * my * math.sqrt(my) / (_PI * ma * ma * math.sqrt(ma)), ec + 3 * ey // 2 - 5 * ea // 2)
+        v = math.ldexp(mc * my * math.sqrt(my) / (_PI * ma * ma * math.sqrt(ma)), ec + e2 + 3 * ey // 2 - 5 * ea // 2)
     except OverflowError:
         v = math.inf
     if not math.isfinite(v):
@@ -242,9 +281,10 @@ def _w_scaled(acc: float, y: float, alpha: float) -> float:
     return v
 
 
-def _w_rows(alpha: float, c0: float, z: UpperHalfPoint, origin: bool, cfg: SeriesConfig) -> float:
+def _w_rows(alpha: float, c0: float, z: UpperHalfPoint, origin: bool, cfg: SeriesConfig,
+            e1: float | None = None) -> float:
     """The expansion of :func:`w_b`; its n = 0 term is 0 unless origin is set."""
-    (acc,) = _row_sums("w_b", alpha, c0, z, origin, cfg)
+    (acc,) = _row_sums("w_b", alpha, c0, z, origin, cfg, e1)
     return _w_scaled(acc, z.y, alpha)
 
 
@@ -330,7 +370,9 @@ def dx_w_double_sum(
 ) -> float:
     """d/dx of W_{1/(2 pi)} by the A_{n,m} sin(2 m n pi x) double sum, on z
     moved by its nearest integer (:func:`_near_origin`), the same lattice:
-    2 m n pi x is then formed without the rounding of a large x."""
+    2 m n pi x is then formed without the rounding of a large x.  Where the
+    factor -8 pi alpha^{-5/2} y^{3/2} leaves the float range, the product
+    goes through :func:`_w_scaled`'s powers of 2 (0.0 where the sum is)."""
     _check_alpha(alpha)
     z = _near_origin(z)
     x, y = z.x, z.y
@@ -339,7 +381,11 @@ def dx_w_double_sum(
     for n in range(1, nmax + 1):
         for m in range(1, nmax + 1):
             s += coupling_coefficient(n, m, alpha, y) * math.sin(2.0 * m * n * _PI * x)
-    return -8.0 * _PI * alpha**-2.5 * y**1.5 * s
+    try:
+        v = -8.0 * _PI * alpha**-2.5 * y**1.5 * s
+    except OverflowError:
+        v = math.nan
+    return v if math.isfinite(v) else _w_scaled(-8.0 * _PI * _PI * s, y, alpha)
 
 
 def dy_w(alpha: float, z: UpperHalfPoint, cfg: SeriesConfig = DEFAULT_CONFIG) -> float:
@@ -361,9 +407,29 @@ def dy_w(alpha: float, z: UpperHalfPoint, cfg: SeriesConfig = DEFAULT_CONFIG) ->
 
 
 def _dy_rows(alpha: float, z: UpperHalfPoint, cfg: SeriesConfig) -> float:
-    """The row expansion of :func:`dy_w`."""
-    s_low, s_high = _row_sums("dy_w", alpha, 0.0, z, True, cfg)
-    return (1.5 * math.sqrt(z.y) * s_low + z.y**1.5 * s_high) / (_PI * alpha**2.5)
+    """The row expansion of :func:`dy_w`, (1.5 sqrt(y) s_low + y^{3/2}
+    s_high)/(pi alpha^{5/2}).  Where pi^2 alpha^3 is below the normal range
+    (alpha < ~6e-103), or a power or the value is not finite, the row terms
+    are taken at alpha 2^k, k even and alpha 2^k in [1/2, 2) (k = 0 from
+    alpha = 1/2 on), which multiplies s_low by 4^k and s_high by 8^k, and
+    each part goes through :func:`_w_scaled`'s powers of 2, which raise
+    ThetaOverflow where it passes the float range.  A scaled row cannot
+    overflow: MAX_TERMS rows need alpha y > 1e-4, so X > 1e-4/alpha^2, where
+    |theta_X| <~ X^{-3/2} and |theta_XX| <~ X^{-5/2} keep 4^k |theta_X| and
+    16^k |theta_XX| below ~1e12 alpha."""
+    y = z.y
+    if _dy_c4(alpha) >= 2.0**-1022:  # the least normal float
+        s_low, s_high = _row_sums("dy_w", alpha, 0.0, z, True, cfg)
+        try:
+            v = (1.5 * math.sqrt(y) * s_low + y**1.5 * s_high) / (_PI * alpha**2.5)
+        except (OverflowError, ZeroDivisionError):
+            v = math.nan
+        if math.isfinite(v):
+            return v
+    k = max(0, -2 * (math.frexp(alpha)[1] // 2))
+    s_low, s_high = _row_sums("dy_w", alpha, 0.0, z, True, cfg, scale=k)
+    my, ey = math.frexp(y)  # sqrt(y) = y^{3/2}/(my 2^ey)
+    return _w_scaled(1.5 * s_low / my, y, alpha, -2 * k - ey) + _w_scaled(s_high, y, alpha, -3 * k)
 
 
 def theta_difference(
@@ -489,7 +555,9 @@ def b_crit(p: PotentialSpec) -> float:
 def witness_y_max(p: PotentialSpec) -> float:
     """Largest y at which a divergence witness evaluates E_f along x = 1/2.
 
-    The theta and W_b closed forms cost about the same at every y.  The direct
+    No cap for the theta and W_b closed forms: past alpha pi y ~ 745 and
+    y/alpha ~ 11.9 each energy is the origin row in closed form
+    (:func:`_origin_row_alone`), cheaper than the rows below.  The direct
     sum behind YukawaDiff visits ~2 R sqrt(y) points on the row through the
     origin.  Its witness stops at (2.5e5/16)^2 min(alpha, 1), where a radius
     of 8/sqrt(min(alpha, 1)) would put 2.5e5 points on that row; the radius

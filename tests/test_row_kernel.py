@@ -14,6 +14,7 @@ alpha >= y/4 for W_b) to the rows n >= 1.
 """
 
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -30,7 +31,8 @@ from hexlat import (
     theta_lattice,
     w_b,
 )
-from hexlat.energy import _dx_rows, _dy_rows, _theta_minus_one, _theta_rows, _w_b_minus_origin, _w_rows
+from hexlat.energy import (_dx_rows, _dy_rows, _origin_row_alone, _theta_minus_one, _theta_rows, _w_b_minus_origin,
+                           _w_rows)
 from hexlat.theta1d import theta_rows
 
 _PI = math.pi
@@ -306,8 +308,12 @@ def test_origin_row_route_takes_one_theta_row(monkeypatch):
         return theta_rows(X, Ys, orders, cfg)
 
     monkeypatch.setattr("hexlat.energy.theta_rows", spy)
-    # alpha pi y = 2e4 pi: the row through the origin alone, whose theta is 1 to rounding
+    # alpha pi y = 2e4 pi and y/alpha = 5e3: the row through the origin alone,
+    # whose theta is 1.0 in closed form, takes no row at all
     assert theta_lattice(2.0, UpperHalfPoint(0.5, 1e4)) == math.sqrt(5e3)
+    assert calls == []
+    # alpha pi y = 500 pi but y/alpha = 5 < 11.9: that row's theta is not 1.0
+    assert theta_lattice(10.0, UpperHalfPoint(0.5, 50.0)) == math.sqrt(5.0) * jacobi_theta(5.0, 0.0)
     assert calls == [[0.0]]
     # d/dx W has no row n = 0, so it takes none
     calls.clear()
@@ -316,3 +322,25 @@ def test_origin_row_route_takes_one_theta_row(monkeypatch):
     # in the subnormal band w_1 is not 0 and every row is taken
     theta_lattice(2.0, UpperHalfPoint(0.5, 740.0 / (2.0 * _PI)))
     assert len(calls) == 1 and len(calls[0]) > 1
+
+
+def test_origin_row_closed_form_equals_row_expansion():
+    # Seeded points on both edges of the closed form: pi alpha y around 745,
+    # where e^{-alpha pi y} reaches 0.0 (the subnormal band 709-745 below it),
+    # and X = y/alpha around 11.9, where 2 e^{-pi X} reaches 2^-53; alpha ~ 4.5
+    # has both.  theta_lattice and w_b must equal their row expansions.
+    rng = random.Random(31)
+    taken = 0
+    for _ in range(400):
+        t = rng.choice([rng.uniform(709.0, 745.0), rng.uniform(745.0, 746.0), rng.uniform(745.0, 1e4)])
+        X = rng.choice([rng.uniform(11.5, 11.914), rng.uniform(11.914, 12.5), math.exp(rng.uniform(0.0, 12.0))])
+        alpha = math.sqrt(t / (_PI * X))
+        z = UpperHalfPoint(rng.choice([0.0, 0.5, -0.5, -0.7, 2.0**53]), alpha * X)
+        b = rng.choice([0.0, 1.0 / (2.0 * _PI), 1.0, -1.0, 1e3])
+        c0 = 0.5 * (1.0 - 2.0 * _PI * b) * (alpha / z.y)
+        for cfg in CONFIGS:
+            assert repr(theta_lattice(alpha, z, cfg)) == repr(_theta_rows(alpha, z, True, cfg))
+            assert repr(w_b(alpha, b, z, cfg)) == repr(_w_rows(alpha, c0, z, True, cfg))
+        taken += _origin_row_alone(math.exp(-alpha * _PI * z.y), z.y / alpha)
+    assert 100 < taken < 300
+

@@ -12,8 +12,7 @@ past e^{-alpha pi y} = 0.0 that call takes the row n = 0 alone, and where
 also 2 e^{-pi X} <= 2^-53 theta_lattice and w_b take that row in closed
 form, with no call (:func:`_origin_row_alone`).  Where it
 would take the Poisson comb (y/alpha < POISSON_SWITCH), the lattice is
-walked instead: theta_lattice and w_b sum its points directly (w_b with
-each exponent in double-double, :func:`_poly_gaussian_sum`), and dx_w and
+walked instead: theta_lattice and w_b sum its points directly, and dx_w and
 dy_w take the gradient of the half-plane walk that gives the Newton steps
 their values, gradients and Hessians (:func:`_walk`), each to a radius that
 one proven tail sets (:func:`_radius`); they take the rows only where the
@@ -199,9 +198,7 @@ def w_b(alpha: float, b: float, z: UpperHalfPoint, cfg: SeriesConfig = DEFAULT_C
     """W_b(alpha; z) = sum over the full lattice of (|P|^2 - b/alpha) e^{-pi alpha |P|^2}.
 
     Below y/alpha = POISSON_SWITCH a direct sum (:func:`_direct_sum`), within
-    its proven tail (under 2^-54) plus a few ulps of sum |terms| at any z:
-    each term's exponent is carried in double-double
-    (:func:`_poly_gaussian_sum`).
+    its proven tail (under 2^-54) plus a few ulps of sum |terms| at any z.
     From there on the exponential expansion
 
         (1/pi) alpha^{-5/2} y^{3/2} [ (1/2)(1 - 2 pi b)(alpha/y) S0
@@ -844,100 +841,7 @@ def _direct_sum(p: Gaussian | PolyGaussian | YukawaDiff, z: UpperHalfPoint,
         r2, _ = _radius(*_terms(p, False), z, lambda: _value_bound(f, z, origin))
     except RadiusTooLarge:
         return None
-    if isinstance(p, PolyGaussian):
-        return _poly_gaussian_sum(p, z, r2)
     return _nonzero_sum(f, reversed(half_plane_norms(z, math.sqrt(r2))))[0]
-
-
-#: pi - _PI: pi is _PI + _PI_LO to about 2^-107 of itself.
-_PI_LO = 1.2246467991473532e-16
-
-
-def _two_prod(a: float, b: float) -> tuple[float, float]:
-    """(a b rounded, a b minus that), the second exact where no step leaves
-    the normal range (Dekker's product by Veltkamp's 27-bit splits)."""
-    p = a * b
-    t = 134217729.0 * a
-    ah = t - (t - a)
-    al = a - ah
-    t = 134217729.0 * b
-    bh = t - (t - b)
-    bl = b - bh
-    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
-
-
-def _poly_gaussian_sum(p: PolyGaussian, z: UpperHalfPoint, r2: float) -> float:
-    """The sum of (q - b/alpha) e^{-pi alpha q} over the nonzero points of the
-    lattice of z within r2, its terms added without rounding (math.fsum),
-    each exponent E = pi alpha q = A u^2 + B m^2 (u = m x + n, A = pi
-    alpha/y, B = pi alpha y) carried in double-double and each q - b/alpha
-    taken as (E - pi b)/(pi alpha).  A float E is off by up to ~E ulps, so
-    its term is off by ~E of its ulps; W_b has no origin term to absorb
-    that, and at alpha ~ 3 its leading terms have E ~ 12.  Here each term
-    keeps a few ulps, at the cost of two exact products per point.
-
-    A and B are formed from pi m_a/m_y and pi m_a m_y (alpha = m_a 2^e_a,
-    y = m_y 2^e_y), so no step leaves the float range, and scaled by their
-    powers of 2 where they are used.  A term whose exponent passes 700 is at
-    most e^-700 of the points at the basis norms and takes the float
-    exponent, as does every point of a row m whose B m^2 alone passes 710,
-    and every point where A is outside 2^+-900: no point then has A u^2 <=
-    700 within the walk's cap and y < alpha."""
-    x, y = z.x, z.y
-    c, f = _PI * p.alpha, _pointwise(p)
-    exp, ldexp = math.exp, math.ldexp
-    (ma, ea), (my, ey), (mb, eb) = math.frexp(p.alpha), math.frexp(y), math.frexp(p.b)
-    pb, pb_lo = _two_prod(_PI, mb)  # pb + pb_lo = pi b
-    pb, pb_lo = ldexp(pb, eb), ldexp(pb_lo + _PI_LO * mb, eb)
-    pm, pm_lo = _two_prod(_PI, ma)
-    pm_lo += _PI_LO * ma
-    a = pm / my  # A = (a + a_lo) 2^(e_a - e_y) and B = (bb + bb_lo) 2^kb
-    t, e = _two_prod(a, my)
-    a_lo = ((pm - t) - e + pm_lo) / my
-    bb, e = _two_prod(pm, my)
-    bb_lo = e + pm_lo * my
-    kb = ea + ey
-    limit = 700.0 if abs(ea - ey) < 900 else -1.0
-    if limit > 0.0:
-        a, a_lo = ldexp(a, ea - ey), ldexp(a_lo, ea - ey)
-    t = 134217729.0 * a
-    ah = t - (t - a)
-    al = a - ah
-    terms = []
-    for m, ns, qs in _half_plane(z, math.sqrt(r2)):
-        mm = float(m * m)
-        if c * mm * y > 710.0:
-            terms += map(f, qs)
-            continue
-        bm, bm_lo = _two_prod(bb, mm)  # bm + bm_lo = B m^2
-        bm, bm_lo = ldexp(bm, kb), ldexp(bm_lo + bb_lo * mm, kb)
-        mx, mx_lo = _two_prod(float(m), x)
-        for n, q in zip(ns, qs):
-            if c * q > limit:
-                terms.append(f(q))
-                continue
-            u = mx + n  # u + u_lo = m x + n, by a two-sum
-            v = u - mx
-            u_lo = (mx - (u - v)) + (n - v) + mx_lo
-            t = 134217729.0 * u
-            uh = t - (t - u)
-            ul = u - uh
-            s = u * u  # s + s_lo = u^2
-            s_lo = ((uh * uh - s) + 2.0 * uh * ul) + ul * ul + 2.0 * u * u_lo
-            t = 134217729.0 * s
-            sh = t - (t - s)
-            sl = s - sh
-            h = a * s  # h + h_lo = A u^2
-            h_lo = ((ah * sh - h) + ah * sl + al * sh) + al * sl + a * s_lo + a_lo * s
-            big = h + bm  # big + lo = A u^2 + B m^2
-            v = big - h
-            lo = (h - (big - v)) + (bm - v) + h_lo + bm_lo
-            g = exp(-big)  # q - b/alpha = (E - pi b)/(pi alpha)
-            terms.append(((big - pb) + (lo - pb_lo)) / c * (g - g * lo))
-    try:
-        return 2.0 * math.fsum(terms)  # each term stands for the pair +-P
-    except OverflowError:  # the sum passes the float range, as at b ~ 1e307
-        return 2.0 * sum(terms)
 
 
 def lattice_energy(p: PotentialSpec, z: UpperHalfPoint, cutoff_radius: float) -> float:

@@ -111,16 +111,13 @@ _SUMS = {
 
 
 def _row_sums(name: str, alpha: float, c0: float, z: UpperHalfPoint, origin: bool,
-              cfg: SeriesConfig, e1: float | None = None, scale: int = 0) -> list[float]:
+              cfg: SeriesConfig, e1: float | None = None) -> list[float]:
     """sum_n w_n term(n, rows at n) for each row term of the table entry name,
     over n = 0 (only when origin is set) and n = 1..last_index, with w_0 = 1,
     w_n = 2 e^{-alpha pi y n^2} and every row from one theta_rows call.  Where
     w_1 underflows to 0 so does every w_n, and only the row n = 0 is taken:
     the others would add 0.0 t for a finite t.  e1 is e^{-alpha pi y} where
-    the caller has it.  A nonzero scale k takes the terms at alpha 2^k and
-    each theta partial of X-order j times 4^{j k}, which multiplies the W
-    row sums by 4^k (for d/dy W's second, 8^k) exactly where no term leaves
-    the normal range (:func:`_dy_rows`)."""
+    the caller has it."""
     power, orders, _, terms = _SUMS[name]
     # from 2^53 on x is an integer: the lattice of x = 0, where n x cannot overflow
     x, y = (z.x if abs(z.x) < 2.0**53 else 0.0), z.y
@@ -131,9 +128,6 @@ def _row_sums(name: str, alpha: float, c0: float, z: UpperHalfPoint, origin: boo
     ns = range(0 if origin else 1, last + 1)
     ws = [2.0 * math.exp(a * n * n) if n else 1.0 for n in ns]
     rows = theta_rows(y / alpha, [n * x for n in ns], orders, cfg) if ns else ()
-    if scale:
-        rows = [[math.ldexp(t, 2 * xo * scale) for t in row] for row, (xo, _) in zip(rows, orders)]
-        alpha = math.ldexp(alpha, scale)
     out = []
     for term in terms(alpha, c0, _PI * alpha * alpha):
         acc = 0.0
@@ -248,22 +242,20 @@ def _off_row_underflows(c: float, alpha: float, y: float) -> bool:
     return math.isinf(c) and _PI * alpha * y > 800.0
 
 
-def _w_scaled(acc: float, y: float, alpha: float, e2: int = 0) -> float:
-    """acc 2^e2 y^{3/2}/(pi alpha^{5/2}): a sum of W rows times their factor, by
+def _w_scaled(acc: float, y: float, alpha: float) -> float:
+    """acc y^{3/2}/(pi alpha^{5/2}): a sum of W rows times their factor, by
     way of y/alpha where a power overflows (alpha^{5/2} does from alpha ~
     2e123).  Where the factor or the product is not finite (at tiny alpha
-    and huge y the factor passes the float range, alpha^{5/2} may be 0.0),
-    or e2 is not 0, the powers of 2 of acc, y and alpha are taken apart, and
-    ThetaOverflow is raised where the product itself passes the float range."""
-    v = math.nan
-    if not e2:
-        try:
-            v = y**1.5 / (_PI * alpha**2.5) * acc
-        except OverflowError:
-            r = y / alpha
-            v = r * math.sqrt(r) / (_PI * alpha) * acc
-        except ZeroDivisionError:
-            pass
+    and huge y the factor passes the float range, alpha^{5/2} may be 0.0)
+    the powers of 2 of acc, y and alpha are taken apart, and ThetaOverflow
+    is raised where the product itself passes the float range."""
+    try:
+        v = y**1.5 / (_PI * alpha**2.5) * acc
+    except OverflowError:
+        r = y / alpha
+        v = r * math.sqrt(r) / (_PI * alpha) * acc
+    except ZeroDivisionError:
+        v = math.nan
     if math.isfinite(v):
         return v
     (mc, ec), (my, ey), (ma, ea) = math.frexp(acc), math.frexp(y), math.frexp(alpha)
@@ -272,7 +264,7 @@ def _w_scaled(acc: float, y: float, alpha: float, e2: int = 0) -> float:
     if ea % 2:
         ma, ea = 2.0 * ma, ea - 1
     try:
-        v = math.ldexp(mc * my * math.sqrt(my) / (_PI * ma * ma * math.sqrt(ma)), ec + e2 + 3 * ey // 2 - 5 * ea // 2)
+        v = math.ldexp(mc * my * math.sqrt(my) / (_PI * ma * ma * math.sqrt(ma)), ec + 3 * ey // 2 - 5 * ea // 2)
     except OverflowError:
         v = math.inf
     if not math.isfinite(v):
@@ -372,7 +364,9 @@ def dx_w_double_sum(
     moved by its nearest integer (:func:`_near_origin`), the same lattice:
     2 m n pi x is then formed without the rounding of a large x.  Where the
     factor -8 pi alpha^{-5/2} y^{3/2} leaves the float range, the product
-    goes through :func:`_w_scaled`'s powers of 2 (0.0 where the sum is)."""
+    goes through :func:`_w_scaled`'s powers of 2 (0.0 where the sum is);
+    ThetaOverflow where the sum is not finite (the alpha^2 of A_{n,m}
+    overflows from alpha ~ 1.3e154, and meets a term's e^{...} = 0.0)."""
     _check_alpha(alpha)
     z = _near_origin(z)
     x, y = z.x, z.y
@@ -381,6 +375,9 @@ def dx_w_double_sum(
     for n in range(1, nmax + 1):
         for m in range(1, nmax + 1):
             s += coupling_coefficient(n, m, alpha, y) * math.sin(2.0 * m * n * _PI * x)
+    if not math.isfinite(s):
+        raise ThetaOverflow(f"the coupling coefficients A_(n,m) of the d/dx W double sum leave the float range "
+                            f"at alpha = {alpha:.3g}, y = {y:.3g}")
     try:
         v = -8.0 * _PI * alpha**-2.5 * y**1.5 * s
     except OverflowError:
@@ -408,28 +405,25 @@ def dy_w(alpha: float, z: UpperHalfPoint, cfg: SeriesConfig = DEFAULT_CONFIG) ->
 
 def _dy_rows(alpha: float, z: UpperHalfPoint, cfg: SeriesConfig) -> float:
     """The row expansion of :func:`dy_w`, (1.5 sqrt(y) s_low + y^{3/2}
-    s_high)/(pi alpha^{5/2}).  Where pi^2 alpha^3 is below the normal range
-    (alpha < ~6e-103), or a power or the value is not finite, the row terms
-    are taken at alpha 2^k, k even and alpha 2^k in [1/2, 2) (k = 0 from
-    alpha = 1/2 on), which multiplies s_low by 4^k and s_high by 8^k, and
-    each part goes through :func:`_w_scaled`'s powers of 2, which raise
-    ThetaOverflow where it passes the float range.  A scaled row cannot
-    overflow: MAX_TERMS rows need alpha y > 1e-4, so X > 1e-4/alpha^2, where
-    |theta_X| <~ X^{-3/2} and |theta_XX| <~ X^{-5/2} keep 4^k |theta_X| and
-    16^k |theta_XX| below ~1e12 alpha."""
+    s_high)/(pi alpha^{5/2}), or 0.0 where both sums are and a factor
+    leaves the float range.  ThetaOverflow where pi^2 alpha^3, the
+    coefficient of s_high's rows n >= 1, is below the normal range (alpha <
+    ~6e-103: its rounding, or 0.0, would pass into the value), or where a
+    power or the value is not finite."""
     y = z.y
-    if _dy_c4(alpha) >= 2.0**-1022:  # the least normal float
-        s_low, s_high = _row_sums("dy_w", alpha, 0.0, z, True, cfg)
-        try:
-            v = (1.5 * math.sqrt(y) * s_low + y**1.5 * s_high) / (_PI * alpha**2.5)
-        except (OverflowError, ZeroDivisionError):
-            v = math.nan
-        if math.isfinite(v):
-            return v
-    k = max(0, -2 * (math.frexp(alpha)[1] // 2))
-    s_low, s_high = _row_sums("dy_w", alpha, 0.0, z, True, cfg, scale=k)
-    my, ey = math.frexp(y)  # sqrt(y) = y^{3/2}/(my 2^ey)
-    return _w_scaled(1.5 * s_low / my, y, alpha, -2 * k - ey) + _w_scaled(s_high, y, alpha, -3 * k)
+    if _dy_c4(alpha) < 2.0**-1022:  # the least normal float
+        raise ThetaOverflow(f"d/dy W's pi^2 alpha^3 is below the normal range at alpha = {alpha:.3g}")
+    s_low, s_high = _row_sums("dy_w", alpha, 0.0, z, True, cfg)
+    try:
+        v = (1.5 * math.sqrt(y) * s_low + y**1.5 * s_high) / (_PI * alpha**2.5)
+    except (OverflowError, ZeroDivisionError):
+        v = math.nan
+    if math.isfinite(v):
+        return v
+    if not (s_low or s_high):
+        return 0.0  # y^{3/2} overflows, or alpha^{5/2} underflows, where both sums are 0
+    raise ThetaOverflow(f"d/dy W's row sums times their factors leave the float range at alpha = {alpha:.3g}, "
+                        f"y = {y:.3g}")
 
 
 def theta_difference(

@@ -220,20 +220,32 @@ def test_w_rows_at_tiny_alpha_and_huge_y(alpha, y):
         assert dx_w(alpha, z) == 0.0
 
 
-@pytest.mark.parametrize("alpha, y", [(1e-110, 1e110), (1e-140, 1e140), (1e-20, 1e250), (1e-105, 3e104)])
+@pytest.mark.parametrize("alpha, y", [(1e-110, 1e110), (1e-140, 1e140), (1e-105, 3e104), (1e-102, 1e102),
+                                      (1e-20, 1e250)])
 def test_dy_w_at_tiny_alpha_and_huge_y(alpha, y):
-    # pi^2 alpha^3 is below the normal range, alpha^{5/2} is 0.0 or y^{3/2}
-    # overflows: d/dy W takes its rows at alpha 2^k and its factors by powers
-    # of 2, and agrees with a central difference of W at the critical coupling
+    # Below alpha ~ 6e-103 pi^2 alpha^3 is below the normal range and d/dy W
+    # raises ThetaOverflow; above, where alpha^{5/2} is tiny or y^{3/2}
+    # overflows, it agrees with a central difference of W at the critical
+    # coupling.  Neither gives a bare arithmetic error or a warning.
     z = UpperHalfPoint(0.3, y)
     h = 1e-6 * y
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        want = (w_b(alpha, B_CRITICAL, UpperHalfPoint(0.3, y + h))
-                - w_b(alpha, B_CRITICAL, UpperHalfPoint(0.3, y - h))) / (2.0 * h)
-        assert dy_w(alpha, z) == pytest.approx(want, rel=1e-8)
+        if alpha < 6e-103:
+            with pytest.raises(ThetaOverflow, match=r"pi\^2 alpha\^3"):
+                dy_w(alpha, z)
+        else:
+            want = (w_b(alpha, B_CRITICAL, UpperHalfPoint(0.3, y + h))
+                    - w_b(alpha, B_CRITICAL, UpperHalfPoint(0.3, y - h))) / (2.0 * h)
+            assert dy_w(alpha, z) == pytest.approx(want, rel=1e-8)
         # the double sum's factor -8 pi alpha^{-5/2} y^{3/2} passes the float range
         assert dx_w_double_sum(alpha, z) == 0.0 == dx_w(alpha, z)
+
+
+def test_dx_w_double_sum_raises_where_its_coupling_coefficients_overflow():
+    # alpha^2 overflows in A_(n,m) and meets e^{...} = 0.0: the sum is nan
+    with pytest.raises(ThetaOverflow, match="coupling coefficients"):
+        dx_w_double_sum(1e160, UpperHalfPoint(0.3, 1e200))
 
 
 def test_w_rows_raise_where_w_b_passes_the_float_range():

@@ -7,22 +7,26 @@ expansion
     theta(alpha; z) = sqrt(y/alpha) sum_n e^{-alpha pi y n^2} theta(y/alpha; n x)
 
 and its kin for W_b, d/dx W and d/dy W, each written once in the term table
-_SUMS, read by a float loop over one theta1d.theta_rows call at X = y/alpha;
-past e^{-alpha pi y} = 0.0 that call takes the row n = 0 alone, and where
-also 2 e^{-pi X} <= 2^-53 theta_lattice and w_b take that row in closed
-form, with no call (:func:`_origin_row_alone`).  Where it
-would take the Poisson comb (y/alpha < POISSON_SWITCH), the lattice is
-walked instead: theta_lattice and w_b sum its points directly, and dx_w and
-dy_w take the gradient of the half-plane walk that gives the Newton steps
-their values, gradients and Hessians (:func:`_walk`), each to a radius that
-one proven tail sets (:func:`_radius`); they take the rows only where the
-walk would pass its point cap.  theta and W_b include the origin (1 to theta,
--b/alpha to W_b); the energies E_f exclude it, summing the row n = 0
-without it where subtracting it would cancel.  A Laplace energy integrates
-the Gaussian-family energies over its transform variable, from one walk of
-the half plane where that walk is short and from the origin-free row sums
-at each node past it (:func:`laplace_energy`); every node's slice terms
-come from one array pass (:func:`_slice_terms`), which the Newton walks'
+_SUMS, read by a float loop over one theta1d.theta_rows call at X = y/alpha.
+e^{-alpha pi y} = 0.0 is the one test for "only the row n = 0, through the
+origin, is left": that call then takes it alone, with 0.0 for the
+coefficients of n^2 and n^4, and where also 2 e^{-pi X} <= 2^-53
+theta_lattice and w_b take it in closed form, with no call
+(:func:`_origin_row_alone`).  Where the call would take the Poisson comb
+(y/alpha < POISSON_SWITCH), the lattice is walked instead: theta_lattice and
+w_b sum its points directly, and dx_w and dy_w take the gradient of the
+half-plane walk that gives the Newton steps their values, gradients and
+Hessians (:func:`_walk`), each to a radius that one proven tail sets
+(:func:`_radius`).  Only where the walk would pass its point cap do they
+take the rows; there, where e^{-alpha pi y} is 0.0, w_b and dy_w take the
+lone origin row in alpha/y (:func:`_row0_sum`), which carries no power of
+X.  theta and W_b include the origin (1 to theta, -b/alpha to W_b); the
+energies E_f exclude it, summing the row n = 0 without it where
+subtracting it would cancel.  A Laplace energy integrates the
+Gaussian-family energies over its transform variable, from one walk of the
+half plane where that walk is short and from the origin-free row sums at
+each node past it (:func:`laplace_energy`); every node's slice terms come
+from one array pass (:func:`_slice_terms`), which the Newton walks'
 mixture terms read too.
 """
 
@@ -55,7 +59,8 @@ _DIRECT_TOL = 2.0**-54
 
 #: theta_lattice and w_b walk at most this many points, the most the row
 #: expansion accepts (MAX_TERMS rows of MAX_TERMS terms); past it they take
-#: the rows, which then raise TruncationFailure.
+#: the rows, which raise TruncationFailure only where alpha y leaves more
+#: rows than MAX_TERMS.
 _DIRECT_CAP = MAX_TERMS * MAX_TERMS
 
 
@@ -86,7 +91,9 @@ def _dy_c4(alpha: float) -> float:
 
 
 def _dy_terms(alpha, c0, c2):
-    c4 = _dy_c4(alpha)  # for pi a^2 S2 + SX and -pi^2 a^3 S4 + SXX/alpha
+    # for pi a^2 S2 + SX and -pi^2 a^3 S4 + SXX/alpha; c2 is 0.0 where row 0 is
+    # alone (or pi a^2 underflows, and with it pi^2 a^3)
+    c4 = _dy_c4(alpha) if c2 else 0.0
     return (lambda n, th, thx, thxx: c2 * n * n * th + thx,
             lambda n, th, thx, thxx: -c4 * n**4 * th + thxx / alpha)
 
@@ -96,8 +103,9 @@ def _dy_terms(alpha, c0, c2):
 #: and takes the theta orders at X0 = y/alpha, Y = n x.  row0(k, d, b) is
 #: the k-th term of half the row n = 0 without the origin, d = alpha/y (times
 #: alpha for W_b; for d/dy W, y^2 times the y-derivative of W_b's over alpha).
-#: terms(alpha, c0, c2) binds the coefficients (c2 = pi alpha^2) into the row
-#: terms term(n, *rows), one per accumulator.
+#: terms(alpha, c0, c2) binds the coefficients (c2 = pi alpha^2, 0.0 where
+#: the row n = 0 is alone) into the row terms term(n, *rows), one per
+#: accumulator.
 _SUMS = {
     "theta_lattice": (0, ((0, 0),), lambda k, d, b: math.exp(-_PI * d * k * k),
                       lambda alpha, c0, c2: (lambda n, th: th,)),
@@ -116,8 +124,10 @@ def _row_sums(name: str, alpha: float, c0: float, z: UpperHalfPoint, origin: boo
     over n = 0 (only when origin is set) and n = 1..last_index, with w_0 = 1,
     w_n = 2 e^{-alpha pi y n^2} and every row from one theta_rows call.  Where
     w_1 underflows to 0 so does every w_n, and only the row n = 0 is taken:
-    the others would add 0.0 t for a finite t.  e1 is e^{-alpha pi y} where
-    the caller has it."""
+    the others would add 0.0 t for a finite t.  The coefficients of n^2 and
+    n^4 (pi alpha^2, pi^2 alpha^3) are then 0.0: they multiply n = 0, so no
+    bit moves, and at huge alpha, where they overflow, inf 0 is never
+    formed.  e1 is e^{-alpha pi y} where the caller has it."""
     power, orders, _, terms = _SUMS[name]
     # from 2^53 on x is an integer: the lattice of x = 0, where n x cannot overflow
     x, y = (z.x if abs(z.x) < 2.0**53 else 0.0), z.y
@@ -129,7 +139,7 @@ def _row_sums(name: str, alpha: float, c0: float, z: UpperHalfPoint, origin: boo
     ws = [2.0 * math.exp(a * n * n) if n else 1.0 for n in ns]
     rows = theta_rows(y / alpha, [n * x for n in ns], orders, cfg) if ns else ()
     out = []
-    for term in terms(alpha, c0, _PI * alpha * alpha):
+    for term in terms(alpha, c0, _PI * alpha * alpha if last else 0.0):
         acc = 0.0
         for w, t in zip(ws, map(term, ns, *rows)):
             acc += w * t
@@ -139,9 +149,10 @@ def _row_sums(name: str, alpha: float, c0: float, z: UpperHalfPoint, origin: boo
 
 def _row0_sum(name: str, d: float, b: float, cfg: SeriesConfig) -> float:
     """sum_{k>=1} row0(k, d, b) of the table entry name at d = alpha/y, added
-    in order from 0.0 (the built-in sum compensates from Python 3.12 on); 0.0
-    where d = inf, at which every exponential is 0 and a term would be inf 0."""
-    if d == math.inf:
+    in order from 0.0 (the built-in sum compensates from Python 3.12 on).
+    0.0 where e^{-pi d} is 0.0: every term is then a finite factor times
+    0.0, or, where pi d k^2 overflows (d from ~5.7e307), inf times 0.0 = nan."""
+    if not math.exp(-_PI * d):
         return 0.0
     power, _, row0, _ = _SUMS[name]
     acc = 0.0
@@ -193,7 +204,11 @@ def w_b(alpha: float, b: float, z: UpperHalfPoint, cfg: SeriesConfig = DEFAULT_C
 
     Below y/alpha = POISSON_SWITCH a direct sum (:func:`_direct_sum`), within
     its proven tail (under 2^-54) plus a few ulps of sum |terms| at any z.
-    From there on the exponential expansion
+    Where that sum would pass its point cap and e^{-alpha pi y} is 0.0, the
+    row through the origin alone, -b/alpha + (2/alpha) sum_{k>=1} (k^2 d -
+    b) e^{-pi d k^2} at d = alpha/y (:func:`_row0_sum`), which carries no
+    power of y/alpha and so cannot overflow.  Elsewhere the exponential
+    expansion
 
         (1/pi) alpha^{-5/2} y^{3/2} [ (1/2)(1 - 2 pi b)(alpha/y) S0
                                       + pi alpha^2 S2 + SX ]
@@ -218,43 +233,28 @@ def w_b(alpha: float, b: float, z: UpperHalfPoint, cfg: SeriesConfig = DEFAULT_C
     c0 = 0.5 * (1.0 - 2.0 * _PI * b) * (alpha / z.y)
     if math.isinf(c0) and b:  # 2 pi b overflows: W_0 - (b/alpha) theta stays finite
         return w_b(alpha, 0.0, z, cfg) - b / alpha * theta_lattice(alpha, z, cfg)
-    if z.y / alpha < POISSON_SWITCH:
-        total = _direct_sum(PolyGaussian(alpha, b), z, abs(b) / alpha)
-        if total is not None:
+    X, e1 = z.y / alpha, math.exp(-alpha * _PI * z.y)
+    if X < POISSON_SWITCH:
+        if (total := _direct_sum(PolyGaussian(alpha, b), z, abs(b) / alpha)) is not None:
             return total - b / alpha
-    if _off_row_underflows(_PI * alpha * alpha, alpha, z.y):
-        return 2.0 * _row0_sum("w_b", alpha / z.y, b, cfg) / alpha - b / alpha
-    e1 = math.exp(-alpha * _PI * z.y)
-    if _origin_row_alone(e1, X := z.y / alpha):
+        if not e1:
+            return 2.0 * _row0_sum("w_b", alpha / z.y, b, cfg) / alpha - b / alpha
+    if _origin_row_alone(e1, X):
         # the origin row's term (c0 + 0.0) 1.0 + theta_X, added to 0.0 as the row loop adds it
         return _w_scaled(0.0 + (c0 + -2.0 * _PI * math.exp(-_PI * X)), z.y, alpha)
     return _w_rows(alpha, c0, z, True, cfg, e1)
 
 
-def _off_row_underflows(c: float, alpha: float, y: float) -> bool:
-    """Whether c, the largest coefficient of a W row expansion (pi alpha^2,
-    or :func:`_dy_c4` for d/dy W), overflows where every point off the row
-    through the origin has a term below the float range: such a point has
-    |P|^2 >= y, and pi alpha y > 800 puts |P|^2 e^{-pi alpha |P|^2} under
-    2^-1074, e^{-pi alpha |P|^2} under e^-800 of b/alpha, and the
-    y-derivative's (1 + pi alpha q + pi b)(q/y) e^{-pi alpha q}, q = |P|^2,
-    under 2^-1074 too."""
-    return math.isinf(c) and _PI * alpha * y > 800.0
-
-
 def _w_scaled(acc: float, y: float, alpha: float) -> float:
-    """acc y^{3/2}/(pi alpha^{5/2}): a sum of W rows times their factor, by
-    way of y/alpha where a power overflows (alpha^{5/2} does from alpha ~
-    2e123).  Where the factor or the product is not finite (at tiny alpha
-    and huge y the factor passes the float range, alpha^{5/2} may be 0.0)
-    the powers of 2 of acc, y and alpha are taken apart, and ThetaOverflow
-    is raised where the product itself passes the float range."""
+    """acc y^{3/2}/(pi alpha^{5/2}): a sum of W rows times their factor.
+    Where a power or the product is not finite (alpha^{5/2} overflows from
+    alpha ~ 2e123; at tiny alpha and huge y the factor passes the float
+    range, alpha^{5/2} may be 0.0) the powers of 2 of acc, y and alpha are
+    taken apart, and ThetaOverflow is raised where the product itself
+    passes the float range."""
     try:
         v = y**1.5 / (_PI * alpha**2.5) * acc
-    except OverflowError:
-        r = y / alpha
-        v = r * math.sqrt(r) / (_PI * alpha) * acc
-    except ZeroDivisionError:
+    except (OverflowError, ZeroDivisionError):
         v = math.nan
     if math.isfinite(v):
         return v
@@ -297,8 +297,6 @@ def _w_b_minus_origin(alpha: float, b: float, z: UpperHalfPoint, cfg: SeriesConf
     # both branches, since W_b + b/alpha would be -inf + inf
     if b and (math.isinf(c0) or math.isinf(b / alpha)):
         return _w_b_minus_origin(alpha, 0.0, z, cfg) - b / alpha * _theta_minus_one(alpha, z, cfg)
-    if _off_row_underflows(_PI * alpha * alpha, alpha, z.y):  # as in w_b
-        return 2.0 * _row0_sum("w_b", alpha / z.y, b, cfg) / alpha
     if 4.0 * alpha < z.y:
         return w_b(alpha, b, z, cfg) + b / alpha
     return 2.0 * _row0_sum("w_b", alpha / z.y, b, cfg) / alpha + _w_rows(alpha, c0, z, False, cfg)
@@ -389,27 +387,30 @@ def dy_w(alpha: float, z: UpperHalfPoint, cfg: SeriesConfig = DEFAULT_CONFIG) ->
     """d/dy of W_{1/(2 pi)}(alpha; z), valid for every z (not only on the
     vertical line x = 1/2 where the minimization uses it).
 
-    Where pi^2 alpha^3 overflows, from the row through the origin alone
-    (:func:`_off_row_underflows`); else below y/alpha = POISSON_SWITCH from
-    one walk of the half plane, to the accuracy :func:`dx_w` states, and
-    from there on, and where the walk would pass its point cap, by the
-    theta, theta_X and theta_XX row series (:func:`_dy_rows`)."""
+    Below y/alpha = POISSON_SWITCH from one walk of the half plane, to the
+    accuracy :func:`dx_w` states; where that walk would pass its point cap
+    and e^{-alpha pi y} is 0.0, from the row through the origin alone, in
+    d = alpha/y (:func:`_row0_sum`), which carries no power of y/alpha.
+    Elsewhere by the theta, theta_X and theta_XX row series
+    (:func:`_dy_rows`)."""
     _check_alpha(alpha)
-    if _off_row_underflows(_dy_c4(alpha), alpha, z.y):
-        s = 2.0 * _row0_sum("dy_w", alpha / z.y, B_CRITICAL, cfg)
-        return s / (z.y * z.y) if s else 0.0  # y^2 may underflow where s is 0
-    if z.y / alpha < POISSON_SWITCH and (g := _critical_gradient(alpha, z, 1)) is not None:
-        return g
+    if z.y / alpha < POISSON_SWITCH:
+        if (g := _critical_gradient(alpha, z, 1)) is not None:
+            return g
+        if not math.exp(-alpha * _PI * z.y):
+            s = 2.0 * _row0_sum("dy_w", alpha / z.y, B_CRITICAL, cfg)
+            return s / (z.y * z.y) if s else 0.0  # y^2 may underflow where s is 0
     return _dy_rows(alpha, z, cfg)
 
 
 def _dy_rows(alpha: float, z: UpperHalfPoint, cfg: SeriesConfig) -> float:
     """The row expansion of :func:`dy_w`, (1.5 sqrt(y) s_low + y^{3/2}
-    s_high)/(pi alpha^{5/2}), or 0.0 where both sums are and a factor
-    leaves the float range.  ThetaOverflow where pi^2 alpha^3, the
-    coefficient of s_high's rows n >= 1, is below the normal range (alpha <
-    ~6e-103: its rounding, or 0.0, would pass into the value), or where a
-    power or the value is not finite."""
+    s_high)/(pi alpha^{5/2}); where a power or that value is not finite,
+    s_high + 1.5 s_low/y goes through :func:`_w_scaled`'s powers of 2,
+    which raise ThetaOverflow where the value passes the float range.
+    ThetaOverflow too where pi^2 alpha^3, the coefficient of s_high's rows
+    n >= 1, is below the normal range (alpha < ~6e-103: its rounding, or
+    0.0, would pass into the value)."""
     y = z.y
     if _dy_c4(alpha) < 2.0**-1022:  # the least normal float
         raise ThetaOverflow(f"d/dy W's pi^2 alpha^3 is below the normal range at alpha = {alpha:.3g}")
@@ -418,12 +419,7 @@ def _dy_rows(alpha: float, z: UpperHalfPoint, cfg: SeriesConfig) -> float:
         v = (1.5 * math.sqrt(y) * s_low + y**1.5 * s_high) / (_PI * alpha**2.5)
     except (OverflowError, ZeroDivisionError):
         v = math.nan
-    if math.isfinite(v):
-        return v
-    if not (s_low or s_high):
-        return 0.0  # y^{3/2} overflows, or alpha^{5/2} underflows, where both sums are 0
-    raise ThetaOverflow(f"d/dy W's row sums times their factors leave the float range at alpha = {alpha:.3g}, "
-                        f"y = {y:.3g}")
+    return v if math.isfinite(v) else _w_scaled(s_high + 1.5 * s_low / y, y, alpha)
 
 
 def theta_difference(

@@ -157,6 +157,12 @@ def _origin_row_w(alpha, b, y):
     (1e130, 0.5, UpperHalfPoint(0.2, 1e131)),  # alpha^{5/2} alone overflows
     (1e154, 0.5, UpperHalfPoint(0.2, 1.5e154)),  # pi alpha^2 overflows, alpha y does not
     (1e160, 0.5, UpperHalfPoint(0.2, 1e-140)),  # y below the direct sum's reach
+    # there the row is taken in alpha/y, which carries no power of X = y/alpha;
+    # the rows' X^{-5/2} overflows at all but the second
+    (1e100, 0.3, UpperHalfPoint(0.3, 1e-30)),
+    (1e100, 0.3, UpperHalfPoint(0.3, 1e-10)),
+    (1e150, 0.3, UpperHalfPoint(0.3, 1e-30)),
+    (1e150, 0.3, UpperHalfPoint(0.3, 1e-10)),
 ])
 def test_w_b_where_powers_of_alpha_overflow(alpha, b, z):
     assert w_b(alpha, b, z) == pytest.approx(_origin_row_w(alpha, b, z.y), rel=1e-14)
@@ -184,6 +190,22 @@ def test_dy_w_where_powers_of_alpha_overflow(alpha, y):
     assert dy_w(alpha, UpperHalfPoint(0.2, y)) == pytest.approx(want, rel=1e-13)
 
 
+def test_origin_row_closed_form_where_pi_alpha_squared_overflows():
+    # e^{-alpha pi y} is 0.0, so only the row through the origin is left, and
+    # at X = y/alpha = 1e10 it is y^{3/2}/(pi alpha^{5/2}) (c0 - 2 pi e^{-pi X})
+    # though pi alpha^2 overflows; its sum in alpha/y would need 1e5 terms
+    alpha, b, y = 1e160, 0.3, 1e170
+    with mpmath.workdps(40):
+        a, X = mpmath.mpf(alpha), mpmath.mpf(y) / mpmath.mpf(alpha)
+        c0 = (1 - 2 * mpmath.pi * mpmath.mpf(b)) / (2 * X)
+        want = float(mpmath.mpf(y) ** 1.5 / (mpmath.pi * a**2.5) * (c0 - 2 * mpmath.pi * mpmath.exp(-mpmath.pi * X)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert w_b(alpha, b, UpperHalfPoint(0.3, y)) == pytest.approx(want, rel=1e-14)
+        # pi^2 alpha^3 overflows too; theta_X and theta_XX at X = 1e50 are 0.0
+        assert dy_w(1e150, UpperHalfPoint(0.3, 1e200)) == 0.0
+
+
 @pytest.mark.parametrize("alpha, y", [(1e130, 1e131), (1e154, 1.5e154), (1e160, 1e161)])
 def test_dx_w_where_powers_of_alpha_overflow(alpha, y):
     # x moves only the points off the row through the origin, whose terms,
@@ -196,10 +218,15 @@ def test_dx_w_where_powers_of_alpha_overflow(alpha, y):
     lambda: dy_w(1e165, UpperHalfPoint(0.3, 1e-162)),  # y^2 underflows too
     lambda: w_b(1e160, 0.0, UpperHalfPoint(0.3, 3e-157)),
     lambda: closed_form_energy(PolyGaussian(1e160, 0.0), UpperHalfPoint(0.3, 3e-157)),
-], ids=["dy_w", "dy_w-y-squared", "w_b", "poly-gaussian-energy"])
+    lambda: closed_form_energy(PolyGaussian(1e305, 1.0), UpperHalfPoint(0.0, 1e-3)),  # pi alpha/y overflows
+    # alpha/y = 1e50: the Poisson rows at X = 1e-50 left -3.7e-27 of two terms
+    # of +-7.5e64 that cancel
+    lambda: dy_w(1e30, UpperHalfPoint(0.3, 1e-20)),
+], ids=["dy_w", "dy_w-y-squared", "w_b", "poly-gaussian-energy", "poly-gaussian-energy-pi-d", "dy_w-1e50"])
 def test_origin_row_where_alpha_over_y_overflows(call):
-    # alpha/y = inf: every exponential of the row through the origin is 0,
-    # where its terms would be inf * 0 = nan, and the other rows underflow
+    # alpha/y = inf, or pi alpha/y overflows: every exponential of the row
+    # through the origin is 0, where its terms would be inf * 0 = nan, and the
+    # other rows underflow
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert call() == 0.0

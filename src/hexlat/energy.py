@@ -6,28 +6,29 @@ expansion
 
     theta(alpha; z) = sqrt(y/alpha) sum_n e^{-alpha pi y n^2} theta(y/alpha; n x)
 
-and its kin for W_b, d/dx W and d/dy W, each written once in the term table
-_SUMS, read by a float loop over one theta1d.theta_rows call at X = y/alpha.
-e^{-alpha pi y} = 0.0 is the one test for "only the row n = 0, through the
-origin, is left": that call then takes it alone, with 0.0 for the
-coefficients of n^2 and n^4, and where also 2 e^{-pi X} <= 2^-53
-theta_lattice and w_b take it in closed form, with no call
-(:func:`_origin_row_alone`).  Where the call would take the Poisson comb
+and its kin for W_b, d/dx W and d/dy W, each written once, with its
+prefactor and its row through the origin in alpha/y, in the term table
+_SUMS, which one function reads (:func:`_rows`): a float loop over one
+theta1d.theta_rows call at X = y/alpha.  e^{-alpha pi y} = 0.0 is the one
+test for "only the row n = 0, through the origin, is left": that call then
+takes it alone, with 0.0 for the coefficients of n^2 and n^4, and where
+also 2 e^{-pi X} <= 2^-53 theta_lattice and w_b take it in closed form,
+with no call (:func:`_origin_row_alone`).  Where the call would take the Poisson comb
 (y/alpha < POISSON_SWITCH), the lattice is walked instead: theta_lattice and
 w_b sum its points directly, and dx_w and dy_w take the gradient of the
 half-plane walk that gives the Newton steps their values, gradients and
 Hessians (:func:`_walk`), each to a radius that one proven tail sets
 (:func:`_radius`).  Only where the walk would pass its point cap do they
 take the rows; there, where e^{-alpha pi y} is 0.0, w_b and dy_w take the
-lone origin row in alpha/y (:func:`_row0_sum`), which carries no power of
-X.  theta and W_b include the origin (1 to theta, -b/alpha to W_b); the
-energies E_f exclude it, summing the row n = 0 without it where
-subtracting it would cancel.  A Laplace energy integrates the
-Gaussian-family energies over its transform variable, from one walk of the
-half plane where that walk is short and from the origin-free row sums at
-each node past it (:func:`laplace_energy`); every node's slice terms come
-from one array pass (:func:`_slice_terms`), which the Newton walks'
-mixture terms read too.
+lone origin row in alpha/y, which carries no power of X.  theta and W_b
+include the origin (1 to theta, -b/alpha to W_b); the energies E_f exclude
+it, summing the row n = 0 in alpha/y without it where subtracting it would
+cancel.  A Laplace energy integrates the Gaussian-family energies over its
+transform variable, from one walk of the half plane where that walk is
+short and from the origin-free row sums at each node past it
+(:func:`laplace_energy`); every node's slice terms come from one array
+pass (:func:`_slice_terms`), which the Newton walks' mixture terms read
+too.
 """
 
 from __future__ import annotations
@@ -99,38 +100,54 @@ def _dy_terms(alpha, c0, c2):
 
 
 #: One entry per lattice row sum, keyed by the name its term count carries:
-#: (power, orders, row0, terms).  Row n is bounded by n^power e^{-alpha pi y n^2}
-#: and takes the theta orders at X0 = y/alpha, Y = n x.  row0(k, d, b) is
-#: the k-th term of half the row n = 0 without the origin, d = alpha/y (times
-#: alpha for W_b; for d/dy W, y^2 times the y-derivative of W_b's over alpha).
-#: terms(alpha, c0, c2) binds the coefficients (c2 = pi alpha^2, 0.0 where
-#: the row n = 0 is alone) into the row terms term(n, *rows), one per
-#: accumulator.
+#: (power, orders, row0, terms, scale, row0_scale).  Row n is bounded by n^power
+#: e^{-alpha pi y n^2} and takes the theta orders at X0 = y/alpha, Y = n x.
+#: row0(k, d, b) is the k-th term of half the row n = 0 without the origin,
+#: d = alpha/y (times alpha for W_b; for d/dy W, y^2 times the y-derivative of
+#: W_b's over alpha), and row0_scale(s, y, alpha) turns twice their sum s into
+#: the entry's value.  terms(alpha, c0, c2) binds the coefficients (c2 = pi
+#: alpha^2, 0.0 where the row n = 0 is alone) into the row terms term(n, *rows),
+#: one per accumulator, and scale(*accumulators, y, alpha) is the prefactor.
 _SUMS = {
     "theta_lattice": (0, ((0, 0),), lambda k, d, b: math.exp(-_PI * d * k * k),
-                      lambda alpha, c0, c2: (lambda n, th: th,)),
+                      lambda alpha, c0, c2: (lambda n, th: th,),
+                      lambda acc, y, alpha: math.sqrt(y / alpha) * acc, lambda s, y, alpha: s),
     "w_b": (2, ((0, 0), (1, 0)), lambda k, d, b: (k * k * d - b) * math.exp(-_PI * d * k * k),
-            lambda alpha, c0, c2: (lambda n, th, thx: (c0 + c2 * n * n) * th + thx,)),
+            lambda alpha, c0, c2: (lambda n, th, thx: (c0 + c2 * n * n) * th + thx,),
+            lambda acc, y, alpha: _w_scaled(acc, y, alpha), lambda s, y, alpha: s / alpha),
     "dx_w": (3, ((0, 1), (1, 1)), None,
-             lambda alpha, c0, c3: (lambda n, thy, thxy: c3 * n**3 * thy + n * thxy,)),
+             lambda alpha, c0, c3: (lambda n, thy, thxy: c3 * n**3 * thy + n * thxy,),
+             lambda acc, y, alpha: _w_scaled(acc, y, alpha), None),
     "dy_w": (4, ((0, 0), (1, 0), (2, 0)),
-             lambda k, d, b: k * k * (_PI * (k * k * d - b) - 1.0) * math.exp(-_PI * d * k * k), _dy_terms),
+             lambda k, d, b: k * k * (_PI * (k * k * d - b) - 1.0) * math.exp(-_PI * d * k * k), _dy_terms,
+             lambda s_low, s_high, y, alpha: _dy_scaled(s_low, s_high, y, alpha),
+             lambda s, y, alpha: s / (y * y) if s else 0.0),  # y^2 may underflow where s is 0
 }
 
 
-def _row_sums(name: str, alpha: float, c0: float, z: UpperHalfPoint, origin: bool,
-              cfg: SeriesConfig, e1: float | None = None) -> list[float]:
-    """sum_n w_n term(n, rows at n) for each row term of the table entry name,
-    over n = 0 (only when origin is set) and n = 1..last_index, with w_0 = 1,
-    w_n = 2 e^{-alpha pi y n^2} and every row from one theta_rows call.  Where
-    w_1 underflows to 0 so does every w_n, and only the row n = 0 is taken:
-    the others would add 0.0 t for a finite t.  The coefficients of n^2 and
-    n^4 (pi alpha^2, pi^2 alpha^3) are then 0.0: they multiply n = 0, so no
-    bit moves, and at huge alpha, where they overflow, inf 0 is never
+def _rows(name: str, alpha: float, c0: float, z: UpperHalfPoint, origin: bool, cfg: SeriesConfig,
+          b: float = 0.0, e1: float | None = None) -> float:
+    """The row expansion of the table entry name: its scale of sum_n w_n
+    term(n, rows at n) for each row term, over n = 0 (only when origin is
+    set) and n = 1..last_index, with w_0 = 1, w_n = 2 e^{-alpha pi y n^2} and
+    every row from one theta_rows call.  Without origin, the row n = 0 is
+    first summed in d = alpha/y without the origin, its terms row0(k, d, b)
+    added in order from 0.0 (the built-in sum compensates from Python 3.12
+    on), and row0_scale of twice that sum is added to the value: 0.0 where
+    e^{-pi d} is 0.0, as every term is then a finite factor times 0.0, or,
+    where pi d k^2 overflows (d from ~5.7e307), inf times 0.0 = nan.
+    Where w_1 underflows to 0 so does every w_n, and only the row n = 0 is
+    taken: the others would add 0.0 t for a finite t.  The coefficients of n^2
+    and n^4 (pi alpha^2, pi^2 alpha^3) are then 0.0: they multiply n = 0, so
+    no bit moves, and at huge alpha, where they overflow, inf 0 is never
     formed.  e1 is e^{-alpha pi y} where the caller has it."""
-    power, orders, _, terms = _SUMS[name]
+    power, orders, row0, terms, scale, row0_scale = _SUMS[name]
     # from 2^53 on x is an integer: the lattice of x = 0, where n x cannot overflow
     x, y = (z.x if abs(z.x) < 2.0**53 else 0.0), z.y
+    s = 0.0
+    if not origin and row0 and math.exp(-_PI * (d := alpha / y)):
+        for k in range(1, cfg.last_index(d, power, 1, name) + 1):
+            s += row0(k, d, b)
     a = -alpha * _PI * y  # -alpha pi y n^2 multiplies left to right, so w_n keeps its bits
     if e1 is None:
         e1 = math.exp(a)
@@ -144,21 +161,8 @@ def _row_sums(name: str, alpha: float, c0: float, z: UpperHalfPoint, origin: boo
         for w, t in zip(ws, map(term, ns, *rows)):
             acc += w * t
         out.append(acc)
-    return out
-
-
-def _row0_sum(name: str, d: float, b: float, cfg: SeriesConfig) -> float:
-    """sum_{k>=1} row0(k, d, b) of the table entry name at d = alpha/y, added
-    in order from 0.0 (the built-in sum compensates from Python 3.12 on).
-    0.0 where e^{-pi d} is 0.0: every term is then a finite factor times
-    0.0, or, where pi d k^2 overflows (d from ~5.7e307), inf times 0.0 = nan."""
-    if not math.exp(-_PI * d):
-        return 0.0
-    power, _, row0, _ = _SUMS[name]
-    acc = 0.0
-    for k in range(1, cfg.last_index(d, power, 1, name) + 1):
-        acc += row0(k, d, b)
-    return acc
+    v = scale(*out, y, alpha)
+    return v if origin or not row0 else row0_scale(2.0 * s, y, alpha) + v
 
 
 def theta_lattice(alpha: float, z: UpperHalfPoint, cfg: SeriesConfig = DEFAULT_CONFIG) -> float:
@@ -178,7 +182,7 @@ def theta_lattice(alpha: float, z: UpperHalfPoint, cfg: SeriesConfig = DEFAULT_C
     e1 = math.exp(-alpha * _PI * z.y)
     if _origin_row_alone(e1, X):
         return math.sqrt(X)
-    return _theta_rows(alpha, z, True, cfg, e1)
+    return _rows("theta_lattice", alpha, 0.0, z, True, cfg, e1=e1)
 
 
 def _origin_row_alone(e1: float, X: float) -> bool:
@@ -192,13 +196,6 @@ def _origin_row_alone(e1: float, X: float) -> bool:
     return not e1 and X < math.inf and 2.0 * math.exp(-_PI * X) <= 2.0**-53
 
 
-def _theta_rows(alpha: float, z: UpperHalfPoint, origin: bool, cfg: SeriesConfig,
-                e1: float | None = None) -> float:
-    """The expansion of :func:`theta_lattice`; its n = 0 term is 0 unless origin is set."""
-    (acc,) = _row_sums("theta_lattice", alpha, 0.0, z, origin, cfg, e1)
-    return math.sqrt(z.y / alpha) * acc
-
-
 def w_b(alpha: float, b: float, z: UpperHalfPoint, cfg: SeriesConfig = DEFAULT_CONFIG) -> float:
     """W_b(alpha; z) = sum over the full lattice of (|P|^2 - b/alpha) e^{-pi alpha |P|^2}.
 
@@ -206,9 +203,9 @@ def w_b(alpha: float, b: float, z: UpperHalfPoint, cfg: SeriesConfig = DEFAULT_C
     its proven tail (under 2^-54) plus a few ulps of sum |terms| at any z.
     Where that sum would pass its point cap and e^{-alpha pi y} is 0.0, the
     row through the origin alone, -b/alpha + (2/alpha) sum_{k>=1} (k^2 d -
-    b) e^{-pi d k^2} at d = alpha/y (:func:`_row0_sum`), which carries no
-    power of y/alpha and so cannot overflow.  Elsewhere the exponential
-    expansion
+    b) e^{-pi d k^2} at d = alpha/y (:func:`_rows` without origin), which
+    carries no power of y/alpha and so cannot overflow.  Elsewhere the
+    exponential expansion
 
         (1/pi) alpha^{-5/2} y^{3/2} [ (1/2)(1 - 2 pi b)(alpha/y) S0
                                       + pi alpha^2 S2 + SX ]
@@ -238,11 +235,11 @@ def w_b(alpha: float, b: float, z: UpperHalfPoint, cfg: SeriesConfig = DEFAULT_C
         if (total := _direct_sum(PolyGaussian(alpha, b), z, abs(b) / alpha)) is not None:
             return total - b / alpha
         if not e1:
-            return 2.0 * _row0_sum("w_b", alpha / z.y, b, cfg) / alpha - b / alpha
+            return _rows("w_b", alpha, c0, z, False, cfg, b, e1) - b / alpha
     if _origin_row_alone(e1, X):
         # the origin row's term (c0 + 0.0) 1.0 + theta_X, added to 0.0 as the row loop adds it
         return _w_scaled(0.0 + (c0 + -2.0 * _PI * math.exp(-_PI * X)), z.y, alpha)
-    return _w_rows(alpha, c0, z, True, cfg, e1)
+    return _rows("w_b", alpha, c0, z, True, cfg, e1=e1)
 
 
 def _w_scaled(acc: float, y: float, alpha: float) -> float:
@@ -273,19 +270,12 @@ def _w_scaled(acc: float, y: float, alpha: float) -> float:
     return v
 
 
-def _w_rows(alpha: float, c0: float, z: UpperHalfPoint, origin: bool, cfg: SeriesConfig,
-            e1: float | None = None) -> float:
-    """The expansion of :func:`w_b`; its n = 0 term is 0 unless origin is set."""
-    (acc,) = _row_sums("w_b", alpha, c0, z, origin, cfg, e1)
-    return _w_scaled(acc, z.y, alpha)
-
-
 def _theta_minus_one(alpha: float, z: UpperHalfPoint, cfg: SeriesConfig) -> float:
     """theta(alpha; z) - 1.  For alpha >= y the n = 0 term, theta(alpha/y; 0) by
     Poisson, is summed without the origin; below, theta >= sqrt(y/alpha) > 1."""
     if alpha < z.y:
         return theta_lattice(alpha, z, cfg) - 1.0
-    return 2.0 * _row0_sum("theta_lattice", alpha / z.y, 0.0, cfg) + _theta_rows(alpha, z, False, cfg)
+    return _rows("theta_lattice", alpha, 0.0, z, False, cfg)
 
 
 def _w_b_minus_origin(alpha: float, b: float, z: UpperHalfPoint, cfg: SeriesConfig) -> float:
@@ -299,7 +289,7 @@ def _w_b_minus_origin(alpha: float, b: float, z: UpperHalfPoint, cfg: SeriesConf
         return _w_b_minus_origin(alpha, 0.0, z, cfg) - b / alpha * _theta_minus_one(alpha, z, cfg)
     if 4.0 * alpha < z.y:
         return w_b(alpha, b, z, cfg) + b / alpha
-    return 2.0 * _row0_sum("w_b", alpha / z.y, b, cfg) / alpha + _w_rows(alpha, c0, z, False, cfg)
+    return _rows("w_b", alpha, c0, z, False, cfg, b)
 
 
 def w_b_via_theta_derivative(
@@ -328,7 +318,7 @@ def dx_w(alpha: float, z: UpperHalfPoint, cfg: SeriesConfig = DEFAULT_CONFIG) ->
     Below y/alpha = POISSON_SWITCH from one walk of the half plane
     (:func:`_critical_gradient`), as theta_lattice and w_b sum directly
     there; from there on, and where the walk would pass its point cap, by
-    the theta_Y / theta_XY row series (:func:`_dx_rows`).  Against 40-digit
+    the theta_Y / theta_XY row series (:func:`_rows`).  Against 40-digit
     sums the walk stayed within 1.6 ulps of sum |f'(q) q_x| (1 + pi alpha
     q), a term's exponential carrying the rounding of q pi alpha q times
     over (README, "Direct lattice sums"; for d/dy W with |q_y| taken as m^2
@@ -336,13 +326,7 @@ def dx_w(alpha: float, z: UpperHalfPoint, cfg: SeriesConfig = DEFAULT_CONFIG) ->
     _check_alpha(alpha)
     if z.y / alpha < POISSON_SWITCH and (g := _critical_gradient(alpha, z, 0)) is not None:
         return g
-    return _dx_rows(alpha, z, cfg)
-
-
-def _dx_rows(alpha: float, z: UpperHalfPoint, cfg: SeriesConfig) -> float:
-    """The row expansion of :func:`dx_w`."""
-    (acc,) = _row_sums("dx_w", alpha, 0.0, z, False, cfg)
-    return _w_scaled(acc, z.y, alpha)
+    return _rows("dx_w", alpha, 0.0, z, False, cfg)
 
 
 def coupling_coefficient(n: int, m: int, alpha: float, y: float) -> float:
@@ -390,31 +374,27 @@ def dy_w(alpha: float, z: UpperHalfPoint, cfg: SeriesConfig = DEFAULT_CONFIG) ->
     Below y/alpha = POISSON_SWITCH from one walk of the half plane, to the
     accuracy :func:`dx_w` states; where that walk would pass its point cap
     and e^{-alpha pi y} is 0.0, from the row through the origin alone, in
-    d = alpha/y (:func:`_row0_sum`), which carries no power of y/alpha.
-    Elsewhere by the theta, theta_X and theta_XX row series
-    (:func:`_dy_rows`)."""
-    _check_alpha(alpha)
-    if z.y / alpha < POISSON_SWITCH:
-        if (g := _critical_gradient(alpha, z, 1)) is not None:
-            return g
-        if not math.exp(-alpha * _PI * z.y):
-            s = 2.0 * _row0_sum("dy_w", alpha / z.y, B_CRITICAL, cfg)
-            return s / (z.y * z.y) if s else 0.0  # y^2 may underflow where s is 0
-    return _dy_rows(alpha, z, cfg)
-
-
-def _dy_rows(alpha: float, z: UpperHalfPoint, cfg: SeriesConfig) -> float:
-    """The row expansion of :func:`dy_w`, (1.5 sqrt(y) s_low + y^{3/2}
-    s_high)/(pi alpha^{5/2}); where a power or that value is not finite,
-    s_high + 1.5 s_low/y goes through :func:`_w_scaled`'s powers of 2,
-    which raise ThetaOverflow where the value passes the float range.
-    ThetaOverflow too where pi^2 alpha^3, the coefficient of s_high's rows
+    d = alpha/y, which carries no power of y/alpha.  Elsewhere by the theta,
+    theta_X and theta_XX row series, (1.5 sqrt(y) s_low + y^{3/2}
+    s_high)/(pi alpha^{5/2}) (:func:`_rows`, :func:`_dy_scaled`).  Off the
+    walk ThetaOverflow where pi^2 alpha^3, the coefficient of s_high's rows
     n >= 1, is below the normal range (alpha < ~6e-103: its rounding, or
     0.0, would pass into the value)."""
-    y = z.y
+    _check_alpha(alpha)
+    below = z.y / alpha < POISSON_SWITCH
+    if below and (g := _critical_gradient(alpha, z, 1)) is not None:
+        return g
     if _dy_c4(alpha) < 2.0**-1022:  # the least normal float
         raise ThetaOverflow(f"d/dy W's pi^2 alpha^3 is below the normal range at alpha = {alpha:.3g}")
-    s_low, s_high = _row_sums("dy_w", alpha, 0.0, z, True, cfg)
+    e1 = math.exp(-alpha * _PI * z.y)
+    return _rows("dy_w", alpha, 0.0, z, not (below and not e1), cfg, B_CRITICAL, e1)
+
+
+def _dy_scaled(s_low: float, s_high: float, y: float, alpha: float) -> float:
+    """(1.5 sqrt(y) s_low + y^{3/2} s_high)/(pi alpha^{5/2}), the d/dy W rows
+    times their factor; where a power or that value is not finite, s_high +
+    1.5 s_low/y goes through :func:`_w_scaled`'s powers of 2, which raise
+    ThetaOverflow where the value passes the float range."""
     try:
         v = (1.5 * math.sqrt(y) * s_low + y**1.5 * s_high) / (_PI * alpha**2.5)
     except (OverflowError, ZeroDivisionError):

@@ -499,8 +499,8 @@ def test_walk_gradient_matches_dx_dy_w(seed):
         p = PolyGaussian(alpha, B_CRITICAL)
         _, (gx, gy), _, _ = hessian_walk(p, z)
         scale = _abs_terms(p, z) + B_CRITICAL / alpha  # W_b's origin term
-        assert abs(gx - energy._dx_rows(alpha, z, DEFAULT_CONFIG)) <= 1e-12 * scale
-        assert abs(gy - energy._dy_rows(alpha, z, DEFAULT_CONFIG)) <= 1e-12 * scale
+        assert abs(gx - energy._rows("dx_w", alpha, 0.0, z, False, DEFAULT_CONFIG)) <= 1e-12 * scale
+        assert abs(gy - energy._rows("dy_w", alpha, 0.0, z, True, DEFAULT_CONFIG)) <= 1e-12 * scale
 
 
 def test_dx_dy_w_below_the_switch_match_40_digit_sums():
@@ -556,12 +556,12 @@ def test_dx_dy_w_take_the_rows_from_the_switch_on(monkeypatch):
 def test_dx_dy_w_take_the_rows_past_the_walk_cap(name, monkeypatch):
     # y/alpha = 1e-8, but the walk would visit ~5e5 points: the rows answer,
     # and raise where they would need more than MAX_TERMS rows too
-    public, rows = getattr(energy, name), getattr(energy, "_" + name[:2] + "_rows")
+    public = getattr(energy, name)
     z = UpperHalfPoint(0.3, 1e-5)
     with pytest.raises(RadiusTooLarge):
         energy._walk(*energy._terms(PolyGaussian(1e3, B_CRITICAL), True), z, 0)
     calls = _theta_rows_spy(monkeypatch)
-    assert public(1e3, z) == rows(1e3, z, DEFAULT_CONFIG)
+    assert public(1e3, z) == energy._rows(name, 1e3, 0.0, z, name == "dy_w", DEFAULT_CONFIG)
     assert calls == [1e-8, 1e-8]
     with pytest.raises(TruncationFailure, match=rf"^{name} "):
         public(1e-8, UpperHalfPoint(0.3, 1e-9))

@@ -7,10 +7,9 @@ loops below add each term in the order those kernels must keep, with their
 own copy of the term table; jacobi_theta, its partials, theta_rows and the
 row expansions must equal them under ==, not merely to a tolerance.
 theta_lattice, w_b, dx_w and dy_w take the expansion only from y/alpha = 1
-on, so their expansions are called through energy._theta_rows, _w_rows,
-_dx_rows and _dy_rows.  The
-origin-free sums add the row n = 0 without the origin (alpha >= y for theta,
-alpha >= y/4 for W_b) to the rows n >= 1.
+on, so their expansions are called through energy._rows, the one entry
+that reads the term table.  The origin-free sums add the row n = 0 without
+the origin (alpha >= y for theta, alpha >= y/4 for W_b) to the rows n >= 1.
 """
 
 import math
@@ -31,8 +30,7 @@ from hexlat import (
     theta_lattice,
     w_b,
 )
-from hexlat.energy import (_dx_rows, _dy_rows, _origin_row_alone, _theta_minus_one, _theta_rows, _w_b_minus_origin,
-                           _w_rows)
+from hexlat.energy import _origin_row_alone, _rows, _theta_minus_one, _w_b_minus_origin
 from hexlat.theta1d import theta_rows
 
 _PI = math.pi
@@ -188,10 +186,10 @@ def test_theta_rows_equals_frozen_reference(X, Ys, orders):
 def test_lattice_sums_equal_frozen_reference(x, y, alpha, b, cfg):
     z = UpperHalfPoint(x, y)
     c0 = 0.5 * (1.0 - 2.0 * _PI * b) * (alpha / z.y)
-    assert _theta_rows(alpha, z, True, cfg) == ref_theta_lattice(alpha, z, cfg)
-    assert _w_rows(alpha, c0, z, True, cfg) == ref_w_b(alpha, b, z, cfg)
-    assert _dx_rows(alpha, z, cfg) == ref_dx_w(alpha, z, cfg)
-    assert _dy_rows(alpha, z, cfg) == ref_dy_w(alpha, z, cfg)
+    assert _rows("theta_lattice", alpha, 0.0, z, True, cfg) == ref_theta_lattice(alpha, z, cfg)
+    assert _rows("w_b", alpha, c0, z, True, cfg) == ref_w_b(alpha, b, z, cfg)
+    assert _rows("dx_w", alpha, 0.0, z, False, cfg) == ref_dx_w(alpha, z, cfg)
+    assert _rows("dy_w", alpha, 0.0, z, True, cfg) == ref_dy_w(alpha, z, cfg)
 
 
 @settings(max_examples=200, deadline=None)
@@ -293,8 +291,9 @@ def test_large_y_sums_equal_recorded_values(row):
     alpha, x, y, b, *want = row
     z = UpperHalfPoint(x, y)
     cfg = DEFAULT_CONFIG
-    got = [theta_lattice(alpha, z), w_b(alpha, b, z), _dx_rows(alpha, z, cfg), _dy_rows(alpha, z, cfg),
-           _theta_minus_one(alpha, z, cfg), _w_b_minus_origin(alpha, b, z, cfg)]
+    got = [theta_lattice(alpha, z), w_b(alpha, b, z), _rows("dx_w", alpha, 0.0, z, False, cfg),
+           _rows("dy_w", alpha, 0.0, z, True, cfg), _theta_minus_one(alpha, z, cfg),
+           _w_b_minus_origin(alpha, b, z, cfg)]
     assert list(map(repr, got)) == list(map(repr, want))
     if y >= alpha:  # the public derivatives take the rows here
         assert [repr(dx_w(alpha, z)), repr(dy_w(alpha, z))] == list(map(repr, want[2:4]))
@@ -339,8 +338,8 @@ def test_origin_row_closed_form_equals_row_expansion():
         b = rng.choice([0.0, 1.0 / (2.0 * _PI), 1.0, -1.0, 1e3])
         c0 = 0.5 * (1.0 - 2.0 * _PI * b) * (alpha / z.y)
         for cfg in CONFIGS:
-            assert repr(theta_lattice(alpha, z, cfg)) == repr(_theta_rows(alpha, z, True, cfg))
-            assert repr(w_b(alpha, b, z, cfg)) == repr(_w_rows(alpha, c0, z, True, cfg))
+            assert repr(theta_lattice(alpha, z, cfg)) == repr(_rows("theta_lattice", alpha, 0.0, z, True, cfg))
+            assert repr(w_b(alpha, b, z, cfg)) == repr(_rows("w_b", alpha, c0, z, True, cfg))
         taken += _origin_row_alone(math.exp(-alpha * _PI * z.y), z.y / alpha)
     assert 100 < taken < 300
 

@@ -620,14 +620,18 @@ def _tail(gauss, yukawa, z: UpperHalfPoint, r2: float, derivatives: bool = False
         for w, c in yukawa:  # 1/q <= 1/r2 bounds nothing at r2 = 0
             tail += abs(w) * _moment_tails(c, r2, d2, 1)[0] / r2 if r2 else math.inf
         return tail
+    # a term whose moment tails are all 0.0 adds nothing, and is skipped: from
+    # alpha ~ 4.3e153 on c c overflows, and inf 0 = nan would keep the radius growing
     s, k1, k2 = 1.0 / r2, 1.0 / y + 2.0 / (y * y), 1.0 / (y * y)
     for A, B, c in gauss:
+        if not any(t := _moment_tails(c, r2, d2)):
+            continue
         A, B = abs(A), abs(B)
-        t = _moment_tails(c, r2, d2)
         tail += (A * t[0] + (B + k1 * (B + c * A)) * t[1]
                  + (k1 * c * B + k2 * c * (c * A + 2.0 * B)) * t[2] + k2 * c * c * B * t[3])
     for w, c in yukawa:
-        t = _moment_tails(c, r2, d2, 3)
+        if not any(t := _moment_tails(c, r2, d2, 3)):
+            continue
         tail += abs(w) * s * (t[0] + k1 * (c + s) * t[1] + k2 * (c * c + 2.0 * c * s + 2.0 * s * s) * t[2])
     return tail
 

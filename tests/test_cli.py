@@ -229,6 +229,13 @@ def test_theta_past_both_routes_exit_3(capsys):
     assert "theta_lattice not converged" in err
 
 
+def test_minimize_at_huge_alpha_exit_0(capsys):
+    # the Newton walk's derivative tail once formed inf 0 = nan past alpha ~ 4.3e153
+    code, out, _ = run_cli(capsys, "minimize", "w", "--alpha", "1e308", "--b", "0")
+    assert code == 0
+    assert "distance to hexagonal point = 0" in out
+
+
 def test_minimize_unconverged_exit_3(capsys, monkeypatch):
     monkeypatch.setattr("hexlat._newton.newton", unconverged_refinement(-1e9))
     code, _, err = run_cli(capsys, "minimize", "w", "--alpha", "1", "--b", "0")

@@ -41,6 +41,7 @@ from hexlat import energy, quadrature
 from hexlat.errors import (
     InvalidParameter,
     NonPositiveAlpha,
+    NonPositiveX,
     QuadratureDivergence,
     RadiusTooLarge,
     TailTooLarge,
@@ -245,6 +246,19 @@ def test_w_rows_at_tiny_alpha_and_huge_y(alpha, y):
         assert closed_form_energy(PolyGaussian(alpha, 0.1), z) == pytest.approx(w + 0.1 / alpha, rel=1e-15)
         # theta_Y at X = y/alpha is below the float range, so the rows sum to 0
         assert dx_w(alpha, z) == 0.0
+
+
+def test_dx_w_rows_where_pi_alpha_squared_is_subnormal():
+    # below alpha ~ 1.5e-154 pi alpha^2 is subnormal.  The rows need alpha y
+    # >= ~1.9e-4 (MAX_TERMS rows at the default rel_tol), so X = y/alpha >=
+    # ~8e303, where every theta_Y and theta_XY term is 0.0: the rows sum to
+    # 0.0, and the coefficient's rounding reaches no value
+    assert dx_w(1e-155, UpperHalfPoint(0.3, 1e153)) == 0.0
+    assert dx_w(1e-155, UpperHalfPoint(0.3, 2e151)) == 0.0
+    with pytest.raises(TruncationFailure):
+        dx_w(1e-155, UpperHalfPoint(0.3, 1e150))
+    with pytest.raises(NonPositiveX):  # X = y/alpha overflows
+        dx_w(1e-160, UpperHalfPoint(0.3, 1e158))
 
 
 @pytest.mark.parametrize("alpha, y", [(1e-110, 1e110), (1e-140, 1e140), (1e-105, 3e104), (1e-102, 1e102),

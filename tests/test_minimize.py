@@ -148,6 +148,17 @@ def test_w_alpha_cube_underflow_raises(alpha):
     assert coeff == -1.0 / 2e-108**3
 
 
+@pytest.mark.parametrize("alpha", [4e153, 1e200, 1e300])
+def test_minimizers_at_huge_alpha_are_hexagonal(alpha):
+    # from alpha ~ 4.3e153 on c = pi alpha has an overflowing c^2: the Newton
+    # walk's derivative tail formed inf 0 = nan for terms whose moment tails
+    # are all 0.0, and its radius grew past the point cap (RadiusTooLarge)
+    for out in (minimize_w(alpha, 0.0), minimize_theta_difference(alpha, 2.0, 0.5),
+                minimize_generic(YukawaDiff(alpha, 2.0, 0.5))):
+        assert isinstance(out, Minimizer)
+        assert out.z_star == HEX and out.distance_to_hex == 0.0
+
+
 def test_w_invalid_alpha():
     with pytest.raises(NonPositiveAlpha):
         minimize_w(0.0, 0.0)

@@ -2,7 +2,8 @@
 
 Run it on two checkouts to compare their outputs bit for bit:
 
-    PYTHONPATH=src python tests/bitsweep.py [--dump outcomes.json]
+    PYTHONPATH=src python tests/bitsweep.py --dump /tmp/parent.json    # in one
+    PYTHONPATH=src python tests/bitsweep.py --against /tmp/parent.json  # in the other
 
 It evaluates theta_lattice, w_b, dx_w, dy_w and the origin-free energies
 closed_form_energy(Gaussian) and closed_form_energy(PolyGaussian), through
@@ -14,12 +15,18 @@ the public API only, over two point sets:
 - "float-range": a 61 x 61 grid of alpha, y in 10^{-300, -290, ..., 300}
   at x = 0.3, b = 0.3.
 
+A third set, "verify", holds the "<report id> <repr of computed>" of every
+run_checks() report at the default config and at rel_tol 1e-10 and 1e-12.
+
 Each outcome is the repr of the value or "raises <exception type>", and
 the sha256 is over the outcomes in order; the exceptions are counted by
 type.  Equal hashes on two checkouts mean equal bits on every point.  With
---dump the outcomes are written as JSON, {set: {function: [outcome, ...]}},
-for a point-by-point comparison.  Not a test module: pytest does not collect
-it.
+--dump the outcomes are written as JSON, {set: {function: [outcome, ...]}};
+with --against DUMP they are compared with such a file from another
+checkout: the first differing points of each function are printed (set,
+point, both outcomes), and the exit status is 1 where any outcome differs.
+A set or function the file lacks is named and not compared.  Not a test
+module: pytest does not collect it.
 """
 
 from __future__ import annotations
@@ -30,9 +37,14 @@ import hashlib
 import json
 import math
 import random
+import sys
 
-from hexlat import (B_CRITICAL, Gaussian, PolyGaussian, UpperHalfPoint, closed_form_energy, dx_w, dy_w,
-                    theta_lattice, w_b)
+from hexlat import (B_CRITICAL, DEFAULT_CONFIG, Gaussian, PolyGaussian, SeriesConfig, UpperHalfPoint,
+                    closed_form_energy, dx_w, dy_w, theta_lattice, w_b)
+from hexlat.verify import run_checks
+
+#: Differing points printed per function with --against.
+SHOWN = 5
 
 FUNCTIONS = {
     "theta_lattice": lambda a, b, z: theta_lattice(a, z),
@@ -73,14 +85,50 @@ def sweep(points) -> dict[str, list[str]]:
     return {name: [outcome(f, *p) for p in points] for name, f in FUNCTIONS.items()}
 
 
-def main() -> None:
+def verify_outcomes() -> dict[str, list[str]]:
+    """"<id> <repr of computed>" of every run_checks() report, per config."""
+    configs = {"default": DEFAULT_CONFIG, "rel_tol=1e-10": SeriesConfig(rel_tol=1e-10),
+               "rel_tol=1e-12": SeriesConfig(rel_tol=1e-12)}
+    return {name: [f"{r.lemma_id} {r.computed!r}" for r in run_checks(cfg=cfg)] for name, cfg in configs.items()}
+
+
+def compare(dump: dict, other: dict, sets: dict) -> int:
+    """Print the first SHOWN differing outcomes of each function of dump
+    against other, with their points; return how many outcomes differ."""
+    total = 0
+    for set_name, outcomes in dump.items():
+        for name, ours in outcomes.items():
+            theirs = other.get(set_name, {}).get(name)
+            if theirs is None:
+                print(f"{set_name} {name}: not in the other dump, not compared")
+                continue
+            if len(theirs) != len(ours):
+                print(f"{set_name} {name}: {len(ours)} outcomes here, {len(theirs)} in the other dump")
+                total += 1
+                continue
+            diffs = [i for i, (a, b) in enumerate(zip(ours, theirs)) if a != b]
+            total += len(diffs)
+            if diffs:
+                print(f"{set_name} {name}: {len(diffs)} of {len(ours)} outcomes differ")
+            for i in diffs[:SHOWN]:
+                point = f"#{i}"
+                if set_name in sets:
+                    alpha, b, z = sets[set_name][i]
+                    point = f"alpha={alpha!r} y={z.y!r} x={z.x!r} b={b!r}"
+                print(f"  {set_name} {point}: here {ours[i]}, other {theirs[i]}")
+    print(f"{total} outcomes differ" if total else "every compared outcome equals the other dump's")
+    return total
+
+
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--dump", help="write every outcome to this JSON file")
+    parser.add_argument("--against", metavar="DUMP", help="compare every outcome with this --dump file")
     args = parser.parse_args()
     sets = {"workload": workload_points(), "float-range": float_range_points()}
-    dump = {}
-    for set_name, points in sets.items():
-        dump[set_name] = outcomes = sweep(points)
+    dump = {set_name: sweep(points) for set_name, points in sets.items()}
+    dump["verify"] = verify_outcomes()
+    for set_name, outcomes in dump.items():
         for name, out in outcomes.items():
             digest = hashlib.sha256("\n".join(out).encode()).hexdigest()
             errors = collections.Counter(o.split()[1] for o in out if o.startswith("raises "))
@@ -89,7 +137,11 @@ def main() -> None:
     if args.dump:
         with open(args.dump, "w") as fh:
             json.dump(dump, fh)
+    if args.against:
+        with open(args.against) as fh:
+            return 1 if compare(dump, json.load(fh), sets) else 0
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

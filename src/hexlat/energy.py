@@ -99,6 +99,46 @@ def _dy_terms(alpha, c0, c2):
             lambda n, th, thx, thxx: -c4 * n**4 * th + thxx / alpha)
 
 
+def _w_scaled(acc: float, y: float, alpha: float) -> float:
+    """acc y^{3/2}/(pi alpha^{5/2}): a sum of W rows times their factor.
+    Where a power or the product is not finite (alpha^{5/2} overflows from
+    alpha ~ 2e123; at tiny alpha and huge y the factor passes the float
+    range, alpha^{5/2} may be 0.0) the powers of 2 of acc, y and alpha are
+    taken apart, and ThetaOverflow is raised where the product itself
+    passes the float range."""
+    try:
+        v = y**1.5 / (_PI * alpha**2.5) * acc
+    except (OverflowError, ZeroDivisionError):
+        v = math.nan
+    if math.isfinite(v):
+        return v
+    (mc, ec), (my, ey), (ma, ea) = math.frexp(acc), math.frexp(y), math.frexp(alpha)
+    if ey % 2:  # even exponents, whose 3/2 and 5/2 powers are whole
+        my, ey = 2.0 * my, ey - 1
+    if ea % 2:
+        ma, ea = 2.0 * ma, ea - 1
+    try:
+        v = math.ldexp(mc * my * math.sqrt(my) / (_PI * ma * ma * math.sqrt(ma)), ec + 3 * ey // 2 - 5 * ea // 2)
+    except OverflowError:
+        v = math.inf
+    if not math.isfinite(v):
+        raise ThetaOverflow(f"a W row sum times y^1.5/alpha^2.5 leaves the float range at alpha = {alpha:.3g}, "
+                            f"y = {y:.3g}")
+    return v
+
+
+def _dy_scaled(s_low: float, s_high: float, y: float, alpha: float) -> float:
+    """(1.5 sqrt(y) s_low + y^{3/2} s_high)/(pi alpha^{5/2}), the d/dy W rows
+    times their factor; where a power or that value is not finite, s_high +
+    1.5 s_low/y goes through :func:`_w_scaled`'s powers of 2, which raise
+    ThetaOverflow where the value passes the float range."""
+    try:
+        v = (1.5 * math.sqrt(y) * s_low + y**1.5 * s_high) / (_PI * alpha**2.5)
+    except (OverflowError, ZeroDivisionError):
+        v = math.nan
+    return v if math.isfinite(v) else _w_scaled(s_high + 1.5 * s_low / y, y, alpha)
+
+
 #: One entry per lattice row sum, keyed by the name its term count carries:
 #: (power, orders, row0, terms, scale, row0_scale).  Row n is bounded by n^power
 #: e^{-alpha pi y n^2} and takes the theta orders at X0 = y/alpha, Y = n x.
@@ -114,14 +154,13 @@ _SUMS = {
                       lambda acc, y, alpha: math.sqrt(y / alpha) * acc, lambda s, y, alpha: s),
     "w_b": (2, ((0, 0), (1, 0)), lambda k, d, b: (k * k * d - b) * math.exp(-_PI * d * k * k),
             lambda alpha, c0, c2: (lambda n, th, thx: (c0 + c2 * n * n) * th + thx,),
-            lambda acc, y, alpha: _w_scaled(acc, y, alpha), lambda s, y, alpha: s / alpha),
+            _w_scaled, lambda s, y, alpha: s / alpha),
     "dx_w": (3, ((0, 1), (1, 1)), None,
              lambda alpha, c0, c3: (lambda n, thy, thxy: c3 * n**3 * thy + n * thxy,),
-             lambda acc, y, alpha: _w_scaled(acc, y, alpha), None),
+             _w_scaled, None),
     "dy_w": (4, ((0, 0), (1, 0), (2, 0)),
              lambda k, d, b: k * k * (_PI * (k * k * d - b) - 1.0) * math.exp(-_PI * d * k * k), _dy_terms,
-             lambda s_low, s_high, y, alpha: _dy_scaled(s_low, s_high, y, alpha),
-             lambda s, y, alpha: s / (y * y) if s else 0.0),  # y^2 may underflow where s is 0
+             _dy_scaled, lambda s, y, alpha: s / (y * y) if s else 0.0),  # y^2 may underflow where s is 0
 }
 
 
@@ -242,34 +281,6 @@ def w_b(alpha: float, b: float, z: UpperHalfPoint, cfg: SeriesConfig = DEFAULT_C
     return _rows("w_b", alpha, c0, z, True, cfg, e1=e1)
 
 
-def _w_scaled(acc: float, y: float, alpha: float) -> float:
-    """acc y^{3/2}/(pi alpha^{5/2}): a sum of W rows times their factor.
-    Where a power or the product is not finite (alpha^{5/2} overflows from
-    alpha ~ 2e123; at tiny alpha and huge y the factor passes the float
-    range, alpha^{5/2} may be 0.0) the powers of 2 of acc, y and alpha are
-    taken apart, and ThetaOverflow is raised where the product itself
-    passes the float range."""
-    try:
-        v = y**1.5 / (_PI * alpha**2.5) * acc
-    except (OverflowError, ZeroDivisionError):
-        v = math.nan
-    if math.isfinite(v):
-        return v
-    (mc, ec), (my, ey), (ma, ea) = math.frexp(acc), math.frexp(y), math.frexp(alpha)
-    if ey % 2:  # even exponents, whose 3/2 and 5/2 powers are whole
-        my, ey = 2.0 * my, ey - 1
-    if ea % 2:
-        ma, ea = 2.0 * ma, ea - 1
-    try:
-        v = math.ldexp(mc * my * math.sqrt(my) / (_PI * ma * ma * math.sqrt(ma)), ec + 3 * ey // 2 - 5 * ea // 2)
-    except OverflowError:
-        v = math.inf
-    if not math.isfinite(v):
-        raise ThetaOverflow(f"a W row sum times y^1.5/alpha^2.5 leaves the float range at alpha = {alpha:.3g}, "
-                            f"y = {y:.3g}")
-    return v
-
-
 def _theta_minus_one(alpha: float, z: UpperHalfPoint, cfg: SeriesConfig) -> float:
     """theta(alpha; z) - 1.  For alpha >= y the n = 0 term, theta(alpha/y; 0) by
     Poisson, is summed without the origin; below, theta >= sqrt(y/alpha) > 1."""
@@ -388,18 +399,6 @@ def dy_w(alpha: float, z: UpperHalfPoint, cfg: SeriesConfig = DEFAULT_CONFIG) ->
         raise ThetaOverflow(f"d/dy W's pi^2 alpha^3 is below the normal range at alpha = {alpha:.3g}")
     e1 = math.exp(-alpha * _PI * z.y)
     return _rows("dy_w", alpha, 0.0, z, not (below and not e1), cfg, B_CRITICAL, e1)
-
-
-def _dy_scaled(s_low: float, s_high: float, y: float, alpha: float) -> float:
-    """(1.5 sqrt(y) s_low + y^{3/2} s_high)/(pi alpha^{5/2}), the d/dy W rows
-    times their factor; where a power or that value is not finite, s_high +
-    1.5 s_low/y goes through :func:`_w_scaled`'s powers of 2, which raise
-    ThetaOverflow where the value passes the float range."""
-    try:
-        v = (1.5 * math.sqrt(y) * s_low + y**1.5 * s_high) / (_PI * alpha**2.5)
-    except (OverflowError, ZeroDivisionError):
-        v = math.nan
-    return v if math.isfinite(v) else _w_scaled(s_high + 1.5 * s_low / y, y, alpha)
 
 
 def theta_difference(

@@ -230,7 +230,7 @@ def test_theta_past_both_routes_exit_3(capsys):
 
 
 def test_minimize_at_huge_alpha_exit_0(capsys):
-    # the Newton walk's derivative tail once formed inf 0 = nan past alpha ~ 4.3e153
+    # (pi alpha)^2 overflows: the Newton walk's tail skips the terms it would make nan
     code, out, _ = run_cli(capsys, "minimize", "w", "--alpha", "1e308", "--b", "0")
     assert code == 0
     assert "distance to hexagonal point = 0" in out

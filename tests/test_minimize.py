@@ -150,11 +150,12 @@ def test_w_alpha_cube_underflow_raises(alpha):
 
 @pytest.mark.parametrize("alpha", [4e153, 1e200, 1e300])
 def test_minimizers_at_huge_alpha_are_hexagonal(alpha):
-    # from alpha ~ 4.3e153 on c = pi alpha has an overflowing c^2: the Newton
-    # walk's derivative tail formed inf 0 = nan for terms whose moment tails
-    # are all 0.0, and its radius grew past the point cap (RadiusTooLarge)
-    for out in (minimize_w(alpha, 0.0), minimize_theta_difference(alpha, 2.0, 0.5),
-                minimize_generic(YukawaDiff(alpha, 2.0, 0.5))):
+    # from alpha ~ 4.3e153 on c = pi alpha has an overflowing c^2; the Newton
+    # walk's derivative tail skips the terms whose moment tails are all 0.0,
+    # which would give inf 0 = nan and grow its radius past the point cap
+    specs = (YukawaDiff(alpha, 2.0, 0.5), GaussianDiff(alpha, 2.0, 0.5), Gaussian(alpha), PolyGaussian(alpha, 0.0),
+             LaplaceWeighted(alpha, 2.0, 0.05, weight=lambda x: math.exp(-x), family="g"))
+    for out in (minimize_w(alpha, 0.0), minimize_theta_difference(alpha, 2.0, 0.5), *map(minimize_generic, specs)):
         assert isinstance(out, Minimizer)
         assert out.z_star == HEX and out.distance_to_hex == 0.0
 

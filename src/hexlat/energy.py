@@ -13,22 +13,24 @@ theta1d.theta_rows call at X = y/alpha.  e^{-alpha pi y} = 0.0 is the one
 test for "only the row n = 0, through the origin, is left": that call then
 takes it alone, with 0.0 for the coefficients of n^2 and n^4, and where
 also 2 e^{-pi X} <= 2^-53 theta_lattice and w_b take it in closed form,
-with no call (:func:`_origin_row_alone`).  Where the call would take the Poisson comb
-(y/alpha < POISSON_SWITCH), the lattice is walked instead: theta_lattice and
-w_b sum its points directly, and dx_w and dy_w take the gradient of the
-half-plane walk that gives the Newton steps their values, gradients and
-Hessians (:func:`_walk`), each to a radius that one proven tail sets
+with no call (:func:`_origin_row_alone`).  Where the call would take the
+Poisson comb (y/alpha < POISSON_SWITCH), the lattice is walked instead:
+theta_lattice, w_b, theta_difference and the origin-free energies of the
+Gaussian, GaussianDiff and PolyGaussian families each sum its points
+directly, once, and dx_w and dy_w take the gradient of the half-plane walk
+that gives the Newton steps their values, gradients and Hessians
+(:func:`_walk`), each to a radius that one proven tail sets
 (:func:`_radius`).  Only where the walk would pass its point cap do they
 take the rows; there, where e^{-alpha pi y} is 0.0, w_b and dy_w take the
 lone origin row in alpha/y, which carries no power of X.  theta and W_b
 include the origin (1 to theta, -b/alpha to W_b); the energies E_f exclude
-it, summing the row n = 0 in alpha/y without it where subtracting it would
-cancel.  A Laplace energy integrates the Gaussian-family energies over its
-transform variable, from one walk of the half plane where that walk is
-short and from the origin-free row sums at each node past it
-(:func:`laplace_energy`); every node's slice terms come from one array
-pass (:func:`_slice_terms`), which the Newton walks' mixture terms read
-too.
+it, summing the nonzero points directly or, on the rows, the row n = 0 in
+alpha/y without it where subtracting it would cancel.  A Laplace energy
+integrates the Gaussian-family energies over its transform variable, from
+one walk of the half plane where that walk is short and from the
+origin-free sums at each node past it (:func:`laplace_energy`); every
+node's slice terms come from one array pass (:func:`_slice_terms`), which
+the Newton walks' mixture terms read too.
 """
 
 from __future__ import annotations
@@ -257,12 +259,13 @@ def w_b(alpha: float, b: float, z: UpperHalfPoint, cfg: SeriesConfig = DEFAULT_C
 
     The expansion is accurate on the fundamental domain, where the row
     through the origin dominates: closed_form_energy(PolyGaussian), which
-    sums these rows, stayed within 4e-15 of sum |terms| in a seeded
+    summed these rows, stayed within 4e-15 of sum |terms| in a seeded
     adversarial search.  Off it a row n >= 1 can cancel: where b/alpha equals
     the row's nearest norm its pieces are ~(b/alpha) e^{-pi alpha q} while its
-    sum is near 0, so closed_form_energy(PolyGaussian(4, 2), (0, 1/2)), whose
-    origin-free rows take no direct sum, is off by 1.4e-10 of sum |terms|
-    against a 40-digit mpmath sum.  Reduce z first there.
+    sum is near 0, so closed_form_energy(PolyGaussian(4, 2), (0, 1/2)) was
+    off by 1.4e-10 of sum |terms| on the rows against a 40-digit mpmath sum;
+    its direct sum, taken since y/alpha = 1/8 < 1, is within 1.1e-15.  From
+    y/alpha = 1 on, reduce z first.
     """
     _check_alpha(alpha)
     _check_a_b(b=b)
@@ -282,17 +285,27 @@ def w_b(alpha: float, b: float, z: UpperHalfPoint, cfg: SeriesConfig = DEFAULT_C
 
 
 def _theta_minus_one(alpha: float, z: UpperHalfPoint, cfg: SeriesConfig) -> float:
-    """theta(alpha; z) - 1.  For alpha >= y the n = 0 term, theta(alpha/y; 0) by
-    Poisson, is summed without the origin; below, theta >= sqrt(y/alpha) > 1."""
+    """theta(alpha; z) - 1.  Below y/alpha = POISSON_SWITCH the direct sum of
+    Gaussian(alpha) over the nonzero points (:func:`_direct_sum`); where that
+    walk would pass its point cap, and at alpha = y, the rows with the n = 0
+    term, theta(alpha/y; 0) by Poisson, summed without the origin.  For
+    alpha < y, theta >= sqrt(y/alpha) > 1 and 1 is subtracted."""
     if alpha < z.y:
         return theta_lattice(alpha, z, cfg) - 1.0
+    # alpha = inf at laplace_energy's far nodes, where the rows give 0.0
+    direct = z.y / alpha < POISSON_SWITCH and alpha < math.inf
+    if direct and (total := _direct_sum(Gaussian(alpha), z, 0.0)) is not None:
+        return total
     return _rows("theta_lattice", alpha, 0.0, z, False, cfg)
 
 
 def _w_b_minus_origin(alpha: float, b: float, z: UpperHalfPoint, cfg: SeriesConfig) -> float:
-    """W_b(alpha; z) + b/alpha, summing the n = 0 row without the origin for
-    alpha >= y/4.  Below, the nonzero points' theta mass sqrt(y/alpha) - 1 > 1
-    keeps adding b/alpha to W_b from cancelling more than a few ulps."""
+    """W_b(alpha; z) + b/alpha.  Below y/alpha = POISSON_SWITCH the direct sum
+    of PolyGaussian(alpha, b) over the nonzero points (:func:`_direct_sum`);
+    where that walk would pass its point cap, and for y/4 <= alpha <= y, the
+    rows with the n = 0 row summed without the origin.  For alpha < y/4 the
+    nonzero points' theta mass sqrt(y/alpha) - 1 > 1 keeps adding b/alpha to
+    W_b from cancelling more than a few ulps."""
     c0 = 0.5 * (1.0 - 2.0 * _PI * b) * (alpha / z.y)
     # 2 pi b or b/alpha overflows: as in w_b, with theta - 1 for theta, and on
     # both branches, since W_b + b/alpha would be -inf + inf
@@ -300,6 +313,9 @@ def _w_b_minus_origin(alpha: float, b: float, z: UpperHalfPoint, cfg: SeriesConf
         return _w_b_minus_origin(alpha, 0.0, z, cfg) - b / alpha * _theta_minus_one(alpha, z, cfg)
     if 4.0 * alpha < z.y:
         return w_b(alpha, b, z, cfg) + b / alpha
+    direct = z.y / alpha < POISSON_SWITCH and alpha < math.inf  # as in _theta_minus_one
+    if direct and (total := _direct_sum(PolyGaussian(alpha, b), z, 0.0)) is not None:
+        return total
     return _rows("w_b", alpha, c0, z, False, cfg, b)
 
 
@@ -404,9 +420,18 @@ def dy_w(alpha: float, z: UpperHalfPoint, cfg: SeriesConfig = DEFAULT_CONFIG) ->
 def theta_difference(
     alpha: float, a: float, b: float, z: UpperHalfPoint, cfg: SeriesConfig = DEFAULT_CONFIG
 ) -> float:
-    """theta(alpha; z) - b * theta(a alpha; z), for finite a > 1 and finite b."""
+    """theta(alpha; z) - b * theta(a alpha; z), for finite a > 1 and finite b.
+
+    Below y/alpha = POISSON_SWITCH (1 - b) plus one direct sum of
+    GaussianDiff(alpha, a, b) over the nonzero points, cut against |1 - b|
+    and the basis norms (:func:`_direct_sum`); from there on, and where that
+    walk would pass its point cap, the two :func:`theta_lattice` values."""
     _check_alpha(alpha)
     _check_a_b(a, b)
+    if z.y / alpha < POISSON_SWITCH:
+        total = _direct_sum(GaussianDiff(alpha, a, b), z, abs(1.0 - b))
+        if total is not None:
+            return (1.0 - b) + total
     return theta_lattice(alpha, z, cfg) - b * theta_lattice(a * alpha, z, cfg)
 
 
@@ -803,11 +828,15 @@ def _near_origin(z: UpperHalfPoint) -> UpperHalfPoint:
     return UpperHalfPoint(z.x - round(z.x), z.y) if abs(z.x) > 0.5 else z
 
 
-def _direct_sum(p: Gaussian | PolyGaussian | YukawaDiff, z: UpperHalfPoint,
+def _direct_sum(p: Gaussian | GaussianDiff | PolyGaussian | YukawaDiff, z: UpperHalfPoint,
                 origin: float) -> float | None:
     """The sum of f over the nonzero lattice points within :func:`_radius`,
     given |f(0)| as origin (0 where the value excludes it), added from the
-    largest norm down; None where the walk would pass its point cap."""
+    largest norm down; None where the walk would pass its point cap.
+    theta_lattice and w_b add their origin to it, theta_difference adds 1 -
+    b; the origin-free energies below y/alpha = POISSON_SWITCH
+    (:func:`_theta_minus_one`, :func:`_w_b_minus_origin`, GaussianDiff's
+    closed form) and YukawaDiff's are this sum alone."""
     z = _near_origin(z)
     f = _pointwise(p)
     try:
@@ -998,10 +1027,21 @@ def closed_form_energy(
 ) -> float:
     """Origin-free energy E_f(L) via the theta / W_b closed forms where one
     exists, falling back to direct summation for YukawaDiff and to the
-    Fubini route for LaplaceWeighted."""
+    Fubini route for LaplaceWeighted.
+
+    Below y/alpha = POISSON_SWITCH the Gaussian, GaussianDiff and
+    PolyGaussian energies are each one direct sum over the nonzero points
+    (:func:`_direct_sum`; GaussianDiff's walks once for both Gaussians), and
+    they take the rows only from there on and where that walk would pass its
+    point cap (:func:`_theta_minus_one`, :func:`_w_b_minus_origin`).  Against
+    40-digit sums the direct sums stayed within 1.4 ulps of sum (|A| + |B q|)
+    e^{-c q} (1 + c q) over the terms (A + B q) e^{-c q} of every point, as
+    dx_w's walk does on its own terms (README, "Direct lattice sums")."""
     if isinstance(p, Gaussian):
         return _theta_minus_one(p.alpha, z, cfg)
     if isinstance(p, GaussianDiff):
+        if z.y / p.alpha < POISSON_SWITCH and (total := _direct_sum(p, z, 0.0)) is not None:
+            return total
         return _theta_minus_one(p.alpha, z, cfg) - p.b * _theta_minus_one(p.a * p.alpha, z, cfg)
     if isinstance(p, PolyGaussian):
         return _w_b_minus_origin(p.alpha, p.b, z, cfg)

@@ -5,9 +5,10 @@ Run it on two checkouts to compare their outputs bit for bit:
     PYTHONPATH=src python tests/bitsweep.py --dump /tmp/parent.json    # in one
     PYTHONPATH=src python tests/bitsweep.py --against /tmp/parent.json  # in the other
 
-It evaluates theta_lattice, w_b, dx_w, dy_w and the origin-free energies
-closed_form_energy(Gaussian) and closed_form_energy(PolyGaussian), through
-the public API only, over two point sets:
+It evaluates theta_lattice, w_b, dx_w, dy_w, theta_difference and the
+origin-free energies closed_form_energy of Gaussian, GaussianDiff and
+PolyGaussian, through the public API only, the theta differences at a = 2
+and the point's b, over two point sets:
 
 - "workload": 3,000 seeded points in and beyond the benchmark's ranges,
   alpha in [0.05, 50] and y in [0.2, 1e6] log-uniform, x in [-0.6, 0.6]
@@ -39,8 +40,8 @@ import math
 import random
 import sys
 
-from hexlat import (B_CRITICAL, DEFAULT_CONFIG, Gaussian, PolyGaussian, SeriesConfig, UpperHalfPoint,
-                    closed_form_energy, dx_w, dy_w, theta_lattice, w_b)
+from hexlat import (B_CRITICAL, DEFAULT_CONFIG, Gaussian, GaussianDiff, PolyGaussian, SeriesConfig, UpperHalfPoint,
+                    closed_form_energy, dx_w, dy_w, theta_difference, theta_lattice, w_b)
 from hexlat.verify import run_checks
 
 #: Differing points printed per function with --against.
@@ -51,7 +52,9 @@ FUNCTIONS = {
     "w_b": lambda a, b, z: w_b(a, b, z),
     "dx_w": lambda a, b, z: dx_w(a, z),
     "dy_w": lambda a, b, z: dy_w(a, z),
+    "theta_difference": lambda a, b, z: theta_difference(a, 2.0, b, z),
     "gaussian_energy": lambda a, b, z: closed_form_energy(Gaussian(a), z),
+    "gaussian_diff_energy": lambda a, b, z: closed_form_energy(GaussianDiff(a, 2.0, b), z),
     "poly_gaussian_energy": lambda a, b, z: closed_form_energy(PolyGaussian(a, b), z),
 }
 

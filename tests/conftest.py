@@ -31,29 +31,56 @@ def brute_energy(f, z: UpperHalfPoint, radius: float = 8.0) -> float:
     return sum(f(q) for q, _ in lattice_norms(z, radius) if q > 0.0)
 
 
+def _mp_points(z: UpperHalfPoint, r2: float):
+    """(m, u, q) for every nonzero lattice point (m, n) of z with |P|^2 <= r2,
+    and a few just past it: u = m x + n and q = |P|^2 as mpfs at the working
+    precision, formed from the exact float x and y.  The rows and their n
+    ranges are found in floats, one n wider on each side."""
+    x, y = z.x, z.y
+    X, Y = mpmath.mpf(x), mpmath.mpf(y)
+    mmax = int(math.sqrt(r2 / y)) + 1
+    for m in range(-mmax, mmax + 1):
+        rem = y * (r2 - m * m * y)
+        if rem < 0.0:
+            continue
+        half, mid = math.sqrt(rem), -m * x
+        for n in range(math.ceil(mid - half) - 1, math.floor(mid + half) + 2):
+            if m or n:
+                u = m * X + n
+                yield m, u, (u * u + m * m * Y * Y) / Y
+
+
 def mp_lattice_sums(alpha: float, b: float, z: UpperHalfPoint, exponent: float = 100.0):
     """(theta, W_b, sum |theta terms|, sum |W_b terms|) as 40-digit mpfs, over every
-    lattice point with pi alpha |P|^2 <= exponent, origin included.  Each
-    norm^2 is formed in mpmath from the exact float x and y; the rows and
-    their n ranges are found in floats, one n wider on each side."""
-    x, y = z.x, z.y
-    r2 = exponent / (math.pi * alpha)
-    mmax = int(math.sqrt(r2 / y)) + 1
+    lattice point with pi alpha |P|^2 <= exponent, origin included
+    (:func:`_mp_points`)."""
     with mpmath.workdps(40):
-        X, Y, A, B = (mpmath.mpf(v) for v in (x, y, alpha, b))
+        A, B = mpmath.mpf(alpha), mpmath.mpf(b)
         th, w = [mpmath.mpf(1)], [-B / A]
-        for m in range(-mmax, mmax + 1):
-            rem = y * (r2 - m * m * y)
-            if rem < 0.0:
-                continue
-            half, mid = math.sqrt(rem), -m * x
-            for n in range(math.ceil(mid - half) - 1, math.floor(mid + half) + 2):
-                if m or n:
-                    q = ((m * X + n) ** 2 + m * m * Y * Y) / Y
-                    e = mpmath.exp(-mpmath.pi * A * q)
-                    th.append(e)
-                    w.append((q - B / A) * e)
+        for _, _, q in _mp_points(z, exponent / (math.pi * alpha)):
+            e = mpmath.exp(-mpmath.pi * A * q)
+            th.append(e)
+            w.append((q - B / A) * e)
         return mpmath.fsum(th), mpmath.fsum(w), mpmath.fsum(map(abs, th)), mpmath.fsum(map(abs, w))
+
+
+def mp_nonzero_sums(terms, z: UpperHalfPoint, exponent: float = 100.0):
+    """(E, scale) as 40-digit mpfs: E = sum f(|P|^2) over the nonzero lattice
+    points with pi s |P|^2 <= exponent for the least s, f(q) the sum of the
+    terms (A + B q) e^{-pi s q} of terms = [(A, B, s), ...], and scale = sum
+    (|A| + |B q|) e^{-pi s q} (1 + pi s q) over every term of every point,
+    the rounding scale of such a sum: A and B q may cancel, and the rounding
+    of q and of pi s moves e^{-pi s q} by pi s q times as much."""
+    with mpmath.workdps(40):
+        terms = [tuple(map(mpmath.mpf, t)) for t in terms]
+        total, scale = [], []
+        for _, _, q in _mp_points(z, exponent / (math.pi * min(t[2] for t in terms))):
+            for A, B, s in terms:
+                c = mpmath.pi * s * q
+                e = mpmath.exp(-c)
+                total.append((A + B * q) * e)
+                scale.append((abs(A) + abs(B * q)) * e * (1 + c))
+        return mpmath.fsum(total), mpmath.fsum(scale)
 
 
 def domain_grid(nx: int, ny: int, y_max: float) -> list[UpperHalfPoint]:
@@ -96,27 +123,17 @@ def mp_critical_gradient(alpha: float, z: UpperHalfPoint, exponent: float = 60.0
     moves e^{-pi alpha q} by pi alpha q times as much, and q_y's two parts
     may cancel.  The cut lies above y, so the points off the row through the
     origin, which alone move d/dx W, keep their leading terms."""
-    x, y = z.x, z.y
-    r2 = y + exponent / (math.pi * alpha)
-    mmax = int(math.sqrt(r2 / y)) + 1
+    y = z.y
     with mpmath.workdps(40):
-        X, Y, A = (mpmath.mpf(v) for v in (x, y, alpha))
+        Y, A = mpmath.mpf(y), mpmath.mpf(alpha)
         S = 1 / (2 * mpmath.pi * A)
         gx, gy, kx, ky = [], [], [], []
-        for m in range(-mmax, mmax + 1):
-            rem = y * (r2 - m * m * y)
-            if rem < 0.0:
-                continue
-            half, mid = math.sqrt(rem), -m * x
-            for n in range(math.ceil(mid - half) - 1, math.floor(mid + half) + 2):
-                if m or n:
-                    u = m * X + n
-                    q = (u * u + m * m * Y * Y) / Y
-                    f1 = (1 - mpmath.pi * A * (q - S)) * mpmath.exp(-mpmath.pi * A * q)
-                    gx.append(f1 * 2 * m * u / Y)
-                    gy.append(f1 * (m * m - u * u / (Y * Y)))
-                    k = abs(f1) * (1 + mpmath.pi * A * q)
-                    kx.append(k * abs(2 * m * u / Y))
-                    ky.append(k * (m * m + u * u / (Y * Y)))
+        for m, u, q in _mp_points(z, y + exponent / (math.pi * alpha)):
+            f1 = (1 - mpmath.pi * A * (q - S)) * mpmath.exp(-mpmath.pi * A * q)
+            gx.append(f1 * 2 * m * u / Y)
+            gy.append(f1 * (m * m - u * u / (Y * Y)))
+            k = abs(f1) * (1 + mpmath.pi * A * q)
+            kx.append(k * abs(2 * m * u / Y))
+            ky.append(k * (m * m + u * u / (Y * Y)))
         return (mpmath.fsum(gx), mpmath.fsum(gy), mpmath.fsum(map(abs, gx)), mpmath.fsum(map(abs, gy)),
                 mpmath.fsum(kx), mpmath.fsum(ky))

@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import mp_lattice_sums, unconverged_refinement
-from hexlat import UpperHalfPoint
+from hexlat import PolyGaussian, UpperHalfPoint, closed_form_energy
 from hexlat.cli import _fmt, _round, main
 
 
@@ -210,6 +210,18 @@ def test_theta_small_y_exit_0(capsys, x):
     assert code == 0
     ref = mp_lattice_sums(1.0, 0.0, UpperHalfPoint(float(x), 1e-4))[0]
     assert abs(float(out) - ref) <= 1e-13 * ref
+
+
+def test_poly_gaussian_off_the_domain_exit_0(capsys):
+    # (0, 1/2) lies off the domain, where the row expansion was off by 1.4e-10
+    # of sum |terms|; y/alpha = 1/8, so the energy is one direct sum
+    code, out, _ = run_cli(capsys, "energy", "poly-gaussian", "--alpha", "4", "--b", "2", "--x", "0", "--y", "0.5",
+                           "--format", "json")
+    assert code == 0
+    energy = json.loads(out)["rows"][0]["energy"]
+    assert energy == _round(closed_form_energy(PolyGaussian(4.0, 2.0), UpperHalfPoint(0.0, 0.5)), 12)
+    ref = mp_lattice_sums(4.0, 2.0, UpperHalfPoint(0.0, 0.5))[1] + 0.5  # without the origin's -b/alpha
+    assert abs(energy - ref) <= 1e-11 * ref
 
 
 @pytest.mark.parametrize("argv", [

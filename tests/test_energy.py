@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_energy, brute_theta, brute_w, mp_critical_gradient, mp_lattice_sums
+from conftest import brute_energy, brute_theta, brute_w, mp_critical_gradient, mp_lattice_sums, mp_nonzero_sums
 from hexlat import (
     B_CRITICAL,
     DEFAULT_CONFIG,
@@ -37,7 +37,7 @@ from hexlat import (
 )
 from hexlat._newton import hessian_walk, walk_terms
 from hexlat.energy import b_crit, potential_value, theta_difference_via_w_integral
-from hexlat import energy, quadrature
+from hexlat import energy, moduli, quadrature
 from hexlat.errors import (
     InvalidParameter,
     NonPositiveAlpha,
@@ -579,6 +579,77 @@ def test_dx_dy_w_take_the_rows_past_the_walk_cap(name, monkeypatch):
     assert calls == [1e-8, 1e-8]
     with pytest.raises(TruncationFailure, match=rf"^{name} "):
         public(1e-8, UpperHalfPoint(0.3, 1e-9))
+
+
+def test_origin_free_direct_sums_match_40_digit_sums():
+    # Below y/alpha = 1 the Gaussian, GaussianDiff and PolyGaussian energies
+    # and theta_difference are each one direct sum over the nonzero points.
+    # A term's exponential carries the rounding of its norm q pi s q times
+    # over, and a PolyGaussian term's two parts may cancel, so the error is
+    # held to 2 ulps of sum (|A| + |B q|) e^{-pi s q} (1 + pi s q) over the
+    # terms (A + B q) e^{-pi s q} of every point (conftest.mp_nonzero_sums),
+    # plus |1 - b| for theta_difference's origin.
+    rng = random.Random(34)
+    for i in range(60):
+        alpha = math.exp(rng.uniform(math.log(0.25), math.log(8.0)))
+        y = alpha * math.exp(rng.uniform(math.log(0.05), 0.0))
+        z = UpperHalfPoint((0.0, 0.5, -0.5, rng.uniform(-1.0, 1.0))[i % 4], y)
+        b, a = rng.choice([0.0, B_CRITICAL, 1.0, -1.0]), rng.uniform(1.1, 4.0)
+        gauss = mp_nonzero_sums([(1.0, 0.0, alpha)], z)
+        diff = mp_nonzero_sums([(1.0, 0.0, alpha), (-b, 0.0, a * alpha)], z)
+        poly = mp_nonzero_sums([(-b / alpha, 1.0, alpha)], z)
+        for value, (want, scale), origin in ((closed_form_energy(Gaussian(alpha), z), gauss, 0.0),
+                                             (closed_form_energy(GaussianDiff(alpha, a, b), z), diff, 0.0),
+                                             (closed_form_energy(PolyGaussian(alpha, b), z), poly, 0.0),
+                                             (theta_difference(alpha, a, b, z), diff, 1.0 - b)):
+            assert abs(value - (want + origin)) <= 2.0 * 2.0**-52 * (scale + abs(origin))
+
+
+def test_origin_free_energies_below_the_switch_walk_once(monkeypatch):
+    # Below y/alpha = 1 each energy walks the half plane once and takes no
+    # theta row; past the walk's point cap it takes the rows as before.
+    walks = []
+    half_plane = moduli._half_plane
+    monkeypatch.setattr(moduli, "_half_plane", lambda *args: walks.append(args) or half_plane(*args))
+    rows = _theta_rows_spy(monkeypatch)
+    energies = (lambda al, z: closed_form_energy(Gaussian(al), z),
+                lambda al, z: closed_form_energy(GaussianDiff(al, 2.0, 0.5), z),
+                lambda al, z: closed_form_energy(PolyGaussian(al, 0.3), z),
+                lambda al, z: theta_difference(al, 2.0, 0.5, z))
+    for f in energies:
+        walks.clear()
+        f(2.0, UpperHalfPoint(0.3, 1.5))
+        assert len(walks) == 1
+    assert rows == []
+    # y/alpha = 1e-8 puts ~5e5 points within the first radius at alpha = 1e3
+    z, cfg = UpperHalfPoint(0.3, 1e-5), DEFAULT_CONFIG
+    c0 = 0.5 * (1.0 - 2.0 * PI * 0.3) * (1e3 / z.y)
+    theta_minus_one = energy._rows("theta_lattice", 1e3, 0.0, z, False, cfg)
+    assert [f(1e3, z) for f in energies] == [
+        theta_minus_one, theta_minus_one - 0.5 * energy._theta_minus_one(2e3, z, cfg),
+        energy._rows("w_b", 1e3, c0, z, False, cfg, 0.3), theta_lattice(1e3, z) - 0.5 * theta_lattice(2e3, z)]
+    assert rows
+
+
+def test_origin_free_sums_at_infinite_alpha():
+    # laplace_energy's far nodes may overflow alpha x; no Gaussian or
+    # PolyGaussian of alpha = inf exists, and the rows give theta - 1 = 0.0
+    z = UpperHalfPoint(0.3, 1.0)
+    assert energy._theta_minus_one(math.inf, z, DEFAULT_CONFIG) == 0.0
+    assert energy._w_b_minus_origin(math.inf, 0.3, z, DEFAULT_CONFIG) == 0.0
+    # a alpha overflows to inf, whose theta is 1: the one direct sum has a
+    # value, where theta_lattice(a alpha) would raise NonPositiveAlpha
+    assert theta_difference(1e308, 2.0, 0.5, z) == 0.5
+    assert closed_form_energy(GaussianDiff(1e308, 2.0, 0.5), z) == 0.0
+
+
+def test_poly_gaussian_off_the_domain_matches_a_40_digit_sum():
+    # At (0, 1/2), off the domain, a row n >= 1 of the expansion cancels:
+    # b/alpha = 1/2 is the norm |z|^2/y of the points +-z, and the rows were off
+    # by 1.4e-10 of sum |terms|.  y/alpha = 1/8, so the energy is one direct sum.
+    z = UpperHalfPoint(0.0, 0.5)
+    _, w, _, w_abs = mp_lattice_sums(4.0, 2.0, z)
+    assert abs(closed_form_energy(PolyGaussian(4.0, 2.0), z) - (w + 0.5)) <= 4e-15 * (w_abs - 0.5)
 
 
 @pytest.mark.parametrize("seed", range(3))

@@ -28,7 +28,7 @@ it, summing the nonzero points directly or, on the rows, the row n = 0 in
 alpha/y without it where subtracting it would cancel.  A Laplace energy
 integrates the Gaussian-family energies over its transform variable, from
 one walk of the half plane where that walk is short and from the
-origin-free sums at each node past it (:func:`laplace_energy`); every
+origin-free row sums at each node past it (:func:`laplace_energy`); every
 node's slice terms come from one array pass (:func:`_slice_terms`), which
 the Newton walks' mixture terms read too.
 """
@@ -285,27 +285,22 @@ def w_b(alpha: float, b: float, z: UpperHalfPoint, cfg: SeriesConfig = DEFAULT_C
 
 
 def _theta_minus_one(alpha: float, z: UpperHalfPoint, cfg: SeriesConfig) -> float:
-    """theta(alpha; z) - 1.  Below y/alpha = POISSON_SWITCH the direct sum of
-    Gaussian(alpha) over the nonzero points (:func:`_direct_sum`); where that
-    walk would pass its point cap, and at alpha = y, the rows with the n = 0
-    term, theta(alpha/y; 0) by Poisson, summed without the origin.  For
-    alpha < y, theta >= sqrt(y/alpha) > 1 and 1 is subtracted."""
+    """theta(alpha; z) - 1 on the rows.  For alpha >= y the n = 0 term,
+    theta(alpha/y; 0) by Poisson, is summed without the origin; below, theta
+    >= sqrt(y/alpha) > 1.  Below y/alpha = POISSON_SWITCH closed_form_energy
+    takes it only past the direct sum's point cap, but laplace_energy's nodes
+    past its walk cap take it at every y/alpha: there a direct walk per node
+    would pass pi/y points, many times the rows' cost."""
     if alpha < z.y:
         return theta_lattice(alpha, z, cfg) - 1.0
-    # alpha = inf at laplace_energy's far nodes, where the rows give 0.0
-    direct = z.y / alpha < POISSON_SWITCH and alpha < math.inf
-    if direct and (total := _direct_sum(Gaussian(alpha), z, 0.0)) is not None:
-        return total
     return _rows("theta_lattice", alpha, 0.0, z, False, cfg)
 
 
 def _w_b_minus_origin(alpha: float, b: float, z: UpperHalfPoint, cfg: SeriesConfig) -> float:
-    """W_b(alpha; z) + b/alpha.  Below y/alpha = POISSON_SWITCH the direct sum
-    of PolyGaussian(alpha, b) over the nonzero points (:func:`_direct_sum`);
-    where that walk would pass its point cap, and for y/4 <= alpha <= y, the
-    rows with the n = 0 row summed without the origin.  For alpha < y/4 the
-    nonzero points' theta mass sqrt(y/alpha) - 1 > 1 keeps adding b/alpha to
-    W_b from cancelling more than a few ulps."""
+    """W_b(alpha; z) + b/alpha on the rows, summing the n = 0 row without the
+    origin for alpha >= y/4, taken where :func:`_theta_minus_one` is.  Below,
+    the nonzero points' theta mass sqrt(y/alpha) - 1 > 1 keeps adding b/alpha
+    to W_b from cancelling more than a few ulps."""
     c0 = 0.5 * (1.0 - 2.0 * _PI * b) * (alpha / z.y)
     # 2 pi b or b/alpha overflows: as in w_b, with theta - 1 for theta, and on
     # both branches, since W_b + b/alpha would be -inf + inf
@@ -313,9 +308,6 @@ def _w_b_minus_origin(alpha: float, b: float, z: UpperHalfPoint, cfg: SeriesConf
         return _w_b_minus_origin(alpha, 0.0, z, cfg) - b / alpha * _theta_minus_one(alpha, z, cfg)
     if 4.0 * alpha < z.y:
         return w_b(alpha, b, z, cfg) + b / alpha
-    direct = z.y / alpha < POISSON_SWITCH and alpha < math.inf  # as in _theta_minus_one
-    if direct and (total := _direct_sum(PolyGaussian(alpha, b), z, 0.0)) is not None:
-        return total
     return _rows("w_b", alpha, c0, z, False, cfg, b)
 
 
@@ -834,9 +826,9 @@ def _direct_sum(p: Gaussian | GaussianDiff | PolyGaussian | YukawaDiff, z: Upper
     given |f(0)| as origin (0 where the value excludes it), added from the
     largest norm down; None where the walk would pass its point cap.
     theta_lattice and w_b add their origin to it, theta_difference adds 1 -
-    b; the origin-free energies below y/alpha = POISSON_SWITCH
-    (:func:`_theta_minus_one`, :func:`_w_b_minus_origin`, GaussianDiff's
-    closed form) and YukawaDiff's are this sum alone."""
+    b; closed_form_energy's Gaussian, GaussianDiff and PolyGaussian energies
+    below y/alpha = POISSON_SWITCH, and its YukawaDiff energy, are this sum
+    alone."""
     z = _near_origin(z)
     f = _pointwise(p)
     try:
@@ -1032,16 +1024,18 @@ def closed_form_energy(
     Below y/alpha = POISSON_SWITCH the Gaussian, GaussianDiff and
     PolyGaussian energies are each one direct sum over the nonzero points
     (:func:`_direct_sum`; GaussianDiff's walks once for both Gaussians), and
-    they take the rows only from there on and where that walk would pass its
-    point cap (:func:`_theta_minus_one`, :func:`_w_b_minus_origin`).  Against
-    40-digit sums the direct sums stayed within 1.4 ulps of sum (|A| + |B q|)
-    e^{-c q} (1 + c q) over the terms (A + B q) e^{-c q} of every point, as
-    dx_w's walk does on its own terms (README, "Direct lattice sums")."""
+    they take the origin-free rows only from there on and where that walk
+    would pass its point cap (:func:`_theta_minus_one`,
+    :func:`_w_b_minus_origin`).  Against 40-digit sums the direct sums
+    stayed within 1.4 ulps of sum (|A| + |B q|) e^{-c q} (1 + c q) over the
+    terms (A + B q) e^{-c q} of every point, as dx_w's walk does on its own
+    terms (README, "Direct lattice sums")."""
+    if isinstance(p, (Gaussian, GaussianDiff, PolyGaussian)) and z.y / p.alpha < POISSON_SWITCH:
+        if (total := _direct_sum(p, z, 0.0)) is not None:
+            return total
     if isinstance(p, Gaussian):
         return _theta_minus_one(p.alpha, z, cfg)
     if isinstance(p, GaussianDiff):
-        if z.y / p.alpha < POISSON_SWITCH and (total := _direct_sum(p, z, 0.0)) is not None:
-            return total
         return _theta_minus_one(p.alpha, z, cfg) - p.b * _theta_minus_one(p.a * p.alpha, z, cfg)
     if isinstance(p, PolyGaussian):
         return _w_b_minus_origin(p.alpha, p.b, z, cfg)

@@ -623,22 +623,32 @@ def test_origin_free_energies_below_the_switch_walk_once(monkeypatch):
     assert rows == []
     # y/alpha = 1e-8 puts ~5e5 points within the first radius at alpha = 1e3
     z, cfg = UpperHalfPoint(0.3, 1e-5), DEFAULT_CONFIG
-    c0 = 0.5 * (1.0 - 2.0 * PI * 0.3) * (1e3 / z.y)
-    theta_minus_one = energy._rows("theta_lattice", 1e3, 0.0, z, False, cfg)
+    theta_minus_one = energy._theta_minus_one(1e3, z, cfg)
     assert [f(1e3, z) for f in energies] == [
         theta_minus_one, theta_minus_one - 0.5 * energy._theta_minus_one(2e3, z, cfg),
-        energy._rows("w_b", 1e3, c0, z, False, cfg, 0.3), theta_lattice(1e3, z) - 0.5 * theta_lattice(2e3, z)]
+        energy._w_b_minus_origin(1e3, 0.3, z, cfg), theta_lattice(1e3, z) - 0.5 * theta_lattice(2e3, z)]
     assert rows
 
 
-def test_origin_free_sums_at_infinite_alpha():
-    # laplace_energy's far nodes may overflow alpha x; no Gaussian or
-    # PolyGaussian of alpha = inf exists, and the rows give theta - 1 = 0.0
-    z = UpperHalfPoint(0.3, 1.0)
-    assert energy._theta_minus_one(math.inf, z, DEFAULT_CONFIG) == 0.0
-    assert energy._w_b_minus_origin(math.inf, 0.3, z, DEFAULT_CONFIG) == 0.0
+@pytest.mark.parametrize("family", ["f", "g"])
+def test_laplace_nodes_take_the_rows_below_the_switch(monkeypatch, family):
+    # Past laplace_energy's walk cap every node takes the origin-free row
+    # sums, also where y/(alpha x) < 1: at y = 1e-3 a direct sum per node
+    # would walk ~pi/y points, at 230 nodes per energy.
+    walks, rows = [], []
+    half_plane = moduli._half_plane  # the direct sums' walk; the Laplace walk holds its own name
+    row_sums = energy._theta_minus_one if family == "f" else energy._w_b_minus_origin
+    monkeypatch.setattr(moduli, "_half_plane", lambda *args: walks.append(args) or half_plane(*args))
+    monkeypatch.setattr(energy, row_sums.__name__, lambda *args: rows.append(args) or row_sums(*args))
+    p = LaplaceWeighted(alpha=1.0, a=2.0, b=0.3, weight=lambda x: math.exp(-x), family=family)
+    laplace_energy(p, UpperHalfPoint(0.3, 1e-3))
+    assert walks == [] and len(rows) >= 13
+
+
+def test_theta_differences_where_a_alpha_overflows():
     # a alpha overflows to inf, whose theta is 1: the one direct sum has a
     # value, where theta_lattice(a alpha) would raise NonPositiveAlpha
+    z = UpperHalfPoint(0.3, 1.0)
     assert theta_difference(1e308, 2.0, 0.5, z) == 0.5
     assert closed_form_energy(GaussianDiff(1e308, 2.0, 0.5), z) == 0.0
 

@@ -8,11 +8,8 @@ own copy of the term table; jacobi_theta, its partials, theta_rows and the
 row expansions must equal them under ==, not merely to a tolerance.
 theta_lattice, w_b, dx_w and dy_w take the expansion only from y/alpha = 1
 on, so their expansions are called through energy._rows, the one entry
-that reads the term table.  The origin-free row sums add the row n = 0
-without the origin (alpha >= y for theta, alpha >= y/4 for W_b) to the rows
-n >= 1; energy._theta_minus_one and energy._w_b_minus_origin take them
-only from y/alpha = 1 on and past the walk's point cap, so below y/alpha = 1
-they are called through _rows with origin unset.
+that reads the term table.  The origin-free sums add the row n = 0 without
+the origin (alpha >= y for theta, alpha >= y/4 for W_b) to the rows n >= 1.
 """
 
 import math
@@ -199,15 +196,10 @@ def test_lattice_sums_equal_frozen_reference(x, y, alpha, b, cfg):
 @given(x=st.floats(-1.0, 1.0), y=log_uniform(0.2, 6.0), t=log_uniform(1.0, 16.0),
        b=st.floats(-1.0, 1.0), cfg=st.sampled_from(CONFIGS))
 def test_origin_free_sums_equal_frozen_reference(x, y, t, b, cfg):
-    # t >= 1 puts alpha = t y and t y / 4 where the origin-free sums may drop
-    # the origin from the row n = 0; below y/alpha = 1 _theta_minus_one and
-    # _w_b_minus_origin sum the lattice directly, so the rows they take past
-    # the walk's cap are called through _rows
+    # t >= 1 puts alpha = t y and t y / 4 on the branches that drop the origin
     z = UpperHalfPoint(x, y)
-    alpha = t * y / 4.0
-    c0 = 0.5 * (1.0 - 2.0 * _PI * b) * (alpha / z.y)
-    assert _rows("theta_lattice", t * y, 0.0, z, False, cfg) == ref_theta_minus_one(t * y, z, cfg)
-    assert _rows("w_b", alpha, c0, z, False, cfg, b) == ref_w_b_minus_origin(alpha, b, z, cfg)
+    assert _theta_minus_one(t * y, z, cfg) == ref_theta_minus_one(t * y, z, cfg)
+    assert _w_b_minus_origin(t * y / 4.0, b, z, cfg) == ref_w_b_minus_origin(t * y / 4.0, b, z, cfg)
 
 
 #: Past alpha pi y ~ 745 every row n >= 1 has weight 2 e^{-alpha pi y n^2} =
@@ -215,10 +207,9 @@ def test_origin_free_sums_equal_frozen_reference(x, y, t, b, cfg):
 #: the subnormal band alpha pi y in (708, 745), where they take every row.
 #: (alpha, x, y, b, theta_lattice, w_b, dx_w, dy_w, theta - 1, W_b + b/alpha),
 #: seeded, alpha in [0.05, 50], recorded before that route existed.  Six
-#: points have alpha >= y, where the origin-free row sums drop the origin
-#: from the row n = 0, and where the public dx_w and dy_w and the
-#: origin-free energies walk the lattice, so the recorded d/dx W, d/dy W,
-#: theta - 1 and W_b + b/alpha are read from their row expansions.
+#: points have alpha >= y, where the origin-free sums drop the origin from
+#: the row n = 0, and where the public dx_w and dy_w walk the lattice, so
+#: the recorded d/dx W and d/dy W are read from their row expansions.
 _LARGE_Y = [
     (0.10910421146919157, 0.927374, 5580.887430105445, -0.969778,
      226.16785225134078, 2340.224411474508, 0.0, 0.0, 225.16785225134078, 2331.3358636637404),
@@ -303,9 +294,6 @@ def test_large_y_sums_equal_recorded_values(row):
     got = [theta_lattice(alpha, z), w_b(alpha, b, z), _rows("dx_w", alpha, 0.0, z, False, cfg),
            _rows("dy_w", alpha, 0.0, z, True, cfg), _theta_minus_one(alpha, z, cfg),
            _w_b_minus_origin(alpha, b, z, cfg)]
-    if y < alpha:  # the origin-free sums walk the lattice here: their rows
-        c0 = 0.5 * (1.0 - 2.0 * _PI * b) * (alpha / z.y)
-        got[4:] = [_rows("theta_lattice", alpha, 0.0, z, False, cfg), _rows("w_b", alpha, c0, z, False, cfg, b)]
     assert list(map(repr, got)) == list(map(repr, want))
     if y >= alpha:  # the public derivatives take the rows here
         assert [repr(dx_w(alpha, z)), repr(dy_w(alpha, z))] == list(map(repr, want[2:4]))

@@ -938,10 +938,11 @@ def _weight(p: LaplaceWeighted, x: float) -> float:
 #: moduli._half_plane counts them, both halves) times the terms of a slice (2
 #: for family f, 1 for g) are at most this; past it each node takes the
 #: origin-free row sums, whose cost does not grow with the walk.  Measured on a
-#: 2-CPU VM at alpha in {0.5, 1, 2}, P in {1, e^-x}, x = 1/2: the walk costs
-#: 0.25-0.45 ms per energy at 20-90 points x terms and as much as the row sums
-#: (2.8-3.4 ms with P = e^-x, 11-13 ms with P = 1, by the node count) at
-#: 2,700-3,300 for either family, 2,000 for family f at alpha = 0.5, P = 1.
+#: 2-CPU VM at alpha in {0.5, 1, 2}, P in {1, e^-x}, x = 1/2, both families:
+#: the walk costs 0.18-0.63 ms per energy at 20-82 points x terms, and as much
+#: as the row sums (0.4-1.1 ms with P = e^-x, 1.3-4.4 ms with P = 1, by the
+#: node count, from y ~ 1e3 on) at 130-350, well below this cap, which was set
+#: when the row sums cost 3-8 times as much.
 _LAPLACE_WALK_CAP = 3600
 
 

@@ -16,7 +16,12 @@ and the point's b, over two point sets:
 - "float-range": a 61 x 61 grid of alpha, y in 10^{-300, -290, ..., 300}
   at x = 0.3, b = 0.3.
 
-A third set, "verify", holds the "<report id> <repr of computed>" of every
+A third set, "laplace", holds laplace_energy at 320 seeded inputs drawn like
+the benchmark's laplace box: families f and g, weights e^{rate x} with rate
+in [-2, -1/4], alpha in [1, 3] (24 of them in [0.2, 1)), and 8 at y = 1e5,
+where the walk passes energy._LAPLACE_WALK_CAP and each node takes the rows.
+
+A fourth set, "verify", holds the "<report id> <repr of computed>" of every
 run_checks() report at the default config and at rel_tol 1e-10 and 1e-12.
 
 Each outcome is the repr of the value or "raises <exception type>", and
@@ -38,10 +43,12 @@ import hashlib
 import json
 import math
 import random
+import struct
 import sys
 
-from hexlat import (B_CRITICAL, DEFAULT_CONFIG, Gaussian, GaussianDiff, PolyGaussian, SeriesConfig, UpperHalfPoint,
-                    closed_form_energy, dx_w, dy_w, theta_difference, theta_lattice, w_b)
+from hexlat import (B_CRITICAL, DEFAULT_CONFIG, Gaussian, GaussianDiff, LaplaceWeighted, PolyGaussian, SeriesConfig,
+                    UpperHalfPoint, closed_form_energy, dx_w, dy_w, laplace_energy, theta_difference, theta_lattice,
+                    w_b)
 from hexlat.verify import run_checks
 
 #: Differing points printed per function with --against.
@@ -56,6 +63,11 @@ FUNCTIONS = {
     "gaussian_energy": lambda a, b, z: closed_form_energy(Gaussian(a), z),
     "gaussian_diff_energy": lambda a, b, z: closed_form_energy(GaussianDiff(a, 2.0, b), z),
     "poly_gaussian_energy": lambda a, b, z: closed_form_energy(PolyGaussian(a, b), z),
+}
+
+LAPLACE_FUNCTIONS = {
+    "laplace_energy": lambda alpha, b, z, family, a, rate: laplace_energy(
+        LaplaceWeighted(alpha, a, b, weight=lambda t: math.exp(rate * t), family=family), z),
 }
 
 
@@ -77,15 +89,29 @@ def float_range_points() -> list[tuple[float, float, UpperHalfPoint]]:
     return [(alpha, 0.3, UpperHalfPoint(0.3, y)) for alpha in powers for y in powers]
 
 
-def outcome(f, alpha: float, b: float, z: UpperHalfPoint) -> str:
+def laplace_points() -> list[tuple]:
+    """(alpha, b, z, family, a, rate) at 320 seeded laplace_energy inputs:
+    288 in the box alpha in [1, 3], 24 with alpha in [0.2, 1), 8 at y = 1e5."""
+    rng = random.Random(35)
+    points = []
+    for i in range(320):
+        x = rng.uniform(0.0, 0.5)
+        y = 1e5 if i >= 312 else math.exp(rng.uniform(math.log(math.sqrt(1.0 - x * x)), math.log(2.5)))
+        alpha = rng.uniform(0.2, 1.0) if 288 <= i < 312 else rng.uniform(1.0, 3.0)
+        points.append((alpha, rng.uniform(0.0, 1.0), UpperHalfPoint(x, y), "fg"[i % 2],
+                       rng.uniform(1.0 + 1e-9, 4.0), -rng.uniform(0.25, 2.0)))
+    return points
+
+
+def outcome(f, *point) -> str:
     try:
-        return repr(f(alpha, b, z))
+        return repr(f(*point))
     except Exception as e:  # noqa: BLE001 - the type is the outcome
         return f"raises {type(e).__name__}"
 
 
-def sweep(points) -> dict[str, list[str]]:
-    return {name: [outcome(f, *p) for p in points] for name, f in FUNCTIONS.items()}
+def sweep(points, functions=FUNCTIONS) -> dict[str, list[str]]:
+    return {name: [outcome(f, *p) for p in points] for name, f in functions.items()}
 
 
 def verify_outcomes() -> dict[str, list[str]]:
@@ -95,9 +121,23 @@ def verify_outcomes() -> dict[str, list[str]]:
     return {name: [f"{r.lemma_id} {r.computed!r}" for r in run_checks(cfg=cfg)] for name, cfg in configs.items()}
 
 
+def ulps(ours: str, theirs: str) -> int | None:
+    """How many floats lie between two outcomes, counting one end; None
+    unless both are finite floats of one sign."""
+    try:
+        a, b = float(ours), float(theirs)
+    except ValueError:
+        return None
+    if not (math.isfinite(a) and math.isfinite(b)) or (a < 0.0) != (b < 0.0):
+        return None
+    bits = [struct.unpack("<q", struct.pack("<d", abs(v)))[0] for v in (a, b)]
+    return abs(bits[0] - bits[1])
+
+
 def compare(dump: dict, other: dict, sets: dict) -> int:
     """Print the first SHOWN differing outcomes of each function of dump
-    against other, with their points; return how many outcomes differ."""
+    against other, with their points and, where both are floats of one sign,
+    the most ulps between two; return how many outcomes differ."""
     total = 0
     for set_name, outcomes in dump.items():
         for name, ours in outcomes.items():
@@ -112,12 +152,14 @@ def compare(dump: dict, other: dict, sets: dict) -> int:
             diffs = [i for i, (a, b) in enumerate(zip(ours, theirs)) if a != b]
             total += len(diffs)
             if diffs:
-                print(f"{set_name} {name}: {len(diffs)} of {len(ours)} outcomes differ")
+                apart = [ulps(ours[i], theirs[i]) for i in diffs]
+                by = f", by at most {max(apart)} ulps" if None not in apart else ""
+                print(f"{set_name} {name}: {len(diffs)} of {len(ours)} outcomes differ{by}")
             for i in diffs[:SHOWN]:
                 point = f"#{i}"
                 if set_name in sets:
-                    alpha, b, z = sets[set_name][i]
-                    point = f"alpha={alpha!r} y={z.y!r} x={z.x!r} b={b!r}"
+                    alpha, b, z, *rest = sets[set_name][i]
+                    point = " ".join([f"alpha={alpha!r} y={z.y!r} x={z.x!r} b={b!r}", *map(repr, rest)])
                 print(f"  {set_name} {point}: here {ours[i]}, other {theirs[i]}")
     print(f"{total} outcomes differ" if total else "every compared outcome equals the other dump's")
     return total
@@ -130,6 +172,8 @@ def main() -> int:
     args = parser.parse_args()
     sets = {"workload": workload_points(), "float-range": float_range_points()}
     dump = {set_name: sweep(points) for set_name, points in sets.items()}
+    sets["laplace"] = laplace_points()
+    dump["laplace"] = sweep(sets["laplace"], LAPLACE_FUNCTIONS)
     dump["verify"] = verify_outcomes()
     for set_name, outcomes in dump.items():
         for name, out in outcomes.items():

@@ -1004,6 +1004,52 @@ def test_exp_sinh_nodes_and_weights_are_the_rule_integrate_stops_at():
         math.exp(-2.0) / 2.0, rel=1e-12)
 
 
+def _spied(f, sizes):
+    """f, recording the node count of each call in sizes."""
+    return lambda x: sizes.append(len(x)) or f(x)
+
+
+@pytest.mark.parametrize("family", ["f", "g"])
+def test_laplace_energy_calls_its_integrand_twice(monkeypatch, family):
+    # The unit steps t = -6..6, then the midpoints of the levels h = 1/2 ..
+    # 1/16 on the unit walk's span [t_lo, t_hi], 1 + 2 + 4 + 8 per unit of t.
+    p = LaplaceWeighted(alpha=1.0, a=2.0, b=0.3, weight=lambda x: math.exp(-x), family=family)
+    _, h, (t_lo, t_hi) = quadrature._exp_sinh(energy._walk_integrand(p, HEX), 1.0)
+    sizes = []
+    walk_integrand = energy._walk_integrand
+    monkeypatch.setattr(energy, "_walk_integrand", lambda *args: _spied(walk_integrand(*args), sizes))
+    laplace_energy(p, HEX)
+    assert h == 1.0 / 16.0 and sizes == [13, 15 * (t_hi - t_lo)]
+
+
+def test_exp_sinh_rule_calls_once_per_level_past_one_sixteenth():
+    sizes = []
+    _, h, (t_lo, t_hi) = quadrature._exp_sinh(_spied(lambda x: np.exp(-x), sizes), 1.0)
+    assert h == 1.0 / 32.0 and sizes == [13, 15 * (t_hi - t_lo), 16 * (t_hi - t_lo)]
+
+
+def test_exp_sinh_rule_ignores_the_levels_it_does_not_reach():
+    # 1/(1 + x^2) stops at h = 1/8, so a nan at every node of level 1/16,
+    # which the call of levels 1/2 .. 1/16 evaluates last, changes nothing.
+    # The nan goes by position: near t_lo, 1 + u rounds to 1.0 at every level.
+    f = lambda x: 1.0 / (1.0 + x * x)
+    value, h, (t_lo, t_hi) = quadrature._exp_sinh(f, 1.0)
+    assert (value, h) == (0.7853981633974483, 1.0 / 8.0)
+    assert quadrature.integrate(f, 1.0) == value
+    level = 1.0 + quadrature._level_nodes(t_lo, t_hi, 1.0 / 16.0)[0]
+    planted = []
+
+    def with_nans(x):
+        v = f(x)
+        if len(x) == 15 * (t_hi - t_lo):
+            assert np.array_equal(x[-len(level):], level)
+            v[-len(level):] = np.nan
+            planted.append(len(level))
+        return v
+
+    assert quadrature.integrate(with_nans, 1.0) == value and planted == [8 * (t_hi - t_lo)]
+
+
 @pytest.mark.parametrize("z", [HEX, UpperHalfPoint(0.0, 5.0)], ids=["hex", "tall-z"])
 @pytest.mark.parametrize("sign", [1.0, -1.0])
 def test_laplace_energy_at_the_float_range(z, sign):
